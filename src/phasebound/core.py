@@ -142,48 +142,52 @@ def hamiltonian_vector_field(sys: HamiltonianSystem, t, u, p):
     return du, dp
 
 
-def hamiltonian_hessian(sys: HamiltonianSystem, t, u, p, fd_step=1e-6):
-    """Second-derivative blocks (Huu, Hup, Hpp) of H at (t, u, p).
+def _fd_hessian_block(grad, t, u, p, fd_step, wrt_u):
+    """Central differences of a gradient: [..., i, a] = d grad_i / d x_a."""
+    r = u.shape[-1]
+    cols = []
+    for a in range(r):
+        e = np.zeros(r)
+        e[a] = fd_step
+        if wrt_u:
+            gp = np.asarray(grad(t, u + e, p), dtype=float)
+            gm = np.asarray(grad(t, u - e, p), dtype=float)
+        else:
+            gp = np.asarray(grad(t, u, p + e), dtype=float)
+            gm = np.asarray(grad(t, u, p - e), dtype=float)
+        cols.append((gp - gm) / (2.0 * fd_step))
+    return np.stack(cols, axis=-1)
 
-    Analytic callbacks are used when present; otherwise central differences
-    of the gradients.  Huu and Hpp are symmetrized so that downstream
-    tangent-flow maps are exactly symplectic.
+
+def hessian_block(sys: HamiltonianSystem, block, t, u, p, fd_step=1e-6):
+    """One second-derivative block of H at (t, u, p): "uu", "up" or "pp".
+
+    The analytic callback is used when present; otherwise central differences
+    of the gradient (hess_up[a, b] = d(H_u)_a / d p_b).  Huu and Hpp are
+    symmetrized so that downstream tangent-flow maps are exactly symplectic.
     """
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
-    r = u.shape[-1]
-
-    def fd_block(grad, wrt_u):
-        cols = []
-        for a in range(r):
-            e = np.zeros(r)
-            e[a] = fd_step
-            if wrt_u:
-                gp = np.asarray(grad(t, u + e, p), dtype=float)
-                gm = np.asarray(grad(t, u - e, p), dtype=float)
-            else:
-                gp = np.asarray(grad(t, u, p + e), dtype=float)
-                gm = np.asarray(grad(t, u, p - e), dtype=float)
-            cols.append((gp - gm) / (2.0 * fd_step))
-        return np.stack(cols, axis=-1)  # [..., i, a] = d grad_i / d x_a
-
-    if sys.hess_uu is not None:
-        huu = np.asarray(sys.hess_uu(t, u, p), dtype=float)
+    if block == "uu":
+        callback, grad, wrt_u = sys.hess_uu, sys.grad_u, True
+    elif block == "pp":
+        callback, grad, wrt_u = sys.hess_pp, sys.grad_p, False
     else:
-        huu = fd_block(sys.grad_u, wrt_u=True)
-    if sys.hess_pp is not None:
-        hpp = np.asarray(sys.hess_pp(t, u, p), dtype=float)
+        callback, grad, wrt_u = sys.hess_up, sys.grad_u, False
+    if callback is not None:
+        hess = np.asarray(callback(t, u, p), dtype=float)
     else:
-        hpp = fd_block(sys.grad_p, wrt_u=False)
-    if sys.hess_up is not None:
-        hup = np.asarray(sys.hess_up(t, u, p), dtype=float)
-    else:
-        hup = fd_block(sys.grad_u, wrt_u=False)  # [a, b] = d(H_u)_a / d p_b
+        hess = _fd_hessian_block(grad, t, u, p, fd_step, wrt_u)
+    if block == "up":
+        return hess
+    return 0.5 * (hess + np.swapaxes(hess, -2, -1))
 
-    swap = (-2, -1)
-    huu = 0.5 * (huu + np.swapaxes(huu, *swap))
-    hpp = 0.5 * (hpp + np.swapaxes(hpp, *swap))
-    return huu, hup, hpp
+
+def hamiltonian_hessian(sys: HamiltonianSystem, t, u, p, fd_step=1e-6):
+    """Second-derivative blocks (Huu, Hup, Hpp) of H at (t, u, p); see hessian_block."""
+    return (hessian_block(sys, "uu", t, u, p, fd_step),
+            hessian_block(sys, "up", t, u, p, fd_step),
+            hessian_block(sys, "pp", t, u, p, fd_step))
 
 
 def linearized_field_matrix(sys: HamiltonianSystem, t, u, p, fd_step=1e-6):

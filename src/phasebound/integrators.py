@@ -5,7 +5,8 @@ Newton-solved) and Stormer-Verlet (separable H only).  Both are second
 order and symplectic.  Tangent flows are accumulated from the exact
 derivative of each discrete step (for the midpoint rule, the Cayley
 transform obtained by differentiating the Newton fixed point), so the
-computed monodromy matrices are symplectic to solver tolerance.
+computed monodromy matrices are symplectic to solver tolerance.  The
+batched engine ``flow_batch`` steps with the same configured scheme.
 
 Finite-time escape is a legitimate outcome, reported as a BlowUp status
 with the threshold-crossing time rather than raised as an error.  The
@@ -25,7 +26,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_point,
-    hamiltonian_hessian,
+    hessian_block,
     linearized_field_matrix,
 )
 from .errors import (
@@ -150,33 +151,10 @@ def _midpoint_step(sys, t, z, h, cfg, want_tangent=False):
 
 def _verlet_step(sys, t, z, h, cfg, want_tangent=False):
     """Kick-drift-kick composition for separable H = T(p) + V(u)."""
-    if not sys.separable:
-        raise NotSeparableError(f"system {sys.name!r} is not declared separable")
-    r = z.size // 2
-    u, p = z[:r], z[r:]
-    p_half = p - 0.5 * h * np.asarray(sys.grad_u(t, u, p), dtype=float)
-    u_new = u + h * np.asarray(sys.grad_p(t + 0.5 * h, u, p_half), dtype=float)
-    p_new = p_half - 0.5 * h * np.asarray(sys.grad_u(t + h, u_new, p_half), dtype=float)
-    z2 = np.concatenate([u_new, p_new])
-    if not np.all(np.isfinite(z2)):
+    z2, ok, tangents = _verlet_step_batch(sys, t, z[None], h, cfg, want_tangent)
+    if not ok[0]:
         raise NewtonConvergenceError(f"Verlet step not finite at t={t}")
-    if not want_tangent:
-        return z2, None
-
-    def kick(tt, uu, pp):
-        huu = hamiltonian_hessian(sys, tt, uu, pp, cfg.hessian_fd_step)[0]
-        m = np.eye(2 * r)
-        m[r:, :r] = -0.5 * h * huu
-        return m
-
-    def drift(tt, uu, pp):
-        hpp = hamiltonian_hessian(sys, tt, uu, pp, cfg.hessian_fd_step)[2]
-        m = np.eye(2 * r)
-        m[:r, r:] = h * hpp
-        return m
-
-    tangent = kick(t + h, u_new, p_half) @ drift(t + 0.5 * h, u, p_half) @ kick(t, u, p)
-    return z2, tangent
+    return z2[0], (tangents[0] if want_tangent else None)
 
 
 def _step_once(sys, t, z, h, cfg, want_tangent=False):
@@ -228,18 +206,6 @@ def _advance(sys, t, z, h, cfg, depth, want_tangent):
     return z2, m
 
 
-def _analytic_flow_result(sys, u0, p0, cfg, t0, t1):
-    n_steps = max(2, int(round((t1 - t0) / cfg.step)))
-    grid = TimeGrid.uniform(n_steps, t0, t1)
-    us, ps = [], []
-    for t in grid.nodes:
-        u, p = sys.analytic_flow(t, u0, p0)
-        us.append(np.atleast_1d(np.asarray(u, dtype=float)))
-        ps.append(np.atleast_1d(np.asarray(p, dtype=float)))
-    traj = Trajectory(grid, np.stack(us), np.stack(ps))
-    return FlowResult(traj, Completed())
-
-
 def flow_with_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig,
                        t0=0.0, t1=1.0, want_jacobian=True):
     """Integrate from (u0, p0) over [t0, t1], optionally with the tangent flow.
@@ -252,14 +218,10 @@ def flow_with_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig,
     p0 = as_point(p0, r)
 
     if sys.analytic_only:
-        res = _analytic_flow_result(sys, u0, p0, cfg, t0, t1)
-        jac = None
-        if want_jacobian:
-            if sys.analytic_flow_jacobian is not None:
-                jac = np.asarray(sys.analytic_flow_jacobian(t1 - t0, u0, p0), dtype=float)
-            else:
-                jac = _fd_flow_jacobian(sys, u0, p0, t1 - t0)
-        return res, jac
+        grid, (path_u, path_p), _, _, _, jac = _analytic_batch(
+            sys, u0[None], p0[None], cfg, t0, t1, want_jacobian, store_path=True)
+        traj = Trajectory(grid, path_u[:, 0], path_p[:, 0])
+        return FlowResult(traj, Completed()), (jac[0] if want_jacobian else None)
 
     span = t1 - t0
     n_steps = max(2, int(round(span / cfg.step)))
@@ -364,23 +326,25 @@ def energy_drift(sys: HamiltonianSystem, traj: Trajectory):
 # Batched flows (multistart workhorse)
 # ---------------------------------------------------------------------------
 
+def _eval_batch(sys, fn, t, U, P):
+    """fn(t, u, p) over the rows of (U, P): one call if the system is vectorized."""
+    if sys.vectorized:
+        return np.asarray(fn(t, U, P), dtype=float)
+    return np.stack([np.asarray(fn(t, U[b], P[b]), dtype=float) for b in range(U.shape[0])])
+
+
 def _field_batch(sys, t, Z):
     r = Z.shape[1] // 2
     U, P = Z[:, :r], Z[:, r:]
-    if sys.vectorized:
-        du = np.asarray(sys.grad_p(t, U, P), dtype=float)
-        dp = -np.asarray(sys.grad_u(t, U, P), dtype=float)
-        return np.concatenate([du, dp], axis=1)
-    return np.stack([_field(sys, t, Z[b]) for b in range(Z.shape[0])])
+    du = _eval_batch(sys, sys.grad_p, t, U, P)
+    dp = -_eval_batch(sys, sys.grad_u, t, U, P)
+    return np.concatenate([du, dp], axis=1)
 
 
 def _linearized_batch(sys, t, Z, fd_step):
     r = Z.shape[1] // 2
-    if sys.vectorized:
-        return linearized_field_matrix(sys, t, Z[:, :r], Z[:, r:], fd_step)
-    return np.stack([
-        linearized_field_matrix(sys, t, Z[b, :r], Z[b, r:], fd_step) for b in range(Z.shape[0])
-    ])
+    return _eval_batch(sys, lambda tt, u, p: linearized_field_matrix(sys, tt, u, p, fd_step),
+                       t, Z[:, :r], Z[:, r:])
 
 
 def _batch_solve(mats, rhs):
@@ -452,21 +416,66 @@ def _midpoint_step_batch(sys, t, Z, h, cfg, want_tangent, tangent_exact=True):
     return Z2, ok, tangents
 
 
+def _verlet_step_batch(sys, t, Z, h, cfg, want_tangent):
+    """Stormer-Verlet (kick-drift-kick) over a batch; returns (Z', ok, tangents).
+
+    The step is explicit, so there is no Newton solve: ``ok`` flags members
+    whose new state is finite.  The tangent is the exact derivative of the
+    step, the product of the two kick matrices [[I, 0], [-h/2 Huu, I]] and
+    the drift matrix [[I, h Hpp], [0, I]] (Hairer, Lubich & Wanner,
+    Geometric Numerical Integration, VI.3); only Huu at the kicks and Hpp at
+    the drift are evaluated.
+    """
+    if not sys.separable:
+        raise NotSeparableError(f"system {sys.name!r} is not declared separable")
+    bsz, two_r = Z.shape
+    r = two_r // 2
+    U, P = Z[:, :r], Z[:, r:]
+    with np.errstate(all="ignore"):
+        P_half = P - 0.5 * h * _eval_batch(sys, sys.grad_u, t, U, P)
+        U_new = U + h * _eval_batch(sys, sys.grad_p, t + 0.5 * h, U, P_half)
+        P_new = P_half - 0.5 * h * _eval_batch(sys, sys.grad_u, t + h, U_new, P_half)
+        Z2 = np.concatenate([U_new, P_new], axis=1)
+        ok = np.all(np.isfinite(Z2), axis=1)
+        if not want_tangent:
+            return Z2, ok, None
+
+        def hess(block, tt, UU, PP):
+            return _eval_batch(
+                sys, lambda t_, u, p: hessian_block(sys, block, t_, u, p, cfg.hessian_fd_step),
+                tt, UU, PP)
+
+        kick0 = np.tile(np.eye(two_r), (bsz, 1, 1))
+        drift, kick1 = kick0.copy(), kick0.copy()
+        kick0[:, r:, :r] = -0.5 * h * hess("uu", t, U, P)
+        drift[:, :r, r:] = h * hess("pp", t + 0.5 * h, U, P_half)
+        kick1[:, r:, :r] = -0.5 * h * hess("uu", t + h, U_new, P_half)
+        tangents = kick1 @ drift @ kick0
+    return Z2, ok, tangents
+
+
 def _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path):
+    """Closed-form flow of a batch over [t0, t1]; returns as flow_batch does.
+
+    The closed form is evaluated at the elapsed time t - t0.  With
+    ``store_path`` it is sampled at every node of the uniform grid and ``ok``
+    requires every node to be finite; otherwise it is evaluated once, at
+    t1 - t0, and ``ok`` requires finite start and end states.
+    """
     bsz, r = U0.shape
     n_steps = max(2, int(round((t1 - t0) / cfg.step)))
     grid = TimeGrid.uniform(n_steps, t0, t1)
-    path_u = np.empty((len(grid), bsz, r))
+    elapsed = grid.nodes - t0 if store_path else (t1 - t0,)
+    path_u = np.empty((len(elapsed), bsz, r))
     path_p = np.empty_like(path_u)
-    for i, t in enumerate(grid.nodes):
+    for i, t in enumerate(elapsed):
         if sys.vectorized:
-            u, p = sys.analytic_flow(t, U0, P0)
-            path_u[i], path_p[i] = u, p
+            path_u[i], path_p[i] = sys.analytic_flow(t, U0, P0)
         else:
             for b in range(bsz):
-                u, p = sys.analytic_flow(t, U0[b], P0[b])
-                path_u[i, b], path_p[i, b] = u, p
-    ok = np.all(np.isfinite(path_u), axis=(0, 2)) & np.all(np.isfinite(path_p), axis=(0, 2))
+                path_u[i, b], path_p[i, b] = sys.analytic_flow(t, U0[b], P0[b])
+    ok = (np.all(np.isfinite(U0), axis=1) & np.all(np.isfinite(P0), axis=1)
+          & np.all(np.isfinite(path_u), axis=(0, 2)) & np.all(np.isfinite(path_p), axis=(0, 2)))
     jac = None
     if want_jacobian:
         jac = np.empty((bsz, 2 * r, 2 * r))
@@ -475,7 +484,8 @@ def _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path):
                 jac[b] = sys.analytic_flow_jacobian(t1 - t0, U0[b], P0[b])
             else:
                 jac[b] = _fd_flow_jacobian(sys, U0[b], P0[b], t1 - t0)
-    return grid, (path_u, path_p) if store_path else None, ok, jac
+    path = (path_u, path_p) if store_path else None
+    return grid, path, path_u[-1], path_p[-1], ok, jac
 
 
 def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
@@ -483,19 +493,27 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
                tangent_exact=True):
     """Integrate a batch of initial states over [t0, t1] simultaneously.
 
-    No step-halving fallback: members whose Newton solve fails or that cross
+    Steps with ``cfg.scheme``: the implicit midpoint rule, or Stormer-Verlet
+    (which raises NotSeparableError for a system not declared separable).
+    Closed-form (``analytic_only``) systems are evaluated, not stepped, and
+    their grid is sampled only when ``store_path`` asks for the path.  No
+    step-halving fallback: members whose Newton solve fails or that cross
     the blow-up threshold are flagged out via the ``ok`` mask.  Returns
     (grid, path or None, U1, P1, ok, jacobians or None) where path is a pair
-    of (n_nodes, batch, r) arrays.
+    of (n_nodes, batch, r) arrays.  ``tangent_exact`` applies to the
+    midpoint rule only (see _midpoint_step_batch).
     """
     U0 = np.atleast_2d(np.asarray(U0, dtype=float))
     P0 = np.atleast_2d(np.asarray(P0, dtype=float))
     bsz, r = U0.shape
     if sys.analytic_only:
-        grid, path, ok, jac = _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, True)
-        pu, pp = path
-        result_path = (pu, pp) if store_path else None
-        return grid, result_path, pu[-1], pp[-1], ok, jac
+        return _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
+    if cfg.scheme == "stormer-verlet":
+        def step(t, Z, h):
+            return _verlet_step_batch(sys, t, Z, h, cfg, want_jacobian)
+    else:
+        def step(t, Z, h):
+            return _midpoint_step_batch(sys, t, Z, h, cfg, want_jacobian, tangent_exact)
 
     span = t1 - t0
     n_steps = max(2, int(round(span / cfg.step)))
@@ -510,8 +528,7 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
         path_u[0], path_p[0] = U0, P0
     for k in range(n_steps):
         t = t0 + k * h
-        Znew, step_ok, tangents = _midpoint_step_batch(
-            sys, t, Z, h, cfg, want_jacobian, tangent_exact)
+        Znew, step_ok, tangents = step(t, Z, h)
         ok &= step_ok
         with np.errstate(all="ignore"):
             norms = np.max(np.abs(Znew[:, :r]), axis=1) + np.max(np.abs(Znew[:, r:]), axis=1)

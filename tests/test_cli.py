@@ -13,6 +13,7 @@ from phasebound.cli import (
     run_scenario,
     ScenarioError,
 )
+from phasebound.errors import NotSeparableError
 from phasebound.selftest import run_checks
 from phasebound.systems import SelfCheck
 
@@ -76,6 +77,19 @@ class TestRunScenarios:
         assert abs(report["results"]["branches"][0]["action"] - 2.0) <= 1e-6
         for f in written:
             assert os.path.exists(f)
+
+    def test_verlet_bvp_on_non_separable_system_is_a_task_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "system": "cotangent-lift",
+            "task": "bvp",
+            "integrator": {"scheme": "stormer-verlet"},
+            "shooting": {"seed_count": 4},
+            "parameters": {"endpoints": [1.0, 2.718281828459045]},
+        })
+        with pytest.raises(NotSeparableError):
+            run_scenario(path, out_dir=str(tmp_path / "out"))
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        assert "not declared separable" in capsys.readouterr().err
 
     def test_quartic_blowup_flow(self, tmp_path):
         path = write_scenario(tmp_path, {

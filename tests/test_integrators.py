@@ -1,5 +1,7 @@
 """One-step maps, flows, tangent flows, blow-up handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from phasebound.integrators import (
     Completed,
     IntegratorConfig,
     energy_drift,
+    flow_batch,
     flow_jacobian,
+    flow_with_jacobian,
     integrate_flow,
     step_implicit_midpoint,
     step_stormer_verlet,
@@ -24,6 +28,7 @@ from phasebound.systems import (
     make_free_particle,
     make_pendulum,
     make_quartic,
+    make_sphere_geodesics,
 )
 
 
@@ -192,3 +197,102 @@ class TestSchemeProperties:
             escapes.append(res.status.t_escape)
             assert abs(res.status.t_escape - 2.0 / u0) <= 0.05 * (2.0 / u0)
         assert escapes[0] > escapes[1] > escapes[2]
+
+
+def counting_flow(sys):
+    """The system with its closed-form flow wrapped in a call counter."""
+    calls = []
+
+    def flow(t, u0, p0):
+        calls.append(t)
+        return sys.analytic_flow(t, u0, p0)
+
+    return dataclasses.replace(sys, analytic_flow=flow), calls
+
+
+class TestClosedFormFlows:
+    north = np.array([0.0, 0.0, 1.0])
+    east = np.array([1.0, 0.0, 0.0])
+
+    def test_sub_interval_starts_at_initial_state(self):
+        sph = make_sphere_geodesics()
+        cfg = IntegratorConfig()
+        res = integrate_flow(sph.system, self.north, self.east, cfg, t0=0.5, t1=1.0)
+        np.testing.assert_array_equal(res.trajectory.positions[0], self.north)
+        np.testing.assert_array_equal(res.trajectory.momenta[0], self.east)
+        assert res.trajectory.grid.nodes[0] == 0.5 and res.trajectory.grid.nodes[-1] == 1.0
+        u_half, p_half = sph.facts["flow"](0.5, self.north, self.east)
+        np.testing.assert_allclose(res.trajectory.positions[-1], u_half, atol=1e-15)
+        np.testing.assert_allclose(res.trajectory.momenta[-1], p_half, atol=1e-15)
+        whole = integrate_flow(sph.system, self.north, self.east, cfg, t0=0.0, t1=0.5)
+        np.testing.assert_allclose(res.trajectory.positions, whole.trajectory.positions,
+                                   atol=1e-15)
+
+        _, _, U1, P1, ok, jac = flow_batch(sph.system, self.north, self.east, cfg,
+                                           t0=0.5, t1=1.0, want_jacobian=True)
+        assert ok.all()
+        np.testing.assert_allclose(U1[0], u_half, atol=1e-15)
+        np.testing.assert_allclose(P1[0], p_half, atol=1e-15)
+        np.testing.assert_allclose(jac[0], flow_jacobian(sph.system, self.north, self.east,
+                                                         cfg, t0=0.0, t1=0.5), atol=1e-15)
+
+    def test_endpoint_only_flow_is_one_evaluation(self):
+        sph, calls = counting_flow(make_sphere_geodesics().system)
+        rng = np.random.default_rng(3)
+        U0 = np.tile(self.north, (5, 1))
+        P0 = rng.uniform(-4.0, 4.0, (5, 3))
+        cfg = IntegratorConfig(step=1e-2)
+        grid, path, U1, P1, ok, _ = flow_batch(sph, U0, P0, cfg, want_jacobian=True)
+        assert path is None and calls == [1.0]
+        calls.clear()
+        _, (path_u, path_p), U1s, P1s, oks, _ = flow_batch(sph, U0, P0, cfg, store_path=True)
+        assert len(calls) == len(grid) == path_u.shape[0]
+        np.testing.assert_array_equal(U1, U1s)
+        np.testing.assert_array_equal(P1, P1s)
+        np.testing.assert_array_equal(ok, oks)
+
+    def test_non_finite_member_is_flagged(self):
+        sph = make_sphere_geodesics().system
+        P0 = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+        for store_path in (False, True):
+            ok = flow_batch(sph, np.tile(self.north, (2, 1)), P0, IntegratorConfig(),
+                            store_path=store_path)[4]
+            assert ok.tolist() == [True, False]
+
+
+class TestBatchedVerlet:
+    verlet = IntegratorConfig(scheme="stormer-verlet")
+
+    @pytest.mark.parametrize("width", [1, 32])
+    def test_matches_scalar_verlet(self, width):
+        pen = make_pendulum()
+        rng = np.random.default_rng(width)
+        U0 = rng.uniform(-2.0, 2.0, (width, 1))
+        P0 = rng.uniform(-3.0, 3.0, (width, 1))
+        _, _, U1, P1, ok, jac = flow_batch(pen.system, U0, P0, self.verlet, want_jacobian=True)
+        assert ok.all()
+        for b in range(width):
+            res, scalar_jac = flow_with_jacobian(pen.system, U0[b], P0[b], self.verlet)
+            np.testing.assert_allclose(U1[b], res.trajectory.positions[-1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(P1[b], res.trajectory.momenta[-1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(jac[b], scalar_jac, rtol=0, atol=1e-12)
+            assert symplecticity_defect(jac[b]) <= 1e-12
+
+    def test_differs_from_midpoint(self):
+        pen = make_pendulum()
+        midpoint = flow_batch(pen.system, [[0.5]], [[1.5]], IntegratorConfig())[2]
+        verlet = flow_batch(pen.system, [[0.5]], [[1.5]], self.verlet)[2]
+        assert abs(verlet[0, 0] - midpoint[0, 0]) > 1e-8
+
+    def test_requires_separable(self):
+        lift = make_cotangent_lift()
+        with pytest.raises(NotSeparableError):
+            flow_batch(lift.system, [[1.0]], [[1.0]], self.verlet)
+
+    def test_non_finite_member_is_flagged(self):
+        free = make_free_particle()
+        _, _, U1, _, ok, jac = flow_batch(free.system, [[0.0], [0.0]], [[2.0], [np.inf]],
+                                          self.verlet, want_jacobian=True)
+        assert ok.tolist() == [True, False]
+        np.testing.assert_allclose(U1[0], [2.0], atol=1e-12)
+        np.testing.assert_allclose(jac[0], [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)

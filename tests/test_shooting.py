@@ -1,10 +1,13 @@
 """Boundary-value shooting, principal function, classification."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from phasebound.core import action_functional
-from phasebound.errors import FlowIncompleteError, NoSuchBranchError
+from phasebound.errors import FlowIncompleteError, NoSuchBranchError, NotSeparableError
 from phasebound.integrators import IntegratorConfig, integrate_flow
 from phasebound.shooting import (
     ShootingConfig,
@@ -82,6 +85,45 @@ class TestSolveDirichlet:
         for branch in sols.solutions:
             res, _ = shoot_residual(pen.system, [0.0], branch.p0, [np.pi / 2], cfg)
             assert np.abs(res).max() <= cfg.newton_tol * 10
+
+
+    @pytest.mark.parametrize("pair", ["antipodal", "generic"])
+    def test_sphere_endpoint_flows_match_sampled_reference(self, pair):
+        # Reference: the same solve when every shooting evaluation sampled the
+        # closed-form flow at all grid nodes instead of only at t = 1.
+        ref = json.loads((Path(__file__).parent / "data" / "sphere_shooting_reference.json")
+                         .read_text())["pairs"][pair]
+        sph = make_sphere_geodesics()
+        north = np.array([0.0, 0.0, 1.0])
+        u1 = -north if pair == "antipodal" else np.array([np.sin(1.0), 0.0, np.cos(1.0)])
+        sols = solve_dirichlet(sph.system, north, u1, fast_cfg(step=1e-2, seed_count=48))
+        assert sols.classification.kind == ref["kind"]
+        assert sols.classification.count == ref["count"] == len(sols.solutions)
+        np.testing.assert_allclose([b.p0 for b in sols.solutions], ref["p0"],
+                                   rtol=1e-10, atol=1e-10)
+        for b in sols.solutions:
+            assert len(b.trajectory.grid) == 101
+
+    def test_verlet_branches_land_under_verlet(self):
+        pen = make_pendulum()
+        verlet = IntegratorConfig(scheme="stormer-verlet")
+        sols = solve_dirichlet(pen.system, [0.0], [np.pi / 2],
+                               ShootingConfig(integrator=verlet, seed_count=12))
+        assert len(sols.solutions) >= 2
+        for b in sols.solutions:
+            res = integrate_flow(pen.system, [0.0], b.p0, verlet)
+            miss = pen.system.config.wrap_diff(res.trajectory.positions[-1], [np.pi / 2])
+            assert np.abs(miss).max() <= 1e-8
+            np.testing.assert_allclose(b.trajectory.positions, res.trajectory.positions,
+                                       rtol=0, atol=1e-10)
+
+    def test_verlet_on_non_separable_raises(self):
+        lift = make_cotangent_lift()
+        cfg = ShootingConfig(integrator=IntegratorConfig(scheme="stormer-verlet"), seed_count=4)
+        with pytest.raises(NotSeparableError):
+            solve_dirichlet(lift.system, [1.0], [np.e], cfg)
+        with pytest.raises(NotSeparableError):
+            classify_theory(lift.system, [([1.0], [np.e])], cfg)
 
 
 class TestPrincipalFunction:
