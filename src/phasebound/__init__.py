@@ -45,6 +45,7 @@ from .shooting import (
     hamilton_principal_function,
     shoot_residual,
     solve_dirichlet,
+    solve_dirichlet_many,
     solve_with_lagrangian_boundary,
 )
 from .verify import (

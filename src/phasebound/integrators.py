@@ -348,8 +348,16 @@ def _linearized_batch(sys, t, Z, fd_step):
 
 
 def _batch_solve(mats, rhs):
+    """mats[b]^-1 rhs[b] for every member b; rhs holds a vector or a matrix per member.
+
+    A singular member alone falls back to its least-squares (pinv) solution;
+    the others are solved as in the stacked call, so no member's result
+    depends on what else is in the batch.
+    """
+    vector = rhs.ndim < mats.ndim
     try:
-        return np.linalg.solve(mats, rhs[..., None])[..., 0]
+        out = np.linalg.solve(mats, rhs[..., None] if vector else rhs)
+        return out[..., 0] if vector else out
     except np.linalg.LinAlgError:
         out = np.empty_like(rhs)
         for b in range(mats.shape[0]):
@@ -405,14 +413,7 @@ def _midpoint_step_batch(sys, t, Z, h, cfg, want_tangent, tangent_exact=True):
                 m_final = np.where(ok[:, None], 0.5 * (Z + Z2), 0.0)
                 a_mat = _linearized_batch(sys, t + 0.5 * h, m_final, cfg.hessian_fd_step)
                 a_mat = np.where(np.isfinite(a_mat), a_mat, 0.0)
-            rhs = eye[None] + 0.5 * h * a_mat
-            try:
-                tangents = np.linalg.solve(eye[None] - 0.5 * h * a_mat, rhs)
-            except np.linalg.LinAlgError:
-                tangents = np.stack([
-                    np.linalg.lstsq(eye - 0.5 * h * a_mat[b], rhs[b], rcond=None)[0]
-                    for b in range(bsz)
-                ])
+            tangents = _batch_solve(eye[None] - 0.5 * h * a_mat, eye[None] + 0.5 * h * a_mat)
     return Z2, ok, tangents
 
 

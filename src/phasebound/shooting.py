@@ -20,7 +20,7 @@ branch-tracked finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,6 +40,7 @@ from .errors import (
 )
 from .integrators import (
     IntegratorConfig,
+    _batch_solve,
     flow_batch,
     flow_with_jacobian,
 )
@@ -139,8 +140,11 @@ def _cond(mat):
 
 
 def _batch_eval(sys, u0, P, u1, icfg, want_jacobian):
-    """Residuals (and du1/dp0 blocks) for a batch of momentum seeds."""
-    r = u0.size
+    """Residuals (and du1/dp0 blocks) for a batch of momentum seeds.
+
+    ``u0`` and ``u1`` are one point for every member or one row per member.
+    """
+    r = P.shape[1]
     U0 = np.broadcast_to(u0, P.shape)
     _, _, U1, _, ok, jac = flow_batch(sys, U0, P, icfg, want_jacobian=want_jacobian,
                                       tangent_exact=False)
@@ -152,28 +156,26 @@ def _batch_eval(sys, u0, P, u1, icfg, want_jacobian):
     return res, rnorm, blocks, ok
 
 
-def _newton_directions(blocks, res):
-    """Least-squares Newton directions, robust to singular shooting matrices."""
-    try:
-        return -np.linalg.solve(blocks, res[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        pinv = np.linalg.pinv(blocks)
-        return -np.einsum("bij,bj->bi", pinv, res)
-
-
 def _multistart_newton(sys, u0, u1, seeds, cfg):
-    """Run damped Newton from every seed; return converged momenta."""
+    """Run damped Newton from every seed; return converged momenta.
+
+    ``u0`` and ``u1`` are one point for every seed or one row per seed, so
+    independent boundary problems share the batch.  Returns the converged
+    momenta, their residual norms and the indices of their seed rows.
+    """
     icfg = cfg.integrator
     P = seeds.copy()
-    bsz = P.shape[0]
-    res, rnorm, blocks, ok = _batch_eval(sys, u0, P, u1, icfg, want_jacobian=True)
+    U0 = np.broadcast_to(u0, P.shape)
+    U1 = np.broadcast_to(u1, P.shape)
+    res, rnorm, blocks, ok = _batch_eval(sys, U0, P, U1, icfg, want_jacobian=True)
     alive = ok.copy()
     for _ in range(cfg.max_iter):
         work = alive & (rnorm > cfg.newton_tol)
         if not work.any():
             break
         idx = np.flatnonzero(work)
-        delta = _newton_directions(blocks[idx], res[idx])
+        # a singular shooting matrix gets its least-squares (pinv) direction
+        delta = -_batch_solve(blocks[idx], res[idx])
         delta = np.where(np.isfinite(delta), delta, 0.0)
         # a vanishing direction (e.g. singular shooting matrix at an
         # unreachable target) cannot be line-searched; retire those seeds
@@ -186,9 +188,11 @@ def _multistart_newton(sys, u0, u1, seeds, cfg):
             trying = ~improved & ~dead
             if not trying.any():
                 break
-            trial = P[idx][trying] + damp[trying, None] * delta[trying]
-            _, tnorm, _, tok = _batch_eval(sys, u0, trial, u1, icfg, want_jacobian=False)
-            better = tok & (tnorm < (1.0 - 1e-4) * rnorm[idx][trying])
+            rows = idx[trying]
+            trial = P[rows] + damp[trying, None] * delta[trying]
+            _, tnorm, _, tok = _batch_eval(sys, U0[rows], trial, U1[rows], icfg,
+                                           want_jacobian=False)
+            better = tok & (tnorm < (1.0 - 1e-4) * rnorm[rows])
             sub = np.flatnonzero(trying)
             cand[sub[better]] = trial[better]
             improved[sub[better]] = True
@@ -198,39 +202,30 @@ def _multistart_newton(sys, u0, u1, seeds, cfg):
         if moved.size:
             P[moved] = cand[improved]
             nres, nnorm, nblocks, nok = _batch_eval(
-                sys, u0, P[moved], u1, icfg, want_jacobian=True)
+                sys, U0[moved], P[moved], U1[moved], icfg, want_jacobian=True)
             res[moved], rnorm[moved], blocks[moved] = nres, nnorm, nblocks
             alive[moved] &= nok
-    conv = alive & (rnorm <= cfg.newton_tol)
-    return P[conv], rnorm[conv]
+    conv = np.flatnonzero(alive & (rnorm <= cfg.newton_tol))
+    return P[conv], rnorm[conv], conv
 
 
-def _branches_from_momenta(sys, u0, u1, momenta, rnorms, cfg):
-    """Final trajectories, dedup by trajectory distance, sorted branches."""
+def _branches_from_momenta(sys, U0, momenta, rnorms, cfg):
+    """Final trajectories from one stored-path flow; a branch per member, or
+    None where the path is not finite."""
     if momenta.shape[0] == 0:
         return []
     icfg = cfg.integrator
-    U0 = np.broadcast_to(u0, momenta.shape)
-    grid, path, U1, P1, ok, jac = flow_batch(
+    grid, path, _, _, ok, jac = flow_batch(
         sys, U0, momenta, icfg, want_jacobian=True, store_path=True)
     path_u, path_p = path
-    r = u0.size
-    entries = []
-    for b in range(momenta.shape[0]):
-        if not ok[b]:
-            continue
-        traj = Trajectory(grid, path_u[:, b], path_p[:, b])
-        block = jac[b, :r, r:]
-        entries.append(BvpBranch(
-            p0=momenta[b].copy(),
-            trajectory=traj,
-            residual=float(rnorms[b]),
-            jacobian=block,
-            cond=_cond(block),
-        ))
-    # sort by momentum, lexicographically, for a deterministic merge order
-    order = np.lexsort(tuple(np.array([e.p0 for e in entries]).T[::-1]))
-    return [entries[i] for i in order]
+    r = momenta.shape[1]
+    return [BvpBranch(
+        p0=momenta[b].copy(),
+        trajectory=Trajectory(grid, path_u[:, b], path_p[:, b]),
+        residual=float(rnorms[b]),
+        jacobian=jac[b, :r, r:],
+        cond=_cond(jac[b, :r, r:]),
+    ) if ok[b] else None for b in range(momenta.shape[0])]
 
 
 def _dedupe(config: ConfigSpace, entries, radius):
@@ -267,17 +262,40 @@ def _classify(config, entries, cfg):
         f"{len(reps)} isolated representatives, dedup stable"), reps
 
 
+def solve_dirichlet_many(sys: HamiltonianSystem, pairs, cfg: ShootingConfig, seeds=None):
+    """All boundary-value solutions for each of several endpoint pairs.
+
+    Every pair's seeds (``cfg``'s seed set, or ``seeds[k]`` for pair k) go
+    through one multistart Newton batch and one stored-path flow; branches
+    are then sorted, deduplicated and classified pair by pair.  Members of
+    the batch do not interact, so a pair's result does not depend on which
+    other pairs share the batch.  Returns one BvpSolutionSet per pair.
+    """
+    r = sys.dim
+    pairs = [(as_point(u0, r), as_point(u1, r)) for u0, u1 in pairs]
+    if not pairs:
+        return []
+    if seeds is None:
+        seeds = [cfg.resolve_seeds(r)] * len(pairs)
+    seeds = [np.asarray(s, dtype=float).reshape(-1, r) for s in seeds]
+    owner = np.repeat(np.arange(len(pairs)), [len(s) for s in seeds])
+    U0, U1 = np.array(pairs)[owner].transpose(1, 0, 2)
+    momenta, rnorms, rows = _multistart_newton(sys, U0, U1, np.concatenate(seeds), cfg)
+    branches = _branches_from_momenta(sys, U0[rows], momenta, rnorms, cfg)
+    sets = []
+    for k, (u0, u1) in enumerate(pairs):
+        entries = [b for b, i in zip(branches, rows) if owner[i] == k and b is not None]
+        # sorted by momentum, lexicographically, for a deterministic merge order
+        entries.sort(key=lambda e: tuple(e.p0))
+        classification, reps = _classify(sys.config, entries, cfg)
+        sets.append(BvpSolutionSet(endpoints=(u0, u1), solutions=tuple(reps),
+                                   classification=classification))
+    return sets
+
+
 def solve_dirichlet(sys: HamiltonianSystem, u0, u1, cfg: ShootingConfig):
     """All boundary-value solutions found from the multistart seed set."""
-    r = sys.dim
-    u0 = as_point(u0, r)
-    u1 = as_point(u1, r)
-    seeds = cfg.resolve_seeds(r)
-    momenta, rnorms = _multistart_newton(sys, u0, u1, seeds, cfg)
-    entries = _branches_from_momenta(sys, u0, u1, momenta, rnorms, cfg)
-    classification, reps = _classify(sys.config, entries, cfg)
-    return BvpSolutionSet(endpoints=(u0, u1), solutions=tuple(reps),
-                          classification=classification)
+    return solve_dirichlet_many(sys, [(u0, u1)], cfg)[0]
 
 
 def hamilton_principal_function(sys: HamiltonianSystem, u0, u1, cfg: ShootingConfig, branch=0):
@@ -293,25 +311,47 @@ def hamilton_principal_function(sys: HamiltonianSystem, u0, u1, cfg: ShootingCon
     return action_functional(sys, sols.solutions[branch].trajectory)
 
 
-def _continue_branch(sys, u0, u1, p0_seed, cfg, max_jump):
-    """Re-solve at displaced endpoints, warm-started on one branch.
+def _continue_branch(sys, branches, cfg, fd_step):
+    """Continue branches to their displaced endpoints, all in one batch.
 
-    Raises BranchLostError when the converged momentum jumps farther than
-    ``max_jump`` from the seed (the continuation fell onto another branch)
-    or when the warm-started Newton fails.
+    ``branches`` lists (u0, u1, p0).  For each, returns its 4r
+    continuations, u0 +- fd_step e_a and then u1 +- fd_step e_a (a = 0..r-1,
+    + before -): the boundary problem re-solved warm-started at p0, or the
+    BranchLostError saying how the branch was lost (Newton failed, the
+    momentum jumped farther than 1e3 fd_step, i.e. onto another branch, or
+    the final trajectory was not finite).
     """
-    single = replace(cfg, seeds=(np.asarray(p0_seed, dtype=float),))
-    momenta, rnorms = _multistart_newton(sys, u0, u1, single.resolve_seeds(u0.size), single)
-    if momenta.shape[0] == 0:
-        raise BranchLostError(f"continuation from p0={p0_seed} did not converge")
-    jump = float(np.max(np.abs(momenta[0] - p0_seed)))
-    if jump > max_jump:
-        raise BranchLostError(
-            f"continuation jumped {jump:.3e} > {max_jump:.3e} in p0")
-    entries = _branches_from_momenta(sys, u0, u1, momenta, rnorms, cfg)
-    if not entries:
-        raise BranchLostError("continuation trajectory could not be reconstructed")
-    return entries[0]
+    r = sys.dim
+    max_jump = 1e3 * fd_step
+    rows = []
+    for u0, u1, p0 in branches:
+        for end in (0, 1):
+            for a in range(r):
+                e = np.zeros(r)
+                e[a] = fd_step
+                for sgn in (+1.0, -1.0):
+                    rows.append((u0 + sgn * e, u1, p0) if end == 0 else (u0, u1 + sgn * e, p0))
+    if not rows:
+        return []
+    U0, U1, seeds = (np.array([row[i] for row in rows], dtype=float) for i in range(3))
+    momenta, rnorms, conv = _multistart_newton(sys, U0, U1, seeds, cfg)
+    out = [BranchLostError(f"continuation from p0={p0} did not converge") for p0 in seeds]
+    jumps = np.max(np.abs(momenta - seeds[conv]), axis=1)
+    for i, jump in zip(conv, jumps):
+        out[i] = BranchLostError(f"continuation jumped {jump:.3e} > {max_jump:.3e} in p0")
+    near = jumps <= max_jump
+    found = _branches_from_momenta(sys, U0[conv[near]], momenta[near], rnorms[near], cfg)
+    for i, b in zip(conv[near], found):
+        out[i] = b or BranchLostError("continuation trajectory could not be reconstructed")
+    return [out[k:k + 4 * r] for k in range(0, len(out), 4 * r)]
+
+
+def _continued(outcomes):
+    """The continued branches, or the first loss among them raised."""
+    for o in outcomes:
+        if isinstance(o, BranchLostError):
+            raise o
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -344,22 +384,12 @@ def generating_function_check(sys: HamiltonianSystem, u0, u1, cfg: ShootingConfi
     center = sols.solutions[branch]
     p0c = center.p0
     p1c = center.p1
-    max_jump = 1e3 * fd_step
-
-    w_u0 = np.zeros((r, 2))
-    w_u1 = np.zeros((r, 2))
-    p1_of_u0 = np.zeros((r, 2, r))
-    p0_of_u1 = np.zeros((r, 2, r))
-    for a in range(r):
-        e = np.zeros(r)
-        e[a] = fd_step
-        for sgn_idx, sgn in enumerate((+1.0, -1.0)):
-            b0 = _continue_branch(sys, u0 + sgn * e, u1, p0c, cfg, max_jump)
-            w_u0[a, sgn_idx] = action_functional(sys, b0.trajectory)
-            p1_of_u0[a, sgn_idx] = b0.p1
-            b1 = _continue_branch(sys, u0, u1 + sgn * e, p0c, cfg, max_jump)
-            w_u1[a, sgn_idx] = action_functional(sys, b1.trajectory)
-            p0_of_u1[a, sgn_idx] = b1.p0
+    cont = _continue_branch(sys, [(u0, u1, p0c)], cfg, fd_step)[0]  # [end, a, sign]
+    # a loss is reported in the order u0 + e_a, u1 + e_a, u0 - e_a, u1 - e_a, a = 0..r-1
+    _continued([cont[(end * r + a) * 2 + s] for a in range(r) for s in (0, 1) for end in (0, 1)])
+    w_u0, w_u1 = np.array([action_functional(sys, b.trajectory) for b in cont]).reshape(2, r, 2)
+    p1_of_u0 = np.array([b.p1 for b in cont[:2 * r]]).reshape(r, 2, r)
+    p0_of_u1 = np.array([b.p0 for b in cont[2 * r:]]).reshape(r, 2, r)
 
     grad_w_u0 = (w_u0[:, 0] - w_u0[:, 1]) / (2 * fd_step)
     grad_w_u1 = (w_u1[:, 0] - w_u1[:, 1]) / (2 * fd_step)
@@ -408,10 +438,8 @@ def classify_theory(sys: HamiltonianSystem, sample_endpoints, cfg: ShootingConfi
     all_isolated = True
     witness = None
     solvable_pairs = []
-    for pair in sample_endpoints:
-        u0 = as_point(pair[0], r)
-        u1 = as_point(pair[1], r)
-        sols = solve_dirichlet(sys, u0, u1, cfg)
+    for sols in solve_dirichlet_many(sys, sample_endpoints, cfg):
+        u0, u1 = sols.endpoints
         kind = sols.classification.kind
         evidence.append((u0.tolist(), u1.tolist(), kind, sols.classification.count))
         if kind == "NoSolution":
@@ -423,27 +451,29 @@ def classify_theory(sys: HamiltonianSystem, sample_endpoints, cfg: ShootingConfi
                 witness = f"Continuum at endpoints ({u0.tolist()}, {u1.tolist()})"
         else:
             any_solutions = True
-            solvable_pairs.append((u0, u1, sols))
+            solvable_pairs.append(sols)
             if kind != "Unique":
                 all_unique = False
 
-    openness_ok = True
-    for u0, u1, sols in solvable_pairs:
-        warm = replace(cfg, seeds=tuple(b.p0 for b in sols.solutions))
+    # every openness probe in one batch; the first failure in probe order
+    # (pair, coordinate, sign) is the witness
+    probes, warm = [], []
+    for sols in solvable_pairs:
+        u0, u1 = sols.endpoints
         for a in range(r):
             e = np.zeros(r)
             e[a] = probe_radius
             for sgn in (+1.0, -1.0):
-                probe = solve_dirichlet(sys, u0, u1 + sgn * e, warm)
-                if probe.classification.kind == "NoSolution":
-                    openness_ok = False
-                    if witness is None:
-                        witness = (f"no solution after perturbing u1 to "
-                                   f"{(u1 + sgn * e).tolist()} (from u0={u0.tolist()})")
-                    break
-            if not openness_ok:
-                break
-        if not openness_ok:
+                probes.append((u0, u1 + sgn * e))
+                warm.append([b.p0 for b in sols.solutions])
+    openness_ok = True
+    for probe in solve_dirichlet_many(sys, probes, cfg, seeds=warm):
+        if probe.classification.kind == "NoSolution":
+            u0, u1 = probe.endpoints
+            openness_ok = False
+            if witness is None:
+                witness = (f"no solution after perturbing u1 to "
+                           f"{u1.tolist()} (from u0={u0.tolist()})")
             break
 
     if not any_solutions:
@@ -552,7 +582,6 @@ def solve_with_lagrangian_boundary(sys: HamiltonianSystem, F: Optional[Callable]
                 jacobian=jac,
                 cond=_cond(jac),
             ))
-    order = np.lexsort(tuple(np.array([e.p0 for e in entries]).T[::-1])) if entries else []
-    entries = [entries[i] for i in order]
+    entries.sort(key=lambda e: tuple(e.p0))
     classification, reps = _classify(sys.config, entries, cfg)
     return BvpSolutionSet(endpoints=None, solutions=tuple(reps), classification=classification)

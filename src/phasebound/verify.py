@@ -26,7 +26,9 @@ from .core import (
 )
 from .errors import BranchLostError
 from .integrators import IntegratorConfig, flow_with_jacobian
-from .shooting import ShootingConfig, _continue_branch, solve_dirichlet
+# solve_dirichlet stays bound here: perfbench/tracer.py hooks it under this module
+from .shooting import ShootingConfig, _continue_branch, _continued, solve_dirichlet_many
+from .shooting import solve_dirichlet  # noqa: F401
 
 HYPOTHESIS_CAVEAT = (
     "certifies the vanishing of the boundary two-form on sampled tangent frames; "
@@ -104,35 +106,29 @@ def isotropy_defect_flow(sys: HamiltonianSystem, initial_points, cfg: Integrator
     )
 
 
+def _frame_from_branches(cont, r, fd_step):
+    """Frame columns by central differences of a branch's 4r continuations."""
+    p0 = np.array([b.p0 for b in cont]).reshape(2 * r, 2, r)
+    p1 = np.array([b.p1 for b in cont]).reshape(2 * r, 2, r)
+    dp0 = (p0[:, 0] - p0[:, 1]) / (2 * fd_step)
+    dp1 = (p1[:, 0] - p1[:, 1]) / (2 * fd_step)
+    shift = np.eye(2 * r)
+    return np.concatenate([shift[:, :r], dp0, shift[:, r:], dp1], axis=1).T
+
+
 def tangent_frame_bvp(sys: HamiltonianSystem, u0, u1, p0_branch, cfg: ShootingConfig,
                       fd_step=1e-5):
     """Tangent frame to the projected solution set by endpoint continuation.
 
     One column per endpoint coordinate displacement, each obtained by
-    re-solving the boundary problem warm-started on the given branch.
+    re-solving the boundary problem warm-started on the given branch; all
+    4r displaced problems are solved in one batch.  Raises BranchLostError
+    for the first displacement, in column order, whose branch is lost.
     """
     r = sys.dim
-    u0 = as_point(u0, r)
-    u1 = as_point(u1, r)
-    max_jump = 1e3 * fd_step
-    cols = []
-    for a in range(r):
-        e = np.zeros(r)
-        e[a] = fd_step
-        bp = _continue_branch(sys, u0 + e, u1, p0_branch, cfg, max_jump)
-        bm = _continue_branch(sys, u0 - e, u1, p0_branch, cfg, max_jump)
-        dp0 = (bp.p0 - bm.p0) / (2 * fd_step)
-        dp1 = (bp.p1 - bm.p1) / (2 * fd_step)
-        cols.append(np.concatenate([e / fd_step, dp0, np.zeros(r), dp1]))
-    for a in range(r):
-        e = np.zeros(r)
-        e[a] = fd_step
-        bp = _continue_branch(sys, u0, u1 + e, p0_branch, cfg, max_jump)
-        bm = _continue_branch(sys, u0, u1 - e, p0_branch, cfg, max_jump)
-        dp0 = (bp.p0 - bm.p0) / (2 * fd_step)
-        dp1 = (bp.p1 - bm.p1) / (2 * fd_step)
-        cols.append(np.concatenate([np.zeros(r), dp0, e / fd_step, dp1]))
-    return np.stack(cols, axis=1)
+    branch = (as_point(u0, r), as_point(u1, r), p0_branch)
+    return _frame_from_branches(_continued(_continue_branch(sys, [branch], cfg, fd_step)[0]),
+                                r, fd_step)
 
 
 def isotropy_defect_bvp(sys: HamiltonianSystem, endpoint_samples, cfg: ShootingConfig,
@@ -141,21 +137,25 @@ def isotropy_defect_bvp(sys: HamiltonianSystem, endpoint_samples, cfg: ShootingC
 
     Works branch by branch, so it applies even when no global flow graph is
     available, as long as local solutions exist near the sampled endpoints.
+    All pairs are solved in one batch, and all their continuations in one
+    more; a pair without the branch, or whose branch is lost, is reported
+    as inapplicable with its own reason.
     """
+    sets = solve_dirichlet_many(sys, endpoint_samples, cfg)
+    conts = iter(_continue_branch(sys, [(*s.endpoints, s.solutions[branch].p0) for s in sets
+                                        if branch < len(s.solutions)], cfg, fd_step))
     defect = 0.0
     rank = None
     inapplicable = []
     n_ok = 0
-    for pair in endpoint_samples:
-        u0 = as_point(pair[0], sys.dim)
-        u1 = as_point(pair[1], sys.dim)
-        sols = solve_dirichlet(sys, u0, u1, cfg)
+    for sols in sets:
+        u0, u1 = sols.endpoints
         if branch >= len(sols.solutions):
             inapplicable.append((u0.tolist(), u1.tolist(),
                                  f"only {len(sols.solutions)} branches"))
             continue
         try:
-            frame = tangent_frame_bvp(sys, u0, u1, sols.solutions[branch].p0, cfg, fd_step)
+            frame = _frame_from_branches(_continued(next(conts)), sys.dim, fd_step)
         except BranchLostError as exc:
             inapplicable.append((u0.tolist(), u1.tolist(), f"branch lost: {exc}"))
             continue

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from phasebound import integrators
 from phasebound.errors import (
     DimensionMismatchError,
     FlowIncompleteError,
@@ -296,3 +297,26 @@ class TestBatchedVerlet:
         assert ok.tolist() == [True, False]
         np.testing.assert_allclose(U1[0], [2.0], atol=1e-12)
         np.testing.assert_allclose(jac[0], [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
+
+
+class TestBatchedMidpointFallback:
+    def test_singular_member_does_not_change_its_neighbours(self, monkeypatch):
+        # A frozen linearization that makes I - h/2 A exactly singular for the
+        # member at u = 100 and leaves the member at u = 0.3 regular.
+        h = 0.1
+        regular = np.array([[0.3, 1.0], [-0.7, 0.2]])
+
+        def linearized(sys, t, Z, fd_step):
+            far = Z[:, :1, None] > 50.0
+            return np.where(far, (2.0 / h) * np.eye(2), regular)
+
+        monkeypatch.setattr(integrators, "_linearized_batch", linearized)
+        free = make_free_particle()
+        Z = np.array([[0.3, 1.1], [100.0, 1.1]])
+        Z2, ok, tangents = integrators._midpoint_step_batch(
+            free.system, 0.0, Z, h, IntegratorConfig(step=h), want_tangent=True)
+        Z2_alone, ok_alone, tangents_alone = integrators._midpoint_step_batch(
+            free.system, 0.0, Z[:1], h, IntegratorConfig(step=h), want_tangent=True)
+        assert ok_alone[0] and ok[0]
+        assert np.array_equal(Z2[0], Z2_alone[0])
+        assert np.array_equal(tangents[0], tangents_alone[0])

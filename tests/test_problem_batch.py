@@ -1,0 +1,156 @@
+"""Independent boundary problems solved in one batch.
+
+The reference file was written by the one-problem-at-a-time solver that
+preceded the batched one; verdicts, counts and messages must match it
+exactly and floats to 1e-12.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from phasebound.errors import BranchLostError
+from phasebound import shooting
+from phasebound.integrators import IntegratorConfig
+from phasebound.shooting import (
+    ShootingConfig,
+    classify_theory,
+    generating_function_check,
+    solve_dirichlet,
+    solve_dirichlet_many,
+)
+from phasebound.systems import (
+    make_cotangent_lift,
+    make_free_particle,
+    make_pendulum,
+    make_sphere_geodesics,
+)
+from phasebound.verify import isotropy_defect_bvp, tangent_frame_bvp
+
+REF = json.loads((Path(__file__).parent / "data" / "continuation_reference.json").read_text())
+FLOAT_TOL = 1e-12
+
+
+def cfg(step=1e-3, seed_count=12, **kw):
+    return ShootingConfig(integrator=IntegratorConfig(step=step), seed_count=seed_count, **kw)
+
+
+def close(a, b):
+    np.testing.assert_allclose(a, b, rtol=0, atol=FLOAT_TOL)
+
+
+class TestNewtonDirectionFallback:
+    def test_singular_member_does_not_change_its_neighbours(self, monkeypatch):
+        # A linear shooting map u1 = A p whose block A is exactly singular for
+        # the seed at p = 100 and regular for the seed near the origin.
+        regular = np.array([[0.7318, -1.2931], [0.4127, 2.0583]])
+        target = np.array([0.3141, -2.7182])
+
+        def linear_eval(sys, u0, P, u1, icfg, want_jacobian):
+            blocks = np.where(np.abs(P[:, :1, None]) > 50.0, 0.0, regular)
+            res = np.einsum("bij,bj->bi", blocks, P) - target
+            return res, np.max(np.abs(res), axis=1), blocks, np.ones(len(P), dtype=bool)
+
+        monkeypatch.setattr(shooting, "_batch_eval", linear_eval)
+        c = ShootingConfig()
+        alone, _, rows_alone = shooting._multistart_newton(
+            None, np.zeros(2), target, np.array([[1.4142, 1.7320]]), c)
+        together, _, rows = shooting._multistart_newton(
+            None, np.zeros(2), target, np.array([[1.4142, 1.7320], [100.0, 0.0]]), c)
+        assert rows_alone.tolist() == rows.tolist() == [0]
+        assert np.array_equal(together[0], alone[0])
+
+
+class TestBatchComposition:
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                    min_size=2, max_size=4))
+    def test_pendulum_pairs_together_equal_each_alone(self, pairs):
+        pen = make_pendulum()
+        c = cfg(step=2e-2, seed_count=4)
+        together = solve_dirichlet_many(pen.system, [([a], [b]) for a, b in pairs], c)
+        for (a, b), sols in zip(pairs, together):
+            alone = solve_dirichlet(pen.system, [a], [b], c)
+            assert sols.classification == alone.classification
+            assert len(sols.solutions) == len(alone.solutions)
+            for x, y in zip(sols.solutions, alone.solutions):
+                assert np.array_equal(x.p0, y.p0)
+                assert x.residual == y.residual
+                assert np.array_equal(x.trajectory.momenta, y.trajectory.momenta)
+
+    def test_own_seed_sets(self):
+        pen = make_pendulum()
+        c = cfg(step=2e-2)
+        seeds = [[[1.5]], [[-1.0], [4.0]]]
+        pairs = [([0.0], [np.pi / 2]), ([0.3], [-0.4])]
+        together = solve_dirichlet_many(pen.system, pairs, c, seeds=seeds)
+        for (u0, u1), s, sols in zip(pairs, seeds, together):
+            alone = solve_dirichlet(pen.system, u0, u1, cfg(step=2e-2, seeds=tuple(s)))
+            assert sols.classification == alone.classification
+            assert [b.p0.tolist() for b in sols.solutions] == \
+                [b.p0.tolist() for b in alone.solutions]
+
+
+class TestOneAtATimeReference:
+    @pytest.mark.parametrize("name", ["pendulum", "free-particle"])
+    def test_generating_function_report(self, name):
+        ref = REF["generating_function"][name]
+        ex, u0, u1 = ((make_pendulum(), [0.0], [np.pi / 2]) if name == "pendulum"
+                      else (make_free_particle(), [0.0], [2.0]))
+        rep = generating_function_check(ex.system, u0, u1, cfg())
+        for key in ("defect_u0", "defect_u1", "symmetry_defect", "p0", "p1", "action"):
+            close(getattr(rep, key), ref[key])
+
+    def test_tangent_frame(self):
+        ref = REF["tangent_frame"]
+        pen = make_pendulum()
+        frame = tangent_frame_bvp(pen.system, [0.0], [np.pi / 2], np.array(ref["p0"]), cfg(),
+                                  fd_step=1e-5)
+        close(frame, ref["frame"])
+
+    @pytest.mark.parametrize("name", ["pendulum", "cotangent-lift", "cotangent-lift-probes",
+                                      "sphere"])
+    def test_classify_theory(self, name):
+        ref = REF["classify"][name]
+        if name == "pendulum":
+            rng = np.random.default_rng(505)
+            pairs = [(rng.uniform(-2.5, 2.5, 1), rng.uniform(-2.5, 2.5, 1)) for _ in range(20)]
+            ex, c = make_pendulum(), cfg(2e-3, 12)
+        elif name == "cotangent-lift":
+            pairs = [([1.0], [np.e]), ([0.0], [0.5]), ([0.5], [2.0])]
+            ex, c = make_cotangent_lift(), cfg(2e-3, 8)
+        elif name == "cotangent-lift-probes":
+            # one seed at a tolerance above the time-1 map's error: each
+            # on-graph pair is Unique and every openness probe leaves the graph
+            pairs = [([0.5], [0.5 * np.e]), ([1.0], [np.e])]
+            ex, c = make_cotangent_lift(), cfg(seeds=(0.0,), newton_tol=1e-6)
+        else:
+            north = np.array([0.0, 0.0, 1.0])
+            pairs = [(north, -north), (north, np.array([np.sin(1.0), 0.0, np.cos(1.0)]))]
+            ex, c = make_sphere_geodesics(), cfg(1e-2, 48)
+        verdict = classify_theory(ex.system, pairs, c)
+        assert verdict.kind == ref["kind"]
+        assert verdict.witness == ref["witness"]
+        assert [list(e) for e in verdict.evidence] == ref["evidence"]
+
+    def test_lost_continuation_message(self):
+        ref = REF["lost"]
+        pen = make_pendulum()
+        with pytest.raises(BranchLostError) as info:
+            tangent_frame_bvp(pen.system, [0.0], [np.pi / 2], np.array(ref["p0"]), cfg(),
+                              fd_step=1e-5)
+        assert str(info.value) == ref["message"]
+
+    def test_isotropy_lists_lost_branch_as_inapplicable(self):
+        ref = REF["isotropy_lost"]
+        lift = make_cotangent_lift()
+        rep = isotropy_defect_bvp(lift.system, [([1.0], [np.e]), ([0.5], [1.0])],
+                                  cfg(seed_count=4, newton_tol=1e-6))
+        assert rep.samples == ref["samples"]
+        assert [list(x) for x in rep.inapplicable] == ref["inapplicable"]
+        assert rep.inapplicable[0][2].startswith("branch lost: ")
