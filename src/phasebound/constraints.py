@@ -42,7 +42,7 @@ from .errors import (
     OffConstraintError,
     UnstableConstraintError,
 )
-from .integrators import Completed, IntegratorConfig, NewtonFailure
+from .integrators import Completed, IntegratorConfig, NewtonFailure, _midpoint_step
 
 ON_CONSTRAINT_TOL = 1e-8
 
@@ -311,33 +311,6 @@ class ConstrainedFlowResult:
         return isinstance(self.status, Completed)
 
 
-def _implicit_midpoint_generic(f, t, y, h, tol, max_iter, jac_step=1e-7):
-    """Implicit midpoint step for a generic field, Newton with FD Jacobian."""
-    n = y.size
-    eye = np.eye(n)
-    y2 = y + h * f(t, y)
-    for _ in range(max_iter):
-        m = 0.5 * (y + y2)
-        fm = f(t + 0.5 * h, m)
-        g = y2 - y - h * fm
-        if not np.all(np.isfinite(g)):
-            raise NewtonConvergenceError(f"constrained midpoint residual not finite at t={t}")
-        jac = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = jac_step
-            jac[:, j] = (f(t + 0.5 * h, m + e) - f(t + 0.5 * h, m - e)) / (2 * jac_step)
-        try:
-            delta = np.linalg.solve(eye - 0.5 * h * jac, -g)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonConvergenceError("singular constrained Newton matrix") from exc
-        y2 = y2 + delta
-        scale = 1.0 + max(np.max(np.abs(y)), np.max(np.abs(y2)))
-        if np.max(np.abs(g)) <= tol * scale:
-            return y2
-    raise NewtonConvergenceError(f"constrained midpoint Newton stalled at t={t}")
-
-
 def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
                           cfg: IntegratorConfig, gauge="lambda-zero"):
     """Integrate the constrained dynamics with p = sigma(e) held exactly.
@@ -375,6 +348,15 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
         du = np.asarray(sys.grad_p(t, u, p), dtype=float) - lam_of_t(t)
         return np.concatenate([du, d_vec])
 
+    def linearize(t, y):
+        # central differences of the field with step 1e-7, one column per coordinate
+        jac = np.empty((y.size, y.size))
+        for j in range(y.size):
+            e = np.zeros(y.size)
+            e[j] = 1e-7
+            jac[:, j] = (field(t, y + e) - field(t, y - e)) / 2e-7
+        return jac
+
     # the initial state must pass the constraint algorithm
     report = gotay_step(sys, spec, ExtendedState(u0, spec.sigma_at(e0), lam_of_t(0.0), e0))
     if not report.stable:
@@ -390,8 +372,7 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     for i in range(n_steps):
         t = i * h
         try:
-            ys[i + 1] = _implicit_midpoint_generic(
-                field, t, ys[i], h, cfg.newton_tol, cfg.newton_max_iter)
+            ys[i + 1], _ = _midpoint_step(field, linearize, t, ys[i], h, cfg)
         except NewtonConvergenceError:
             status = NewtonFailure(t=t)
             last = i

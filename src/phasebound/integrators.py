@@ -107,46 +107,50 @@ class _Escape(Exception):
 # One-step maps
 # ---------------------------------------------------------------------------
 
-def _midpoint_step(sys, t, z, h, cfg, want_tangent=False):
-    """One implicit-midpoint step from z at time t.
+def _midpoint_step(field, linearize, t, z, h, cfg, want_tangent=False):
+    """One implicit-midpoint step from z at time t for dz/dt = field(t, z).
 
-    Solves z' = z + h X_H(t + h/2, (z + z')/2) by Newton iteration; one
-    extra polish update is applied after the residual test passes, so the
-    returned state sits at the fixed point to roundoff.
+    Solves z' = z + h field(t + h/2, (z + z')/2) by full Newton iteration,
+    with the Newton matrix I - h/2 linearize(t + h/2, m) at every iterate
+    midpoint m; one extra polish update is applied after the residual test
+    passes, so the returned state sits at the fixed point to roundoff.  The
+    tangent is the Cayley transform of the linearization at the converged
+    midpoint.  Raises NewtonConvergenceError on a non-finite iterate, a
+    singular Newton matrix or a stall.
     """
-    two_r = z.size
-    eye = np.eye(two_r)
-    z2 = z + h * _field(sys, t, z)
-    converged = False
-    a_mid = None
+    eye = np.eye(z.size)
+    z2 = z + h * field(t, z)
     for _ in range(cfg.newton_max_iter):
         m = 0.5 * (z + z2)
         if not np.all(np.isfinite(m)):
             raise NewtonConvergenceError(f"midpoint iterate not finite at t={t}")
-        xm = _field(sys, t + 0.5 * h, m)
-        g = z2 - z - h * xm
+        g = z2 - z - h * field(t + 0.5 * h, m)
         if not np.all(np.isfinite(g)):
             raise NewtonConvergenceError(f"midpoint residual not finite at t={t}")
-        r = m.size // 2
-        a_mid = linearized_field_matrix(sys, t + 0.5 * h, m[:r], m[r:], cfg.hessian_fd_step)
         try:
-            delta = np.linalg.solve(eye - 0.5 * h * a_mid, -g)
+            delta = np.linalg.solve(eye - 0.5 * h * linearize(t + 0.5 * h, m), -g)
         except np.linalg.LinAlgError as exc:
             raise NewtonConvergenceError(f"singular Newton matrix at t={t}") from exc
         z2 = z2 + delta
         scale = 1.0 + max(np.max(np.abs(z)), np.max(np.abs(z2)))
         if np.max(np.abs(g)) <= cfg.newton_tol * scale:
-            converged = True
             break
-    if not converged:
+    else:
         raise NewtonConvergenceError(f"midpoint Newton stalled at t={t}")
     if not want_tangent:
         return z2, None
-    m = 0.5 * (z + z2)
-    r = m.size // 2
-    a_mid = linearized_field_matrix(sys, t + 0.5 * h, m[:r], m[r:], cfg.hessian_fd_step)
-    tangent = np.linalg.solve(eye - 0.5 * h * a_mid, eye + 0.5 * h * a_mid)
-    return z2, tangent
+    a_mid = linearize(t + 0.5 * h, 0.5 * (z + z2))
+    return z2, np.linalg.solve(eye - 0.5 * h * a_mid, eye + 0.5 * h * a_mid)
+
+
+def _hamiltonian_midpoint_step(sys, t, z, h, cfg, want_tangent=False):
+    """Implicit midpoint for Hamilton's equations of ``sys``."""
+    r = z.size // 2
+
+    def linearize(tt, m):
+        return linearized_field_matrix(sys, tt, m[:r], m[r:], cfg.hessian_fd_step)
+
+    return _midpoint_step(lambda tt, y: _field(sys, tt, y), linearize, t, z, h, cfg, want_tangent)
 
 
 def _verlet_step(sys, t, z, h, cfg, want_tangent=False):
@@ -160,7 +164,7 @@ def _verlet_step(sys, t, z, h, cfg, want_tangent=False):
 def _step_once(sys, t, z, h, cfg, want_tangent=False):
     if cfg.scheme == "stormer-verlet":
         return _verlet_step(sys, t, z, h, cfg, want_tangent)
-    return _midpoint_step(sys, t, z, h, cfg, want_tangent)
+    return _hamiltonian_midpoint_step(sys, t, z, h, cfg, want_tangent)
 
 
 def step_implicit_midpoint(sys: HamiltonianSystem, t, u, p, h, cfg: Optional[IntegratorConfig] = None):
@@ -168,7 +172,7 @@ def step_implicit_midpoint(sys: HamiltonianSystem, t, u, p, h, cfg: Optional[Int
     cfg = cfg or IntegratorConfig(step=min(h, 1.0))
     r = sys.dim
     z = np.concatenate([as_point(u, r), as_point(p, r)])
-    z2, _ = _midpoint_step(sys, t, z, h, cfg)
+    z2, _ = _hamiltonian_midpoint_step(sys, t, z, h, cfg)
     return z2[:r], z2[r:]
 
 

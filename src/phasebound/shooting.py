@@ -156,18 +156,66 @@ def _batch_eval(sys, u0, P, u1, icfg, want_jacobian):
     return res, rnorm, blocks, ok
 
 
-def _multistart_newton(sys, u0, u1, seeds, cfg):
-    """Run damped Newton from every seed; return converged momenta.
+def _dirichlet_eval(sys, U0, U1, icfg):
+    """Residual callback of the shooting problems u(1; U0[i], p) = U1[i]."""
+    return lambda rows, P, want_jacobian: _batch_eval(sys, U0[rows], P, U1[rows], icfg,
+                                                      want_jacobian)
 
-    ``u0`` and ``u1`` are one point for every seed or one row per seed, so
-    independent boundary problems share the batch.  Returns the converged
-    momenta, their residual norms and the indices of their seed rows.
+
+def _graph_eval(sys, grad_F, X, icfg, want_jacobian, fd_step):
+    """Graph-type boundary residuals (p0 + dF/du0, p1 - dF/du1) for rows X = (u0, p0).
+
+    One flow_batch for the whole batch; grad_F is called only on members
+    whose flow completed.  Blocks are the derivatives in (u0, p0).
     """
-    icfg = cfg.integrator
+    r = X.shape[1] // 2
+    _, _, U1, P1, ok, jac = flow_batch(sys, X[:, :r], X[:, r:], icfg,
+                                       want_jacobian=want_jacobian, tangent_exact=False)
+    res = np.full(X.shape, np.nan)
+    blocks = np.zeros((len(X), 2 * r, 2 * r)) if want_jacobian else None
+    for b in np.flatnonzero(ok):
+        g = _grad_F_at(grad_F, X[b, :r], U1[b])
+        res[b] = np.concatenate([X[b, r:] + g[:r], P1[b] - g[r:]])
+        if want_jacobian:
+            blocks[b] = _graph_jacobian(grad_F, X[b, :r], U1[b], jac[b], fd_step)
+    with np.errstate(all="ignore"):
+        rnorm = np.max(np.abs(res), axis=1)
+    rnorm = np.where(ok & np.isfinite(rnorm), rnorm, np.inf)
+    return res, rnorm, blocks, ok
+
+
+def _grad_F_at(grad_F, u0, u1):
+    return np.concatenate([np.atleast_1d(np.asarray(g, dtype=float)) for g in grad_F(u0, u1)])
+
+
+def _graph_jacobian(grad_F, u0, u1, jac, fd_step):
+    """Derivative in (u0, p0) of the graph-type residual, from the flow jacobian
+    ``jac`` at (u0, p0) and the Hessian of F by central differences of grad_F."""
+    r = u0.size
+    w = np.concatenate([u0, u1])
+    hess = np.empty((2 * r, 2 * r))
+    for a in range(2 * r):
+        e = np.zeros(2 * r)
+        e[a] = fd_step
+        plus, minus = (_grad_F_at(grad_F, v[:r], v[r:]) for v in (w + e, w - e))
+        hess[:, a] = (plus - minus) / (2 * fd_step)
+    # d(dF/du0, dF/du1)/d(u0, p0) through d(u0, u1)/d(u0, p0) = [[I, 0], du1/d(u0, p0)]
+    dgrad = hess @ np.vstack([np.eye(r, 2 * r), jac[:r]])
+    return np.vstack([np.eye(r, 2 * r, r) + dgrad[:r], jac[r:] - dgrad[r:]])
+
+
+def _multistart_newton(evaluate, seeds, cfg):
+    """Run damped Newton from every seed row; return the converged rows.
+
+    ``evaluate(rows, P, want_jacobian)`` gives, for the unknowns ``P`` of
+    seed rows ``rows``, (res, rnorm, blocks, ok): the residual vectors, their
+    sup norms (inf where not ok), the square residual derivatives when
+    asked, and which members' flows completed.  Members do not interact, so
+    independent boundary problems share the batch.  Returns the converged
+    unknowns, their residual norms and the indices of their seed rows.
+    """
     P = seeds.copy()
-    U0 = np.broadcast_to(u0, P.shape)
-    U1 = np.broadcast_to(u1, P.shape)
-    res, rnorm, blocks, ok = _batch_eval(sys, U0, P, U1, icfg, want_jacobian=True)
+    res, rnorm, blocks, ok = evaluate(np.arange(len(P)), P, True)
     alive = ok.copy()
     for _ in range(cfg.max_iter):
         work = alive & (rnorm > cfg.newton_tol)
@@ -190,8 +238,7 @@ def _multistart_newton(sys, u0, u1, seeds, cfg):
                 break
             rows = idx[trying]
             trial = P[rows] + damp[trying, None] * delta[trying]
-            _, tnorm, _, tok = _batch_eval(sys, U0[rows], trial, U1[rows], icfg,
-                                           want_jacobian=False)
+            _, tnorm, _, tok = evaluate(rows, trial, False)
             better = tok & (tnorm < (1.0 - 1e-4) * rnorm[rows])
             sub = np.flatnonzero(trying)
             cand[sub[better]] = trial[better]
@@ -201,31 +248,31 @@ def _multistart_newton(sys, u0, u1, seeds, cfg):
         moved = idx[improved]
         if moved.size:
             P[moved] = cand[improved]
-            nres, nnorm, nblocks, nok = _batch_eval(
-                sys, U0[moved], P[moved], U1[moved], icfg, want_jacobian=True)
+            nres, nnorm, nblocks, nok = evaluate(moved, P[moved], True)
             res[moved], rnorm[moved], blocks[moved] = nres, nnorm, nblocks
             alive[moved] &= nok
     conv = np.flatnonzero(alive & (rnorm <= cfg.newton_tol))
     return P[conv], rnorm[conv], conv
 
 
-def _branches_from_momenta(sys, U0, momenta, rnorms, cfg):
+def _branches_from_momenta(sys, U0, momenta, rnorms, cfg, bc_jacobian=None):
     """Final trajectories from one stored-path flow; a branch per member, or
-    None where the path is not finite."""
+    None where the path is not finite.  A branch's jacobian is du1/dp0, or
+    ``bc_jacobian(u0, u1, flow jacobian)`` when given."""
     if momenta.shape[0] == 0:
         return []
-    icfg = cfg.integrator
-    grid, path, _, _, ok, jac = flow_batch(
-        sys, U0, momenta, icfg, want_jacobian=True, store_path=True)
+    grid, path, U1, _, ok, jac = flow_batch(
+        sys, U0, momenta, cfg.integrator, want_jacobian=True, store_path=True)
     path_u, path_p = path
     r = momenta.shape[1]
-    return [BvpBranch(
-        p0=momenta[b].copy(),
-        trajectory=Trajectory(grid, path_u[:, b], path_p[:, b]),
-        residual=float(rnorms[b]),
-        jacobian=jac[b, :r, r:],
-        cond=_cond(jac[b, :r, r:]),
-    ) if ok[b] else None for b in range(momenta.shape[0])]
+
+    def branch(b):
+        bc = jac[b, :r, r:] if bc_jacobian is None else bc_jacobian(U0[b], U1[b], jac[b])
+        return BvpBranch(p0=momenta[b].copy(),
+                         trajectory=Trajectory(grid, path_u[:, b], path_p[:, b]),
+                         residual=float(rnorms[b]), jacobian=bc, cond=_cond(bc))
+
+    return [branch(b) if ok[b] else None for b in range(momenta.shape[0])]
 
 
 def _dedupe(config: ConfigSpace, entries, radius):
@@ -280,7 +327,8 @@ def solve_dirichlet_many(sys: HamiltonianSystem, pairs, cfg: ShootingConfig, see
     seeds = [np.asarray(s, dtype=float).reshape(-1, r) for s in seeds]
     owner = np.repeat(np.arange(len(pairs)), [len(s) for s in seeds])
     U0, U1 = np.array(pairs)[owner].transpose(1, 0, 2)
-    momenta, rnorms, rows = _multistart_newton(sys, U0, U1, np.concatenate(seeds), cfg)
+    momenta, rnorms, rows = _multistart_newton(_dirichlet_eval(sys, U0, U1, cfg.integrator),
+                                               np.concatenate(seeds), cfg)
     branches = _branches_from_momenta(sys, U0[rows], momenta, rnorms, cfg)
     sets = []
     for k, (u0, u1) in enumerate(pairs):
@@ -334,7 +382,8 @@ def _continue_branch(sys, branches, cfg, fd_step):
     if not rows:
         return []
     U0, U1, seeds = (np.array([row[i] for row in rows], dtype=float) for i in range(3))
-    momenta, rnorms, conv = _multistart_newton(sys, U0, U1, seeds, cfg)
+    momenta, rnorms, conv = _multistart_newton(_dirichlet_eval(sys, U0, U1, cfg.integrator),
+                                               seeds, cfg)
     out = [BranchLostError(f"continuation from p0={p0} did not converge") for p0 in seeds]
     jumps = np.max(np.abs(momenta - seeds[conv]), axis=1)
     for i, jump in zip(conv, jumps):
@@ -496,92 +545,28 @@ def solve_with_lagrangian_boundary(sys: HamiltonianSystem, F: Optional[Callable]
 
     The implemented boundary submanifolds are graphs {p0 = -dF/du0,
     p1 = dF/du1} over Q x Q; the fixed-endpoint problem is not of graph type
-    and is routed to the Dirichlet solver via ``fixed_endpoints``.  Newton
-    runs on the unknowns (u0, p0) with least-squares steps, so families of
-    solutions (rank-deficient boundary conditions) converge to the member
-    nearest the seed.
+    and is routed to the Dirichlet solver via ``fixed_endpoints``.  The
+    multistart Newton driver of the Dirichlet solver runs on the unknowns
+    (u0, p0), one row per state seed; a singular boundary-condition
+    jacobian gets the minimum-norm (pinv) step, so families of solutions
+    (rank-deficient boundary conditions) converge to the member nearest the
+    seed.  A branch's jacobian is the 2r x 2r boundary-condition jacobian.
     """
     if fixed_endpoints is not None:
         return solve_dirichlet(sys, fixed_endpoints[0], fixed_endpoints[1], cfg)
     if grad_F is None:
         raise ValueError("graph-type boundary data needs the gradient of F")
     r = sys.dim
-    icfg = cfg.integrator
-
-    def residual_and_jac(x):
-        u0, p0 = x[:r], x[r:]
-        result, jac = flow_with_jacobian(sys, u0, p0, icfg)
-        if not result.completed:
-            return None
-        u1 = result.trajectory.positions[-1]
-        p1 = result.trajectory.momenta[-1]
-        g0, g1 = (np.asarray(g, dtype=float) for g in grad_F(u0, u1))
-        res = np.concatenate([p0 + g0, p1 - g1])
-
-        # Hessian blocks of F by differences of its gradient
-        h00 = np.zeros((r, r))
-        h01 = np.zeros((r, r))
-        h10 = np.zeros((r, r))
-        h11 = np.zeros((r, r))
-        for a in range(r):
-            e = np.zeros(r)
-            e[a] = fd_step
-            gp0, gp1 = grad_F(u0 + e, u1)
-            gm0, gm1 = grad_F(u0 - e, u1)
-            h00[:, a] = (np.asarray(gp0) - np.asarray(gm0)) / (2 * fd_step)
-            h10[:, a] = (np.asarray(gp1) - np.asarray(gm1)) / (2 * fd_step)
-            gp0, gp1 = grad_F(u0, u1 + e)
-            gm0, gm1 = grad_F(u0, u1 - e)
-            h01[:, a] = (np.asarray(gp0) - np.asarray(gm0)) / (2 * fd_step)
-            h11[:, a] = (np.asarray(gp1) - np.asarray(gm1)) / (2 * fd_step)
-
-        uu, up = jac[:r, :r], jac[:r, r:]
-        pu, pp = jac[r:, :r], jac[r:, r:]
-        top = np.concatenate([h00 + h01 @ uu, np.eye(r) + h01 @ up], axis=1)
-        bot = np.concatenate([pu - h10 - h11 @ uu, pp - h11 @ up], axis=1)
-        full_jac = np.concatenate([top, bot], axis=0)
-        return res, full_jac, result.trajectory
-
     if state_seeds is None:
-        momenta = cfg.resolve_seeds(r)
-        state_seeds = [(np.zeros(r), p) for p in momenta]
-
-    entries = []
-    for u0_seed, p0_seed in state_seeds:
-        x = np.concatenate([as_point(u0_seed, r), as_point(p0_seed, r)])
-        evaluated = residual_and_jac(x)
-        if evaluated is None:
-            continue
-        res, jac, traj = evaluated
-        rnorm = float(np.max(np.abs(res)))
-        ok = True
-        for _ in range(cfg.max_iter):
-            if rnorm <= cfg.newton_tol:
-                break
-            delta = np.linalg.lstsq(jac, -res, rcond=None)[0]
-            damp, improved = 1.0, False
-            for _bt in range(25):
-                trial = residual_and_jac(x + damp * delta)
-                if trial is not None:
-                    tnorm = float(np.max(np.abs(trial[0])))
-                    if tnorm < (1.0 - 1e-4) * rnorm:
-                        x = x + damp * delta
-                        res, jac, traj = trial
-                        rnorm = tnorm
-                        improved = True
-                        break
-                damp *= 0.5
-            if not improved:
-                ok = False
-                break
-        if ok and rnorm <= cfg.newton_tol:
-            entries.append(BvpBranch(
-                p0=x[r:].copy(),
-                trajectory=traj,
-                residual=rnorm,
-                jacobian=jac,
-                cond=_cond(jac),
-            ))
-    entries.sort(key=lambda e: tuple(e.p0))
+        state_seeds = [(np.zeros(r), p) for p in cfg.resolve_seeds(r)]
+    X = np.array([np.concatenate([as_point(u0, r), as_point(p0, r)])
+                  for u0, p0 in state_seeds]).reshape(-1, 2 * r)
+    found, rnorms, _ = _multistart_newton(
+        lambda rows, Xr, want_jacobian: _graph_eval(sys, grad_F, Xr, cfg.integrator,
+                                                    want_jacobian, fd_step), X, cfg)
+    branches = _branches_from_momenta(
+        sys, found[:, :r], found[:, r:], rnorms, cfg,
+        bc_jacobian=lambda u0, u1, jac: _graph_jacobian(grad_F, u0, u1, jac, fd_step))
+    entries = sorted((b for b in branches if b is not None), key=lambda e: tuple(e.p0))
     classification, reps = _classify(sys.config, entries, cfg)
     return BvpSolutionSet(endpoints=None, solutions=tuple(reps), classification=classification)

@@ -1,5 +1,8 @@
 """Momentum constraints, the pointwise constraint algorithm, reduction."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -310,6 +313,40 @@ class TestConstrainedIntegration:
         res = integrate_flow(pen.system, [0.7], [0.6], IntegratorConfig(step=h))
         norm = el_residual(pen.system, res.trajectory)[2]
         assert norm <= integrated_el_tol(h)
+
+
+# Written by the constrained integrator's own finite-difference Newton loop,
+# which the shared scalar midpoint step replaced; results must not move by a bit.
+CONSTRAINED_REF = json.loads(
+    (Path(__file__).parent / "data" / "constrained_reference.json").read_text())
+
+CONSTRAINED_CASES = {
+    "identity-pendulum": lambda: integrate_constrained(
+        make_pendulum().system, make_identity_constraint(1), [0.4], [1.2],
+        IntegratorConfig(step=4e-3)),
+    "circle-free-particle": lambda: integrate_constrained(
+        make_free_particle(dim=2).system, make_circle_constraint(), [0.2, -0.1], [0.3],
+        IntegratorConfig(step=5e-3)),
+    "callable-gauge": lambda: integrate_constrained(
+        make_free_particle(dim=2).system, make_circle_constraint(), [0.0, 0.5], [-0.7],
+        IntegratorConfig(step=5e-3),
+        gauge=lambda t: np.array([0.2 * np.sin(3.0 * t), 0.3 - t])),
+}
+
+
+class TestConstrainedReference:
+    @pytest.mark.parametrize("name", sorted(CONSTRAINED_CASES))
+    def test_bit_identical_to_reference(self, name):
+        ref = CONSTRAINED_REF[name]
+        res = CONSTRAINED_CASES[name]()
+        traj = res.trajectory
+        for got, key in ((traj.grid.nodes, "nodes"), (traj.positions, "positions"),
+                         (traj.momenta, "momenta"), (res.e_path, "e_path"),
+                         (res.lambda_path, "lambda_path")):
+            assert np.array_equal(got, np.array(ref[key])), key
+        for key in ("energy_drift", "max_polar_residual", "max_tangency_residual"):
+            assert getattr(res, key) == ref[key], key
+        assert repr(res.status) == ref["status"]
 
 
 class TestReductionCertificate:

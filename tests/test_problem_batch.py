@@ -22,6 +22,7 @@ from phasebound.shooting import (
     generating_function_check,
     solve_dirichlet,
     solve_dirichlet_many,
+    solve_with_lagrangian_boundary,
 )
 from phasebound.systems import (
     make_cotangent_lift,
@@ -44,23 +45,22 @@ def close(a, b):
 
 
 class TestNewtonDirectionFallback:
-    def test_singular_member_does_not_change_its_neighbours(self, monkeypatch):
+    def test_singular_member_does_not_change_its_neighbours(self):
         # A linear shooting map u1 = A p whose block A is exactly singular for
         # the seed at p = 100 and regular for the seed near the origin.
         regular = np.array([[0.7318, -1.2931], [0.4127, 2.0583]])
         target = np.array([0.3141, -2.7182])
 
-        def linear_eval(sys, u0, P, u1, icfg, want_jacobian):
+        def linear_eval(rows, P, want_jacobian):
             blocks = np.where(np.abs(P[:, :1, None]) > 50.0, 0.0, regular)
             res = np.einsum("bij,bj->bi", blocks, P) - target
             return res, np.max(np.abs(res), axis=1), blocks, np.ones(len(P), dtype=bool)
 
-        monkeypatch.setattr(shooting, "_batch_eval", linear_eval)
         c = ShootingConfig()
         alone, _, rows_alone = shooting._multistart_newton(
-            None, np.zeros(2), target, np.array([[1.4142, 1.7320]]), c)
+            linear_eval, np.array([[1.4142, 1.7320]]), c)
         together, _, rows = shooting._multistart_newton(
-            None, np.zeros(2), target, np.array([[1.4142, 1.7320], [100.0, 0.0]]), c)
+            linear_eval, np.array([[1.4142, 1.7320], [100.0, 0.0]]), c)
         assert rows_alone.tolist() == rows.tolist() == [0]
         assert np.array_equal(together[0], alone[0])
 
@@ -82,6 +82,36 @@ class TestBatchComposition:
                 assert np.array_equal(x.p0, y.p0)
                 assert x.residual == y.residual
                 assert np.array_equal(x.trajectory.momenta, y.trajectory.momenta)
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                    min_size=2, max_size=3))
+    def test_graph_seeds_together_equal_each_alone(self, seeds):
+        # graph-type boundary data F = u0^2/2 + (u1 - 0.7)^2/2 on the pendulum
+        pen = make_pendulum()
+        c = cfg(step=2e-2)
+        grad_F = lambda u0, u1: (u0.copy(), u1 - 0.7)
+
+        def evaluate(rows, X, want_jacobian):
+            return shooting._graph_eval(pen.system, grad_F, X, c.integrator, want_jacobian, 1e-6)
+
+        X = np.array(seeds)
+        together, norms, rows = shooting._multistart_newton(evaluate, X, c)
+        for i in range(len(X)):
+            alone, alone_norms, alone_rows = shooting._multistart_newton(evaluate, X[i:i + 1], c)
+            assert (i in rows) == (alone_rows.size == 1)
+            if alone_rows.size:
+                k = rows.tolist().index(i)
+                assert np.array_equal(together[k], alone[0])
+                assert norms[k] == alone_norms[0]
+        sols = solve_with_lagrangian_boundary(pen.system, None, grad_F, c, state_seeds=seeds)
+        alone = [b for s in seeds for b in solve_with_lagrangian_boundary(
+            pen.system, None, grad_F, c, state_seeds=[s]).solutions]
+        for b in sols.solutions:
+            assert any(np.array_equal(b.p0, a.p0) and b.residual == a.residual
+                       and np.array_equal(b.trajectory.positions, a.trajectory.positions)
+                       and np.array_equal(b.jacobian, a.jacobian) for a in alone)
 
     def test_own_seed_sets(self):
         pen = make_pendulum()

@@ -247,3 +247,44 @@ class TestLagrangianBoundary:
         np.testing.assert_allclose(branch.p0, [0.0], atol=1e-9)
         np.testing.assert_allclose(branch.trajectory.positions[-1], [a], atol=1e-9)
         assert sols.classification.kind == "Unique"
+
+    def test_pendulum_graph_matches_per_seed_reference(self):
+        # F = u0^2/2 + (u1 - 0.7)^2/2 at the default step and 16 seeds.  The
+        # reference numbers were given by the per-seed scalar Newton loop that
+        # the batched driver replaced; cond carries the ~1e-10 roundoff of the
+        # finite-difference Hessian of F, so it is compared relatively.
+        pen = make_pendulum()
+        sols = solve_with_lagrangian_boundary(
+            pen.system, F=lambda u0, u1: 0.5 * u0[0] ** 2 + 0.5 * (u1[0] - 0.7) ** 2,
+            grad_F=lambda u0, u1: (np.array([u0[0]]), np.array([u1[0] - 0.7])),
+            cfg=ShootingConfig(seed_count=16))
+        assert sols.classification.kind == "Unique"
+        assert sols.classification.count == 1
+        branch = sols.solutions[0]
+        np.testing.assert_allclose(branch.p0, [-0.6471448064437982], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(branch.cond, 3.3959272882218983, rtol=1e-10, atol=0)
+        # the 2r x 2r boundary-condition jacobian from the exact tangent (the
+        # frozen-matrix tangent of the Newton iterations is off by ~2e-8)
+        np.testing.assert_allclose(
+            branch.jacobian,
+            [[1.0000000000287557, 1.0], [-1.382104663747664, -0.29841056697159873]],
+            rtol=0, atol=1e-9)
+        np.testing.assert_allclose(branch.trajectory.positions[0], -branch.p0, atol=1e-12)
+        np.testing.assert_allclose(branch.trajectory.momenta[-1],
+                                   branch.trajectory.positions[-1] - 0.7, atol=1e-10)
+
+    def test_zero_generating_function_family_is_continuum(self):
+        # F = 0: every static curve solves; the boundary-condition jacobian
+        # [[0, I], [dp1/du0, dp1/dp0]] = [[0, 1], [0, 1]] is singular
+        free = make_free_particle()
+        seeds = [(np.array([u]), np.array([p])) for u in (-1.0, 0.0, 0.8) for p in (0.5, -0.3)]
+        sols = solve_with_lagrangian_boundary(
+            free.system, F=lambda u0, u1: 0.0,
+            grad_F=lambda u0, u1: (np.zeros(1), np.zeros(1)),
+            cfg=fast_cfg(step=1e-2), state_seeds=seeds)
+        assert sols.classification.kind == "Continuum"
+        assert sols.classification.count == 3
+        for branch in sols.solutions:
+            assert branch.cond == float("inf")
+            assert np.array_equal(branch.jacobian, [[0.0, 1.0], [0.0, 1.0]])
+        assert sorted(b.trajectory.positions[0][0] for b in sols.solutions) == [-1.0, 0.0, 0.8]
