@@ -36,6 +36,7 @@ from .core import (
     grid_derivative,
 )
 from .errors import (
+    FlowIncompleteError,
     GridMismatchError,
     NewtonConvergenceError,
     NonFiniteError,
@@ -320,7 +321,8 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     solve, and the multiplier path is the chosen gauge (zero by default, or
     a callable t -> Lambda).  Raises UnstableConstraintError as soon as the
     tangency solve leaves a residual: the probe dynamics then requires a
-    secondary constraint and does not stay on the primary set.
+    secondary constraint and does not stay on the primary set.  Raises
+    FlowIncompleteError if the first step's Newton solve fails.
     """
     r = sys.dim
     k = spec.k_dim
@@ -377,6 +379,8 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
             status = NewtonFailure(t=t)
             last = i
             break
+    if last == 0:
+        raise FlowIncompleteError(status)
     ys = ys[:last + 1]
     nodes = grid.nodes[:last + 1]
     e_path = ys[:, r:]

@@ -53,8 +53,10 @@ class IntegratorConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0.0 < self.step <= 1.0):
             raise ValueError("step must lie in (0, 1]")
-        if self.newton_tol <= 0 or self.blowup_threshold <= 0:
-            raise ValueError("tolerances and thresholds must be positive")
+        if not (self.newton_tol > 0 and self.blowup_threshold > 0 and self.hessian_fd_step > 0):
+            raise ValueError("tolerances, thresholds and difference steps must be positive")
+        if self.newton_max_iter < 1 or self.max_step_halvings < 0:
+            raise ValueError("need newton_max_iter >= 1 and max_step_halvings >= 0")
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,7 @@ def flow_with_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig,
     """Integrate from (u0, p0) over [t0, t1], optionally with the tangent flow.
 
     Returns (FlowResult, jacobian or None).  The jacobian is None whenever
-    the flow does not complete.
+    the flow does not complete; if its first step fails, FlowIncompleteError.
     """
     r = sys.dim
     u0 = as_point(u0, r)
@@ -257,6 +259,8 @@ def flow_with_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig,
             jac = m @ jac
         times.append(t + h if k < n_steps - 1 else t1)
         states.append(z)
+    if len(states) == 1:
+        raise FlowIncompleteError(status)
     states = np.stack(states)
     traj = Trajectory(TimeGrid(np.asarray(times)), states[:, :r], states[:, r:])
     return FlowResult(traj, status), jac

@@ -68,8 +68,16 @@ class ShootingConfig:
     def __post_init__(self):
         if self.distinctness_radius <= 0:
             raise ValueError("distinctness radius must be positive")
-        if self.seeds is not None and len(self.seeds) == 0:
+        if (self.seed_count if self.seeds is None else len(self.seeds)) < 1:
             raise ValueError("need at least one seed")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError("newton_tol must be positive and finite")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if not self.seed_box[0] < self.seed_box[1]:
+            raise ValueError("seed_box must be (lo, hi) with lo < hi")
+        if not self.singular_cond >= 1:
+            raise ValueError("singular_cond is a condition number, at least 1")
 
     def resolve_seeds(self, r):
         if self.seeds is not None:
@@ -158,11 +166,10 @@ def _batch_eval(sys, u0, P, u1, icfg, want_jacobian):
 
 def _dirichlet_eval(sys, U0, U1, icfg):
     """Residual callback of the shooting problems u(1; U0[i], p) = U1[i]."""
-    return lambda rows, P, want_jacobian: _batch_eval(sys, U0[rows], P, U1[rows], icfg,
-                                                      want_jacobian)
+    return lambda rows, P: _batch_eval(sys, U0[rows], P, U1[rows], icfg, want_jacobian=True)
 
 
-def _graph_eval(sys, grad_F, X, icfg, want_jacobian, fd_step):
+def _graph_eval(sys, grad_F, X, icfg, fd_step):
     """Graph-type boundary residuals (p0 + dF/du0, p1 - dF/du1) for rows X = (u0, p0).
 
     One flow_batch for the whole batch; grad_F is called only on members
@@ -170,14 +177,13 @@ def _graph_eval(sys, grad_F, X, icfg, want_jacobian, fd_step):
     """
     r = X.shape[1] // 2
     _, _, U1, P1, ok, jac = flow_batch(sys, X[:, :r], X[:, r:], icfg,
-                                       want_jacobian=want_jacobian, tangent_exact=False)
+                                       want_jacobian=True, tangent_exact=False)
     res = np.full(X.shape, np.nan)
-    blocks = np.zeros((len(X), 2 * r, 2 * r)) if want_jacobian else None
+    blocks = np.zeros((len(X), 2 * r, 2 * r))
     for b in np.flatnonzero(ok):
         g = _grad_F_at(grad_F, X[b, :r], U1[b])
         res[b] = np.concatenate([X[b, r:] + g[:r], P1[b] - g[r:]])
-        if want_jacobian:
-            blocks[b] = _graph_jacobian(grad_F, X[b, :r], U1[b], jac[b], fd_step)
+        blocks[b] = _graph_jacobian(grad_F, X[b, :r], U1[b], jac[b], fd_step)
     with np.errstate(all="ignore"):
         rnorm = np.max(np.abs(res), axis=1)
     rnorm = np.where(ok & np.isfinite(rnorm), rnorm, np.inf)
@@ -207,15 +213,15 @@ def _graph_jacobian(grad_F, u0, u1, jac, fd_step):
 def _multistart_newton(evaluate, seeds, cfg):
     """Run damped Newton from every seed row; return the converged rows.
 
-    ``evaluate(rows, P, want_jacobian)`` gives, for the unknowns ``P`` of
-    seed rows ``rows``, (res, rnorm, blocks, ok): the residual vectors, their
-    sup norms (inf where not ok), the square residual derivatives when
-    asked, and which members' flows completed.  Members do not interact, so
-    independent boundary problems share the batch.  Returns the converged
-    unknowns, their residual norms and the indices of their seed rows.
+    ``evaluate(rows, P)`` gives, for the unknowns ``P`` of seed rows
+    ``rows``, (res, rnorm, blocks, ok): the residual vectors, their sup norms
+    (inf where not ok), the square residual derivatives and which members'
+    flows completed; an accepted line-search trial is thus the next iterate.
+    Members do not interact, so independent boundary problems share the
+    batch.  Returns the converged unknowns, their norms and seed-row indices.
     """
     P = seeds.copy()
-    res, rnorm, blocks, ok = evaluate(np.arange(len(P)), P, True)
+    res, rnorm, blocks, ok = evaluate(np.arange(len(P)), P)
     alive = ok.copy()
     for _ in range(cfg.max_iter):
         work = alive & (rnorm > cfg.newton_tol)
@@ -230,27 +236,21 @@ def _multistart_newton(evaluate, seeds, cfg):
         dead = np.max(np.abs(delta), axis=1) <= 1e-14 * (1.0 + np.max(np.abs(P[idx]), axis=1))
         alive[idx[dead]] = False
         damp = np.ones(idx.size)
-        improved = np.zeros(idx.size, dtype=bool)
-        cand = P[idx].copy()
+        trying = ~dead
         for _bt in range(14):
-            trying = ~improved & ~dead
             if not trying.any():
                 break
-            rows = idx[trying]
-            trial = P[rows] + damp[trying, None] * delta[trying]
-            _, tnorm, _, tok = evaluate(rows, trial, False)
-            better = tok & (tnorm < (1.0 - 1e-4) * rnorm[rows])
             sub = np.flatnonzero(trying)
-            cand[sub[better]] = trial[better]
-            improved[sub[better]] = True
+            rows = idx[sub]
+            trial = P[rows] + damp[sub, None] * delta[sub]
+            tres, tnorm, tblocks, tok = evaluate(rows, trial)
+            better = tok & (tnorm < (1.0 - 1e-4) * rnorm[rows])
+            won = rows[better]
+            P[won], res[won], rnorm[won], blocks[won] = (
+                trial[better], tres[better], tnorm[better], tblocks[better])
+            trying[sub[better]] = False
             damp[sub[~better]] *= 0.5
-        alive[idx[~improved & ~dead]] = False
-        moved = idx[improved]
-        if moved.size:
-            P[moved] = cand[improved]
-            nres, nnorm, nblocks, nok = evaluate(moved, P[moved], True)
-            res[moved], rnorm[moved], blocks[moved] = nres, nnorm, nblocks
-            alive[moved] &= nok
+        alive[idx[trying]] = False
     conv = np.flatnonzero(alive & (rnorm <= cfg.newton_tol))
     return P[conv], rnorm[conv], conv
 
@@ -562,8 +562,7 @@ def solve_with_lagrangian_boundary(sys: HamiltonianSystem, F: Optional[Callable]
     X = np.array([np.concatenate([as_point(u0, r), as_point(p0, r)])
                   for u0, p0 in state_seeds]).reshape(-1, 2 * r)
     found, rnorms, _ = _multistart_newton(
-        lambda rows, Xr, want_jacobian: _graph_eval(sys, grad_F, Xr, cfg.integrator,
-                                                    want_jacobian, fd_step), X, cfg)
+        lambda rows, Xr: _graph_eval(sys, grad_F, Xr, cfg.integrator, fd_step), X, cfg)
     branches = _branches_from_momenta(
         sys, found[:, :r], found[:, r:], rnorms, cfg,
         bc_jacobian=lambda u0, u1, jac: _graph_jacobian(grad_F, u0, u1, jac, fd_step))

@@ -24,7 +24,7 @@ from .core import (
     as_point,
     boundary_omega_matrix,
 )
-from .errors import BranchLostError
+from .errors import BranchLostError, FlowIncompleteError
 from .integrators import IntegratorConfig, flow_with_jacobian
 # solve_dirichlet stays bound here: perfbench/tracer.py hooks it under this module
 from .shooting import ShootingConfig, _continue_branch, _continued, solve_dirichlet_many
@@ -68,7 +68,10 @@ def tangent_frame_flow(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig):
     the flow does not complete.
     """
     r = sys.dim
-    result, jac = flow_with_jacobian(sys, as_point(u0, r), as_point(p0, r), cfg)
+    try:
+        result, jac = flow_with_jacobian(sys, as_point(u0, r), as_point(p0, r), cfg)
+    except FlowIncompleteError as exc:
+        return None, exc.status
     if not result.completed:
         return None, result.status
     return np.vstack([np.eye(2 * r), jac]), None

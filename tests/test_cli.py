@@ -61,6 +61,13 @@ class TestSchema:
         assert code == 2
         assert not out.exists() or not list(out.iterdir())
 
+    def test_bad_shooting_configuration_is_exit_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"system": "free-particle", "task": "bvp",
+                                         "shooting": {"seed_count": 0},
+                                         "parameters": {"endpoints": [0.0, 2.0]}})
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "bad shooting configuration" in capsys.readouterr().err
+
 
 class TestRunScenarios:
     def test_free_particle_bvp(self, tmp_path):

@@ -30,11 +30,12 @@ from phasebound.core import (
     hamiltonian_vector_field,
 )
 from phasebound.errors import (
+    FlowIncompleteError,
     GridMismatchError,
     OffConstraintError,
     UnstableConstraintError,
 )
-from phasebound.integrators import IntegratorConfig, integrate_flow
+from phasebound.integrators import IntegratorConfig, NewtonFailure, integrate_flow
 from phasebound.systems import make_free_particle, make_pendulum
 
 
@@ -287,6 +288,13 @@ class TestConstrainedIntegration:
         con = integrate_constrained(pen.system, ident, [0.4], [1.2], cfgi)
         assert np.abs(unc.trajectory.positions - con.trajectory.positions).max() <= 1e-10
         assert np.abs(unc.trajectory.momenta - con.trajectory.momenta).max() <= 1e-10
+
+    def test_first_step_newton_failure_raises_its_status(self):
+        ident = make_identity_constraint(dim=1)
+        with pytest.raises(FlowIncompleteError) as info:
+            integrate_constrained(make_pendulum().system, ident, [0.4], [1.2],
+                                  IntegratorConfig(step=4e-3, newton_max_iter=1))
+        assert info.value.status == NewtonFailure(t=0.0)
 
     def test_height_hamiltonian_unstable_at_start(self):
         circ = make_circle_constraint()

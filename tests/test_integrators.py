@@ -15,6 +15,7 @@ from phasebound.integrators import (
     BlowUp,
     Completed,
     IntegratorConfig,
+    NewtonFailure,
     energy_drift,
     flow_batch,
     flow_jacobian,
@@ -92,6 +93,18 @@ class TestStormerVerlet:
             step_stormer_verlet(lift.system, 0.0, [1.0], [1.0], 0.1)
 
 
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("kw", [
+        {"newton_max_iter": 0},
+        {"max_step_halvings": -1},
+        {"hessian_fd_step": 0.0},
+        {"hessian_fd_step": -1e-6},
+    ])
+    def test_rejects_invalid_settings(self, kw):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**kw)
+
+
 class TestIntegrateFlow:
     def test_free_particle_completes(self):
         free = make_free_particle()
@@ -120,6 +133,21 @@ class TestIntegrateFlow:
         res = integrate_flow(pen.system, [0.5], [0.8], cfg)
         assert res.completed
         assert energy_drift(pen.system, res.trajectory) < 1e-6
+
+
+    @pytest.mark.parametrize("p0, t0, status", [
+        (1.2, 0.0, NewtonFailure(t=0.0)),
+        (1.2, 0.5, NewtonFailure(t=0.5)),
+        # the initial state is over threshold / 10 = 1e7
+        (2e7, 0.0, BlowUp(t_escape=0.0)),
+    ])
+    def test_first_step_failure_raises_its_status(self, p0, t0, status):
+        # one Newton iteration and no halving: the very first step fails,
+        # which leaves a one-node trajectory, too short for a time grid
+        cfg = IntegratorConfig(newton_max_iter=1, max_step_halvings=0)
+        with pytest.raises(FlowIncompleteError) as info:
+            integrate_flow(make_pendulum().system, [0.4], [p0], cfg, t0=t0)
+        assert info.value.status == status
 
 
 class TestFlowJacobian:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from phasebound.errors import BranchLostError
 from phasebound import shooting
-from phasebound.integrators import IntegratorConfig
+from phasebound.integrators import IntegratorConfig, _batch_solve
 from phasebound.shooting import (
     ShootingConfig,
     classify_theory,
@@ -44,6 +44,117 @@ def close(a, b):
     np.testing.assert_allclose(a, b, rtol=0, atol=FLOAT_TOL)
 
 
+def _two_phase_newton(evaluate, seeds, cfg):
+    """Reference driver: line-search trials are evaluated without their
+    jacobian, and an accepted step is evaluated once more with it.
+    ``evaluate(rows, P, want_jacobian)``; returns as _multistart_newton does."""
+    P = seeds.copy()
+    res, rnorm, blocks, ok = evaluate(np.arange(len(P)), P, True)
+    alive = ok.copy()
+    for _ in range(cfg.max_iter):
+        work = alive & (rnorm > cfg.newton_tol)
+        if not work.any():
+            break
+        idx = np.flatnonzero(work)
+        delta = -_batch_solve(blocks[idx], res[idx])
+        delta = np.where(np.isfinite(delta), delta, 0.0)
+        dead = np.max(np.abs(delta), axis=1) <= 1e-14 * (1.0 + np.max(np.abs(P[idx]), axis=1))
+        alive[idx[dead]] = False
+        damp = np.ones(idx.size)
+        improved = np.zeros(idx.size, dtype=bool)
+        cand = P[idx].copy()
+        for _bt in range(14):
+            trying = ~improved & ~dead
+            if not trying.any():
+                break
+            rows = idx[trying]
+            trial = P[rows] + damp[trying, None] * delta[trying]
+            _, tnorm, _, tok = evaluate(rows, trial, False)
+            better = tok & (tnorm < (1.0 - 1e-4) * rnorm[rows])
+            sub = np.flatnonzero(trying)
+            cand[sub[better]] = trial[better]
+            improved[sub[better]] = True
+            damp[sub[~better]] *= 0.5
+        alive[idx[~improved & ~dead]] = False
+        moved = idx[improved]
+        if moved.size:
+            P[moved] = cand[improved]
+            nres, nnorm, nblocks, nok = evaluate(moved, P[moved], True)
+            res[moved], rnorm[moved], blocks[moved] = nres, nnorm, nblocks
+            alive[moved] &= nok
+    conv = np.flatnonzero(alive & (rnorm <= cfg.newton_tol))
+    return P[conv], rnorm[conv], conv
+
+
+TOY_TARGET = np.array([0.9, -0.4])
+
+
+def toy_eval(rows, P):
+    """Residual (atan p0 + 0.3 atan p1, atan p1 - 0.2 atan p0) + 0.05 p - target.
+
+    Newton overshoots from far seeds, so the line search backtracks.  Members
+    beyond |p| = 30 fail (not ok).  Row 1 has an exactly singular block, so
+    its direction is the pinv one; rows 3 mod 4 have a zero block, so their
+    direction vanishes and they are retired.  Elementwise arithmetic only,
+    so a member's values do not depend on the batch.
+    """
+    a = np.arctan(P)
+    res = np.stack([a[:, 0] + 0.3 * a[:, 1], a[:, 1] - 0.2 * a[:, 0]], axis=1) + 0.05 * P - TOY_TARGET
+    d = 1.0 / (1.0 + P * P)
+    blocks = np.stack([np.stack([d[:, 0] + 0.05, 0.3 * d[:, 1]], axis=1),
+                       np.stack([-0.2 * d[:, 0], d[:, 1] + 0.05], axis=1)], axis=1)
+    blocks[rows == 1] = 1.0
+    blocks[rows % 4 == 3] = 0.0
+    ok = np.max(np.abs(P), axis=1) < 30.0
+    rnorm = np.where(ok, np.max(np.abs(res), axis=1), np.inf)
+    return res, rnorm, blocks, ok
+
+
+class TestNewtonDriver:
+    def test_every_evaluation_is_a_new_point_and_every_later_one_a_trial(self):
+        seeds = np.array([[10.0, -12.0], [0.5, 0.5], [29.0, -29.0], [2.0, 2.0],
+                          [-20.0, 25.0], [40.0, 0.0], [0.3, -0.2]])
+        calls = []
+
+        def counting(rows, P):
+            out = toy_eval(rows, P)
+            calls.append((rows.copy(), P.copy(), tuple(a.copy() for a in out)))
+            return out
+
+        shooting._multistart_newton(counting, seeds, ShootingConfig())
+        seen = set()
+        for rows, P, _ in calls:
+            for i, p in zip(rows, P):
+                assert (int(i), p.tobytes()) not in seen
+                seen.add((int(i), p.tobytes()))
+        # each later point is its row's current iterate plus 2^-k times that
+        # iterate's Newton direction; an Armijo decrease makes it the iterate
+        rows0, P0, (res0, norm0, blocks0, _) = calls[0]
+        current = {int(i): (P0[k], res0[k], norm0[k], blocks0[k]) for k, i in enumerate(rows0)}
+        halvings = set()
+        for rows, P, (res, norm, blocks, ok) in calls[1:]:
+            for k, i in enumerate(rows):
+                p, r, n, b = current[int(i)]
+                d = -shooting._batch_solve(b[None], r[None])[0]
+                steps = [j for j in range(14) if np.array_equal(P[k], p + 0.5 ** j * d)]
+                assert steps
+                halvings.add(steps[0])
+                if ok[k] and norm[k] < (1.0 - 1e-4) * n:
+                    current[int(i)] = (P[k], res[k], norm[k], blocks[k])
+        assert max(halvings) >= 1  # the line search backtracked
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+                    min_size=1, max_size=8))
+    def test_matches_the_two_phase_reference(self, seeds):
+        seeds = np.array(seeds)
+        c = ShootingConfig()
+        got = shooting._multistart_newton(toy_eval, seeds, c)
+        ref = _two_phase_newton(lambda rows, P, want_jacobian: toy_eval(rows, P), seeds, c)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
 class TestNewtonDirectionFallback:
     def test_singular_member_does_not_change_its_neighbours(self):
         # A linear shooting map u1 = A p whose block A is exactly singular for
@@ -51,7 +162,7 @@ class TestNewtonDirectionFallback:
         regular = np.array([[0.7318, -1.2931], [0.4127, 2.0583]])
         target = np.array([0.3141, -2.7182])
 
-        def linear_eval(rows, P, want_jacobian):
+        def linear_eval(rows, P):
             blocks = np.where(np.abs(P[:, :1, None]) > 50.0, 0.0, regular)
             res = np.einsum("bij,bj->bi", blocks, P) - target
             return res, np.max(np.abs(res), axis=1), blocks, np.ones(len(P), dtype=bool)
@@ -93,8 +204,8 @@ class TestBatchComposition:
         c = cfg(step=2e-2)
         grad_F = lambda u0, u1: (u0.copy(), u1 - 0.7)
 
-        def evaluate(rows, X, want_jacobian):
-            return shooting._graph_eval(pen.system, grad_F, X, c.integrator, want_jacobian, 1e-6)
+        def evaluate(rows, X):
+            return shooting._graph_eval(pen.system, grad_F, X, c.integrator, 1e-6)
 
         X = np.array(seeds)
         together, norms, rows = shooting._multistart_newton(evaluate, X, c)

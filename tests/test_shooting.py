@@ -30,6 +30,27 @@ def fast_cfg(step=1e-3, seed_count=12, **kw):
     return ShootingConfig(integrator=IntegratorConfig(step=step), seed_count=seed_count, **kw)
 
 
+class TestShootingConfig:
+    @pytest.mark.parametrize("kw", [
+        {"seed_count": 0},
+        {"newton_tol": -1.0},
+        {"newton_tol": 0.0},
+        {"newton_tol": float("inf")},
+        {"newton_tol": float("nan")},
+        {"max_iter": 0},
+        {"seed_box": (1.0, 1.0)},
+        {"seed_box": (2.0, -2.0)},
+        {"singular_cond": -1.0},
+        {"singular_cond": 0.5},
+    ])
+    def test_rejects_invalid_settings(self, kw):
+        with pytest.raises(ValueError):
+            ShootingConfig(**kw)
+
+    def test_explicit_seeds_make_seed_count_irrelevant(self):
+        assert len(ShootingConfig(seeds=(1.0,), seed_count=0).resolve_seeds(1)) == 1
+
+
 class TestShootResidual:
     def test_free_particle_on_target(self):
         free = make_free_particle()

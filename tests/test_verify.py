@@ -52,6 +52,14 @@ class TestFlowRoute:
         assert "BlowUp" in rep.inapplicable[0][2]
 
 
+    def test_first_step_failure_is_inapplicable(self):
+        pen = make_pendulum()
+        cfg = IntegratorConfig(newton_max_iter=1, max_step_halvings=0)
+        rep = isotropy_defect_flow(pen.system, [([0.4], [1.2])], cfg)
+        assert rep.samples == 0
+        assert rep.inapplicable == (([0.4], [1.2], "NewtonFailure(t=0.0)"),)
+
+
 class TestBvpRoute:
     def test_free_particle(self):
         free = make_free_particle()
