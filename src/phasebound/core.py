@@ -111,7 +111,9 @@ class HamiltonianSystem:
     ``analytic_flow_jacobian`` supplies the tangent flow).
 
     ``vectorized`` declares that the callbacks broadcast over a leading batch
-    axis of u and p, enabling batched integration.
+    axis of u and p, enabling batched integration.  ``autonomous`` declares
+    that H does not depend on t, so a flow over [s, s + d] may be computed
+    as one over [0, d]; shooting then splits [0, 1] into segments.
     """
 
     config: ConfigSpace
@@ -126,6 +128,7 @@ class HamiltonianSystem:
     separable: bool = False
     analytic_only: bool = False
     vectorized: bool = False
+    autonomous: bool = False
     name: str = "custom"
 
     @property
@@ -432,7 +435,11 @@ def _trapezoid(values, nodes):
 # ---------------------------------------------------------------------------
 
 def _eval_along(sys: HamiltonianSystem, chi: Trajectory, fn):
+    """fn(t, u, p) at every node: one call on all nodes when the system is
+    vectorized and autonomous, one call per node otherwise."""
     t = chi.grid.nodes
+    if sys.vectorized and sys.autonomous:
+        return np.asarray(fn(t[0], chi.positions, chi.momenta), dtype=float)
     return np.array([fn(t[k], chi.positions[k], chi.momenta[k]) for k in range(len(t))])
 
 

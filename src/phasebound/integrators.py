@@ -25,6 +25,7 @@ from .core import (
     HamiltonianSystem,
     TimeGrid,
     Trajectory,
+    _eval_along,
     as_point,
     hessian_block,
     linearized_field_matrix,
@@ -321,10 +322,7 @@ def symplecticity_defect(jac):
 
 def energy_drift(sys: HamiltonianSystem, traj: Trajectory):
     """Max |H(t) - H(0)| along a trajectory (meaningful for autonomous H)."""
-    t = traj.grid.nodes
-    vals = np.array([
-        sys.hamiltonian(t[k], traj.positions[k], traj.momenta[k]) for k in range(len(t))
-    ])
+    vals = _eval_along(sys, traj, sys.hamiltonian)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteError("energy evaluation not finite along trajectory")
     return float(np.max(np.abs(vals - vals[0])))

@@ -2,7 +2,7 @@
 
 Given endpoints u0, u1 in Q, the solver searches for initial momenta p0 such
 that the time-1 flow from (u0, p0) lands on u1.  A multistart seed set,
-damped Newton iteration on the shooting residual, and trajectory-distance
+damped Newton iteration on the (multiple-)shooting residual, and trajectory-distance
 deduplication together give an operational meaning to "the solutions joining
 u0 to u1 are isolated": distinct representatives survive when the
 deduplication radius is halved.
@@ -147,26 +147,109 @@ def _cond(mat):
     return float(sv[0] / sv[-1])
 
 
-def _batch_eval(sys, u0, P, u1, icfg, want_jacobian):
-    """Residuals (and du1/dp0 blocks) for a batch of momentum seeds.
+# Most segments a shooting problem is split into (see _segment_count).
+_MAX_SEGMENTS = 8
 
-    ``u0`` and ``u1`` are one point for every member or one row per member.
+
+def _segment_count(sys, icfg):
+    """Number M of multiple-shooting segments of [0, 1].
+
+    M is the largest of 8, 4 and 2 (at most _MAX_SEGMENTS) that divides the
+    step count, so that each segment, flown over [0, 1/M], steps with the
+    same h as a flow over [0, 1], bit for bit.  Closed-form systems and
+    systems not declared autonomous (whose segments could not all be flown
+    from t = 0) use M = 1, single shooting.
     """
-    r = P.shape[1]
-    U0 = np.broadcast_to(u0, P.shape)
-    _, _, U1, _, ok, jac = flow_batch(sys, U0, P, icfg, want_jacobian=want_jacobian,
-                                      tangent_exact=False)
-    res = sys.config.wrap_diff(U1, np.broadcast_to(u1, U1.shape))
+    if sys.analytic_only or not sys.autonomous:
+        return 1
+    n = max(2, int(round(1.0 / icfg.step)))
+    for m in (8, 4, 2):
+        if m <= _MAX_SEGMENTS and n % m == 0 and max(2, int(round(1.0 / m / icfg.step))) == n // m:
+            return m
+    return 1
+
+
+def _shooting_unknowns(sys, U0, seeds, icfg):
+    """Multiple-shooting unknowns (p0, z_1 ... z_{M-1}) for rows of seed momenta.
+
+    The interior states z_k are read at the segment nodes of one stored-path
+    flow from each seed (without its tangent), so the first evaluation's
+    continuity defects vanish and its residual is single shooting's.
+    """
+    m = _segment_count(sys, icfg)
+    if m == 1:
+        return seeds
+    _, (path_u, path_p), _, _, _, _ = flow_batch(sys, U0, seeds, icfg, store_path=True)
+    nodes = np.arange(1, m) * ((path_u.shape[0] - 1) // m)
+    states = np.concatenate([path_u[nodes], path_p[nodes]], axis=2).transpose(1, 0, 2)
+    return np.concatenate([seeds, states.reshape(len(seeds), -1)], axis=1)
+
+
+def _batch_eval(sys, u0, P, u1, icfg, want_jacobian):
+    """Multiple-shooting residuals (and segment tangents) for a batch of unknowns.
+
+    A row of ``P`` holds p0 and the states z_1 ... z_{M-1} at the interior
+    segment nodes, so M = 1 + (P.shape[1] - r) / 2r.  All M segments of all
+    rows, z_0 = (u0, p0), are flown over [0, 1/M] in one flow_batch; the
+    residual is the continuity defects z_k - phi(z_{k-1}) followed by the
+    wrapped u(1) - u1.  ``u0`` and ``u1`` are one point for every member or
+    one row per member.  Blocks are each member's (M, 2r, 2r) segment
+    tangents, for _condensed_solve.
+    """
+    bsz, r = P.shape[0], np.shape(u0)[-1]
+    m = 1 + (P.shape[1] - r) // (2 * r)
+    Z = np.concatenate([np.broadcast_to(u0, (bsz, r)), P], axis=1).reshape(bsz * m, 2 * r)
+    _, _, U1, P1, ok, jac = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
+                                       want_jacobian=want_jacobian, tangent_exact=False)
+    ends = np.concatenate([U1, P1], axis=1).reshape(bsz, m, 2 * r)
+    landing = sys.config.wrap_diff(ends[:, -1, :r], np.broadcast_to(u1, (bsz, r)))
+    res = np.concatenate([P[:, r:] - ends[:, :-1].reshape(bsz, P.shape[1] - r), landing], axis=1)
+    ok = ok.reshape(bsz, m).all(axis=1)
     with np.errstate(all="ignore"):
         rnorm = np.max(np.abs(res), axis=1)
     rnorm = np.where(ok & np.isfinite(rnorm), rnorm, np.inf)
-    blocks = jac[:, :r, r:] if want_jacobian else None
+    blocks = jac.reshape(bsz, m, 2 * r, 2 * r) if want_jacobian else None
     return res, rnorm, blocks, ok
 
 
-def _dirichlet_eval(sys, U0, U1, icfg):
-    """Residual callback of the shooting problems u(1; U0[i], p) = U1[i]."""
-    return lambda rows, P: _batch_eval(sys, U0[rows], P, U1[rows], icfg, want_jacobian=True)
+def _condensed_solve(tangents, res):
+    """Solve the multiple-shooting Newton systems J x = res by condensing.
+
+    ``tangents`` (B, M, 2r, 2r) are the segment tangents Phi_k and ``res``
+    the residuals of _batch_eval.  J is block bidiagonal: identity blocks
+    against -Phi_k for the defects, then the landing row Phi_M[:r].
+    Eliminating the interior states leaves the single-shooting matrix
+    du1/dp0 = (Phi_M ... Phi_1)[:r, r:], solved by _batch_solve (a singular
+    member gets its pinv solution alone); the states' parts then follow by
+    forward recursion (Deuflhard, Newton Methods for Nonlinear Problems,
+    8.1).  At M = 1 this is _batch_solve(du1/dp0, res).
+    """
+    bsz, m, two_r, _ = tangents.shape
+    r = two_r // 2
+    defects = res[:, :-r].reshape(bsz, m - 1, two_r)
+    du1_dp0, carried = tangents[:, 0, :, r:], np.zeros((bsz, two_r))
+    for k in range(1, m):
+        du1_dp0 = tangents[:, k] @ du1_dp0
+        carried = np.einsum("bij,bj->bi", tangents[:, k], carried + defects[:, k - 1])
+    x = _batch_solve(du1_dp0[:, :r], res[:, -r:] - carried[:, :r])
+    parts = [x]
+    for k in range(m - 1):
+        phi = tangents[:, k] if k else tangents[:, 0, :, r:]  # z_0 varies in p0 only
+        x = np.einsum("bij,bj->bi", phi, x) + defects[:, k]
+        parts.append(x)
+    return np.concatenate(parts, axis=1)
+
+
+def _shoot(sys, U0, U1, seeds, cfg):
+    """Multistart multiple shooting of u(1; U0[i], p) = U1[i] from seed row i.
+
+    Returns the converged momenta p0 and their seed rows.
+    """
+    icfg = cfg.integrator
+    found, _, conv = _multistart_newton(
+        lambda rows, P: _batch_eval(sys, U0[rows], P, U1[rows], icfg, want_jacobian=True),
+        _shooting_unknowns(sys, U0, seeds, icfg), cfg, solve=_condensed_solve)
+    return found[:, :sys.dim], conv
 
 
 def _graph_eval(sys, grad_F, X, icfg, fd_step):
@@ -210,13 +293,15 @@ def _graph_jacobian(grad_F, u0, u1, jac, fd_step):
     return np.vstack([np.eye(r, 2 * r, r) + dgrad[:r], jac[r:] - dgrad[r:]])
 
 
-def _multistart_newton(evaluate, seeds, cfg):
+def _multistart_newton(evaluate, seeds, cfg, solve=_batch_solve):
     """Run damped Newton from every seed row; return the converged rows.
 
     ``evaluate(rows, P)`` gives, for the unknowns ``P`` of seed rows
     ``rows``, (res, rnorm, blocks, ok): the residual vectors, their sup norms
-    (inf where not ok), the square residual derivatives and which members'
-    flows completed; an accepted line-search trial is thus the next iterate.
+    (inf where not ok), the residual derivatives and which members' flows
+    completed; an accepted line-search trial is thus the next iterate.
+    ``solve(blocks, res)`` gives the members' solutions of J x = res (by
+    default the blocks are the square J, solved by _batch_solve).
     Members do not interact, so independent boundary problems share the
     batch.  Returns the converged unknowns, their norms and seed-row indices.
     """
@@ -229,7 +314,7 @@ def _multistart_newton(evaluate, seeds, cfg):
             break
         idx = np.flatnonzero(work)
         # a singular shooting matrix gets its least-squares (pinv) direction
-        delta = -_batch_solve(blocks[idx], res[idx])
+        delta = -solve(blocks[idx], res[idx])
         delta = np.where(np.isfinite(delta), delta, 0.0)
         # a vanishing direction (e.g. singular shooting matrix at an
         # unreachable target) cannot be line-searched; retire those seeds
@@ -255,9 +340,12 @@ def _multistart_newton(evaluate, seeds, cfg):
     return P[conv], rnorm[conv], conv
 
 
-def _branches_from_momenta(sys, U0, momenta, rnorms, cfg, bc_jacobian=None):
+def _branches_from_momenta(sys, U0, momenta, cfg, targets=None, rnorms=None,
+                           bc_jacobian=None):
     """Final trajectories from one stored-path flow; a branch per member, or
-    None where the path is not finite.  A branch's jacobian is du1/dp0, or
+    None where the path is not finite.  A branch's residual is its landing
+    miss max|u(1) - target| (wrapped) when ``targets`` are given, else its
+    ``rnorms`` entry.  Its jacobian is du1/dp0, or
     ``bc_jacobian(u0, u1, flow jacobian)`` when given."""
     if momenta.shape[0] == 0:
         return []
@@ -265,6 +353,9 @@ def _branches_from_momenta(sys, U0, momenta, rnorms, cfg, bc_jacobian=None):
         sys, U0, momenta, cfg.integrator, want_jacobian=True, store_path=True)
     path_u, path_p = path
     r = momenta.shape[1]
+    if targets is not None:
+        with np.errstate(all="ignore"):
+            rnorms = np.max(np.abs(sys.config.wrap_diff(U1, targets)), axis=1)
 
     def branch(b):
         bc = jac[b, :r, r:] if bc_jacobian is None else bc_jacobian(U0[b], U1[b], jac[b])
@@ -327,9 +418,8 @@ def solve_dirichlet_many(sys: HamiltonianSystem, pairs, cfg: ShootingConfig, see
     seeds = [np.asarray(s, dtype=float).reshape(-1, r) for s in seeds]
     owner = np.repeat(np.arange(len(pairs)), [len(s) for s in seeds])
     U0, U1 = np.array(pairs)[owner].transpose(1, 0, 2)
-    momenta, rnorms, rows = _multistart_newton(_dirichlet_eval(sys, U0, U1, cfg.integrator),
-                                               np.concatenate(seeds), cfg)
-    branches = _branches_from_momenta(sys, U0[rows], momenta, rnorms, cfg)
+    momenta, rows = _shoot(sys, U0, U1, np.concatenate(seeds), cfg)
+    branches = _branches_from_momenta(sys, U0[rows], momenta, cfg, targets=U1[rows])
     sets = []
     for k, (u0, u1) in enumerate(pairs):
         entries = [b for b, i in zip(branches, rows) if owner[i] == k and b is not None]
@@ -382,14 +472,14 @@ def _continue_branch(sys, branches, cfg, fd_step):
     if not rows:
         return []
     U0, U1, seeds = (np.array([row[i] for row in rows], dtype=float) for i in range(3))
-    momenta, rnorms, conv = _multistart_newton(_dirichlet_eval(sys, U0, U1, cfg.integrator),
-                                               seeds, cfg)
+    momenta, conv = _shoot(sys, U0, U1, seeds, cfg)
     out = [BranchLostError(f"continuation from p0={p0} did not converge") for p0 in seeds]
     jumps = np.max(np.abs(momenta - seeds[conv]), axis=1)
     for i, jump in zip(conv, jumps):
         out[i] = BranchLostError(f"continuation jumped {jump:.3e} > {max_jump:.3e} in p0")
     near = jumps <= max_jump
-    found = _branches_from_momenta(sys, U0[conv[near]], momenta[near], rnorms[near], cfg)
+    found = _branches_from_momenta(sys, U0[conv[near]], momenta[near], cfg,
+                                   targets=U1[conv[near]])
     for i, b in zip(conv[near], found):
         out[i] = b or BranchLostError("continuation trajectory could not be reconstructed")
     return [out[k:k + 4 * r] for k in range(0, len(out), 4 * r)]
@@ -564,7 +654,7 @@ def solve_with_lagrangian_boundary(sys: HamiltonianSystem, F: Optional[Callable]
     found, rnorms, _ = _multistart_newton(
         lambda rows, Xr: _graph_eval(sys, grad_F, Xr, cfg.integrator, fd_step), X, cfg)
     branches = _branches_from_momenta(
-        sys, found[:, :r], found[:, r:], rnorms, cfg,
+        sys, found[:, :r], found[:, r:], cfg, rnorms=rnorms,
         bc_jacobian=lambda u0, u1, jac: _graph_jacobian(grad_F, u0, u1, jac, fd_step))
     entries = sorted((b for b in branches if b is not None), key=lambda e: tuple(e.p0))
     classification, reps = _classify(sys.config, entries, cfg)

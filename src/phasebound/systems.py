@@ -41,7 +41,7 @@ from .core import (
     el_residual,
     grid_derivative,
 )
-from .errors import NegativeLambdaError, NonPositiveMassError
+from .errors import NegativeLambdaError, NonPositiveMassError, PhaseboundError
 from .integrators import (
     BlowUp,
     IntegratorConfig,
@@ -129,6 +129,7 @@ def make_free_particle(m=1.0, dim=1):
         analytic_flow=lambda t, u0, p0: (np.asarray(u0) + np.asarray(p0) * t / m, np.asarray(p0)),
         separable=True,
         vectorized=True,
+        autonomous=True,
         name=f"free-particle(m={m})",
     )
 
@@ -194,6 +195,7 @@ def make_quartic(m=1.0):
         hess_pp=lambda t, u, p: np.full(np.shape(u) + (1,), 1.0 / m),
         separable=True,
         vectorized=True,
+        autonomous=True,
         name=f"quartic(m={m})",
     )
 
@@ -262,6 +264,7 @@ def make_pendulum(m=1.0, k=1.0):
         hess_pp=lambda t, u, p: np.full(np.shape(u) + (1,), 1.0 / m),
         separable=True,
         vectorized=True,
+        autonomous=True,
         name=f"pendulum(m={m},k={k})",
     )
 
@@ -383,6 +386,7 @@ def make_sphere_geodesics():
         analytic_flow_jacobian=_sphere_flow_jacobian,
         analytic_only=True,
         vectorized=True,
+        autonomous=True,
         name="sphere-geodesics",
     )
 
@@ -493,6 +497,7 @@ def make_cotangent_lift(X=None, dX=None, d2X=None, dim=1, x_flow=None, complete=
         hess_up=hess_up,
         hess_pp=lambda t, u, p: np.zeros(np.shape(u) + (r,)),
         vectorized=True,
+        autonomous=True,
         name="cotangent-lift",
     )
 
@@ -549,6 +554,7 @@ def make_lambda_family(lam, X=None, dX=None, d2X=None, dim=1, x_flow=None):
         hess_up=hess_up,
         hess_pp=lambda t, u, p: np.broadcast_to(lam * eye, np.shape(u) + (r,)),
         vectorized=True,
+        autonomous=True,
         name=f"lambda-family(lam={lam})",
     )
 
@@ -625,7 +631,7 @@ def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, X=None, dX=None,
         ex = make_lambda_family(lam, X, dX, d2X, dim=dim, x_flow=x_flow)
         try:
             sols = solve_dirichlet(ex.system, u0, u1, cfg)
-        except Exception as exc:  # pragma: no cover - defensive
+        except PhaseboundError as exc:
             rows.append(LambdaStudyRow(lam, None, None, None, None, f"solver error: {exc}"))
             continue
         if not sols.solutions:

@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasebound
 from phasebound.cli import (
     dump_full_precision,
     load_scenario,
@@ -266,6 +270,16 @@ class TestCliEntry:
         for name in ("free-particle", "quartic", "pendulum", "sphere",
                      "cotangent-lift", "lambda-family"):
             assert name in out
+
+    def test_python_dash_m_entry_point(self):
+        src = str(Path(phasebound.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-m", "phasebound", "list-examples"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["cotangent-lift", "free-particle", "lambda-family",
+                                       "pendulum", "quartic", "sphere"]
 
     def test_run_via_main(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {

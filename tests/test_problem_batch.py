@@ -237,7 +237,14 @@ class TestBatchComposition:
                 [b.p0.tolist() for b in alone.solutions]
 
 
+@pytest.fixture
+def single_shooting(monkeypatch):
+    """Shoot over [0, 1] in one segment, as the reference solver did."""
+    monkeypatch.setattr(shooting, "_MAX_SEGMENTS", 1)
+
+
 class TestOneAtATimeReference:
+    @pytest.mark.usefixtures("single_shooting")
     @pytest.mark.parametrize("name", ["pendulum", "free-particle"])
     def test_generating_function_report(self, name):
         ref = REF["generating_function"][name]
@@ -246,6 +253,20 @@ class TestOneAtATimeReference:
         rep = generating_function_check(ex.system, u0, u1, cfg())
         for key in ("defect_u0", "defect_u1", "symmetry_defect", "p0", "p1", "action"):
             close(getattr(rep, key), ref[key])
+
+    @pytest.mark.parametrize("name", ["pendulum", "free-particle"])
+    def test_generating_function_report_multiple_shooting(self, name):
+        # the continued solutions move at the Newton tolerance, and each
+        # defect divides their differences by 2 fd_step = 2e-5
+        ref = REF["generating_function"][name]
+        ex, u0, u1 = ((make_pendulum(), [0.0], [np.pi / 2]) if name == "pendulum"
+                      else (make_free_particle(), [0.0], [2.0]))
+        assert shooting._segment_count(ex.system, cfg().integrator) == 8
+        rep = generating_function_check(ex.system, u0, u1, cfg())
+        for key in ("p0", "p1", "action"):
+            close(getattr(rep, key), ref[key])
+        for key in ("defect_u0", "defect_u1", "symmetry_defect"):
+            np.testing.assert_allclose(getattr(rep, key), ref[key], rtol=0, atol=5e-9)
 
     def test_tangent_frame(self):
         ref = REF["tangent_frame"]

@@ -1,14 +1,18 @@
 """Boundary-value shooting, principal function, classification."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phasebound.core import action_functional
+from phasebound import shooting
+from phasebound.core import ConfigSpace, HamiltonianSystem, action_functional
 from phasebound.errors import FlowIncompleteError, NoSuchBranchError, NotSeparableError
-from phasebound.integrators import IntegratorConfig, integrate_flow
+from phasebound.integrators import IntegratorConfig, _batch_solve, integrate_flow
 from phasebound.shooting import (
     ShootingConfig,
     classify_theory,
@@ -20,6 +24,7 @@ from phasebound.shooting import (
 )
 from phasebound.systems import (
     make_cotangent_lift,
+    make_example,
     make_free_particle,
     make_pendulum,
     make_sphere_geodesics,
@@ -309,3 +314,142 @@ class TestLagrangianBoundary:
             assert branch.cond == float("inf")
             assert np.array_equal(branch.jacobian, [[0.0, 1.0], [0.0, 1.0]])
         assert sorted(b.trajectory.positions[0][0] for b in sols.solutions) == [-1.0, 0.0, 0.8]
+
+
+def assembled_jacobian(tangents):
+    """One member's block-bidiagonal multiple-shooting jacobian in the
+    unknowns (p0, z_1 ... z_{M-1}) and residuals (defects, landing)."""
+    m, two_r = tangents.shape[:2]
+    r = two_r // 2
+    n = r + two_r * (m - 1)
+    jac = np.zeros((n, n))
+
+    def z(k):
+        return slice(r + two_r * (k - 1), r + two_r * k)
+
+    for k in range(m - 1):  # the defect z_{k+1} - phi(z_k)
+        rows = slice(two_r * k, two_r * (k + 1))
+        if k == 0:
+            jac[rows, :r] = -tangents[0][:, r:]
+        else:
+            jac[rows, z(k)] = -tangents[k]
+        jac[rows, z(k + 1)] = np.eye(two_r)
+    if m == 1:
+        jac[n - r:, :r] = tangents[0][:r, r:]
+    else:
+        jac[n - r:, z(m - 1)] = tangents[m - 1][:r]
+    return jac
+
+
+def non_autonomous_system():
+    """H = p^2/2 - t u: p(t) = p0 + t^2/2, so u(1) = u0 + p0 + 1/6."""
+    return HamiltonianSystem(
+        config=ConfigSpace(1),
+        hamiltonian=lambda t, u, p: 0.5 * np.sum(p * p, axis=-1) - t * np.sum(u, axis=-1),
+        grad_u=lambda t, u, p: np.full(np.shape(u), -float(t)),
+        grad_p=lambda t, u, p: np.asarray(p, dtype=float),
+        vectorized=True,
+        name="forced-particle",
+    )
+
+
+class TestMultipleShooting:
+    @pytest.mark.parametrize("step, segments", [
+        (1e-3, 8), (2e-3, 4), (4e-3, 2), (8e-3, 1), (1e-2, 4), (0.25, 2), (0.5, 1)])
+    def test_segment_count_keeps_the_step(self, step, segments):
+        icfg = IntegratorConfig(step=step)
+        assert shooting._segment_count(make_pendulum().system, icfg) == segments
+        assert shooting._segment_count(make_sphere_geodesics().system, icfg) == 1
+        assert shooting._segment_count(non_autonomous_system(), icfg) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(r=st.sampled_from([1, 2, 3]), m=st.sampled_from([1, 2, 4, 8]),
+           bsz=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_condensed_solve_is_the_block_solve(self, r, m, bsz, seed):
+        rng = np.random.default_rng(seed)
+        tangents = np.eye(2 * r) + 0.4 * rng.standard_normal((bsz, m, 2 * r, 2 * r))
+        res = rng.standard_normal((bsz, r + 2 * r * (m - 1)))
+        got = shooting._condensed_solve(tangents, res)
+        for b in range(bsz):
+            jac = assembled_jacobian(tangents[b])
+            if np.linalg.cond(jac) > 1e8:
+                continue
+            want = np.linalg.solve(jac, res[b])
+            np.testing.assert_allclose(got[b], want, rtol=0,
+                                       atol=1e-7 * (1.0 + np.max(np.abs(want))))
+        if m == 1:
+            assert np.array_equal(got, _batch_solve(tangents[:, 0, :r, r:], res))
+        # identity tangents make du1/dp0 = 0: the pinv direction leaves p0 and
+        # carries the defects forward; the other members are solved as alone
+        tangents[0] = np.eye(2 * r)
+        got = shooting._condensed_solve(tangents, res)
+        assert np.array_equal(got[0, :r], np.zeros(r))
+        carried = np.cumsum(res[0, :-r].reshape(m - 1, 2 * r), axis=0).ravel()
+        np.testing.assert_allclose(got[0, r:], carried, rtol=0, atol=1e-12)
+        assert np.array_equal(got[1:], shooting._condensed_solve(tangents[1:], res[1:]))
+
+    @pytest.mark.parametrize("step", [1e-3, 2e-3, 1e-2])
+    @pytest.mark.parametrize("name, u0, u1", [
+        ("pendulum", 0.0, np.pi / 2), ("quartic", 1.0, 2.0), ("free-particle", 0.0, 2.0),
+        ("cotangent-lift", 1.0, np.e)])
+    def test_first_evaluation_is_single_shootings(self, name, u0, u1, step):
+        sys = make_example(name).system
+        icfg = IntegratorConfig(step=step)
+        seeds = fast_cfg().resolve_seeds(1)
+        U0 = np.full_like(seeds, u0)
+        unknowns = shooting._shooting_unknowns(sys, U0, seeds, icfg)
+        m = shooting._segment_count(sys, icfg)
+        assert m > 1 and unknowns.shape == (len(seeds), 1 + 2 * (m - 1))
+        res, rnorm, tangents, ok = shooting._batch_eval(sys, U0, unknowns, [u1], icfg, True)
+        res1, rnorm1, tangents1, ok1 = shooting._batch_eval(sys, U0, seeds, [u1], icfg, True)
+        assert np.array_equal(ok, ok1) and np.array_equal(rnorm, rnorm1)
+        assert not np.any(res[ok, :-1])  # every continuity defect is exactly 0
+        assert np.array_equal(res[ok, -1:], res1[ok])
+        chain = tangents[:, 0]
+        for k in range(1, m):
+            chain = tangents[:, k] @ chain
+        np.testing.assert_allclose(chain[ok, :1, 1:], tangents1[ok, 0, :1, 1:],
+                                   rtol=1e-12, atol=1e-14)
+        if name == "quartic":
+            assert not ok.all()  # escaping seeds fail at once, as under single shooting
+
+    @pytest.mark.parametrize("name, u0, u1", [
+        ("pendulum", [0.0], [np.pi / 2]),
+        ("quartic", [1.0], [2.0 / 3.0]),  # on the decaying zero-energy branch
+        ("free-particle", [0.0], [2.0]),
+        ("cotangent-lift", [0.0], [0.5]),  # off the base-flow graph
+    ])
+    def test_default_segments_match_single_shooting(self, monkeypatch, name, u0, u1):
+        sys = make_example(name).system
+        c = fast_cfg()
+        widths = []
+        evaluate = shooting._batch_eval
+
+        def counting(*args, **kwargs):
+            widths.append(args[2].shape[1])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "_batch_eval", counting)
+        multi = solve_dirichlet(sys, u0, u1, c)
+        assert set(widths) == {1 + 2 * 7}
+        if name == "cotangent-lift":
+            assert multi.classification.kind == "NoSolution"
+            assert len(widths) == 1  # every seed retired after one evaluation
+        monkeypatch.setattr(shooting, "_MAX_SEGMENTS", 1)
+        single = solve_dirichlet(sys, u0, u1, c)
+        assert widths[-1] == 1
+        assert multi.classification.kind == single.classification.kind
+        assert multi.classification.count == single.classification.count
+        for a, b in zip(multi.solutions, single.solutions):
+            np.testing.assert_allclose(a.p0, b.p0, rtol=0, atol=1e-9)
+            assert a.residual <= c.newton_tol
+
+    def test_non_autonomous_system_takes_single_shooting(self):
+        sys = non_autonomous_system()
+        c = fast_cfg(seed_count=4)
+        sols = solve_dirichlet(sys, [0.2], [1.5], c)
+        assert sols.classification.kind == "Unique"
+        np.testing.assert_allclose(sols.solutions[0].p0, [1.3 - 1.0 / 6.0], rtol=0, atol=1e-6)
+        # flown from t = 0, segments of a time-dependent H solve another problem
+        wrong = solve_dirichlet(dataclasses.replace(sys, autonomous=True), [0.2], [1.5], c)
+        assert abs(wrong.solutions[0].p0[0] - (1.3 - 1.0 / 6.0)) > 1e-2

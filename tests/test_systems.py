@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from phasebound.core import check_gradients
-from phasebound.errors import NegativeLambdaError, NonPositiveMassError
+from phasebound import shooting
+from phasebound.core import _eval_along, check_gradients
+from phasebound.errors import NegativeLambdaError, NewtonConvergenceError, NonPositiveMassError
 from phasebound.integrators import IntegratorConfig, energy_drift, integrate_flow
 from phasebound.shooting import ShootingConfig, solve_dirichlet
 from phasebound.systems import (
@@ -191,6 +192,25 @@ class TestTopologicalLimit:
             np.testing.assert_allclose(row.p0, [0.0], atol=1e-9)
             assert row.flowline_distance <= 1e-9
 
+    def test_solver_error_becomes_the_row_note(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NewtonConvergenceError("midpoint Newton stalled at t=0.5")
+
+        monkeypatch.setattr(shooting, "solve_dirichlet", failing)
+        report = topological_limit_study([1.0, 0.5], [0.0], [2.0])
+        assert [row.status for row in report.rows] == \
+            ["solver error: midpoint Newton stalled at t=0.5"] * 2
+        assert all(row.p0 is None for row in report.rows)
+        assert report.momentum_slope is None
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected keyword")
+
+        monkeypatch.setattr(shooting, "solve_dirichlet", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            topological_limit_study([1.0], [0.0], [2.0])
+
     def test_second_order_residual_detects_non_solutions(self):
         from phasebound.core import TimeGrid, Trajectory
 
@@ -212,3 +232,18 @@ class TestEnergyConservation:
         ex = maker()
         res = integrate_flow(ex.system, state[0], state[1], cfg())
         assert energy_drift(ex.system, res.trajectory) <= 1e-6
+
+    @pytest.mark.parametrize("name, state", [
+        ("free-particle", ([0.3], [1.1])),
+        ("quartic", ([0.9], [0.3])),
+        ("pendulum", ([0.4], [1.2])),
+        ("cotangent-lift", ([1.0], [1.0])),
+        ("sphere", ([0.0, 0.0, 1.0], [0.5, 0.0, 0.0])),
+    ])
+    def test_one_call_along_the_trajectory_equals_the_node_loop(self, name, state):
+        sys = make_example(name).system
+        traj = integrate_flow(sys, state[0], state[1], cfg()).trajectory
+        t = traj.grid.nodes
+        for fn in (sys.hamiltonian, sys.grad_u, sys.grad_p):
+            loop = np.array([fn(t[k], traj.positions[k], traj.momenta[k]) for k in range(len(t))])
+            assert np.array_equal(_eval_along(sys, traj, fn), loop)
