@@ -337,26 +337,33 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
 
     tangency_worst = 0.0
 
-    def field(t, y):
-        nonlocal tangency_worst
+    def rhs(t, y):
+        """The field at y = (u, e), with the tangency residual and dH/du there."""
         u, e = y[:r], y[r:]
         p = spec.sigma_at(e)
         d_vec, tan_res, grad_u, _ = _tangency_solve(sys, spec, t, u, e)
+        du = np.asarray(sys.grad_p(t, u, p), dtype=float) - lam_of_t(t)
+        return np.concatenate([du, d_vec]), tan_res, grad_u
+
+    def field(t, y):
+        # checked: the step's predictor and Newton iterates must keep tangency
+        nonlocal tangency_worst
+        value, tan_res, grad_u = rhs(t, y)
         scale = 1.0 + float(np.abs(grad_u).max())
         tan_norm = float(np.abs(tan_res).max())
         tangency_worst = max(tangency_worst, tan_norm)
         if tan_norm > spec.rank_tol * scale * 1e2:
             raise UnstableConstraintError(t, tan_norm)
-        du = np.asarray(sys.grad_p(t, u, p), dtype=float) - lam_of_t(t)
-        return np.concatenate([du, d_vec])
+        return value
 
     def linearize(t, y):
-        # central differences of the field with step 1e-7, one column per coordinate
+        # central differences of the field with step 1e-7, one column per
+        # coordinate; unchecked, since the displaced states are off the path
         jac = np.empty((y.size, y.size))
         for j in range(y.size):
             e = np.zeros(y.size)
             e[j] = 1e-7
-            jac[:, j] = (field(t, y + e) - field(t, y - e)) / 2e-7
+            jac[:, j] = (rhs(t, y + e)[0] - rhs(t, y - e)[0]) / 2e-7
         return jac
 
     # the initial state must pass the constraint algorithm

@@ -183,7 +183,7 @@ def hessian_block(sys: HamiltonianSystem, block, t, u, p, fd_step=1e-6):
         hess = _fd_hessian_block(grad, t, u, p, fd_step, wrt_u)
     if block == "up":
         return hess
-    return 0.5 * (hess + np.swapaxes(hess, -2, -1))
+    return 0.5 * (hess + hess.swapaxes(-2, -1))
 
 
 def hamiltonian_hessian(sys: HamiltonianSystem, t, u, p, fd_step=1e-6):
@@ -201,9 +201,13 @@ def linearized_field_matrix(sys: HamiltonianSystem, t, u, p, fd_step=1e-6):
     symplectic regardless of where A is evaluated.
     """
     huu, hup, hpp = hamiltonian_hessian(sys, t, u, p, fd_step)
-    top = np.concatenate([np.swapaxes(hup, -2, -1), hpp], axis=-1)
-    bot = np.concatenate([-huu, -hup], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
+    r = huu.shape[-1]
+    a_mat = np.empty(huu.shape[:-2] + (2 * r, 2 * r))
+    a_mat[..., :r, :r] = hup.swapaxes(-2, -1)
+    a_mat[..., :r, r:] = hpp
+    np.negative(huu, out=a_mat[..., r:, :r])
+    np.negative(hup, out=a_mat[..., r:, r:])
+    return a_mat
 
 
 def check_gradients(sys: HamiltonianSystem, probes, fd_step=1e-5):

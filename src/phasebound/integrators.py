@@ -158,7 +158,8 @@ def _hamiltonian_midpoint_step(sys, t, z, h, cfg, want_tangent=False):
 
 def _verlet_step(sys, t, z, h, cfg, want_tangent=False):
     """Kick-drift-kick composition for separable H = T(p) + V(u)."""
-    z2, ok, tangents = _verlet_step_batch(sys, t, z[None], h, cfg, want_tangent)
+    with np.errstate(all="ignore"):
+        z2, ok, tangents = _verlet_step_batch(sys, t, z[None], h, cfg, want_tangent)
     if not ok[0]:
         raise NewtonConvergenceError(f"Verlet step not finite at t={t}")
     return z2[0], (tangents[0] if want_tangent else None)
@@ -374,7 +375,13 @@ def _batch_solve(mats, rhs):
         return out
 
 
-def _midpoint_step_batch(sys, t, Z, h, cfg, want_tangent, tangent_exact=True):
+def _finite_or_zero(a_mat):
+    """a_mat with its non-finite entries replaced by 0."""
+    finite = np.isfinite(a_mat)
+    return a_mat if finite.all() else np.where(finite, a_mat, 0.0)
+
+
+def _midpoint_step_batch(sys, t, Z, h, cfg, want_tangent, tangent_exact=True, eye=None):
     """Implicit midpoint over a batch of states; returns (Z', ok, tangents).
 
     The Newton matrix is assembled once per step at the predictor midpoint
@@ -383,47 +390,68 @@ def _midpoint_step_batch(sys, t, Z, h, cfg, want_tangent, tangent_exact=True):
     transforms and therefore symplectic in either mode; ``tangent_exact``
     re-evaluates the linearization at the converged midpoint, which makes
     the tangent the exact derivative of the discrete step.
+
+    While every member is ok and none has converged, the iteration runs
+    unmasked; the masked updates take over once a member fails or
+    converges ahead of the others, and give the same values.  Non-finite
+    arithmetic is expected here: the caller runs this under
+    ``np.errstate(all="ignore")``.
     """
     bsz, two_r = Z.shape
-    eye = np.eye(two_r)
-    with np.errstate(all="ignore"):
-        Z2 = Z + h * _field_batch(sys, t, Z)
-        ok = np.all(np.isfinite(Z2), axis=1)
+    eye = np.eye(two_r) if eye is None else eye
+    t_mid = t + 0.5 * h
+    Z2 = Z + h * _field_batch(sys, t, Z)
+    ok = np.isfinite(Z2).all(axis=1)
+    lean = bool(ok.all())
+    if lean:
+        m0 = 0.5 * (Z + Z2)
+    else:
         Z2 = np.where(ok[:, None], Z2, Z)
         m0 = np.where(ok[:, None], 0.5 * (Z + Z2), 0.0)
-        a_mat = _linearized_batch(sys, t + 0.5 * h, m0, cfg.hessian_fd_step)
-        a_mat = np.where(np.isfinite(a_mat), a_mat, 0.0)
-        newton_mat = eye[None] - 0.5 * h * a_mat
+    a_mat = _finite_or_zero(_linearized_batch(sys, t_mid, m0, cfg.hessian_fd_step))
+    newton_mat = eye - 0.5 * h * a_mat
+    z_size = np.abs(Z).max(axis=1)
     done = np.zeros(bsz, dtype=bool)
     for _ in range(cfg.newton_max_iter):
-        active = ok & ~done
-        if not active.any():
-            break
-        with np.errstate(all="ignore"):
-            g = Z2 - Z - h * _field_batch(sys, t + 0.5 * h, 0.5 * (Z + Z2))
-            finite = np.all(np.isfinite(g), axis=1)
-            ok &= finite | done
-            active &= finite
+        if not lean:
+            active = ok & ~done
             if not active.any():
                 break
-            delta = _batch_solve(newton_mat, np.where(np.isfinite(g), -g, 0.0))
-            gn = np.max(np.abs(np.where(finite[:, None], g, np.inf)), axis=1)
-            scale = 1.0 + np.maximum(np.max(np.abs(Z), axis=1), np.max(np.abs(Z2), axis=1))
-            Z2 = np.where((active[:, None]) & np.isfinite(delta), Z2 + delta, Z2)
+        g = Z2 - Z - h * _field_batch(sys, t_mid, 0.5 * (Z + Z2))
+        gn = np.abs(g).max(axis=1)  # not finite exactly when a row of g is not
+        scale = 1.0 + np.maximum(z_size, np.abs(Z2).max(axis=1))
+        finite = np.isfinite(gn)
+        if lean:
+            if finite.all():
+                delta = _batch_solve(newton_mat, -g)
+                stepped = Z2 + delta
+                usable = np.isfinite(delta)
+                Z2 = stepped if usable.all() else np.where(usable, stepped, Z2)
+                done = gn <= cfg.newton_tol * scale
+                lean = not done.any()
+                continue
+            active, lean = ok & ~done, False
+        ok &= finite | done
+        active &= finite
+        if not active.any():
+            break
+        delta = _batch_solve(newton_mat, np.where(np.isfinite(g), -g, 0.0))
+        Z2 = np.where(active[:, None] & np.isfinite(delta), Z2 + delta, Z2)
         done |= active & (gn <= cfg.newton_tol * scale)
     ok &= done
     tangents = None
     if want_tangent:
-        with np.errstate(all="ignore"):
-            if tangent_exact:
-                m_final = np.where(ok[:, None], 0.5 * (Z + Z2), 0.0)
-                a_mat = _linearized_batch(sys, t + 0.5 * h, m_final, cfg.hessian_fd_step)
-                a_mat = np.where(np.isfinite(a_mat), a_mat, 0.0)
-            tangents = _batch_solve(eye[None] - 0.5 * h * a_mat, eye[None] + 0.5 * h * a_mat)
+        if tangent_exact:
+            m_final = 0.5 * (Z + Z2)
+            if not ok.all():
+                m_final = np.where(ok[:, None], m_final, 0.0)
+            a_mat = _finite_or_zero(_linearized_batch(sys, t_mid, m_final, cfg.hessian_fd_step))
+        half = 0.5 * h * a_mat
+        tangents = _batch_solve(eye - half, eye + half)
     return Z2, ok, tangents
 
 
-def _verlet_step_batch(sys, t, Z, h, cfg, want_tangent):
+def _verlet_step_batch(sys, t, Z, h, cfg, want_tangent, eye=None):
     """Stormer-Verlet (kick-drift-kick) over a batch; returns (Z', ok, tangents).
 
     The step is explicit, so there is no Newton solve: ``ok`` flags members
@@ -431,34 +459,33 @@ def _verlet_step_batch(sys, t, Z, h, cfg, want_tangent):
     step, the product of the two kick matrices [[I, 0], [-h/2 Huu, I]] and
     the drift matrix [[I, h Hpp], [0, I]] (Hairer, Lubich & Wanner,
     Geometric Numerical Integration, VI.3); only Huu at the kicks and Hpp at
-    the drift are evaluated.
+    the drift are evaluated.  Like the midpoint step, it runs under the
+    caller's ``np.errstate(all="ignore")``.
     """
     if not sys.separable:
         raise NotSeparableError(f"system {sys.name!r} is not declared separable")
     bsz, two_r = Z.shape
     r = two_r // 2
     U, P = Z[:, :r], Z[:, r:]
-    with np.errstate(all="ignore"):
-        P_half = P - 0.5 * h * _eval_batch(sys, sys.grad_u, t, U, P)
-        U_new = U + h * _eval_batch(sys, sys.grad_p, t + 0.5 * h, U, P_half)
-        P_new = P_half - 0.5 * h * _eval_batch(sys, sys.grad_u, t + h, U_new, P_half)
-        Z2 = np.concatenate([U_new, P_new], axis=1)
-        ok = np.all(np.isfinite(Z2), axis=1)
-        if not want_tangent:
-            return Z2, ok, None
+    P_half = P - 0.5 * h * _eval_batch(sys, sys.grad_u, t, U, P)
+    U_new = U + h * _eval_batch(sys, sys.grad_p, t + 0.5 * h, U, P_half)
+    P_new = P_half - 0.5 * h * _eval_batch(sys, sys.grad_u, t + h, U_new, P_half)
+    Z2 = np.concatenate([U_new, P_new], axis=1)
+    ok = np.isfinite(Z2).all(axis=1)
+    if not want_tangent:
+        return Z2, ok, None
 
-        def hess(block, tt, UU, PP):
-            return _eval_batch(
-                sys, lambda t_, u, p: hessian_block(sys, block, t_, u, p, cfg.hessian_fd_step),
-                tt, UU, PP)
+    def hess(block, tt, UU, PP):
+        return _eval_batch(
+            sys, lambda t_, u, p: hessian_block(sys, block, t_, u, p, cfg.hessian_fd_step),
+            tt, UU, PP)
 
-        kick0 = np.tile(np.eye(two_r), (bsz, 1, 1))
-        drift, kick1 = kick0.copy(), kick0.copy()
-        kick0[:, r:, :r] = -0.5 * h * hess("uu", t, U, P)
-        drift[:, :r, r:] = h * hess("pp", t + 0.5 * h, U, P_half)
-        kick1[:, r:, :r] = -0.5 * h * hess("uu", t + h, U_new, P_half)
-        tangents = kick1 @ drift @ kick0
-    return Z2, ok, tangents
+    kick0 = np.tile(np.eye(two_r) if eye is None else eye, (bsz, 1, 1))
+    drift, kick1 = kick0.copy(), kick0.copy()
+    kick0[:, r:, :r] = -0.5 * h * hess("uu", t, U, P)
+    drift[:, :r, r:] = h * hess("pp", t + 0.5 * h, U, P_half)
+    kick1[:, r:, :r] = -0.5 * h * hess("uu", t + h, U_new, P_half)
+    return Z2, ok, kick1 @ drift @ kick0
 
 
 def _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path):
@@ -515,36 +542,41 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
     bsz, r = U0.shape
     if sys.analytic_only:
         return _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
+    eye = np.eye(2 * r)
     if cfg.scheme == "stormer-verlet":
         def step(t, Z, h):
-            return _verlet_step_batch(sys, t, Z, h, cfg, want_jacobian)
+            return _verlet_step_batch(sys, t, Z, h, cfg, want_jacobian, eye)
     else:
         def step(t, Z, h):
-            return _midpoint_step_batch(sys, t, Z, h, cfg, want_jacobian, tangent_exact)
+            return _midpoint_step_batch(sys, t, Z, h, cfg, want_jacobian, tangent_exact, eye)
 
     span = t1 - t0
     n_steps = max(2, int(round(span / cfg.step)))
     h = span / n_steps
     grid = TimeGrid.uniform(n_steps, t0, t1)
     Z = np.concatenate([U0, P0], axis=1)
-    ok = np.all(np.isfinite(Z), axis=1)
-    jac = np.tile(np.eye(2 * r), (bsz, 1, 1)) if want_jacobian else None
+    ok = np.isfinite(Z).all(axis=1)
+    jac = np.tile(eye, (bsz, 1, 1)) if want_jacobian else None
     path_u = np.empty((n_steps + 1, bsz, r)) if store_path else None
     path_p = np.empty((n_steps + 1, bsz, r)) if store_path else None
     if store_path:
         path_u[0], path_p[0] = U0, P0
-    for k in range(n_steps):
-        t = t0 + k * h
-        Znew, step_ok, tangents = step(t, Z, h)
-        ok &= step_ok
-        with np.errstate(all="ignore"):
-            norms = np.max(np.abs(Znew[:, :r]), axis=1) + np.max(np.abs(Znew[:, r:]), axis=1)
-        ok &= np.isfinite(norms) & (norms <= cfg.blowup_threshold)
-        Z = np.where(ok[:, None], Znew, Z)
-        if want_jacobian:
-            upd = np.einsum("bij,bjk->bik", np.where(ok[:, None, None], tangents, 0.0), jac)
-            jac = np.where(ok[:, None, None], upd, jac)
-        if store_path:
-            path_u[k + 1], path_p[k + 1] = Z[:, :r], Z[:, r:]
+    with np.errstate(all="ignore"):
+        for k in range(n_steps):
+            t = t0 + k * h
+            Znew, step_ok, tangents = step(t, Z, h)
+            norms = np.abs(Znew[:, :r]).max(axis=1) + np.abs(Znew[:, r:]).max(axis=1)
+            ok &= step_ok & np.isfinite(norms) & (norms <= cfg.blowup_threshold)
+            if ok.all():
+                Z = Znew
+                if want_jacobian:
+                    jac = np.einsum("bij,bjk->bik", tangents, jac)
+            else:
+                Z = np.where(ok[:, None], Znew, Z)
+                if want_jacobian:
+                    upd = np.einsum("bij,bjk->bik", tangents, jac)
+                    jac = np.where(ok[:, None, None], upd, jac)
+            if store_path:
+                path_u[k + 1], path_p[k + 1] = Z[:, :r], Z[:, r:]
     path = (path_u, path_p) if store_path else None
     return grid, path, Z[:, :r], Z[:, r:], ok, jac

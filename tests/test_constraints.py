@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from phasebound.constraints import (
+    ConstraintSpec,
     ExtendedState,
     check_dsigma,
     check_hamiltonian_descends,
@@ -302,6 +303,26 @@ class TestConstrainedIntegration:
             integrate_constrained(planar_height(), circ, [0.0, 0.0], [0.0],
                                   IntegratorConfig())
         assert err.value.t == 0.0
+
+    def test_difference_states_do_not_count_as_path_states(self):
+        # H = (|u|^2 + |p|^2)/2 with p = (e, 0): u_2 stays 0 on the path, so the
+        # tangency residual dH/du_2 is 0 there; the Newton linearization
+        # displaces u_2 by 1e-7, where the residual is 1e-7 and past the bound
+        osc = HamiltonianSystem(
+            config=ConfigSpace(2),
+            hamiltonian=lambda t, u, p: 0.5 * np.sum(u * u + p * p, axis=-1),
+            grad_u=lambda t, u, p: np.asarray(u, dtype=float),
+            grad_p=lambda t, u, p: np.asarray(p, dtype=float),
+            name="planar-oscillator",
+        )
+        axis = ConstraintSpec(k_dim=1, sigma=lambda e: np.array([e[0], 0.0]),
+                              dsigma=lambda e: np.array([[1.0], [0.0]]), name="axis")
+        res = integrate_constrained(osc, axis, [0.3, 0.0], [0.5], IntegratorConfig())
+        assert res.completed
+        assert res.max_tangency_residual == 0.0
+        # (u_1, e) is a unit oscillator
+        np.testing.assert_allclose(res.trajectory.positions[-1],
+                                   [0.3 * np.cos(1.0) + 0.5 * np.sin(1.0), 0.0], atol=1e-6)
 
     def test_custom_gauge_shifts_velocity_and_reports_polar_residual(self):
         # any multiplier can be supplied; its polar residual is reported,

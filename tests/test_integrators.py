@@ -1,14 +1,18 @@
 """One-step maps, flows, tangent flows, blow-up handling."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasebound import integrators
 from phasebound.errors import (
     DimensionMismatchError,
     FlowIncompleteError,
+    NewtonConvergenceError,
     NotSeparableError,
 )
 from phasebound.integrators import (
@@ -348,3 +352,83 @@ class TestBatchedMidpointFallback:
         assert ok_alone[0] and ok[0]
         assert np.array_equal(Z2[0], Z2_alone[0])
         assert np.array_equal(tangents[0], tangents_alone[0])
+
+
+SCHEMES = (IntegratorConfig(), IntegratorConfig(scheme="stormer-verlet"))
+
+
+class TestMaskedMembers:
+    # quartic: (4, 8) lies on the growing zero-energy branch and escapes at
+    # t = 1/2; the other members stay bounded on [0, 1]
+    ordinary_u = np.array([[0.3], [-0.6], [0.05], [1.0], [-0.2]])
+    ordinary_p = np.array([[0.2], [1.1], [-0.4], [-0.5], [0.01]])
+
+    @pytest.mark.parametrize("cfg", SCHEMES, ids=lambda c: c.scheme)
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_failing_members_leave_the_others_bit_identical(self, cfg, with_nan):
+        quartic = make_quartic().system
+        U0 = np.vstack([[[4.0]], self.ordinary_u] + ([[[0.5]]] if with_nan else []))
+        P0 = np.vstack([[[8.0]], self.ordinary_p] + ([[[np.nan]]] if with_nan else []))
+        expected_ok = [False] + [True] * len(self.ordinary_u) + ([False] if with_nan else [])
+        for want_jacobian in (False, True):
+            for store_path in (False, True):
+                _, path, U1, P1, ok, jac = flow_batch(
+                    quartic, U0, P0, cfg, want_jacobian=want_jacobian, store_path=store_path)
+                assert ok.tolist() == expected_ok
+                # the escaping member is held at its last state under the threshold
+                assert abs(U1[0, 0]) + abs(P1[0, 0]) <= cfg.blowup_threshold
+                if store_path:
+                    assert np.isfinite(path[0][:, 0]).all() and np.isfinite(path[1][:, 0]).all()
+                for b in range(1, len(self.ordinary_u) + 1):
+                    _, path1, U1s, P1s, ok1, jac1 = flow_batch(
+                        quartic, U0[b:b + 1], P0[b:b + 1], cfg,
+                        want_jacobian=want_jacobian, store_path=store_path)
+                    assert ok1[0]
+                    assert np.array_equal(U1[b], U1s[0]) and np.array_equal(P1[b], P1s[0])
+                    if want_jacobian:
+                        assert np.array_equal(jac[b], jac1[0])
+                    if store_path:
+                        assert np.array_equal(path[0][:, b], path1[0][:, 0])
+                        assert np.array_equal(path[1][:, b], path1[1][:, 0])
+
+
+class TestErrstateContract:
+    @pytest.mark.parametrize("cfg", SCHEMES, ids=lambda c: c.scheme)
+    def test_escaping_and_overflowing_members_warn_nothing(self, cfg):
+        quartic = make_quartic().system
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok = flow_batch(quartic, [[4.0], [1e200], [0.3]], [[8.0], [1e200], [0.2]], cfg,
+                            want_jacobian=True, store_path=True)[4]
+            assert ok.tolist() == [False, False, True]
+            with pytest.raises(NewtonConvergenceError):
+                step_stormer_verlet(quartic, 0.0, [1e200], [0.0], 0.1)
+        assert np.geterr() == before
+
+    def test_settings_restored_when_flow_raises(self):
+        before = np.geterr()
+        with pytest.raises(NotSeparableError):
+            flow_batch(make_cotangent_lift().system, [[1.0]], [[1.0]], SCHEMES[1])
+        assert np.geterr() == before
+
+
+class TestTangentSymplecticity:
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["pendulum", "quartic", "free-particle"]),
+           scheme=st.sampled_from(["implicit-midpoint", "stormer-verlet"]),
+           step=st.floats(0.01, 0.25), width=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_flow_batch_tangent_is_symplectic(self, name, scheme, step, width, seed):
+        system = {"pendulum": make_pendulum, "quartic": make_quartic,
+                  "free-particle": lambda: make_free_particle(dim=2)}[name]().system
+        # |u0|, |p0| <= 0.8 keeps the quartic well away from escape on [0, 1]
+        bound = 0.8 if name == "quartic" else 3.0
+        rng = np.random.default_rng(seed)
+        U0 = rng.uniform(-bound, bound, (width, system.dim))
+        P0 = rng.uniform(-bound, bound, (width, system.dim))
+        cfg = IntegratorConfig(scheme=scheme, step=step)
+        ok, jac = flow_batch(system, U0, P0, cfg, want_jacobian=True)[4:]
+        assert ok.all()
+        for b in range(width):
+            scale = max(1.0, float(np.abs(jac[b]).max()) ** 2)
+            assert symplecticity_defect(jac[b]) <= 1e-10 * scale
