@@ -38,12 +38,11 @@ from .core import (
 from .errors import (
     FlowIncompleteError,
     GridMismatchError,
-    NewtonConvergenceError,
     NonFiniteError,
     OffConstraintError,
     UnstableConstraintError,
 )
-from .integrators import Completed, IntegratorConfig, NewtonFailure, _midpoint_step
+from .integrators import Completed, IntegratorConfig, NewtonFailure, _midpoint_step_batch
 
 ON_CONSTRAINT_TOL = 1e-8
 
@@ -345,25 +344,27 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
         du = np.asarray(sys.grad_p(t, u, p), dtype=float) - lam_of_t(t)
         return np.concatenate([du, d_vec]), tan_res, grad_u
 
-    def field(t, y):
+    # field and linearize act on a batch of one state, as the midpoint step asks
+    def field(t, Y):
         # checked: the step's predictor and Newton iterates must keep tangency
         nonlocal tangency_worst
-        value, tan_res, grad_u = rhs(t, y)
+        value, tan_res, grad_u = rhs(t, Y[0])
         scale = 1.0 + float(np.abs(grad_u).max())
         tan_norm = float(np.abs(tan_res).max())
         tangency_worst = max(tangency_worst, tan_norm)
         if tan_norm > spec.rank_tol * scale * 1e2:
             raise UnstableConstraintError(t, tan_norm)
-        return value
+        return value[None]
 
-    def linearize(t, y):
+    def linearize(t, Y):
         # central differences of the field with step 1e-7, one column per
         # coordinate; unchecked, since the displaced states are off the path
-        jac = np.empty((y.size, y.size))
+        y = Y[0]
+        jac = np.empty((1, y.size, y.size))
         for j in range(y.size):
             e = np.zeros(y.size)
             e[j] = 1e-7
-            jac[:, j] = (rhs(t, y + e)[0] - rhs(t, y - e)[0]) / 2e-7
+            jac[0, :, j] = (rhs(t, y + e)[0] - rhs(t, y - e)[0]) / 2e-7
         return jac
 
     # the initial state must pass the constraint algorithm
@@ -378,14 +379,15 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     ys[0] = np.concatenate([u0, e0])
     status = Completed()
     last = n_steps
-    for i in range(n_steps):
-        t = i * h
-        try:
-            ys[i + 1], _ = _midpoint_step(field, linearize, t, ys[i], h, cfg)
-        except NewtonConvergenceError:
-            status = NewtonFailure(t=t)
-            last = i
-            break
+    with np.errstate(all="ignore"):
+        for i in range(n_steps):
+            t = i * h
+            y_next, ok, _ = _midpoint_step_batch(field, linearize, t, ys[i:i + 1], h, cfg, False)
+            if not ok[0]:
+                status = NewtonFailure(t=t)
+                last = i
+                break
+            ys[i + 1] = y_next[0]
     if last == 0:
         raise FlowIncompleteError(status)
     ys = ys[:last + 1]

@@ -1,17 +1,23 @@
 """Fixed-step symplectic integration of Hamilton's equations on [0, 1].
 
-Two one-step maps are provided: the implicit midpoint rule (general H,
-Newton-solved) and Stormer-Verlet (separable H only).  Both are second
-order and symplectic.  Tangent flows are accumulated from the exact
-derivative of each discrete step (for the midpoint rule, the Cayley
-transform obtained by differentiating the Newton fixed point), so the
-computed monodromy matrices are symplectic to solver tolerance.  The
-batched engine ``flow_batch`` steps with the same configured scheme.
+One stepping engine, ``flow_batch``, advances a batch of states with one
+of two one-step maps: the implicit midpoint rule (general H, solved by
+Newton iteration with its matrix frozen at the predictor) or
+Stormer-Verlet (separable H only, explicit).  Both are second order and
+symplectic (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+VI.3).  Tangent flows are accumulated from the exact derivative of each
+discrete step (for the midpoint rule, the Cayley transform obtained by
+differentiating the Newton fixed point), so the computed monodromy
+matrices are symplectic to solver tolerance.  Single flows
+(``flow_with_jacobian``, ``integrate_flow``, ``flow_jacobian``), the
+public one-step maps and the constrained integrator are batches of one.
 
 Finite-time escape is a legitimate outcome, reported as a BlowUp status
 with the threshold-crossing time rather than raised as an error.  The
 sup-norm threshold is a numerical proxy for "the flow fails to exist";
-it is surfaced in results, never hidden.
+it is surfaced in results, never hidden.  A flow that reports statuses
+retries a failed step on halved substeps to localize where it stops; a
+flow that does not (shooting) drops a member at its first failed step.
 """
 
 from __future__ import annotations
@@ -85,187 +91,58 @@ class FlowResult:
         return isinstance(self.status, Completed)
 
 
-def state_norm(u, p):
-    """Sup-norm size of a phase-space state, max|u| + max|p|."""
-    return float(np.max(np.abs(u)) + np.max(np.abs(p)))
-
-
-def _field(sys, t, z):
-    r = z.shape[-1] // 2
-    u, p = z[..., :r], z[..., r:]
-    du = np.asarray(sys.grad_p(t, u, p), dtype=float)
-    dp = -np.asarray(sys.grad_u(t, u, p), dtype=float)
-    return np.concatenate([du, dp], axis=-1)
-
-
-class _Escape(Exception):
-    """Internal signal: the state crossed the blow-up threshold."""
-
-    def __init__(self, t, z):
-        self.t = t
-        self.z = z
-
-
 # ---------------------------------------------------------------------------
 # One-step maps
 # ---------------------------------------------------------------------------
 
-def _midpoint_step(field, linearize, t, z, h, cfg, want_tangent=False):
-    """One implicit-midpoint step from z at time t for dz/dt = field(t, z).
-
-    Solves z' = z + h field(t + h/2, (z + z')/2) by full Newton iteration,
-    with the Newton matrix I - h/2 linearize(t + h/2, m) at every iterate
-    midpoint m; one extra polish update is applied after the residual test
-    passes, so the returned state sits at the fixed point to roundoff.  The
-    tangent is the Cayley transform of the linearization at the converged
-    midpoint.  Raises NewtonConvergenceError on a non-finite iterate, a
-    singular Newton matrix or a stall.
-    """
-    eye = np.eye(z.size)
-    z2 = z + h * field(t, z)
-    for _ in range(cfg.newton_max_iter):
-        m = 0.5 * (z + z2)
-        if not np.all(np.isfinite(m)):
-            raise NewtonConvergenceError(f"midpoint iterate not finite at t={t}")
-        g = z2 - z - h * field(t + 0.5 * h, m)
-        if not np.all(np.isfinite(g)):
-            raise NewtonConvergenceError(f"midpoint residual not finite at t={t}")
-        try:
-            delta = np.linalg.solve(eye - 0.5 * h * linearize(t + 0.5 * h, m), -g)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonConvergenceError(f"singular Newton matrix at t={t}") from exc
-        z2 = z2 + delta
-        scale = 1.0 + max(np.max(np.abs(z)), np.max(np.abs(z2)))
-        if np.max(np.abs(g)) <= cfg.newton_tol * scale:
-            break
-    else:
-        raise NewtonConvergenceError(f"midpoint Newton stalled at t={t}")
-    if not want_tangent:
-        return z2, None
-    a_mid = linearize(t + 0.5 * h, 0.5 * (z + z2))
-    return z2, np.linalg.solve(eye - 0.5 * h * a_mid, eye + 0.5 * h * a_mid)
-
-
-def _hamiltonian_midpoint_step(sys, t, z, h, cfg, want_tangent=False):
-    """Implicit midpoint for Hamilton's equations of ``sys``."""
-    r = z.size // 2
-
-    def linearize(tt, m):
-        return linearized_field_matrix(sys, tt, m[:r], m[r:], cfg.hessian_fd_step)
-
-    return _midpoint_step(lambda tt, y: _field(sys, tt, y), linearize, t, z, h, cfg, want_tangent)
-
-
-def _verlet_step(sys, t, z, h, cfg, want_tangent=False):
-    """Kick-drift-kick composition for separable H = T(p) + V(u)."""
+def _one_step(sys, scheme, t, u, p, h, cfg):
+    r = sys.dim
+    z = np.concatenate([as_point(u, r), as_point(p, r)])[None]
     with np.errstate(all="ignore"):
-        z2, ok, tangents = _verlet_step_batch(sys, t, z[None], h, cfg, want_tangent)
+        z2, ok, _ = _stepper(sys, scheme, cfg, False)(t, z, h)
     if not ok[0]:
-        raise NewtonConvergenceError(f"Verlet step not finite at t={t}")
-    return z2[0], (tangents[0] if want_tangent else None)
-
-
-def _step_once(sys, t, z, h, cfg, want_tangent=False):
-    if cfg.scheme == "stormer-verlet":
-        return _verlet_step(sys, t, z, h, cfg, want_tangent)
-    return _hamiltonian_midpoint_step(sys, t, z, h, cfg, want_tangent)
+        raise NewtonConvergenceError(f"{scheme} step failed at t={t}")
+    return z2[0, :r], z2[0, r:]
 
 
 def step_implicit_midpoint(sys: HamiltonianSystem, t, u, p, h, cfg: Optional[IntegratorConfig] = None):
     """Public one-step implicit midpoint map; returns (u', p')."""
     cfg = cfg or IntegratorConfig(step=min(h, 1.0))
-    r = sys.dim
-    z = np.concatenate([as_point(u, r), as_point(p, r)])
-    z2, _ = _hamiltonian_midpoint_step(sys, t, z, h, cfg)
-    return z2[:r], z2[r:]
+    return _one_step(sys, "implicit-midpoint", t, u, p, h, cfg)
 
 
 def step_stormer_verlet(sys: HamiltonianSystem, t, u, p, h, cfg: Optional[IntegratorConfig] = None):
     """Public one-step Stormer-Verlet map for separable systems."""
     cfg = cfg or IntegratorConfig(scheme="stormer-verlet", step=min(h, 1.0))
-    r = sys.dim
-    z = np.concatenate([as_point(u, r), as_point(p, r)])
-    z2, _ = _verlet_step(sys, t, z, h, cfg)
-    return z2[:r], z2[r:]
+    return _one_step(sys, "stormer-verlet", t, u, p, h, cfg)
 
 
 # ---------------------------------------------------------------------------
 # Flow over an interval
 # ---------------------------------------------------------------------------
 
-def _advance(sys, t, z, h, cfg, depth, want_tangent):
-    """Advance one interval of width h, halving the step on Newton failure.
-
-    Raises _Escape as soon as the state crosses the blow-up threshold and
-    NewtonConvergenceError if the smallest permitted substep still fails.
-    Returns (z_new, tangent_over_interval_or_None).
-    """
-    try:
-        z2, m = _step_once(sys, t, z, h, cfg, want_tangent)
-    except NewtonConvergenceError:
-        if depth >= cfg.max_step_halvings:
-            raise
-        z_mid, m1 = _advance(sys, t, z, 0.5 * h, cfg, depth + 1, want_tangent)
-        z_end, m2 = _advance(sys, t + 0.5 * h, z_mid, 0.5 * h, cfg, depth + 1, want_tangent)
-        return z_end, (m2 @ m1 if want_tangent else None)
-    r = z2.size // 2
-    if state_norm(z2[:r], z2[r:]) > cfg.blowup_threshold:
-        raise _Escape(t + h, z2)
-    return z2, m
-
-
 def flow_with_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig,
                        t0=0.0, t1=1.0, want_jacobian=True):
     """Integrate from (u0, p0) over [t0, t1], optionally with the tangent flow.
 
-    Returns (FlowResult, jacobian or None).  The jacobian is None whenever
-    the flow does not complete; if its first step fails, FlowIncompleteError.
+    A batch of one of ``flow_batch`` with statuses: a failed step is retried
+    on halved substeps, and an escape ends the trajectory at the state that
+    crossed the blow-up threshold.  Returns (FlowResult, jacobian or None).
+    The jacobian is None whenever the flow does not complete; if its first
+    step fails, FlowIncompleteError.
     """
     r = sys.dim
-    u0 = as_point(u0, r)
-    p0 = as_point(p0, r)
-
-    if sys.analytic_only:
-        grid, (path_u, path_p), _, _, _, jac = _analytic_batch(
-            sys, u0[None], p0[None], cfg, t0, t1, want_jacobian, store_path=True)
-        traj = Trajectory(grid, path_u[:, 0], path_p[:, 0])
-        return FlowResult(traj, Completed()), (jac[0] if want_jacobian else None)
-
-    span = t1 - t0
-    n_steps = max(2, int(round(span / cfg.step)))
-    h = span / n_steps
-    z = np.concatenate([u0, p0])
-    jac = np.eye(2 * r) if want_jacobian else None
-    times = [t0]
-    states = [z]
-    status = Completed()
-    for k in range(n_steps):
-        t = t0 + k * h
-        try:
-            z, m = _advance(sys, t, z, h, cfg, 0, want_jacobian)
-        except _Escape as esc:
-            times.append(esc.t)
-            states.append(esc.z)
-            status = BlowUp(t_escape=esc.t)
-            jac = None
-            break
-        except NewtonConvergenceError:
-            last = states[-1]
-            if state_norm(last[:r], last[r:]) > cfg.blowup_threshold / 10.0:
-                status = BlowUp(t_escape=t)
-            else:
-                status = NewtonFailure(t=t)
-            jac = None
-            break
-        if want_jacobian:
-            jac = m @ jac
-        times.append(t + h if k < n_steps - 1 else t1)
-        states.append(z)
-    if len(states) == 1:
+    grid, (path_u, path_p), _, _, _, jac, ((status, stop, crossing),) = flow_batch(
+        sys, as_point(u0, r), as_point(p0, r), cfg, t0, t1, want_jacobian,
+        store_path=True, statuses=True)
+    if stop == 0 and crossing is None:
         raise FlowIncompleteError(status)
-    states = np.stack(states)
-    traj = Trajectory(TimeGrid(np.asarray(times)), states[:, :r], states[:, r:])
-    return FlowResult(traj, status), jac
+    times, path_u, path_p = grid.nodes[:stop + 1], path_u[:stop + 1, 0], path_p[:stop + 1, 0]
+    if crossing is not None:
+        times = np.append(times, status.t_escape)
+        path_u, path_p = np.vstack([path_u, crossing[:r]]), np.vstack([path_p, crossing[r:]])
+    result = FlowResult(Trajectory(TimeGrid(times), path_u, path_p), status)
+    return result, (jac[0] if want_jacobian and result.completed else None)
 
 
 def integrate_flow(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig, t0=0.0, t1=1.0):
@@ -381,15 +258,22 @@ def _finite_or_zero(a_mat):
     return a_mat if finite.all() else np.where(finite, a_mat, 0.0)
 
 
-def _midpoint_step_batch(sys, t, Z, h, cfg, want_tangent, tangent_exact=True, eye=None):
-    """Implicit midpoint over a batch of states; returns (Z', ok, tangents).
+def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, tangent_exact=True,
+                         eye=None, live=None):
+    """Implicit midpoint for dZ/dt = field(t, Z) over a batch of states Z.
 
-    The Newton matrix is assembled once per step at the predictor midpoint
-    and frozen across iterations (the fixed point is unchanged; convergence
-    stays fast at integration step sizes).  Tangent maps are Cayley
-    transforms and therefore symplectic in either mode; ``tangent_exact``
-    re-evaluates the linearization at the converged midpoint, which makes
-    the tangent the exact derivative of the discrete step.
+    ``field(t, Z)`` returns one row of the vector field per row of Z, and
+    ``linearize(t, Z)`` one jacobian of it per row.  Returns (Z', ok,
+    tangents).  The Newton matrix is assembled once per step at the
+    predictor midpoint and frozen across iterations (the fixed point is
+    unchanged; convergence stays fast at integration step sizes), and the
+    update of the iteration that passes the residual test is still applied,
+    so Z' sits at the fixed point to roundoff.  Tangent maps are Cayley
+    transforms and therefore symplectic (for a Hamiltonian field) in either
+    mode; ``tangent_exact`` re-evaluates the linearization at the converged
+    midpoint, which makes the tangent the exact derivative of the discrete
+    step.  Members outside the optional mask ``live`` are not iterated and
+    come back not ok.
 
     While every member is ok and none has converged, the iteration runs
     unmasked; the masked updates take over once a member fails or
@@ -400,15 +284,17 @@ def _midpoint_step_batch(sys, t, Z, h, cfg, want_tangent, tangent_exact=True, ey
     bsz, two_r = Z.shape
     eye = np.eye(two_r) if eye is None else eye
     t_mid = t + 0.5 * h
-    Z2 = Z + h * _field_batch(sys, t, Z)
+    Z2 = Z + h * field(t, Z)
     ok = np.isfinite(Z2).all(axis=1)
+    if live is not None:
+        ok &= live
     lean = bool(ok.all())
     if lean:
         m0 = 0.5 * (Z + Z2)
     else:
         Z2 = np.where(ok[:, None], Z2, Z)
         m0 = np.where(ok[:, None], 0.5 * (Z + Z2), 0.0)
-    a_mat = _finite_or_zero(_linearized_batch(sys, t_mid, m0, cfg.hessian_fd_step))
+    a_mat = _finite_or_zero(linearize(t_mid, m0))
     newton_mat = eye - 0.5 * h * a_mat
     z_size = np.abs(Z).max(axis=1)
     done = np.zeros(bsz, dtype=bool)
@@ -417,7 +303,7 @@ def _midpoint_step_batch(sys, t, Z, h, cfg, want_tangent, tangent_exact=True, ey
             active = ok & ~done
             if not active.any():
                 break
-        g = Z2 - Z - h * _field_batch(sys, t_mid, 0.5 * (Z + Z2))
+        g = Z2 - Z - h * field(t_mid, 0.5 * (Z + Z2))
         gn = np.abs(g).max(axis=1)  # not finite exactly when a row of g is not
         scale = 1.0 + np.maximum(z_size, np.abs(Z2).max(axis=1))
         finite = np.isfinite(gn)
@@ -445,7 +331,7 @@ def _midpoint_step_batch(sys, t, Z, h, cfg, want_tangent, tangent_exact=True, ey
             m_final = 0.5 * (Z + Z2)
             if not ok.all():
                 m_final = np.where(ok[:, None], m_final, 0.0)
-            a_mat = _finite_or_zero(_linearized_batch(sys, t_mid, m_final, cfg.hessian_fd_step))
+            a_mat = _finite_or_zero(linearize(t_mid, m_final))
         half = 0.5 * h * a_mat
         tangents = _batch_solve(eye - half, eye + half)
     return Z2, ok, tangents
@@ -522,33 +408,99 @@ def _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path):
     return grid, path, path_u[-1], path_p[-1], ok, jac
 
 
+def _stepper(sys, scheme, cfg, want_tangent, tangent_exact=True, eye=None):
+    """step(t, Z, h, live=None) -> (Z', ok, tangents) of ``scheme`` for Hamilton's equations.
+
+    Members outside ``live`` are stepped but not Newton-iterated (the
+    Verlet step has no iteration to skip).
+    """
+    if scheme == "stormer-verlet":
+        return lambda t, Z, h, live=None: _verlet_step_batch(sys, t, Z, h, cfg, want_tangent, eye)
+
+    def field(t, Z):
+        return _field_batch(sys, t, Z)
+
+    def linearize(t, Z):
+        return _linearized_batch(sys, t, Z, cfg.hessian_fd_step)
+
+    return lambda t, Z, h, live=None: _midpoint_step_batch(
+        field, linearize, t, Z, h, cfg, want_tangent, tangent_exact, eye, live)
+
+
+def _sup_norms(Z):
+    """max|u| + max|p| of every row (u, p) of Z."""
+    r = Z.shape[1] // 2
+    return np.abs(Z[:, :r]).max(axis=1) + np.abs(Z[:, r:]).max(axis=1)
+
+
+def _stop_status(z, t, cfg):
+    """Status of a member whose step from the one-row batch z at t failed for good.
+
+    A state already over a tenth of the blow-up threshold is escaping, and
+    the failure is reported as its BlowUp at t.
+    """
+    if _sup_norms(z)[0] > cfg.blowup_threshold / 10.0:
+        return BlowUp(t_escape=t)
+    return NewtonFailure(t=t)
+
+
+def _halves(step, t, z, h, depth, cfg):
+    """Redo the failed step [t, t + h] of the one-row batch z as two steps of h/2.
+
+    A half that fails is split in turn, down to ``cfg.max_step_halvings``
+    halvings (``depth`` counts those already made).  Returns (z', tangent,
+    t_cross): the state at t + h with the tangent over the step (None
+    without tangents) and t_cross None; or the first substep state over the
+    blow-up threshold, with the end t_cross of its substep; or z' None if a
+    substep still fails at the deepest halving.
+    """
+    if depth == cfg.max_step_halvings:
+        return None, None, None
+    tangent = None
+    for t_sub in (t, t + 0.5 * h):
+        z2, ok, m = step(t_sub, z, 0.5 * h)
+        t_cross = t_sub + 0.5 * h
+        if not ok[0]:
+            z2, m, t_cross = _halves(step, t_sub, z, 0.5 * h, depth + 1, cfg)
+            if z2 is None or t_cross is not None:
+                return z2, None, t_cross
+        elif not _sup_norms(z2)[0] <= cfg.blowup_threshold:
+            return z2, None, t_cross
+        z = z2
+        tangent = m if tangent is None else m @ tangent
+    return z, tangent, None
+
+
 def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
                t0=0.0, t1=1.0, want_jacobian=False, store_path=False,
-               tangent_exact=True):
+               tangent_exact=True, statuses=False):
     """Integrate a batch of initial states over [t0, t1] simultaneously.
 
     Steps with ``cfg.scheme``: the implicit midpoint rule, or Stormer-Verlet
     (which raises NotSeparableError for a system not declared separable).
     Closed-form (``analytic_only``) systems are evaluated, not stepped, and
-    their grid is sampled only when ``store_path`` asks for the path.  No
-    step-halving fallback: members whose Newton solve fails or that cross
-    the blow-up threshold are flagged out via the ``ok`` mask.  Returns
-    (grid, path or None, U1, P1, ok, jacobians or None) where path is a pair
-    of (n_nodes, batch, r) arrays.  ``tangent_exact`` applies to the
-    midpoint rule only (see _midpoint_step_batch).
+    their grid is sampled only when ``store_path`` asks for the path.
+    Members whose step fails or that cross the blow-up threshold are flagged
+    out via the ``ok`` mask and held at their last state; once no member is
+    ok the flow stops.  Returns (grid, path or None, U1, P1, ok, jacobians
+    or None) where path is a pair of (n_nodes, batch, r) arrays.
+    ``tangent_exact`` applies to the midpoint rule only (see
+    _midpoint_step_batch).
+
+    With ``statuses``, a member's failed step is first retried on halved
+    substeps (see _halves), and a 7th element gives one (status, stop,
+    crossing) per member: Completed, BlowUp(t_escape) or NewtonFailure(t);
+    the node index up to which its path is its own; and the state that
+    crossed the blow-up threshold at t_escape, or None.
     """
     U0 = np.atleast_2d(np.asarray(U0, dtype=float))
     P0 = np.atleast_2d(np.asarray(P0, dtype=float))
     bsz, r = U0.shape
     if sys.analytic_only:
-        return _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
+        out = _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
+        return out + ([(Completed(), len(out[0]) - 1, None)] * bsz,) if statuses else out
     eye = np.eye(2 * r)
-    if cfg.scheme == "stormer-verlet":
-        def step(t, Z, h):
-            return _verlet_step_batch(sys, t, Z, h, cfg, want_jacobian, eye)
-    else:
-        def step(t, Z, h):
-            return _midpoint_step_batch(sys, t, Z, h, cfg, want_jacobian, tangent_exact, eye)
+    step = _stepper(sys, cfg.scheme, cfg, want_jacobian, tangent_exact, eye)
 
     span = t1 - t0
     n_steps = max(2, int(round(span / cfg.step)))
@@ -556,6 +508,10 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
     grid = TimeGrid.uniform(n_steps, t0, t1)
     Z = np.concatenate([U0, P0], axis=1)
     ok = np.isfinite(Z).all(axis=1)
+    live = None if ok.all() else ok  # the members worth iterating, None for all
+    if statuses:
+        report = [(Completed(), n_steps, None) if ok[b]
+                  else (_stop_status(Z[b:b + 1], t0, cfg), 0, None) for b in range(bsz)]
     jac = np.tile(eye, (bsz, 1, 1)) if want_jacobian else None
     path_u = np.empty((n_steps + 1, bsz, r)) if store_path else None
     path_p = np.empty((n_steps + 1, bsz, r)) if store_path else None
@@ -564,19 +520,36 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
     with np.errstate(all="ignore"):
         for k in range(n_steps):
             t = t0 + k * h
-            Znew, step_ok, tangents = step(t, Z, h)
-            norms = np.abs(Znew[:, :r]).max(axis=1) + np.abs(Znew[:, r:]).max(axis=1)
-            ok &= step_ok & np.isfinite(norms) & (norms <= cfg.blowup_threshold)
+            Znew, step_ok, tangents = step(t, Z, h, live)
+            was_ok, ok = ok, ok & step_ok & (_sup_norms(Znew) <= cfg.blowup_threshold)
             if ok.all():
                 Z = Znew
                 if want_jacobian:
                     jac = np.einsum("bij,bjk->bik", tangents, jac)
             else:
+                if statuses:
+                    for b in np.flatnonzero(was_ok & ~ok):
+                        z, m, t_cross = Znew[b:b + 1], None, t + h
+                        if not step_ok[b]:
+                            z, m, t_cross = _halves(step, t, Z[b:b + 1], h, 0, cfg)
+                        if z is None:
+                            report[b] = (_stop_status(Z[b:b + 1], t, cfg), k, None)
+                        elif t_cross is not None:
+                            report[b] = (BlowUp(t_escape=t_cross), k, z[0])
+                        else:
+                            ok[b], Znew[b] = True, z[0]
+                            if want_jacobian:
+                                tangents[b] = m[0]
+                if not ok.any():
+                    if store_path:
+                        path_u[k + 1:], path_p[k + 1:] = Z[:, :r], Z[:, r:]
+                    break
+                live = ok
                 Z = np.where(ok[:, None], Znew, Z)
                 if want_jacobian:
                     upd = np.einsum("bij,bjk->bik", tangents, jac)
                     jac = np.where(ok[:, None, None], upd, jac)
             if store_path:
                 path_u[k + 1], path_p[k + 1] = Z[:, :r], Z[:, r:]
-    path = (path_u, path_p) if store_path else None
-    return grid, path, Z[:, :r], Z[:, r:], ok, jac
+    out = (grid, (path_u, path_p) if store_path else None, Z[:, :r], Z[:, r:], ok, jac)
+    return out + (report,) if statuses else out

@@ -25,7 +25,7 @@ from .core import (
     boundary_omega_matrix,
 )
 from .errors import BranchLostError, FlowIncompleteError
-from .integrators import IntegratorConfig, flow_with_jacobian
+from .integrators import Completed, IntegratorConfig, flow_batch, flow_with_jacobian
 # solve_dirichlet stays bound here: perfbench/tracer.py hooks it under this module
 from .shooting import ShootingConfig, _continue_branch, _continued, solve_dirichlet_many
 from .shooting import solve_dirichlet  # noqa: F401
@@ -65,7 +65,7 @@ def tangent_frame_flow(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig):
     """Tangent frame (I; DPhi_1) to the graph of the time-1 flow at (u0, p0).
 
     Returns a (4r, 2r) matrix in (du0, dp0, du1, dp1) row layout, or None if
-    the flow does not complete.
+    the flow does not complete; the one-point case of isotropy_defect_flow.
     """
     r = sys.dim
     try:
@@ -81,21 +81,25 @@ def isotropy_defect_flow(sys: HamiltonianSystem, initial_points, cfg: Integrator
                          seed=None):
     """Isotropy and rank of flow-graph tangent frames at sampled initial states.
 
-    Points at which the flow does not complete are reported as inapplicable
-    (the global-flow hypothesis fails there) rather than as failures.
+    All points are flown as one batch.  Points at which the flow does not
+    complete are reported as inapplicable (the global-flow hypothesis fails
+    there) rather than as failures.
     """
+    r = sys.dim
+    points = list(initial_points)
+    U0 = np.array([as_point(u0, r) for u0, _ in points]).reshape(-1, r)
+    P0 = np.array([as_point(p0, r) for _, p0 in points]).reshape(-1, r)
+    *_, jacs, statuses = flow_batch(sys, U0, P0, cfg, want_jacobian=True, statuses=True)
     defect = 0.0
     rank = None
     inapplicable = []
     n_ok = 0
-    for point in initial_points:
-        u0, p0 = point
-        frame, status = tangent_frame_flow(sys, u0, p0, cfg)
-        if frame is None:
+    for (u0, p0), jac, (status, _, _) in zip(points, jacs, statuses):
+        if not isinstance(status, Completed):
             inapplicable.append((np.asarray(u0).tolist(), np.asarray(p0).tolist(),
                                  repr(status)))
             continue
-        d, rk = frame_defect_and_rank(frame)
+        d, rk = frame_defect_and_rank(np.vstack([np.eye(2 * r), jac]))
         defect = max(defect, d)
         rank = rk if rank is None else min(rank, rk)
         n_ok += 1

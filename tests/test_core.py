@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasebound.core import (
     BoundaryPoint,
@@ -11,6 +13,7 @@ from phasebound.core import (
     Trajectory,
     action_functional,
     alpha_eval,
+    boundary_omega_matrix,
     boundary_projection,
     el_residual,
     grid_derivative,
@@ -168,6 +171,18 @@ class TestBoundaryForms:
             assert abs(omega_eval(v, w) + omega_eval(w, v)) <= 1e-14
             assert omega_eval(v, v) == 0.0
 
+    @settings(max_examples=50, deadline=None)
+    @given(r=st.integers(1, 5), seed=st.integers(0, 2**16))
+    def test_omega_matrix_antisymmetric(self, r, seed):
+        # the matrix is exactly antisymmetric and is the matrix of omega_eval
+        m = boundary_omega_matrix(r)
+        assert np.array_equal(m.T, -m)
+        rng = np.random.default_rng(seed)
+        v, w = rng.normal(size=(2, 4 * r))
+        form = omega_eval(BoundaryTangent(*v.reshape(4, r)), BoundaryTangent(*w.reshape(4, r)))
+        assert abs(v @ m @ w - form) <= 1e-12
+        assert abs(v @ m @ w + w @ m @ v) <= 1e-12
+
     def test_omega_nondegenerate_on_basis(self):
         basis = [BoundaryTangent(*np.eye(8)[i].reshape(4, 2)) for i in range(8)]
         for v in basis:
@@ -254,6 +269,15 @@ class TestTypes:
         cfg = ConfigSpace(2, kinds=("angular", "linear"))
         d = cfg.wrap_diff([2 * np.pi + 0.1, 2 * np.pi + 0.1], [0.0, 0.0])
         np.testing.assert_allclose(d, [0.1, 2 * np.pi + 0.1], atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.floats(-1e6, 1e6))
+    def test_wrap_angle_range(self, d):
+        # the result lies in (-pi, pi] and differs from d by a multiple of 2 pi
+        w = float(wrap_angle(d))
+        assert -np.pi < w <= np.pi
+        turns = (d - w) / (2 * np.pi)
+        assert abs(turns - round(turns)) <= 1e-9 * max(1.0, abs(d))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -131,6 +131,24 @@ class TestIntegrateFlow:
         np.testing.assert_allclose(res.trajectory.positions[-1], [np.e], atol=1e-8)
         np.testing.assert_allclose(res.trajectory.momenta[-1], [1 / np.e], atol=1e-8)
 
+    def test_matches_fixed_point_oracle_flow(self):
+        # independent solve of every step of a 200-step pendulum flow by plain
+        # fixed-point iteration of the midpoint equations
+        h = 1.0 / 200
+        z = np.array([0.3, 1.2])
+        states = [z]
+        for _ in range(200):
+            z2 = z.copy()
+            for _ in range(100):
+                m = 0.5 * (z + z2)
+                z2 = z + h * np.array([m[1], -np.sin(m[0])])
+            z = z2
+            states.append(z)
+        res = integrate_flow(make_pendulum().system, [0.3], [1.2], IntegratorConfig(step=h))
+        traj = res.trajectory
+        np.testing.assert_allclose(np.hstack([traj.positions, traj.momenta]), states,
+                                   rtol=0, atol=1e-12)
+
     def test_verlet_scheme_flow(self):
         pen = make_pendulum()
         cfg = IntegratorConfig(scheme="stormer-verlet", step=1e-3)
@@ -208,13 +226,18 @@ class TestSchemeProperties:
         slope = np.polyfit(np.log(steps), np.log(drifts), 1)[0]
         assert abs(slope - 2.0) <= 0.2
 
-    def test_flow_composition(self):
+    @settings(max_examples=25, deadline=None)
+    @given(scheme=st.sampled_from(["implicit-midpoint", "stormer-verlet"]),
+           k=st.integers(2, 98), u0=st.floats(-3.0, 3.0), p0=st.floats(-2.0, 2.0))
+    def test_flow_composition(self, scheme, k, u0, p0):
+        # flowing over [0, s] and then [s, 1], with s = k h on the grid, is the flow over [0, 1]
         pen = make_pendulum()
-        cfg = IntegratorConfig(step=2e-3)
-        full = integrate_flow(pen.system, [0.3], [0.9], cfg)
-        first = integrate_flow(pen.system, [0.3], [0.9], cfg, t0=0.0, t1=0.5)
+        cfg = IntegratorConfig(scheme=scheme, step=1e-2)
+        s = k * cfg.step
+        full = integrate_flow(pen.system, [u0], [p0], cfg)
+        first = integrate_flow(pen.system, [u0], [p0], cfg, t0=0.0, t1=s)
         u_m, p_m = first.trajectory.state(-1)
-        second = integrate_flow(pen.system, u_m, p_m, cfg, t0=0.5, t1=1.0)
+        second = integrate_flow(pen.system, u_m, p_m, cfg, t0=s, t1=1.0)
         np.testing.assert_allclose(
             full.trajectory.state(-1)[0], second.trajectory.state(-1)[0], atol=1e-12)
         np.testing.assert_allclose(
@@ -332,23 +355,26 @@ class TestBatchedVerlet:
 
 
 class TestBatchedMidpointFallback:
-    def test_singular_member_does_not_change_its_neighbours(self, monkeypatch):
+    def test_singular_member_does_not_change_its_neighbours(self):
         # A frozen linearization that makes I - h/2 A exactly singular for the
         # member at u = 100 and leaves the member at u = 0.3 regular.
         h = 0.1
         regular = np.array([[0.3, 1.0], [-0.7, 0.2]])
 
-        def linearized(sys, t, Z, fd_step):
+        def linearized(t, Z):
             far = Z[:, :1, None] > 50.0
             return np.where(far, (2.0 / h) * np.eye(2), regular)
 
-        monkeypatch.setattr(integrators, "_linearized_batch", linearized)
-        free = make_free_particle()
+        free = make_free_particle().system
+
+        def field(t, Z):
+            return integrators._field_batch(free, t, Z)
+
         Z = np.array([[0.3, 1.1], [100.0, 1.1]])
         Z2, ok, tangents = integrators._midpoint_step_batch(
-            free.system, 0.0, Z, h, IntegratorConfig(step=h), want_tangent=True)
+            field, linearized, 0.0, Z, h, IntegratorConfig(step=h), want_tangent=True)
         Z2_alone, ok_alone, tangents_alone = integrators._midpoint_step_batch(
-            free.system, 0.0, Z[:1], h, IntegratorConfig(step=h), want_tangent=True)
+            field, linearized, 0.0, Z[:1], h, IntegratorConfig(step=h), want_tangent=True)
         assert ok_alone[0] and ok[0]
         assert np.array_equal(Z2[0], Z2_alone[0])
         assert np.array_equal(tangents[0], tangents_alone[0])
@@ -390,6 +416,61 @@ class TestMaskedMembers:
                     if store_path:
                         assert np.array_equal(path[0][:, b], path1[0][:, 0])
                         assert np.array_equal(path[1][:, b], path1[1][:, 0])
+
+
+    def test_halving_is_per_member(self):
+        # (6, 18) escapes at t = 0.33329; at h = 1e-4 its Newton solve fails on
+        # the step from t = 0.3331, which only halved steps get through.  Up
+        # to t = 0.3332 it completes on them, up to t = 0.4 it escapes.
+        quartic = make_quartic().system
+        cfg = IntegratorConfig(step=1e-4, blowup_threshold=1e10)
+        U0 = np.vstack([[[6.0]], self.ordinary_u[:2]])
+        P0 = np.vstack([[[18.0]], self.ordinary_p[:2]])
+        for t1, fate in ((0.3332, Completed), (0.4, BlowUp)):
+            _, (path_u, path_p), _, _, ok, jac, report = flow_batch(
+                quartic, U0, P0, cfg, t1=t1, want_jacobian=True, store_path=True, statuses=True)
+            assert ok.tolist() == [fate is Completed, True, True]
+            assert isinstance(report[0][0], fate)
+            for b, (status, stop, crossing) in enumerate(report):
+                res, solo_jac = flow_with_jacobian(quartic, U0[b], P0[b], cfg, t1=t1)
+                traj = res.trajectory
+                assert status == res.status
+                assert len(traj.grid) == stop + 1 + (crossing is not None)
+                assert np.array_equal(traj.positions[:stop + 1], path_u[:stop + 1, b])
+                assert np.array_equal(traj.momenta[:stop + 1], path_p[:stop + 1, b])
+                if crossing is not None:
+                    assert np.array_equal(np.concatenate(traj.state(-1)), crossing)
+                if res.completed:
+                    assert np.array_equal(jac[b], solo_jac)
+            if fate is Completed:
+                # an account of the halved step apart from flow_batch's own:
+                # two public half steps from node 3331, and the tangent of a
+                # two-step flow over [0.3331, 0.3332] after the flow up to 0.3331
+                h = t1 / 3332
+                u, p = path_u[3331, 0], path_p[3331, 0]
+                u, p = step_implicit_midpoint(quartic, 3331 * h, u, p, 0.5 * h, cfg)
+                u, p = step_implicit_midpoint(quartic, 3331 * h + 0.5 * h, u, p, 0.5 * h, cfg)
+                assert np.array_equal([u, p], [path_u[-1, 0], path_p[-1, 0]])
+                before = flow_batch(quartic, U0[:1], P0[:1], cfg, t1=3331 * h,
+                                    want_jacobian=True)[5]
+                over = flow_batch(quartic, path_u[3331, :1], path_p[3331, :1], cfg, t0=3331 * h,
+                                  t1=t1, want_jacobian=True)[5]
+                np.testing.assert_allclose(jac[0], over[0] @ before[0], rtol=1e-9)
+
+        # without halving, the escaping member's first failed step is a NewtonFailure
+        no_halving = dataclasses.replace(cfg, max_step_halvings=0)
+        _, stopped_path, _, _, _, _, report = flow_batch(
+            quartic, U0, P0, no_halving, t1=0.4, store_path=True, statuses=True)
+        status, stop, crossing = report[0]
+        assert isinstance(status, NewtonFailure) and crossing is None
+        assert status.t == pytest.approx(stop * cfg.step)
+
+        # without statuses there is no halving: the member is dropped at that step
+        _, dropped_path, _, _, ok, _ = flow_batch(quartic, U0, P0, cfg, t1=0.4, store_path=True)
+        assert ok.tolist() == [False, True, True]
+        assert np.array_equal(dropped_path[0], stopped_path[0])
+        assert np.array_equal(dropped_path[1], stopped_path[1])
+        assert (dropped_path[0][stop:, 0] == dropped_path[0][stop, 0]).all()
 
 
 class TestErrstateContract:
