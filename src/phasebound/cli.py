@@ -36,7 +36,8 @@ from .constraints import (
     integrate_constrained,
     make_constraint,
 )
-from .errors import PhaseboundError, UnstableConstraintError
+from .core import as_point
+from .errors import DimensionMismatchError, PhaseboundError, UnstableConstraintError
 from .integrators import (
     BlowUp,
     Completed,
@@ -226,17 +227,26 @@ def _integrator_config(scenario, step_override=None):
         raise ScenarioError(f"bad integrator configuration: {exc}") from exc
 
 
-def _shooting_config(scenario, icfg):
+def _shooting_config(scenario, icfg, dim):
+    """The scenario's ShootingConfig; each explicit seed is one momentum of dimension dim."""
     kwargs = dict(scenario.get("shooting", {}))
-    if "seeds" in kwargs:
-        kwargs["seeds"] = tuple(np.atleast_1d(np.asarray(s, dtype=float))
-                                for s in kwargs["seeds"])
-    if "seed_box" in kwargs:
-        kwargs["seed_box"] = tuple(kwargs["seed_box"])
     try:
+        if "seeds" in kwargs:
+            kwargs["seeds"] = tuple(as_point(s, dim) for s in kwargs["seeds"])
+        if "seed_box" in kwargs:
+            kwargs["seed_box"] = tuple(kwargs["seed_box"])
         return ShootingConfig(integrator=icfg, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DimensionMismatchError) as exc:
         raise ScenarioError(f"bad shooting configuration: {exc}") from exc
+
+
+def _point_pair(pair, dim, where):
+    """Two points of dimension dim from a scenario's pair of values."""
+    try:
+        a, b = pair
+        return as_point(a, dim), as_point(b, dim)
+    except (TypeError, ValueError, DimensionMismatchError) as exc:
+        raise ScenarioError(f"{where} must be two points of dimension {dim}: {exc}") from exc
 
 
 def _status_dict(status):
@@ -257,8 +267,11 @@ def _task_flow(ex, scenario, icfg, scfg, seed):
     params = scenario.get("parameters", {})
     if "u0" not in params or "p0" not in params:
         raise ScenarioError("flow task needs parameters u0 and p0")
-    res = integrate_flow(ex.system, params["u0"], params["p0"], icfg,
-                         t0=params.get("t0", 0.0), t1=params.get("t1", 1.0))
+    u0, p0 = _point_pair((params["u0"], params["p0"]), ex.system.dim, "parameters u0 and p0")
+    t0, t1 = params.get("t0", 0.0), params.get("t1", 1.0)
+    if not (all(isinstance(t, (int, float)) for t in (t0, t1)) and 0.0 <= t0 < t1 <= 1.0):
+        raise ScenarioError(f"flow task needs 0 <= t0 < t1 <= 1, got t0={t0!r}, t1={t1!r}")
+    res = integrate_flow(ex.system, u0, p0, icfg, t0=t0, t1=t1)
     out = {
         "status": _status_dict(res.status),
         "final_time": float(res.trajectory.grid.nodes[-1]),
@@ -288,7 +301,7 @@ def _task_bvp(ex, scenario, icfg, scfg, seed):
     params = scenario.get("parameters", {})
     if "endpoints" not in params:
         raise ScenarioError("bvp task needs parameters.endpoints = [u0, u1]")
-    u0, u1 = params["endpoints"]
+    u0, u1 = _point_pair(params["endpoints"], ex.system.dim, "parameters.endpoints")
     sols = solve_dirichlet(ex.system, u0, u1, scfg)
     out = {
         "classification": {
@@ -310,7 +323,8 @@ def _task_bvp(ex, scenario, icfg, scfg, seed):
 
 def _endpoint_pairs(ex, params, seed):
     if "endpoint_pairs" in params:
-        return [(p[0], p[1]) for p in params["endpoint_pairs"]]
+        return [_point_pair(p, ex.system.dim, "each of parameters.endpoint_pairs")
+                for p in params["endpoint_pairs"]]
     count = int(params.get("sample_count", 10))
     lo, hi = params.get("box", (-1.0, 1.0))
     rng = np.random.default_rng(seed)
@@ -321,6 +335,8 @@ def _endpoint_pairs(ex, params, seed):
 def _task_classify(ex, scenario, icfg, scfg, seed):
     params = scenario.get("parameters", {})
     pairs = _endpoint_pairs(ex, params, seed)
+    if not pairs:
+        raise ScenarioError("classify task needs at least one endpoint pair")
     verdict = classify_theory(ex.system, pairs, scfg,
                               probe_radius=params.get("probe_radius", 1e-2))
     return {
@@ -338,7 +354,8 @@ def _task_isotropy(ex, scenario, icfg, scfg, seed):
     route = params.get("route", "flow")
     if route == "flow":
         if "points" in params:
-            points = [(p[0], p[1]) for p in params["points"]]
+            points = [_point_pair(p, ex.system.dim, "each of parameters.points")
+                      for p in params["points"]]
         else:
             points = sample_phase_points(ex.system.dim, int(params.get("sample_count", 10)),
                                          tuple(params.get("box", (-1.5, 1.5))), seed)
@@ -364,7 +381,7 @@ def _task_generating_function(ex, scenario, icfg, scfg, seed):
     params = scenario.get("parameters", {})
     if "endpoints" not in params:
         raise ScenarioError("generating-function task needs parameters.endpoints")
-    u0, u1 = params["endpoints"]
+    u0, u1 = _point_pair(params["endpoints"], ex.system.dim, "parameters.endpoints")
     rep = generating_function_check(ex.system, u0, u1, scfg,
                                     branch=int(params.get("branch", 0)),
                                     fd_step=params.get("fd_step", 1e-5))
@@ -385,7 +402,7 @@ def _task_lambda_study(ex, scenario, icfg, scfg, seed):
     if "lambdas" not in params or "endpoints" not in params:
         raise ScenarioError("lambda-study needs parameters.lambdas and parameters.endpoints")
     (X, dX, d2X, x_flow), dim = _field_from_params(scenario["system"]["params"])
-    u0, u1 = params["endpoints"]
+    u0, u1 = _point_pair(params["endpoints"], dim, "parameters.endpoints")
     report = topological_limit_study(params["lambdas"], u0, u1, scfg,
                                      X=X, dX=dX, d2X=d2X, dim=dim, x_flow=x_flow)
     rows = []
@@ -494,7 +511,7 @@ def run_scenario(path, out_dir=None, seed=None, step=None):
     os.makedirs(out_dir, exist_ok=True)
     icfg = _integrator_config(scenario, step_override=step)
     ex = _build_example(scenario)
-    scfg = _shooting_config(scenario, icfg)
+    scfg = _shooting_config(scenario, icfg, ex.system.dim)
     started = time.perf_counter()
     failure = None
     try:

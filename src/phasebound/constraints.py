@@ -33,6 +33,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_point,
+    central_difference,
     grid_derivative,
 )
 from .errors import (
@@ -70,17 +71,7 @@ class ConstraintSpec:
 
     def d2sigma_at(self, e, fd_step=1e-5):
         """Second derivative d2 sigma_a / de_i de_j by differences of dsigma."""
-        e = np.asarray(e, dtype=float)
-        k = self.k_dim
-        base = self.dsigma_at(e)
-        out = np.zeros((base.shape[0], k, k))
-        for j in range(k):
-            step = np.zeros(k)
-            step[j] = fd_step
-            dp = self.dsigma_at(e + step)
-            dm = self.dsigma_at(e - step)
-            out[:, :, j] = (dp - dm) / (2 * fd_step)
-        return out
+        return central_difference(self.dsigma_at, e, fd_step)
 
 
 @dataclass(frozen=True)
@@ -105,12 +96,8 @@ def check_dsigma(spec: ConstraintSpec, probes, fd_step=1e-6):
     worst = 0.0
     for e in probes:
         e = np.atleast_1d(np.asarray(e, dtype=float))
-        d = spec.dsigma_at(e)
-        for j in range(spec.k_dim):
-            step = np.zeros(spec.k_dim)
-            step[j] = fd_step
-            fd = (spec.sigma_at(e + step) - spec.sigma_at(e - step)) / (2 * fd_step)
-            worst = max(worst, float(np.abs(fd - d[:, j]).max()))
+        fd = central_difference(spec.sigma_at, e, fd_step)
+        worst = max(worst, float(np.abs(fd - spec.dsigma_at(e)).max()))
     return worst
 
 
@@ -276,11 +263,10 @@ def check_hamiltonian_descends(sys: HamiltonianSystem, spec: ConstraintSpec, pro
         e = np.atleast_1d(np.asarray(e, dtype=float))
         p = spec.sigma_at(e)
         basis = polar_space_basis(spec, e)
-        for idx in range(basis.shape[1]):
-            lam_hat = basis[:, idx]
-            plus = sys.hamiltonian(0.0, u + fd_step * lam_hat, p)
-            minus = sys.hamiltonian(0.0, u - fd_step * lam_hat, p)
-            worst = max(worst, abs(plus - minus) / (2 * fd_step))
+        if basis.shape[1]:
+            quotients = central_difference(lambda v: sys.hamiltonian(0.0, v, p), u, fd_step,
+                                           directions=basis.T)
+            worst = max(worst, float(np.abs(quotients).max()))
     return worst
 
 
@@ -357,15 +343,9 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
         return value[None]
 
     def linearize(t, Y):
-        # central differences of the field with step 1e-7, one column per
-        # coordinate; unchecked, since the displaced states are off the path
-        y = Y[0]
-        jac = np.empty((1, y.size, y.size))
-        for j in range(y.size):
-            e = np.zeros(y.size)
-            e[j] = 1e-7
-            jac[0, :, j] = (rhs(t, y + e)[0] - rhs(t, y - e)[0]) / 2e-7
-        return jac
+        # central differences of the field with step 1e-7; unchecked, since
+        # the displaced states are off the path
+        return central_difference(lambda y: rhs(t, y)[0], Y[0], 1e-7)[None]
 
     # the initial state must pass the constraint algorithm
     report = gotay_step(sys, spec, ExtendedState(u0, spec.sigma_at(e0), lam_of_t(0.0), e0))

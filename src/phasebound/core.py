@@ -145,29 +145,71 @@ def hamiltonian_vector_field(sys: HamiltonianSystem, t, u, p):
     return du, dp
 
 
-def _fd_hessian_block(grad, t, u, p, fd_step, wrt_u):
-    """Central differences of a gradient: [..., i, a] = d grad_i / d x_a."""
-    r = u.shape[-1]
-    cols = []
-    for a in range(r):
-        e = np.zeros(r)
-        e[a] = fd_step
-        if wrt_u:
-            gp = np.asarray(grad(t, u + e, p), dtype=float)
-            gm = np.asarray(grad(t, u - e, p), dtype=float)
+# Difference step of the Hessian blocks that a system leaves to differences.
+HESSIAN_FD_STEP = 1e-6
+
+
+def central_points(x, step):
+    """x + step e_a and x - step e_a for every coordinate a of x's last axis.
+
+    Returns shape (n, 2) + x.shape: direction by direction, + before -.
+    This is the order of every central difference in the package.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    e = step * np.eye(n).reshape((n,) + (1,) * (x.ndim - 1) + (n,))
+    return np.stack([x + e, x - e], axis=1)
+
+
+def central_quotient(pairs, step):
+    """(plus - minus) / (2 step) for values laid out as central_points' points."""
+    pairs = np.asarray(pairs, dtype=float)
+    return (pairs[:, 0] - pairs[:, 1]) / (2 * step)
+
+
+def central_difference(f, x, step, directions=None):
+    """Central differences of f at x, one column per direction on a new last axis.
+
+    The directions (rows of ``directions``; the unit vectors by default)
+    displace x's last axis, so leading batch axes of x pass through to f.
+    Columns are written into one preallocated array: the constrained
+    integrator calls this once per step.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    count = n if directions is None else len(directions)
+    out = None
+    for a in range(count):
+        if directions is None:
+            d = np.zeros(n)
+            d[a] = step
         else:
-            gp = np.asarray(grad(t, u, p + e), dtype=float)
-            gm = np.asarray(grad(t, u, p - e), dtype=float)
-        cols.append((gp - gm) / (2.0 * fd_step))
-    return np.stack(cols, axis=-1)
+            d = step * np.asarray(directions[a], dtype=float)
+        col = (np.asarray(f(x + d), dtype=float) - np.asarray(f(x - d), dtype=float)) / (2 * step)
+        if out is None:
+            out = np.empty(col.shape + (count,))
+        out[..., a] = col
+    return out
 
 
-def hessian_block(sys: HamiltonianSystem, block, t, u, p, fd_step=1e-6):
+def _gradient_differences(grad, t, u, p, wrt_u):
+    """Central differences of grad(t, u, p) in u or in p, with step HESSIAN_FD_STEP.
+
+    A function of its own because the closures it builds would give
+    hessian_block cell variables, which every call of it would pay for.
+    """
+    if wrt_u:
+        return central_difference(lambda v: grad(t, v, p), u, HESSIAN_FD_STEP)
+    return central_difference(lambda v: grad(t, u, v), p, HESSIAN_FD_STEP)
+
+
+def hessian_block(sys: HamiltonianSystem, block, t, u, p):
     """One second-derivative block of H at (t, u, p): "uu", "up" or "pp".
 
     The analytic callback is used when present; otherwise central differences
-    of the gradient (hess_up[a, b] = d(H_u)_a / d p_b).  Huu and Hpp are
-    symmetrized so that downstream tangent-flow maps are exactly symplectic.
+    of the gradient with step HESSIAN_FD_STEP (hess_up[a, b] = d(H_u)_a /
+    d p_b).  Huu and Hpp are symmetrized so that downstream tangent-flow maps
+    are exactly symplectic.
     """
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -180,27 +222,23 @@ def hessian_block(sys: HamiltonianSystem, block, t, u, p, fd_step=1e-6):
     if callback is not None:
         hess = np.asarray(callback(t, u, p), dtype=float)
     else:
-        hess = _fd_hessian_block(grad, t, u, p, fd_step, wrt_u)
+        hess = _gradient_differences(grad, t, u, p, wrt_u)
     if block == "up":
         return hess
     return 0.5 * (hess + hess.swapaxes(-2, -1))
 
 
-def hamiltonian_hessian(sys: HamiltonianSystem, t, u, p, fd_step=1e-6):
-    """Second-derivative blocks (Huu, Hup, Hpp) of H at (t, u, p); see hessian_block."""
-    return (hessian_block(sys, "uu", t, u, p, fd_step),
-            hessian_block(sys, "up", t, u, p, fd_step),
-            hessian_block(sys, "pp", t, u, p, fd_step))
-
-
-def linearized_field_matrix(sys: HamiltonianSystem, t, u, p, fd_step=1e-6):
+def linearized_field_matrix(sys: HamiltonianSystem, t, u, p):
     """Jacobian A of the Hamiltonian vector field X_H with respect to (u, p).
 
-    With symmetric Hessian blocks this matrix satisfies A^T J + J A = 0, so
-    the implicit-midpoint tangent map (a Cayley transform of A) is exactly
-    symplectic regardless of where A is evaluated.
+    Built from the blocks of hessian_block.  With symmetric Hessian blocks
+    this matrix satisfies A^T J + J A = 0, so the implicit-midpoint tangent
+    map (a Cayley transform of A) is exactly symplectic regardless of where
+    A is evaluated.
     """
-    huu, hup, hpp = hamiltonian_hessian(sys, t, u, p, fd_step)
+    huu = hessian_block(sys, "uu", t, u, p)
+    hup = hessian_block(sys, "up", t, u, p)
+    hpp = hessian_block(sys, "pp", t, u, p)
     r = huu.shape[-1]
     a_mat = np.empty(huu.shape[:-2] + (2 * r, 2 * r))
     a_mat[..., :r, :r] = hup.swapaxes(-2, -1)
@@ -223,12 +261,10 @@ def check_gradients(sys: HamiltonianSystem, probes, fd_step=1e-5):
         gu = np.asarray(sys.grad_u(t, u, p), dtype=float)
         gp = np.asarray(sys.grad_p(t, u, p), dtype=float)
         scale = 1.0 + max(np.abs(gu).max(), np.abs(gp).max())
-        for a in range(sys.dim):
-            e = np.zeros(sys.dim)
-            e[a] = fd_step
-            fd_u = (sys.hamiltonian(t, u + e, p) - sys.hamiltonian(t, u - e, p)) / (2 * fd_step)
-            fd_p = (sys.hamiltonian(t, u, p + e) - sys.hamiltonian(t, u, p - e)) / (2 * fd_step)
-            worst = max(worst, abs(fd_u - gu[a]) / scale, abs(fd_p - gp[a]) / scale)
+        fd_u = central_difference(lambda v: sys.hamiltonian(t, v, p), u, fd_step)
+        fd_p = central_difference(lambda v: sys.hamiltonian(t, u, v), p, fd_step)
+        worst = max(worst, float(np.max(np.abs(fd_u - gu) / scale)),
+                    float(np.max(np.abs(fd_p - gp) / scale)))
     return worst
 
 

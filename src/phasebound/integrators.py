@@ -33,6 +33,7 @@ from .core import (
     Trajectory,
     _eval_along,
     as_point,
+    central_difference,
     hessian_block,
     linearized_field_matrix,
 )
@@ -53,15 +54,14 @@ class IntegratorConfig:
     newton_max_iter: int = 50
     blowup_threshold: float = 1e8
     max_step_halvings: int = 26
-    hessian_fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.scheme not in ("implicit-midpoint", "stormer-verlet"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0.0 < self.step <= 1.0):
             raise ValueError("step must lie in (0, 1]")
-        if not (self.newton_tol > 0 and self.blowup_threshold > 0 and self.hessian_fd_step > 0):
-            raise ValueError("tolerances, thresholds and difference steps must be positive")
+        if not (self.newton_tol > 0 and self.blowup_threshold > 0):
+            raise ValueError("tolerances and thresholds must be positive")
         if self.newton_max_iter < 1 or self.max_step_halvings < 0:
             raise ValueError("need newton_max_iter >= 1 and max_step_halvings >= 0")
 
@@ -154,16 +154,11 @@ def integrate_flow(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig, t0=0.0
 def _fd_flow_jacobian(sys, u0, p0, span, delta=1e-6):
     """Central-difference flow jacobian for analytic-flow systems."""
     r = u0.size
-    cols = []
-    for idx in range(2 * r):
-        e = np.zeros(2 * r)
-        e[idx] = delta
-        up, pp = sys.analytic_flow(span, u0 + e[:r], p0 + e[r:])
-        um, pm = sys.analytic_flow(span, u0 - e[:r], p0 - e[r:])
-        zp = np.concatenate([np.atleast_1d(up), np.atleast_1d(pp)])
-        zm = np.concatenate([np.atleast_1d(um), np.atleast_1d(pm)])
-        cols.append((zp - zm) / (2 * delta))
-    return np.stack(cols, axis=1)
+
+    def flow(z):
+        return np.concatenate([np.atleast_1d(x) for x in sys.analytic_flow(span, z[:r], z[r:])])
+
+    return central_difference(flow, np.concatenate([u0, p0]), delta)
 
 
 def flow_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig, t0=0.0, t1=1.0):
@@ -225,9 +220,9 @@ def _field_batch(sys, t, Z):
     return np.concatenate([du, dp], axis=1)
 
 
-def _linearized_batch(sys, t, Z, fd_step):
+def _linearized_batch(sys, t, Z):
     r = Z.shape[1] // 2
-    return _eval_batch(sys, lambda tt, u, p: linearized_field_matrix(sys, tt, u, p, fd_step),
+    return _eval_batch(sys, lambda tt, u, p: linearized_field_matrix(sys, tt, u, p),
                        t, Z[:, :r], Z[:, r:])
 
 
@@ -337,7 +332,7 @@ def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, tangent_e
     return Z2, ok, tangents
 
 
-def _verlet_step_batch(sys, t, Z, h, cfg, want_tangent, eye=None):
+def _verlet_step_batch(sys, t, Z, h, want_tangent, eye=None):
     """Stormer-Verlet (kick-drift-kick) over a batch; returns (Z', ok, tangents).
 
     The step is explicit, so there is no Newton solve: ``ok`` flags members
@@ -362,9 +357,7 @@ def _verlet_step_batch(sys, t, Z, h, cfg, want_tangent, eye=None):
         return Z2, ok, None
 
     def hess(block, tt, UU, PP):
-        return _eval_batch(
-            sys, lambda t_, u, p: hessian_block(sys, block, t_, u, p, cfg.hessian_fd_step),
-            tt, UU, PP)
+        return _eval_batch(sys, lambda t_, u, p: hessian_block(sys, block, t_, u, p), tt, UU, PP)
 
     kick0 = np.tile(np.eye(two_r) if eye is None else eye, (bsz, 1, 1))
     drift, kick1 = kick0.copy(), kick0.copy()
@@ -415,13 +408,13 @@ def _stepper(sys, scheme, cfg, want_tangent, tangent_exact=True, eye=None):
     Verlet step has no iteration to skip).
     """
     if scheme == "stormer-verlet":
-        return lambda t, Z, h, live=None: _verlet_step_batch(sys, t, Z, h, cfg, want_tangent, eye)
+        return lambda t, Z, h, live=None: _verlet_step_batch(sys, t, Z, h, want_tangent, eye)
 
     def field(t, Z):
         return _field_batch(sys, t, Z)
 
     def linearize(t, Z):
-        return _linearized_batch(sys, t, Z, cfg.hessian_fd_step)
+        return _linearized_batch(sys, t, Z)
 
     return lambda t, Z, h, live=None: _midpoint_step_batch(
         field, linearize, t, Z, h, cfg, want_tangent, tangent_exact, eye, live)

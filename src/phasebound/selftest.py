@@ -19,6 +19,7 @@ from .core import (
     action_functional,
     alpha_eval,
     boundary_projection,
+    central_difference,
     el_pairing,
     omega_eval,
 )
@@ -82,13 +83,12 @@ def smooth_variation(rng, n_nodes=1000, amplitude=0.4):
 
 def action_variation_defect(sys, chi, delta_u, delta_p, fd_eps=1e-6):
     """|dS - (residual pairing + boundary one-form)| for one variation."""
-    def shifted(eps):
-        return Trajectory(chi.grid,
-                          chi.positions + eps * delta_u,
-                          chi.momenta + eps * delta_p)
+    def action_at(eps):
+        (eps,) = eps
+        return action_functional(sys, Trajectory(chi.grid, chi.positions + eps * delta_u,
+                                                 chi.momenta + eps * delta_p))
 
-    ds = (action_functional(sys, shifted(fd_eps))
-          - action_functional(sys, shifted(-fd_eps))) / (2 * fd_eps)
+    ds = float(central_difference(action_at, [0.0], fd_eps)[0])
     bulk = el_pairing(sys, chi, delta_u, delta_p)
     bp = boundary_projection(chi)
     tangent = BoundaryTangent(delta_u[0], delta_p[0], delta_u[-1], delta_p[-1])

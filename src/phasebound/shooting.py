@@ -31,6 +31,9 @@ from .core import (
     Trajectory,
     action_functional,
     as_point,
+    central_difference,
+    central_points,
+    central_quotient,
     trajectory_distance,
 )
 from .errors import (
@@ -74,7 +77,7 @@ class ShootingConfig:
             raise ValueError("newton_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.seed_box[0] < self.seed_box[1]:
+        if len(self.seed_box) != 2 or not self.seed_box[0] < self.seed_box[1]:
             raise ValueError("seed_box must be (lo, hi) with lo < hi")
         if not self.singular_cond >= 1:
             raise ValueError("singular_cond is a condition number, at least 1")
@@ -281,13 +284,8 @@ def _graph_jacobian(grad_F, u0, u1, jac, fd_step):
     """Derivative in (u0, p0) of the graph-type residual, from the flow jacobian
     ``jac`` at (u0, p0) and the Hessian of F by central differences of grad_F."""
     r = u0.size
-    w = np.concatenate([u0, u1])
-    hess = np.empty((2 * r, 2 * r))
-    for a in range(2 * r):
-        e = np.zeros(2 * r)
-        e[a] = fd_step
-        plus, minus = (_grad_F_at(grad_F, v[:r], v[r:]) for v in (w + e, w - e))
-        hess[:, a] = (plus - minus) / (2 * fd_step)
+    hess = central_difference(lambda w: _grad_F_at(grad_F, w[:r], w[r:]),
+                              np.concatenate([u0, u1]), fd_step)
     # d(dF/du0, dF/du1)/d(u0, p0) through d(u0, u1)/d(u0, p0) = [[I, 0], du1/d(u0, p0)]
     dgrad = hess @ np.vstack([np.eye(r, 2 * r), jac[:r]])
     return np.vstack([np.eye(r, 2 * r, r) + dgrad[:r], jac[r:] - dgrad[r:]])
@@ -463,12 +461,8 @@ def _continue_branch(sys, branches, cfg, fd_step):
     max_jump = 1e3 * fd_step
     rows = []
     for u0, u1, p0 in branches:
-        for end in (0, 1):
-            for a in range(r):
-                e = np.zeros(r)
-                e[a] = fd_step
-                for sgn in (+1.0, -1.0):
-                    rows.append((u0 + sgn * e, u1, p0) if end == 0 else (u0, u1 + sgn * e, p0))
+        rows += [(v, u1, p0) for v in central_points(u0, fd_step).reshape(2 * r, r)]
+        rows += [(u0, v, p0) for v in central_points(u1, fd_step).reshape(2 * r, r)]
     if not rows:
         return []
     U0, U1, seeds = (np.array([row[i] for row in rows], dtype=float) for i in range(3))
@@ -526,18 +520,16 @@ def generating_function_check(sys: HamiltonianSystem, u0, u1, cfg: ShootingConfi
     cont = _continue_branch(sys, [(u0, u1, p0c)], cfg, fd_step)[0]  # [end, a, sign]
     # a loss is reported in the order u0 + e_a, u1 + e_a, u0 - e_a, u1 - e_a, a = 0..r-1
     _continued([cont[(end * r + a) * 2 + s] for a in range(r) for s in (0, 1) for end in (0, 1)])
-    w_u0, w_u1 = np.array([action_functional(sys, b.trajectory) for b in cont]).reshape(2, r, 2)
-    p1_of_u0 = np.array([b.p1 for b in cont[:2 * r]]).reshape(r, 2, r)
-    p0_of_u1 = np.array([b.p0 for b in cont[2 * r:]]).reshape(r, 2, r)
-
-    grad_w_u0 = (w_u0[:, 0] - w_u0[:, 1]) / (2 * fd_step)
-    grad_w_u1 = (w_u1[:, 0] - w_u1[:, 1]) / (2 * fd_step)
+    w = np.array([action_functional(sys, b.trajectory) for b in cont]).reshape(2, r, 2)
+    grad_w_u0, grad_w_u1 = (central_quotient(w_end, fd_step) for w_end in w)
     defect_u0 = float(np.max(np.abs(grad_w_u0 + p0c)))
     defect_u1 = float(np.max(np.abs(grad_w_u1 - p1c)))
 
     # d2W/du0^a du1^b via p1 displacements in u0, and via p0 displacements in u1
-    mixed_1 = (p1_of_u0[:, 0, :] - p1_of_u0[:, 1, :]) / (2 * fd_step)  # [a, b]
-    mixed_2 = -(p0_of_u1[:, 0, :] - p0_of_u1[:, 1, :]) / (2 * fd_step)  # [b, a]
+    p1_of_u0 = np.array([b.p1 for b in cont[:2 * r]]).reshape(r, 2, r)
+    p0_of_u1 = np.array([b.p0 for b in cont[2 * r:]]).reshape(r, 2, r)
+    mixed_1 = central_quotient(p1_of_u0, fd_step)  # [a, b]
+    mixed_2 = -central_quotient(p0_of_u1, fd_step)  # [b, a]
     symmetry_defect = float(np.max(np.abs(mixed_1 - mixed_2.T)))
     return GeneratingFunctionReport(
         defect_u1=defect_u1,
@@ -599,12 +591,9 @@ def classify_theory(sys: HamiltonianSystem, sample_endpoints, cfg: ShootingConfi
     probes, warm = [], []
     for sols in solvable_pairs:
         u0, u1 = sols.endpoints
-        for a in range(r):
-            e = np.zeros(r)
-            e[a] = probe_radius
-            for sgn in (+1.0, -1.0):
-                probes.append((u0, u1 + sgn * e))
-                warm.append([b.p0 for b in sols.solutions])
+        for moved in central_points(u1, probe_radius).reshape(2 * r, r):
+            probes.append((u0, moved))
+            warm.append([b.p0 for b in sols.solutions])
     openness_ok = True
     for probe in solve_dirichlet_many(sys, probes, cfg, seeds=warm):
         if probe.classification.kind == "NoSolution":

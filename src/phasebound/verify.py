@@ -23,6 +23,7 @@ from .core import (
     HamiltonianSystem,
     as_point,
     boundary_omega_matrix,
+    central_quotient,
 )
 from .errors import BranchLostError, FlowIncompleteError
 from .integrators import Completed, IntegratorConfig, flow_batch, flow_with_jacobian
@@ -90,35 +91,33 @@ def isotropy_defect_flow(sys: HamiltonianSystem, initial_points, cfg: Integrator
     U0 = np.array([as_point(u0, r) for u0, _ in points]).reshape(-1, r)
     P0 = np.array([as_point(p0, r) for _, p0 in points]).reshape(-1, r)
     *_, jacs, statuses = flow_batch(sys, U0, P0, cfg, want_jacobian=True, statuses=True)
-    defect = 0.0
-    rank = None
-    inapplicable = []
-    n_ok = 0
+    frames, inapplicable = [], []
     for (u0, p0), jac, (status, _, _) in zip(points, jacs, statuses):
-        if not isinstance(status, Completed):
+        if isinstance(status, Completed):
+            frames.append(np.vstack([np.eye(2 * r), jac]))
+        else:
             inapplicable.append((np.asarray(u0).tolist(), np.asarray(p0).tolist(),
                                  repr(status)))
-            continue
-        d, rk = frame_defect_and_rank(np.vstack([np.eye(2 * r), jac]))
-        defect = max(defect, d)
-        rank = rk if rank is None else min(rank, rk)
-        n_ok += 1
+    return _isotropy_report(frames, inapplicable, "flow-jacobian", seed)
+
+
+def _isotropy_report(frames, inapplicable, tangent_source, seed):
+    """The worst defect and the lowest rank over the frames of the applicable samples."""
+    measured = [frame_defect_and_rank(frame) for frame in frames]
     return IsotropyReport(
-        samples=n_ok,
+        samples=len(measured),
         inapplicable=tuple(inapplicable),
-        max_defect=defect,
-        tangent_source="flow-jacobian",
-        rank_estimate=rank if rank is not None else 0,
+        max_defect=max([0.0] + [d for d, _ in measured]),
+        tangent_source=tangent_source,
+        rank_estimate=min((rk for _, rk in measured), default=0),
         seed=seed,
     )
 
 
 def _frame_from_branches(cont, r, fd_step):
     """Frame columns by central differences of a branch's 4r continuations."""
-    p0 = np.array([b.p0 for b in cont]).reshape(2 * r, 2, r)
-    p1 = np.array([b.p1 for b in cont]).reshape(2 * r, 2, r)
-    dp0 = (p0[:, 0] - p0[:, 1]) / (2 * fd_step)
-    dp1 = (p1[:, 0] - p1[:, 1]) / (2 * fd_step)
+    dp0, dp1 = (central_quotient(np.array(p).reshape(2 * r, 2, r), fd_step)
+                for p in ([b.p0 for b in cont], [b.p1 for b in cont]))
     shift = np.eye(2 * r)
     return np.concatenate([shift[:, :r], dp0, shift[:, r:], dp1], axis=1).T
 
@@ -151,10 +150,7 @@ def isotropy_defect_bvp(sys: HamiltonianSystem, endpoint_samples, cfg: ShootingC
     sets = solve_dirichlet_many(sys, endpoint_samples, cfg)
     conts = iter(_continue_branch(sys, [(*s.endpoints, s.solutions[branch].p0) for s in sets
                                         if branch < len(s.solutions)], cfg, fd_step))
-    defect = 0.0
-    rank = None
-    inapplicable = []
-    n_ok = 0
+    frames, inapplicable = [], []
     for sols in sets:
         u0, u1 = sols.endpoints
         if branch >= len(sols.solutions):
@@ -162,22 +158,10 @@ def isotropy_defect_bvp(sys: HamiltonianSystem, endpoint_samples, cfg: ShootingC
                                  f"only {len(sols.solutions)} branches"))
             continue
         try:
-            frame = _frame_from_branches(_continued(next(conts)), sys.dim, fd_step)
+            frames.append(_frame_from_branches(_continued(next(conts)), sys.dim, fd_step))
         except BranchLostError as exc:
             inapplicable.append((u0.tolist(), u1.tolist(), f"branch lost: {exc}"))
-            continue
-        d, rk = frame_defect_and_rank(frame)
-        defect = max(defect, d)
-        rank = rk if rank is None else min(rank, rk)
-        n_ok += 1
-    return IsotropyReport(
-        samples=n_ok,
-        inapplicable=tuple(inapplicable),
-        max_defect=defect,
-        tangent_source="bvp-continuation",
-        rank_estimate=rank if rank is not None else 0,
-        seed=seed,
-    )
+    return _isotropy_report(frames, inapplicable, "bvp-continuation", seed)
 
 
 def frame_subspace_angles(frame_a, frame_b):

@@ -72,6 +72,31 @@ class TestSchema:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert "bad shooting configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        {"system": "free-particle", "task": "bvp", "shooting": {"seed_box": [1.0]},
+         "parameters": {"endpoints": [0.0, 1.0]}},
+        {"system": "free-particle", "task": "bvp", "shooting": {"seed_box": [-1.0, 0.0, 1.0]},
+         "parameters": {"endpoints": [0.0, 1.0]}},
+        {"system": "sphere", "task": "bvp", "shooting": {"seeds": [[0.0, 1.0]]},
+         "parameters": {"endpoints": [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]}},
+        {"system": "free-particle", "task": "bvp", "parameters": {"endpoints": [0.0]}},
+        {"system": "free-particle", "task": "classify", "parameters": {"sample_count": 0}},
+        {"system": "free-particle", "task": "flow",
+         "parameters": {"u0": 0.0, "p0": 1.0, "t0": 0.5, "t1": 0.25}},
+        {"system": "free-particle", "task": "flow",
+         "parameters": {"u0": 0.0, "p0": 1.0, "t1": "1"}},
+        {"system": "pendulum", "task": "flow", "parameters": {"u0": [0.1, 0.2], "p0": 1.0}},
+        {"system": "pendulum", "task": "isotropy",
+         "parameters": {"route": "flow", "points": [[0.1]]}},
+    ], ids=["seed-box-of-one", "seed-box-of-three", "sphere-seed-of-two", "one-endpoint",
+            "no-classify-pairs", "flow-backwards", "flow-time-not-a-number",
+            "flow-state-of-wrong-dimension", "isotropy-point-without-momentum"])
+    def test_malformed_values_are_exit_2_with_nothing_written(self, tmp_path, capsys, payload):
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
+        assert "scenario error" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestRunScenarios:
     def test_free_particle_bvp(self, tmp_path):

@@ -297,6 +297,15 @@ class TestConstrainedIntegration:
                                   IntegratorConfig(step=4e-3, newton_max_iter=1))
         assert info.value.status == NewtonFailure(t=0.0)
 
+    def test_newton_needs_the_difference_jacobian(self):
+        # at step 0.1 the frozen Newton iteration converges within 3 iterations
+        # with the difference jacobian of the field; with a zero, transposed,
+        # negated or mis-scaled jacobian it needs more than 8, so a budget of 4
+        # fails the first step
+        res = integrate_constrained(make_pendulum().system, make_identity_constraint(dim=1),
+                                    [0.4], [1.2], IntegratorConfig(step=0.1, newton_max_iter=4))
+        assert res.completed
+
     def test_height_hamiltonian_unstable_at_start(self):
         circ = make_circle_constraint()
         with pytest.raises(UnstableConstraintError) as err:

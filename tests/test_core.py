@@ -15,6 +15,9 @@ from phasebound.core import (
     alpha_eval,
     boundary_omega_matrix,
     boundary_projection,
+    central_difference,
+    central_points,
+    central_quotient,
     el_residual,
     grid_derivative,
     hamiltonian_vector_field,
@@ -300,3 +303,102 @@ class TestTypes:
             BoundaryPoint(np.inf, 0.0, 0.0, 0.0)
         with pytest.raises(DimensionMismatchError):
             BoundaryPoint(np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2))
+
+
+def _quadratic(rng, n):
+    """f(x) = x.A x / 2 + b.x + c over x's last axis, with its gradient A_sym x + b."""
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    c = rng.standard_normal()
+
+    def f(x):
+        return 0.5 * np.einsum("...i,ij,...j->...", x, a, x) + x @ b + c
+
+    return f, lambda x: x @ (0.5 * (a + a.T)) + b
+
+
+class TestCentralStencil:
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 5), batch=st.integers(0, 3), seed=st.integers(0, 2**16),
+           step=st.floats(1e-3, 1e-1))
+    def test_exact_on_quadratics_with_batch_axes(self, n, batch, seed, step):
+        rng = np.random.default_rng(seed)
+        f, grad = _quadratic(rng, n)
+        x = rng.uniform(-2.0, 2.0, (batch, n) if batch else n)
+        got = central_difference(f, x, step)
+        assert got.shape == x.shape
+        # exact up to the rounding of f's values and of x +- step, divided by 2 step
+        scale = (1.0 + np.abs(f(central_points(x, step))).max()
+                 + np.abs(x).max() * np.abs(grad(x)).max())
+        tol = 1e3 * np.finfo(float).eps * scale / step
+        np.testing.assert_allclose(got, grad(x), rtol=0, atol=tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_columns_follow_the_directions(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((m, n))
+        x = rng.standard_normal((2, n))
+        jac = central_difference(lambda v: v @ mat.T, x, 1e-3)
+        assert jac.shape == (2, m, n)
+        np.testing.assert_allclose(jac, np.broadcast_to(mat, (2, m, n)), rtol=0, atol=1e-10)
+        directions = rng.standard_normal((3, n))
+        np.testing.assert_allclose(central_difference(lambda v: v @ mat.T, x, 1e-3, directions),
+                                   np.broadcast_to(mat @ directions.T, (2, m, 3)),
+                                   rtol=0, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**16), step=st.floats(1e-3, 1e-1))
+    def test_directional_derivatives(self, n, seed, step):
+        rng = np.random.default_rng(seed)
+        f, grad = _quadratic(rng, n)
+        x = rng.uniform(-2.0, 2.0, n)
+        directions = rng.standard_normal((4, n))
+        np.testing.assert_allclose(central_difference(f, x, step, directions=directions),
+                                   directions @ grad(x), rtol=0, atol=1e-8 / step)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_points_and_quotient_layout(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, n))
+        step = 1e-2
+        points = central_points(x, step)
+        assert points.shape == (n, 2, 3, n)
+        for a in range(n):
+            e = np.zeros(n)
+            e[a] = step
+            assert np.array_equal(points[a, 0], x + e) and np.array_equal(points[a, 1], x - e)
+        f, _ = _quadratic(rng, n)
+        np.testing.assert_allclose(np.moveaxis(central_quotient(f(points), step), 0, -1),
+                                   central_difference(f, x, step), rtol=1e-12, atol=1e-12)
+
+    def test_continuation_rows_are_central_points(self, monkeypatch):
+        # _continue_branch documents its rows as u0 +- h e_a, then u1 +- h e_a
+        import phasebound.shooting as shooting
+        from phasebound.systems import make_free_particle
+
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def record(sys, U0, U1, seeds, cfg):
+            seen.update(U0=U0, U1=U1, seeds=seeds)
+            raise Stop
+
+        monkeypatch.setattr(shooting, "_shoot", record)
+        u0, u1, p0, h = np.array([0.1, -0.2]), np.array([1.0, 0.5]), np.array([0.3, 0.4]), 1e-3
+        with pytest.raises(Stop):
+            shooting._continue_branch(make_free_particle(dim=2).system, [(u0, u1, p0)], None, h)
+        rows = []
+        for end in (0, 1):
+            for a in range(2):
+                for sign in (1.0, -1.0):
+                    moved = [u0, u1][end] + sign * h * np.eye(2)[a]
+                    rows.append((moved, u1) if end == 0 else (u0, moved))
+        assert np.array_equal(seen["U0"], [r[0] for r in rows])
+        assert np.array_equal(seen["U1"], [r[1] for r in rows])
+        assert np.array_equal(seen["U0"][:4], central_points(u0, h).reshape(4, 2))
+        assert np.array_equal(seen["U1"][4:], central_points(u1, h).reshape(4, 2))
+        assert np.array_equal(seen["seeds"], np.tile(p0, (8, 1)))

@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Which benchmark reports and CSVs two source trees write differently.
+
+    python tools/compare_reports.py BASE_SRC HEAD_SRC [--seeds 1 2 3]
+
+BASE_SRC and HEAD_SRC are directories holding a ``phasebound`` package (a
+checkout's ``src``).  The scenarios are the benchmark's, from
+``perfbench/scenarios.py`` next to this tool: passes 0-1 of every workload,
+for seed 1 unless ``--seeds`` names others.  Each tree runs each pass in
+its own interpreter through ``phasebound.cli.run_scenario``.  The output
+lists every report that differs outside its ``timing`` block, and every CSV
+that differs, with the first differing key (or CSV line and column).  The
+exit status is 0 even when outputs differ, and 1 only if a run crashes: its
+interpreter fails, or a task raises.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import itertools
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# A report's timing block, the one part that may differ between identical runs.
+TIMING = re.compile(r'"timing": \{[^{}]*\}')
+
+# Runs in a child interpreter with PYTHONPATH set to one tree's source:
+# argv = scenario directory, output directory, the src directory expected.
+RUNNER = """
+import json, pathlib, sys, traceback
+import phasebound.cli as cli
+scen, out, src = (pathlib.Path(a) for a in sys.argv[1:4])
+if pathlib.Path(cli.__file__).resolve().parents[1] != src.resolve():
+    sys.exit(f"phasebound imported from {cli.__file__}, not from {src}")
+crashed = []
+for path in sorted(scen.glob("p*.json")):
+    try:
+        cli.run_scenario(str(path), out_dir=str(out))
+    except Exception:
+        crashed.append(path.stem)
+        (out / f"{path.stem}.error").write_text(traceback.format_exc())
+print(json.dumps(crashed))
+"""
+
+
+def _scenarios_module():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    return importlib.import_module("scenarios")
+
+
+def _run(src, scen_dir, out_dir):
+    """Run every scenario of scen_dir with the tree at src; how it crashed, or None."""
+    out_dir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    done = subprocess.run([sys.executable, "-c", RUNNER, str(scen_dir), str(out_dir), str(src)],
+                          capture_output=True, text=True, env=env)
+    if done.returncode != 0:
+        return "crashed: " + (done.stderr.strip().splitlines() or ["no output"])[-1]
+    raised = json.loads(done.stdout.strip().splitlines()[-1])
+    return f"raised in {', '.join(raised)}" if raised else None
+
+
+def _same(a, b):
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return type(a) is type(b) and a == b
+
+
+def first_difference(a, b, path=""):
+    """The first key path, in sorted-key order, at which two JSON values differ, or None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            sub = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                return sub
+            found = first_difference(a[key], b[key], sub)
+            if found is not None:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
+    return None if _same(a, b) else (path or "<root>")
+
+
+def _report_difference(base_file, head_file):
+    texts = [TIMING.sub('"timing": {}', f.read_text()) for f in (base_file, head_file)]
+    if texts[0] == texts[1]:
+        return None
+    return first_difference(*(json.loads(text) for text in texts)) or "formatting"
+
+
+def _csv_difference(base_file, head_file):
+    base, head = (f.read_text().splitlines() for f in (base_file, head_file))
+    header = base[0].split(",") if base else []
+    for k, (x, y) in enumerate(zip(base, head)):
+        if x != y:
+            cols = [i for i, (p, q) in enumerate(zip(x.split(","), y.split(","))) if p != q]
+            col = header[cols[0]] if cols and cols[0] < len(header) else "?"
+            return f"line {k + 1}, column {col}"
+    return None if len(base) == len(head) else f"line {min(len(base), len(head)) + 1}"
+
+
+def compare(base_out, head_out):
+    """(name, what differs) for every output the two directories hold differently."""
+    names = sorted({p.name for p in base_out.iterdir()} | {p.name for p in head_out.iterdir()})
+    moved = []
+    for name in names:
+        base_file, head_file = base_out / name, head_out / name
+        if not base_file.exists() or not head_file.exists():
+            moved.append((name, "only in " + ("head" if head_file.exists() else "base")))
+            continue
+        differ = _report_difference if name.endswith(".json") else _csv_difference
+        where = differ(base_file, head_file)
+        if where is not None:
+            moved.append((name, where))
+    return moved
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_src")
+    parser.add_argument("head_src")
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1])
+    args = parser.parse_args(argv)
+    scenarios = _scenarios_module()
+    crashed = False
+    counts = Counter()
+    print(f"Reports and CSVs of `{args.head_src}` against `{args.base_src}`"
+          " (reports compared outside `timing`)\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        passes = itertools.product(scenarios.WORKLOADS, args.seeds, (0, 1))
+        for workload, seed, pass_index in passes:
+            label = f"{workload} seed {seed} pass {pass_index}"
+            work = Path(tmp) / label.replace(" ", "-")
+            (work / "scenarios").mkdir(parents=True)
+            scenarios.write_pass(workload, seed, pass_index, "full", work / "scenarios")
+            crashes = [f"the {side} run {how}"
+                       for side, src in (("base", args.base_src), ("head", args.head_src))
+                       if (how := _run(src, work / "scenarios", work / side))]
+            if crashes:
+                crashed = True
+                print(f"- {label}: {'; '.join(crashes)}")
+                continue
+            moved = compare(work / "base", work / "head")
+            for kind in (".json", ".csv"):
+                counts[kind] += sum(p.suffix == kind for p in (work / "head").iterdir())
+                counts["moved" + kind] += sum(name.endswith(kind) for name, _ in moved)
+            print(f"- {label}: {len(moved)} outputs differ")
+            for name, where in moved:
+                print(f"  - `{name}`: first difference at `{where}`")
+    print(f"\n{counts['moved.json']} of {counts['.json']} reports and "
+          f"{counts['moved.csv']} of {counts['.csv']} CSVs differ.")
+    return 1 if crashed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
