@@ -26,6 +26,7 @@ import json
 import os
 import sys as _sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -38,14 +39,7 @@ from .constraints import (
 )
 from .core import as_point
 from .errors import DimensionMismatchError, PhaseboundError, UnstableConstraintError
-from .integrators import (
-    BlowUp,
-    Completed,
-    IntegratorConfig,
-    NewtonFailure,
-    energy_drift,
-    integrate_flow,
-)
+from .integrators import IntegratorConfig, energy_drift, integrate_flow
 from .shooting import (
     ShootingConfig,
     classify_theory,
@@ -240,23 +234,17 @@ def _shooting_config(scenario, icfg, dim):
         raise ScenarioError(f"bad shooting configuration: {exc}") from exc
 
 
-def _point_pair(pair, dim, where):
-    """Two points of dimension dim from a scenario's pair of values."""
+def _points(values, dims, where):
+    """One point per dimension in dims from a scenario's list of values."""
     try:
-        a, b = pair
-        return as_point(a, dim), as_point(b, dim)
+        return tuple(as_point(v, d) for v, d in zip(values, dims, strict=True))
     except (TypeError, ValueError, DimensionMismatchError) as exc:
-        raise ScenarioError(f"{where} must be two points of dimension {dim}: {exc}") from exc
+        raise ScenarioError(f"{where} must be {len(dims)} points of dimensions "
+                            f"{list(dims)}: {exc}") from exc
 
 
 def _status_dict(status):
-    if isinstance(status, Completed):
-        return {"kind": "Completed"}
-    if isinstance(status, BlowUp):
-        return {"kind": "BlowUp", "t_escape": status.t_escape}
-    if isinstance(status, NewtonFailure):
-        return {"kind": "NewtonFailure", "t": status.t}
-    return {"kind": str(status)}
+    return {"kind": type(status).__name__, **asdict(status)}
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +255,8 @@ def _task_flow(ex, scenario, icfg, scfg, seed):
     params = scenario.get("parameters", {})
     if "u0" not in params or "p0" not in params:
         raise ScenarioError("flow task needs parameters u0 and p0")
-    u0, p0 = _point_pair((params["u0"], params["p0"]), ex.system.dim, "parameters u0 and p0")
+    u0, p0 = _points((params["u0"], params["p0"]), (ex.system.dim,) * 2,
+                     "parameters u0 and p0")
     t0, t1 = params.get("t0", 0.0), params.get("t1", 1.0)
     if not (all(isinstance(t, (int, float)) for t in (t0, t1)) and 0.0 <= t0 < t1 <= 1.0):
         raise ScenarioError(f"flow task needs 0 <= t0 < t1 <= 1, got t0={t0!r}, t1={t1!r}")
@@ -301,15 +290,10 @@ def _task_bvp(ex, scenario, icfg, scfg, seed):
     params = scenario.get("parameters", {})
     if "endpoints" not in params:
         raise ScenarioError("bvp task needs parameters.endpoints = [u0, u1]")
-    u0, u1 = _point_pair(params["endpoints"], ex.system.dim, "parameters.endpoints")
+    u0, u1 = _points(params["endpoints"], (ex.system.dim,) * 2, "parameters.endpoints")
     sols = solve_dirichlet(ex.system, u0, u1, scfg)
     out = {
-        "classification": {
-            "kind": sols.classification.kind,
-            "count": sols.classification.count,
-            "notes": sols.classification.notes,
-            "heuristic": sols.classification.heuristic,
-        },
+        "classification": asdict(sols.classification),
         "branches": [_branch_dict(ex, b) for b in sols.solutions],
     }
     required = int(params.get("require_solutions", 0))
@@ -321,78 +305,53 @@ def _task_bvp(ex, scenario, icfg, scfg, seed):
     return out, traj
 
 
-def _endpoint_pairs(ex, params, seed):
-    if "endpoint_pairs" in params:
-        return [_point_pair(p, ex.system.dim, "each of parameters.endpoint_pairs")
-                for p in params["endpoint_pairs"]]
-    count = int(params.get("sample_count", 10))
-    lo, hi = params.get("box", (-1.0, 1.0))
-    rng = np.random.default_rng(seed)
-    r = ex.system.dim
-    return [(rng.uniform(lo, hi, r), rng.uniform(lo, hi, r)) for _ in range(count)]
+def _point_pairs(ex, params, seed, key="endpoint_pairs", box=(-1.0, 1.0)):
+    """The pairs listed under params[key], else sample_count pairs drawn from the box."""
+    if key in params:
+        return [_points(p, (ex.system.dim,) * 2, f"each of parameters.{key}")
+                for p in params[key]]
+    try:
+        return sample_phase_points(ex.system.dim, int(params.get("sample_count", 10)),
+                                   params.get("box", box), seed)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"parameters sample_count and box must be a count and a pair "
+                            f"of numbers: {exc}") from exc
 
 
 def _task_classify(ex, scenario, icfg, scfg, seed):
     params = scenario.get("parameters", {})
-    pairs = _endpoint_pairs(ex, params, seed)
+    pairs = _point_pairs(ex, params, seed)
     if not pairs:
         raise ScenarioError("classify task needs at least one endpoint pair")
-    verdict = classify_theory(ex.system, pairs, scfg,
-                              probe_radius=params.get("probe_radius", 1e-2))
-    return {
-        "verdict": verdict.kind,
-        "heuristic": verdict.heuristic,
-        "witness": verdict.witness,
-        "evidence": [
-            {"u0": e[0], "u1": e[1], "kind": e[2], "count": e[3]} for e in verdict.evidence
-        ],
-    }, None
+    out = asdict(classify_theory(ex.system, pairs, scfg,
+                                 probe_radius=params.get("probe_radius", 1e-2)))
+    out["verdict"] = out.pop("kind")
+    out["evidence"] = [dict(zip(("u0", "u1", "kind", "count"), e)) for e in out["evidence"]]
+    return out, None
 
 
 def _task_isotropy(ex, scenario, icfg, scfg, seed):
     params = scenario.get("parameters", {})
     route = params.get("route", "flow")
     if route == "flow":
-        if "points" in params:
-            points = [_point_pair(p, ex.system.dim, "each of parameters.points")
-                      for p in params["points"]]
-        else:
-            points = sample_phase_points(ex.system.dim, int(params.get("sample_count", 10)),
-                                         tuple(params.get("box", (-1.5, 1.5))), seed)
+        points = _point_pairs(ex, params, seed, key="points", box=(-1.5, 1.5))
         report = isotropy_defect_flow(ex.system, points, icfg, seed=seed)
     elif route == "bvp":
-        pairs = _endpoint_pairs(ex, params, seed)
-        report = isotropy_defect_bvp(ex.system, pairs, scfg,
+        report = isotropy_defect_bvp(ex.system, _point_pairs(ex, params, seed), scfg,
                                      fd_step=params.get("fd_step", 1e-5), seed=seed)
     else:
         raise ScenarioError(f"isotropy route must be 'flow' or 'bvp', got {route!r}")
-    return {
-        "samples": report.samples,
-        "inapplicable": [list(entry) for entry in report.inapplicable],
-        "max_defect": report.max_defect,
-        "tangent_source": report.tangent_source,
-        "rank_estimate": report.rank_estimate,
-        "seed": report.seed,
-        "caveat": report.caveat,
-    }, None
+    return asdict(report), None
 
 
 def _task_generating_function(ex, scenario, icfg, scfg, seed):
     params = scenario.get("parameters", {})
     if "endpoints" not in params:
         raise ScenarioError("generating-function task needs parameters.endpoints")
-    u0, u1 = _point_pair(params["endpoints"], ex.system.dim, "parameters.endpoints")
-    rep = generating_function_check(ex.system, u0, u1, scfg,
-                                    branch=int(params.get("branch", 0)),
-                                    fd_step=params.get("fd_step", 1e-5))
-    return {
-        "defect_u1": rep.defect_u1,
-        "defect_u0": rep.defect_u0,
-        "symmetry_defect": rep.symmetry_defect,
-        "p0": rep.p0,
-        "p1": rep.p1,
-        "action": rep.action,
-    }, None
+    u0, u1 = _points(params["endpoints"], (ex.system.dim,) * 2, "parameters.endpoints")
+    return asdict(generating_function_check(ex.system, u0, u1, scfg,
+                                            branch=int(params.get("branch", 0)),
+                                            fd_step=params.get("fd_step", 1e-5))), None
 
 
 def _task_lambda_study(ex, scenario, icfg, scfg, seed):
@@ -402,20 +361,11 @@ def _task_lambda_study(ex, scenario, icfg, scfg, seed):
     if "lambdas" not in params or "endpoints" not in params:
         raise ScenarioError("lambda-study needs parameters.lambdas and parameters.endpoints")
     (X, dX, d2X, x_flow), dim = _field_from_params(scenario["system"]["params"])
-    u0, u1 = _point_pair(params["endpoints"], dim, "parameters.endpoints")
-    report = topological_limit_study(params["lambdas"], u0, u1, scfg,
-                                     X=X, dX=dX, d2X=d2X, dim=dim, x_flow=x_flow)
-    rows = []
-    for row in report.rows:
-        rows.append({
-            "lambda": row.lam,
-            "p0": row.p0,
-            "action": row.action,
-            "second_order_residual": row.second_order_residual,
-            "flowline_distance": row.flowline_distance,
-            "status": row.status,
-        })
-    return {"rows": rows, "momentum_slope": report.momentum_slope, "notes": report.notes}, None
+    u0, u1 = _points(params["endpoints"], (dim, dim), "parameters.endpoints")
+    out = asdict(topological_limit_study(params["lambdas"], u0, u1, scfg,
+                                         X=X, dX=dX, d2X=d2X, dim=dim, x_flow=x_flow))
+    out["rows"] = [{"lambda": row.pop("lam"), **row} for row in out["rows"]]
+    return out, None
 
 
 def _constraint_from_params(params):
@@ -437,8 +387,10 @@ def _task_constrained(ex, scenario, icfg, scfg, seed):
     gauge = params.get("gauge", "lambda-zero")
     if gauge != "lambda-zero":
         raise ScenarioError("only the lambda-zero gauge is scenario-selectable")
+    u0, e0 = _points((params["u0"], params["e0"]), (ex.system.dim, spec.k_dim),
+                     "parameters u0 and e0")
     try:
-        res = integrate_constrained(ex.system, spec, params["u0"], params["e0"], icfg)
+        res = integrate_constrained(ex.system, spec, u0, e0, icfg)
     except UnstableConstraintError as exc:
         raise TaskFailure(f"constraint unstable at t={exc.t}: tangency residual "
                           f"{exc.residual:.6e}") from exc
@@ -461,20 +413,12 @@ def _task_gotay(ex, scenario, icfg, scfg, seed):
     state = params.get("state")
     if not isinstance(state, dict) or not {"u", "p", "lambda", "e"} <= set(state):
         raise ScenarioError("gotay task needs parameters.state = {u, p, lambda, e}")
-    st = ExtendedState(state["u"], state["p"], state["lambda"], state["e"])
-    rep = gotay_step(ex.system, spec, st)
-    return {
-        "kernel_dim": rep.kernel_dim,
-        "primary_residual": rep.primary_residual,
-        "polar_residual": rep.polar_residual,
-        "stable": rep.stable,
-        "tangency_residual": rep.tangency_residual,
-        "secondary_direction": rep.secondary_direction,
-        "d_velocity": rep.d_velocity,
-        "c_rate": rep.c_rate,
-        "c_residual": rep.c_residual,
-        "terminated": rep.terminated,
-    }, None
+    r = ex.system.dim
+    st = ExtendedState(*_points([state[key] for key in ("u", "p", "lambda", "e")],
+                                (r, r, r, spec.k_dim), "parameters.state u, p, lambda, e"))
+    out = asdict(gotay_step(ex.system, spec, st))
+    del out["kernel_basis"]  # the kernel is reported by its dimension
+    return out, None
 
 
 _TASK_RUNNERS = {
@@ -550,10 +494,7 @@ def run_selftest(strict=False, out_dir=None, seed=0):
     walltime = time.perf_counter() - started
     n_failed = sum(1 for r in results if not r.passed)
     report = {
-        "checks": [
-            {"name": r.name, "measured": r.measured, "tol": r.tol,
-             "passed": r.passed} for r in results
-        ],
+        "checks": [asdict(r) for r in results],
         "n_checks": len(results),
         "n_failed": n_failed,
         "strict": strict,

@@ -43,7 +43,8 @@ from .errors import (
     OffConstraintError,
     UnstableConstraintError,
 )
-from .integrators import Completed, IntegratorConfig, NewtonFailure, _midpoint_step_batch
+from .integrators import (Completed, IntegratorConfig, NewtonFailure, _midpoint_step_batch,
+                          step_count)
 
 ON_CONSTRAINT_TOL = 1e-8
 
@@ -97,8 +98,8 @@ def check_dsigma(spec: ConstraintSpec, probes, fd_step=1e-6):
     for e in probes:
         e = np.atleast_1d(np.asarray(e, dtype=float))
         fd = central_difference(spec.sigma_at, e, fd_step)
-        worst = max(worst, float(np.abs(fd - spec.dsigma_at(e)).max()))
-    return worst
+        worst = np.max(np.abs(fd - spec.dsigma_at(e)), initial=worst)  # NaN propagates
+    return float(worst)
 
 
 def extended_action(sys: HamiltonianSystem, spec: ConstraintSpec, chi: Trajectory,
@@ -266,8 +267,8 @@ def check_hamiltonian_descends(sys: HamiltonianSystem, spec: ConstraintSpec, pro
         if basis.shape[1]:
             quotients = central_difference(lambda v: sys.hamiltonian(0.0, v, p), u, fd_step,
                                            directions=basis.T)
-            worst = max(worst, float(np.abs(quotients).max()))
-    return worst
+            worst = np.max(np.abs(quotients), initial=worst)  # NaN propagates
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     if not report.stable:
         raise UnstableConstraintError(0.0, report.tangency_residual)
 
-    n_steps = max(2, int(round(1.0 / cfg.step)))
+    n_steps = step_count(1.0, cfg.step)
     h = 1.0 / n_steps
     grid = TimeGrid.uniform(n_steps)
     ys = np.empty((n_steps + 1, r + k))

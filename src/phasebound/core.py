@@ -263,9 +263,9 @@ def check_gradients(sys: HamiltonianSystem, probes, fd_step=1e-5):
         scale = 1.0 + max(np.abs(gu).max(), np.abs(gp).max())
         fd_u = central_difference(lambda v: sys.hamiltonian(t, v, p), u, fd_step)
         fd_p = central_difference(lambda v: sys.hamiltonian(t, u, v), p, fd_step)
-        worst = max(worst, float(np.max(np.abs(fd_u - gu) / scale)),
-                    float(np.max(np.abs(fd_p - gp) / scale)))
-    return worst
+        # np.max, not max: a NaN disagreement must not be dropped
+        worst = np.max(np.abs(np.concatenate([fd_u - gu, fd_p - gp])) / scale, initial=worst)
+    return float(worst)
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,11 @@ class IntegratorConfig:
             raise ValueError("need newton_max_iter >= 1 and max_step_halvings >= 0")
 
 
+def step_count(span, step):
+    """Steps of a fixed-step flow over ``span``: span / step, rounded, and at least 2."""
+    return max(2, int(round(span / step)))
+
+
 @dataclass(frozen=True)
 class Completed:
     pass
@@ -376,7 +381,7 @@ def _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path):
     t1 - t0, and ``ok`` requires finite start and end states.
     """
     bsz, r = U0.shape
-    n_steps = max(2, int(round((t1 - t0) / cfg.step)))
+    n_steps = step_count(t1 - t0, cfg.step)
     grid = TimeGrid.uniform(n_steps, t0, t1)
     elapsed = grid.nodes - t0 if store_path else (t1 - t0,)
     path_u = np.empty((len(elapsed), bsz, r))
@@ -496,7 +501,7 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
     step = _stepper(sys, cfg.scheme, cfg, want_jacobian, tangent_exact, eye)
 
     span = t1 - t0
-    n_steps = max(2, int(round(span / cfg.step)))
+    n_steps = step_count(span, cfg.step)
     h = span / n_steps
     grid = TimeGrid.uniform(n_steps, t0, t1)
     Z = np.concatenate([U0, P0], axis=1)

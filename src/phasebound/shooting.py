@@ -46,6 +46,7 @@ from .integrators import (
     _batch_solve,
     flow_batch,
     flow_with_jacobian,
+    step_count,
 )
 
 
@@ -165,9 +166,9 @@ def _segment_count(sys, icfg):
     """
     if sys.analytic_only or not sys.autonomous:
         return 1
-    n = max(2, int(round(1.0 / icfg.step)))
+    n = step_count(1.0, icfg.step)
     for m in (8, 4, 2):
-        if m <= _MAX_SEGMENTS and n % m == 0 and max(2, int(round(1.0 / m / icfg.step))) == n // m:
+        if m <= _MAX_SEGMENTS and n % m == 0 and step_count(1.0 / m, icfg.step) == n // m:
             return m
     return 1
 
@@ -556,64 +557,40 @@ def classify_theory(sys: HamiltonianSystem, sample_endpoints, cfg: ShootingConfi
     """Classify endpoint solvability over a sample of (u0, u1) pairs.
 
     Dirichlet: every sampled pair has exactly one solution.  Locally
-    Dirichlet: every pair that has solutions has only isolated ones, and
-    solutions persist under small endpoint perturbations (openness probe).
-    Anything else is Neither, with the witnessing pair recorded.
+    Dirichlet: every pair has solutions, only isolated ones.  Both also need
+    the solutions to persist when u1 moves by probe_radius along each axis
+    (openness probe).  Anything else is Neither; its witness is the first
+    Continuum pair, else the first lost probe, else a summary.
     """
     if not sample_endpoints:
         raise ValueError("need at least one endpoint pair")
     r = sys.dim
-    evidence = []
-    any_solutions = False
-    all_unique = True
-    all_isolated = True
-    witness = None
-    solvable_pairs = []
-    for sols in solve_dirichlet_many(sys, sample_endpoints, cfg):
-        u0, u1 = sols.endpoints
-        kind = sols.classification.kind
-        evidence.append((u0.tolist(), u1.tolist(), kind, sols.classification.count))
-        if kind == "NoSolution":
-            all_unique = False
-        elif kind == "Continuum":
-            all_isolated = False
-            all_unique = False
-            if witness is None:
-                witness = f"Continuum at endpoints ({u0.tolist()}, {u1.tolist()})"
-        else:
-            any_solutions = True
-            solvable_pairs.append(sols)
-            if kind != "Unique":
-                all_unique = False
-
+    sets = solve_dirichlet_many(sys, sample_endpoints, cfg)
+    evidence = tuple((s.endpoints[0].tolist(), s.endpoints[1].tolist(),
+                      s.classification.kind, s.classification.count) for s in sets)
+    solvable = [s for s in sets if s.classification.kind not in ("NoSolution", "Continuum")]
     # every openness probe in one batch; the first failure in probe order
     # (pair, coordinate, sign) is the witness
-    probes, warm = [], []
-    for sols in solvable_pairs:
-        u0, u1 = sols.endpoints
-        for moved in central_points(u1, probe_radius).reshape(2 * r, r):
-            probes.append((u0, moved))
-            warm.append([b.p0 for b in sols.solutions])
-    openness_ok = True
-    for probe in solve_dirichlet_many(sys, probes, cfg, seeds=warm):
-        if probe.classification.kind == "NoSolution":
-            u0, u1 = probe.endpoints
-            openness_ok = False
-            if witness is None:
-                witness = (f"no solution after perturbing u1 to "
-                           f"{u1.tolist()} (from u0={u0.tolist()})")
-            break
-
-    if not any_solutions:
-        return TheoryClassification(
-            "Neither", tuple(evidence),
-            witness or "no sampled endpoint pair is joined by a solution")
-    if all_unique and openness_ok and len(solvable_pairs) == len(sample_endpoints):
-        return TheoryClassification("Dirichlet", tuple(evidence))
-    if all_isolated and openness_ok and len(solvable_pairs) == len(sample_endpoints):
-        return TheoryClassification("LocallyDirichlet", tuple(evidence))
-    return TheoryClassification("Neither", tuple(evidence),
-                                witness or "mixed solvability over the sample")
+    probes = [(s.endpoints[0], moved) for s in solvable
+              for moved in central_points(s.endpoints[1], probe_radius).reshape(2 * r, r)]
+    warm = [[b.p0 for b in s.solutions] for s in solvable for _ in range(2 * r)]
+    lost = next((p.endpoints for p in solve_dirichlet_many(sys, probes, cfg, seeds=warm)
+                 if p.classification.kind == "NoSolution"), None)
+    if lost is None and len(solvable) == len(sets):
+        unique = all(s.classification.kind == "Unique" for s in sets)
+        return TheoryClassification("Dirichlet" if unique else "LocallyDirichlet", evidence)
+    continuum = next((s.endpoints for s in sets if s.classification.kind == "Continuum"), None)
+    if continuum is not None:
+        witness = (f"Continuum at endpoints ({continuum[0].tolist()}, "
+                   f"{continuum[1].tolist()})")
+    elif lost is not None:
+        witness = (f"no solution after perturbing u1 to {lost[1].tolist()} "
+                   f"(from u0={lost[0].tolist()})")
+    elif solvable:
+        witness = "mixed solvability over the sample"
+    else:
+        witness = "no sampled endpoint pair is joined by a solution"
+    return TheoryClassification("Neither", evidence, witness)
 
 
 def solve_with_lagrangian_boundary(sys: HamiltonianSystem, F: Optional[Callable],

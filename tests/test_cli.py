@@ -34,6 +34,26 @@ def strip_timing(report):
     return rep
 
 
+PLANAR = {"system": {"name": "free-particle", "params": {"dim": 2}}}
+
+
+def gotay_state(**changed):
+    """A gotay scenario on the plane with the circle constraint, some state values changed."""
+    state = {"u": [0.0, 0.0], "p": [1.0, 0.0], "lambda": [0.0, 0.0], "e": [0.0], **changed}
+    return {**PLANAR, "task": "gotay",
+            "parameters": {"constraint": {"name": "circle"}, "state": state}}
+
+
+def key_paths(obj, prefix=""):
+    """Every key path of a report's nested dicts; list items share the path ``key[]``."""
+    if isinstance(obj, dict):
+        return set().union(*({prefix + k} | key_paths(v, prefix + k + ".")
+                             for k, v in obj.items()))
+    if isinstance(obj, list):
+        return set().union(set(), *(key_paths(v, prefix[:-1] + "[].") for v in obj))
+    return set()
+
+
 class TestSchema:
     def test_unknown_task_rejected(self, tmp_path):
         path = write_scenario(tmp_path, {"system": "free-particle", "task": "explode"})
@@ -88,9 +108,24 @@ class TestSchema:
         {"system": "pendulum", "task": "flow", "parameters": {"u0": [0.1, 0.2], "p0": 1.0}},
         {"system": "pendulum", "task": "isotropy",
          "parameters": {"route": "flow", "points": [[0.1]]}},
+        {**PLANAR, "task": "constrained",
+         "parameters": {"constraint": {"name": "circle"}, "u0": [0.0, 0.0], "e0": [0.0, 0.0]}},
+        gotay_state(u=[0.0]),
+        gotay_state(**{"lambda": [0.0, 0.0, 0.0]}),
+        gotay_state(p=[1.0]),
+        gotay_state(e=[0.0, 0.0]),
+        {"system": "free-particle", "task": "classify", "parameters": {"box": [1.0]}},
+        {"system": "free-particle", "task": "isotropy",
+         "parameters": {"route": "flow", "box": 1.0}},
+        {"system": "free-particle", "task": "isotropy",
+         "parameters": {"route": "bvp", "box": [-1.0, 0.0, 1.0]}},
     ], ids=["seed-box-of-one", "seed-box-of-three", "sphere-seed-of-two", "one-endpoint",
             "no-classify-pairs", "flow-backwards", "flow-time-not-a-number",
-            "flow-state-of-wrong-dimension", "isotropy-point-without-momentum"])
+            "flow-state-of-wrong-dimension", "isotropy-point-without-momentum",
+            "constrained-e0-of-wrong-dimension", "gotay-u-of-wrong-dimension",
+            "gotay-lambda-of-wrong-dimension", "gotay-p-of-one-on-a-plane",
+            "gotay-e-of-two-on-a-circle", "classify-box-of-one", "isotropy-flow-box-not-a-pair",
+            "isotropy-bvp-box-of-three"])
     def test_malformed_values_are_exit_2_with_nothing_written(self, tmp_path, capsys, payload):
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
@@ -136,6 +171,7 @@ class TestRunScenarios:
         report, written, code = run_scenario(path, out_dir=str(tmp_path / "out"))
         assert code == 0
         status = report["results"]["status"]
+        assert set(status) == {"kind", "t_escape"}
         assert status["kind"] == "BlowUp"
         assert 0.45 <= status["t_escape"] <= 0.55
 
@@ -245,6 +281,50 @@ class TestRunScenarios:
         assert code == 0
         assert report["results"]["verdict"] == "Dirichlet"
         assert report["results"]["heuristic"] is True
+
+
+FAST = {"integrator": {"step": 0.01}, "shooting": {"seed_count": 4}}
+
+
+# Each task's scenario and the key paths of its results: a record's field
+# names are its report's keys, so a renamed field must show here.
+RESULT_KEYS = [
+    ({"system": "free-particle", "task": "flow", "parameters": {"u0": 0.0, "p0": 1.0}},
+     "status status.kind final_time u_end p_end n_nodes energy_drift"),
+    ({"system": "free-particle", "task": "bvp", "parameters": {"endpoints": [0.0, 2.0]}},
+     "classification classification.kind classification.count classification.notes "
+     "classification.heuristic branches branches[].p0 branches[].p1 branches[].u1 "
+     "branches[].residual branches[].jacobian_cond branches[].action"),
+    ({"system": "free-particle", "task": "classify", "parameters": {"sample_count": 2}},
+     "verdict heuristic witness evidence evidence[].u0 evidence[].u1 evidence[].kind "
+     "evidence[].count"),
+    ({"system": "free-particle", "task": "isotropy", "parameters": {"sample_count": 2}},
+     "samples inapplicable max_defect tangent_source rank_estimate seed caveat"),
+    ({"system": "free-particle", "task": "generating-function",
+      "parameters": {"endpoints": [0.0, 2.0]}},
+     "defect_u1 defect_u0 symmetry_defect p0 p1 action"),
+    ({"system": {"name": "lambda-family", "params": {"field": "constant", "c": [1.0]}},
+      "task": "lambda-study", "parameters": {"lambdas": [1.0, 0.5], "endpoints": [0.0, 2.0]}},
+     "rows rows[].lambda rows[].p0 rows[].action rows[].second_order_residual "
+     "rows[].flowline_distance rows[].status momentum_slope notes"),
+    ({**PLANAR, "task": "constrained",
+      "parameters": {"constraint": {"name": "circle"}, "u0": [0.0, 0.0], "e0": [0.0]}},
+     "status status.kind u_end p_end e_end energy_drift max_polar_residual "
+     "max_tangency_residual momentum_constraint_drift"),
+    (gotay_state(),
+     "kernel_dim primary_residual polar_residual stable tangency_residual "
+     "secondary_direction d_velocity c_rate c_residual terminated"),
+]
+
+
+class TestResultKeys:
+    @pytest.mark.parametrize("payload, keys", RESULT_KEYS,
+                             ids=[payload["task"] for payload, _ in RESULT_KEYS])
+    def test_results_keys(self, tmp_path, payload, keys):
+        path = write_scenario(tmp_path, {**FAST, **payload})
+        report, _, code = run_scenario(path, out_dir=str(tmp_path / "out"))
+        assert code == 0
+        assert key_paths(report["results"]) == set(keys.split())
 
 
 class TestDeterminism:

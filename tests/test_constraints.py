@@ -1,5 +1,6 @@
 """Momentum constraints, the pointwise constraint algorithm, reduction."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from phasebound.core import (
     TimeGrid,
     Trajectory,
     action_functional,
+    check_gradients,
     hamiltonian_vector_field,
 )
 from phasebound.errors import (
@@ -403,6 +405,29 @@ class TestReductionCertificate:
         val = check_hamiltonian_descends(planar_free_plus_height(), circ,
                                          [([0.0, 0.0], [0.0])])
         assert val == pytest.approx(1.0, abs=1e-6)
+
+
+class TestChecksPropagateNaN:
+    """A NaN disagreement makes a consistency check NaN; it is never folded away."""
+
+    def test_check_dsigma(self):
+        circ = make_circle_constraint()
+        broken = ConstraintSpec(k_dim=1, sigma=lambda e: np.array([np.cos(e[0]), np.nan]),
+                                dsigma=circ.dsigma)
+        assert np.isnan(check_dsigma(broken, [[0.3], [1.1]]))
+
+    def test_check_hamiltonian_descends(self):
+        free = planar_free()
+        nan_height = dataclasses.replace(
+            free, hamiltonian=lambda t, u, p: free.hamiltonian(t, u, p) + np.nan * u[..., 0])
+        assert np.isnan(check_hamiltonian_descends(nan_height, make_circle_constraint(),
+                                                   [([0.0, 0.0], [0.0])]))
+
+    def test_check_gradients(self):
+        free = planar_free()
+        nan_grad = dataclasses.replace(free, grad_p=lambda t, u, p: p * [1.0, np.nan])
+        assert np.isnan(check_gradients(nan_grad, [(0.0, [0.1, 0.2], [0.3, 0.4])]))
+        assert check_gradients(free, [(0.0, [0.1, 0.2], [0.3, 0.4])]) <= 1e-8
 
 
 class TestSpecHelpers:

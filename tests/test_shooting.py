@@ -237,6 +237,90 @@ class TestClassifyTheory:
         assert "Continuum" in verdict.witness
 
 
+CONTINUUM_1 = "Continuum at endpoints ([1.0], [1.5])"
+LOST_0 = "no solution after perturbing u1 to [0.25] (from u0=[0.0])"
+LOST_1 = "no solution after perturbing u1 to [1.25] (from u0=[1.0])"
+UNJOINED = "no sampled endpoint pair is joined by a solution"
+MIXED = "mixed solvability over the sample"
+
+
+def branch_count(kind):
+    return {"NoSolution": 0, "Unique": 1}.get(kind, 2)
+
+
+class TestClassifyTheoryTruthTable:
+    """Verdict and witness of classify_theory from stubbed per-pair results.
+
+    Pair k joins u0 = [k] to u1 = [k + 0.5] with the given kind.  A pair in
+    ``lost`` loses its solutions when u1 moves down by the probe radius
+    0.25, and keeps them when it moves up.
+    """
+
+    @staticmethod
+    def classify(monkeypatch, kinds, lost=()):
+        calls = []
+
+        def stub(sys, pairs, cfg, seeds=None):
+            calls.append((pairs, seeds))
+            sets = []
+            for u0, u1 in pairs:
+                k = int(u0[0])
+                if seeds is None:
+                    kind = kinds[k]
+                else:
+                    kind = "NoSolution" if k in lost and u1[0] < k + 0.5 else "Unique"
+                count = branch_count(kind)
+                branches = tuple(SimpleNamespace(p0=np.array([10.0 * k + j]))
+                                 for j in range(count))
+                sets.append(shooting.BvpSolutionSet(
+                    (np.asarray(u0, float), np.asarray(u1, float)), branches,
+                    shooting.Classification(kind, count)))
+            return sets
+
+        monkeypatch.setattr(shooting, "solve_dirichlet_many", stub)
+        pairs = [([float(k)], [k + 0.5]) for k in range(len(kinds))]
+        verdict = classify_theory(SimpleNamespace(dim=1), pairs, fast_cfg(), probe_radius=0.25)
+        return verdict, calls
+
+    @pytest.mark.parametrize("kinds, lost, kind, witness", [
+        (["Unique", "Unique"], (), "Dirichlet", None),
+        (["Unique", "MultipleIsolated"], (), "LocallyDirichlet", None),
+        (["MultipleIsolated", "MultipleIsolated"], (), "LocallyDirichlet", None),
+        (["Unique", "Unique"], (1,), "Neither", LOST_1),
+        (["Unique", "Unique"], (0, 1), "Neither", LOST_0),
+        (["MultipleIsolated", "NoSolution"], (0,), "Neither", LOST_0),
+        (["Unique", "Continuum"], (), "Neither", CONTINUUM_1),
+        (["Unique", "Continuum"], (0,), "Neither", CONTINUUM_1),
+        (["NoSolution", "Continuum"], (), "Neither", CONTINUUM_1),
+        (["Unique", "NoSolution"], (), "Neither", MIXED),
+        (["NoSolution", "NoSolution"], (), "Neither", UNJOINED),
+    ], ids=["dirichlet", "locally-dirichlet", "all-multiple", "lost-probe",
+            "first-lost-probe", "lost-probe-beside-no-solution", "continuum",
+            "continuum-before-lost-probe", "continuum-without-solvable-pair",
+            "mixed", "no-pair-joined"])
+    def test_verdict_and_witness(self, monkeypatch, kinds, lost, kind, witness):
+        verdict, _ = self.classify(monkeypatch, kinds, lost)
+        assert (verdict.kind, verdict.witness) == (kind, witness)
+        assert verdict.heuristic
+        assert verdict.evidence == tuple(
+            ([float(k)], [k + 0.5], kd, branch_count(kd))
+            for k, kd in enumerate(kinds))
+
+    @pytest.mark.parametrize("kinds", [
+        ["Unique", "NoSolution", "MultipleIsolated"],
+        ["Continuum", "NoSolution"],
+    ])
+    def test_probes_of_the_solvable_pairs_in_one_batch(self, monkeypatch, kinds):
+        _, calls = self.classify(monkeypatch, kinds)
+        assert len(calls) == 2 and calls[0][1] is None
+        probes, warm = calls[1]
+        solvable = [k for k, kd in enumerate(kinds) if kd in ("Unique", "MultipleIsolated")]
+        expected = [([float(k)], [k + 0.5 + d]) for k in solvable for d in (0.25, -0.25)]
+        assert [(list(u0), list(u1)) for u0, u1 in probes] == expected
+        branches = [[10.0 * k + j for j in range(branch_count(kinds[k]))] for k in solvable]
+        assert [[float(p[0]) for p in w] for w in warm] == [b for b in branches for _ in (0, 1)]
+
+
 class TestLagrangianBoundary:
     def test_zero_generating_function_static_curves(self):
         # p0 = p1 = 0 forces static curves; Newton lands near its seed
