@@ -306,24 +306,25 @@ def _task_bvp(ex, scenario, icfg, scfg, seed):
 
 
 def _point_pairs(ex, params, seed, key="endpoint_pairs", box=(-1.0, 1.0)):
-    """The pairs listed under params[key], else sample_count pairs drawn from the box."""
+    """The pairs listed under params[key], else sample_count pairs drawn from the box;
+    at least one pair either way."""
     if key in params:
+        if not isinstance(params[key], list) or not params[key]:
+            raise ScenarioError(f"parameters.{key} must be a non-empty list of pairs")
         return [_points(p, (ex.system.dim,) * 2, f"each of parameters.{key}")
                 for p in params[key]]
+    count = params.get("sample_count", 10)
+    if type(count) is not int or count < 1:
+        raise ScenarioError(f"parameters.sample_count must be an integer >= 1, got {count!r}")
     try:
-        return sample_phase_points(ex.system.dim, int(params.get("sample_count", 10)),
-                                   params.get("box", box), seed)
+        return sample_phase_points(ex.system.dim, count, params.get("box", box), seed)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"parameters sample_count and box must be a count and a pair "
-                            f"of numbers: {exc}") from exc
+        raise ScenarioError(f"parameters.box must be a pair of numbers: {exc}") from exc
 
 
 def _task_classify(ex, scenario, icfg, scfg, seed):
     params = scenario.get("parameters", {})
-    pairs = _point_pairs(ex, params, seed)
-    if not pairs:
-        raise ScenarioError("classify task needs at least one endpoint pair")
-    out = asdict(classify_theory(ex.system, pairs, scfg,
+    out = asdict(classify_theory(ex.system, _point_pairs(ex, params, seed), scfg,
                                  probe_radius=params.get("probe_radius", 1e-2)))
     out["verdict"] = out.pop("kind")
     out["evidence"] = [dict(zip(("u0", "u1", "kind", "count"), e)) for e in out["evidence"]]

@@ -33,6 +33,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     as_point,
+    canonical_skew,
     central_difference,
     grid_derivative,
 )
@@ -44,7 +45,7 @@ from .errors import (
     UnstableConstraintError,
 )
 from .integrators import (Completed, IntegratorConfig, NewtonFailure, _midpoint_step_batch,
-                          step_count)
+                          energy_drift, step_count)
 
 ON_CONSTRAINT_TOL = 1e-8
 
@@ -144,11 +145,9 @@ def momentum_constraint_residual(spec: ConstraintSpec, p, e):
 
 
 def presymplectic_form_matrix(r, k):
-    """Matrix of du^dp on coordinates (u, p, Lambda, e)."""
-    n = 3 * r + k
-    m = np.zeros((n, n))
-    m[:r, r:2 * r] = np.eye(r)
-    m[r:2 * r, :r] = -np.eye(r)
+    """Matrix of du^dp on coordinates (u, p, Lambda, e): J on (u, p), zero elsewhere."""
+    m = np.zeros((3 * r + k, 3 * r + k))
+    m[:2 * r, :2 * r] = canonical_skew(2 * r)
     return m
 
 
@@ -378,9 +377,6 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     p_path = np.stack([spec.sigma_at(e) for e in e_path])
     traj = Trajectory(TimeGrid(nodes), ys[:, :r], p_path)
 
-    h_vals = np.array([
-        sys.hamiltonian(nodes[i], traj.positions[i], traj.momenta[i]) for i in range(len(nodes))
-    ])
     polar = max(
         float(np.abs(polar_constraint_residual(spec, e_path[i], lam_path[i])).max())
         for i in range(len(nodes))
@@ -390,7 +386,7 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
         e_path=e_path,
         lambda_path=lam_path,
         status=status,
-        energy_drift=float(np.max(np.abs(h_vals - h_vals[0]))),
+        energy_drift=energy_drift(sys, traj),
         max_polar_residual=polar,
         max_tangency_residual=tangency_worst,
     )

@@ -57,7 +57,6 @@ class ConfigSpace:
 
     dim: int
     kinds: tuple = None
-    embedding: object = None  # presentation only, unused by solvers
 
     def __post_init__(self):
         if self.dim < 1:
@@ -368,10 +367,6 @@ class BoundaryPoint:
         for name, v in vals.items():
             object.__setattr__(self, name, v)
 
-    def as_vector(self):
-        """Concatenated (u0, p0, u1, p1), matching BoundaryTangent layout."""
-        return np.concatenate([self.u0, self.p0, self.u1, self.p1])
-
 
 @dataclass(frozen=True)
 class BoundaryTangent:
@@ -390,12 +385,6 @@ class BoundaryTangent:
             object.__setattr__(self, name, v)
         if len(dims) != 1:
             raise DimensionMismatchError("tangent components must share one dimension")
-
-    @classmethod
-    def from_vector(cls, vec):
-        vec = np.asarray(vec, dtype=float)
-        r = vec.size // 4
-        return cls(vec[:r], vec[r:2 * r], vec[2 * r:3 * r], vec[3 * r:])
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +552,18 @@ def omega_eval(v: BoundaryTangent, w: BoundaryTangent):
     return float(plus - minus)
 
 
-def boundary_omega_matrix(r):
-    """Matrix of the boundary symplectic form in (du0, dp0, du1, dp1) layout."""
-    j = np.zeros((2 * r, 2 * r))
+def canonical_skew(two_r):
+    """The canonical symplectic matrix J = [[0, I], [-I, 0]] of size two_r."""
+    r = two_r // 2
+    j = np.zeros((two_r, two_r))
     j[:r, r:] = np.eye(r)
     j[r:, :r] = -np.eye(r)
+    return j
+
+
+def boundary_omega_matrix(r):
+    """Matrix of the boundary symplectic form in (du0, dp0, du1, dp1) layout."""
+    j = canonical_skew(2 * r)
     m = np.zeros((4 * r, 4 * r))
     m[:2 * r, :2 * r] = -j
     m[2 * r:, 2 * r:] = j

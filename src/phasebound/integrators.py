@@ -33,6 +33,7 @@ from .core import (
     Trajectory,
     _eval_along,
     as_point,
+    canonical_skew,
     central_difference,
     hessian_block,
     linearized_field_matrix,
@@ -179,14 +180,6 @@ def flow_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig, t0=0.0,
     if not res.completed:
         raise FlowIncompleteError(res.status)
     return jac
-
-
-def canonical_skew(two_r):
-    r = two_r // 2
-    j = np.zeros((two_r, two_r))
-    j[:r, r:] = np.eye(r)
-    j[r:, :r] = -np.eye(r)
-    return j
 
 
 def symplecticity_defect(jac):

@@ -65,7 +65,6 @@ class ShootingConfig:
     seeds: Optional[tuple] = None
     seed_count: int = 32
     seed_box: tuple = (-6.0, 6.0)
-    seed_rng: int = 0
     distinctness_radius: float = 1e-4
     singular_cond: float = 1e10
 
@@ -89,7 +88,7 @@ class ShootingConfig:
         lo, hi = self.seed_box
         if r == 1:
             return np.linspace(lo, hi, self.seed_count)[:, None]
-        rng = np.random.default_rng(self.seed_rng)
+        rng = np.random.default_rng(0)
         return rng.uniform(lo, hi, size=(self.seed_count, r))
 
 
@@ -242,18 +241,6 @@ def _condensed_solve(tangents, res):
         x = np.einsum("bij,bj->bi", phi, x) + defects[:, k]
         parts.append(x)
     return np.concatenate(parts, axis=1)
-
-
-def _shoot(sys, U0, U1, seeds, cfg):
-    """Multistart multiple shooting of u(1; U0[i], p) = U1[i] from seed row i.
-
-    Returns the converged momenta p0 and their seed rows.
-    """
-    icfg = cfg.integrator
-    found, _, conv = _multistart_newton(
-        lambda rows, P: _batch_eval(sys, U0[rows], P, U1[rows], icfg, want_jacobian=True),
-        _shooting_unknowns(sys, U0, seeds, icfg), cfg, solve=_condensed_solve)
-    return found[:, :sys.dim], conv
 
 
 def _graph_eval(sys, grad_F, X, icfg, fd_step):
@@ -417,8 +404,12 @@ def solve_dirichlet_many(sys: HamiltonianSystem, pairs, cfg: ShootingConfig, see
     seeds = [np.asarray(s, dtype=float).reshape(-1, r) for s in seeds]
     owner = np.repeat(np.arange(len(pairs)), [len(s) for s in seeds])
     U0, U1 = np.array(pairs)[owner].transpose(1, 0, 2)
-    momenta, rows = _shoot(sys, U0, U1, np.concatenate(seeds), cfg)
-    branches = _branches_from_momenta(sys, U0[rows], momenta, cfg, targets=U1[rows])
+    icfg = cfg.integrator
+    # multistart multiple shooting of u(1; U0[i], p) = U1[i] from seed row i
+    found, _, rows = _multistart_newton(
+        lambda idx, P: _batch_eval(sys, U0[idx], P, U1[idx], icfg, want_jacobian=True),
+        _shooting_unknowns(sys, U0, np.concatenate(seeds), icfg), cfg, solve=_condensed_solve)
+    branches = _branches_from_momenta(sys, U0[rows], found[:, :r], cfg, targets=U1[rows])
     sets = []
     for k, (u0, u1) in enumerate(pairs):
         entries = [b for b, i in zip(branches, rows) if owner[i] == k and b is not None]
@@ -453,30 +444,26 @@ def _continue_branch(sys, branches, cfg, fd_step):
 
     ``branches`` lists (u0, u1, p0).  For each, returns its 4r
     continuations, u0 +- fd_step e_a and then u1 +- fd_step e_a (a = 0..r-1,
-    + before -): the boundary problem re-solved warm-started at p0, or the
-    BranchLostError saying how the branch was lost (Newton failed, the
-    momentum jumped farther than 1e3 fd_step, i.e. onto another branch, or
-    the final trajectory was not finite).
+    + before -): the displaced pair's solution by solve_dirichlet_many
+    warm-started at p0 alone, or the BranchLostError saying how the branch
+    was lost (no solution, or the momentum jumped farther than 1e3 fd_step,
+    i.e. onto another branch).
     """
     r = sys.dim
     max_jump = 1e3 * fd_step
-    rows = []
+    pairs, seeds = [], []
     for u0, u1, p0 in branches:
-        rows += [(v, u1, p0) for v in central_points(u0, fd_step).reshape(2 * r, r)]
-        rows += [(u0, v, p0) for v in central_points(u1, fd_step).reshape(2 * r, r)]
-    if not rows:
-        return []
-    U0, U1, seeds = (np.array([row[i] for row in rows], dtype=float) for i in range(3))
-    momenta, conv = _shoot(sys, U0, U1, seeds, cfg)
-    out = [BranchLostError(f"continuation from p0={p0} did not converge") for p0 in seeds]
-    jumps = np.max(np.abs(momenta - seeds[conv]), axis=1)
-    for i, jump in zip(conv, jumps):
-        out[i] = BranchLostError(f"continuation jumped {jump:.3e} > {max_jump:.3e} in p0")
-    near = jumps <= max_jump
-    found = _branches_from_momenta(sys, U0[conv[near]], momenta[near], cfg,
-                                   targets=U1[conv[near]])
-    for i, b in zip(conv[near], found):
-        out[i] = b or BranchLostError("continuation trajectory could not be reconstructed")
+        pairs += [(v, u1) for v in central_points(u0, fd_step).reshape(2 * r, r)]
+        pairs += [(u0, v) for v in central_points(u1, fd_step).reshape(2 * r, r)]
+        seeds += [as_point(p0, r)] * (4 * r)
+    out = []
+    for p0, sols in zip(seeds, solve_dirichlet_many(sys, pairs, cfg, seeds=seeds)):
+        if not sols.solutions:
+            out.append(BranchLostError(f"continuation from p0={p0} did not converge"))
+            continue
+        jump = np.max(np.abs(sols.solutions[0].p0 - p0))
+        out.append(sols.solutions[0] if jump <= max_jump else BranchLostError(
+            f"continuation jumped {jump:.3e} > {max_jump:.3e} in p0"))
     return [out[k:k + 4 * r] for k in range(0, len(out), 4 * r)]
 
 
@@ -518,9 +505,7 @@ def generating_function_check(sys: HamiltonianSystem, u0, u1, cfg: ShootingConfi
     center = sols.solutions[branch]
     p0c = center.p0
     p1c = center.p1
-    cont = _continue_branch(sys, [(u0, u1, p0c)], cfg, fd_step)[0]  # [end, a, sign]
-    # a loss is reported in the order u0 + e_a, u1 + e_a, u0 - e_a, u1 - e_a, a = 0..r-1
-    _continued([cont[(end * r + a) * 2 + s] for a in range(r) for s in (0, 1) for end in (0, 1)])
+    cont = _continued(_continue_branch(sys, [(u0, u1, p0c)], cfg, fd_step)[0])  # [end, a, sign]
     w = np.array([action_functional(sys, b.trajectory) for b in cont]).reshape(2, r, 2)
     grad_w_u0, grad_w_u1 = (central_quotient(w_end, fd_step) for w_end in w)
     defect_u0 = float(np.max(np.abs(grad_w_u0 + p0c)))

@@ -119,13 +119,27 @@ class TestSchema:
          "parameters": {"route": "flow", "box": 1.0}},
         {"system": "free-particle", "task": "isotropy",
          "parameters": {"route": "bvp", "box": [-1.0, 0.0, 1.0]}},
+        *({"system": "free-particle", "task": "isotropy",
+           "parameters": {"route": route, "sample_count": count}}
+          for route in ("flow", "bvp") for count in (-3, 0, 2.7, "3", True)),
+        {"system": "free-particle", "task": "classify", "parameters": {"sample_count": 2.7}},
+        {"system": "free-particle", "task": "isotropy",
+         "parameters": {"route": "flow", "points": []}},
+        {"system": "free-particle", "task": "isotropy",
+         "parameters": {"route": "bvp", "endpoint_pairs": []}},
+        {"system": "free-particle", "task": "classify", "parameters": {"endpoint_pairs": []}},
+        {"system": "free-particle", "task": "classify", "parameters": {"endpoint_pairs": 1.0}},
     ], ids=["seed-box-of-one", "seed-box-of-three", "sphere-seed-of-two", "one-endpoint",
             "no-classify-pairs", "flow-backwards", "flow-time-not-a-number",
             "flow-state-of-wrong-dimension", "isotropy-point-without-momentum",
             "constrained-e0-of-wrong-dimension", "gotay-u-of-wrong-dimension",
             "gotay-lambda-of-wrong-dimension", "gotay-p-of-one-on-a-plane",
             "gotay-e-of-two-on-a-circle", "classify-box-of-one", "isotropy-flow-box-not-a-pair",
-            "isotropy-bvp-box-of-three"])
+            "isotropy-bvp-box-of-three",
+            *(f"isotropy-{route}-sample-count-{name}" for route in ("flow", "bvp")
+              for name in ("negative", "zero", "fraction", "string", "boolean")),
+            "classify-sample-count-fraction", "isotropy-flow-no-points",
+            "isotropy-bvp-no-pairs", "classify-no-pairs", "classify-pairs-not-a-list"])
     def test_malformed_values_are_exit_2_with_nothing_written(self, tmp_path, capsys, payload):
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2

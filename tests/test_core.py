@@ -383,11 +383,12 @@ class TestCentralStencil:
         class Stop(Exception):
             pass
 
-        def record(sys, U0, U1, seeds, cfg):
-            seen.update(U0=U0, U1=U1, seeds=seeds)
+        def record(sys, pairs, cfg, seeds=None):
+            seen.update(U0=np.array([u for u, _ in pairs]), U1=np.array([u for _, u in pairs]),
+                        seeds=np.array(seeds))
             raise Stop
 
-        monkeypatch.setattr(shooting, "_shoot", record)
+        monkeypatch.setattr(shooting, "solve_dirichlet_many", record)
         u0, u1, p0, h = np.array([0.1, -0.2]), np.array([1.0, 0.5]), np.array([0.3, 0.4]), 1e-3
         with pytest.raises(Stop):
             shooting._continue_branch(make_free_particle(dim=2).system, [(u0, u1, p0)], None, h)

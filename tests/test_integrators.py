@@ -29,9 +29,11 @@ from phasebound.integrators import (
     step_stormer_verlet,
     symplecticity_defect,
 )
+from phasebound.shooting import ShootingConfig, solve_dirichlet
 from phasebound.systems import (
     make_cotangent_lift,
     make_free_particle,
+    make_lambda_family,
     make_pendulum,
     make_quartic,
     make_sphere_geodesics,
@@ -511,3 +513,63 @@ class TestTangentSymplecticity:
         for b in range(width):
             scale = max(1.0, float(np.abs(jac[b]).max()) ** 2)
             assert symplecticity_defect(jac[b]) <= 1e-10 * scale
+
+
+# (system, initial states U0 and P0, one endpoint pair for a boundary problem)
+ROW_BY_ROW = {
+    "pendulum": (make_pendulum, [[0.3], [-1.0], [2.0]], [[0.5], [1.2], [-0.4]],
+                 ([0.0], [np.pi / 2])),
+    # (4, 8) escapes at t = 1/2
+    "quartic-escaping": (make_quartic, [[4.0], [0.3], [-0.6]], [[8.0], [0.2], [1.1]],
+                         ([0.5], [0.3])),
+    "free-particle-2d": (lambda: make_free_particle(dim=2), [[0.1, -0.2], [1.0, 0.5]],
+                         [[0.3, 0.4], [-1.0, 0.2]], ([0.0, 0.0], [1.0, -0.5])),
+    "sphere": (make_sphere_geodesics, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+               [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]], ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])),
+    "cotangent-lift": (make_cotangent_lift, [[1.0], [-0.5]], [[0.3], [2.0]], ([1.0], [2.0])),
+    "lambda-family": (lambda: make_lambda_family(0.5), [[0.0], [0.7]], [[1.0], [-0.3]],
+                      ([0.0], [1.0])),
+}
+
+
+class TestRowByRowSystems:
+    """A system declared not vectorized has its callbacks called one row at a
+    time; its flows and boundary solutions equal the vectorized ones bit for bit."""
+
+    @staticmethod
+    def both(name):
+        system = ROW_BY_ROW[name][0]().system
+        return system, dataclasses.replace(system, vectorized=False)
+
+    @pytest.mark.parametrize("name", ROW_BY_ROW)
+    def test_flow_batch_matches_the_vectorized_run(self, name):
+        fast, slow = self.both(name)
+        U0, P0 = (np.array(x, dtype=float) for x in ROW_BY_ROW[name][1:3])
+        schemes = ("implicit-midpoint", "stormer-verlet") if fast.separable else (
+            "implicit-midpoint",)
+        for scheme in schemes:
+            for tangent_exact in (True, False):
+                cfg = IntegratorConfig(scheme=scheme, step=1e-2)
+                want, got = (flow_batch(sys, U0, P0, cfg, want_jacobian=True, store_path=True,
+                                        tangent_exact=tangent_exact, statuses=True)
+                             for sys in (fast, slow))
+                for a, b in zip(want[1], got[1]):
+                    assert np.array_equal(a, b)
+                for a, b in zip(want[2:6], got[2:6]):
+                    assert np.array_equal(a, b)
+                for (status, stop, crossing), (status1, stop1, crossing1) in zip(want[6], got[6]):
+                    assert (status, stop) == (status1, stop1)
+                    assert (crossing is None and crossing1 is None) or np.array_equal(
+                        crossing, crossing1)
+
+    @pytest.mark.parametrize("name", ROW_BY_ROW)
+    def test_solve_dirichlet_matches_the_vectorized_run(self, name):
+        cfg = ShootingConfig(integrator=IntegratorConfig(step=1e-2), seed_count=6)
+        want, got = (solve_dirichlet(sys, *ROW_BY_ROW[name][3], cfg) for sys in self.both(name))
+        assert want.classification == got.classification
+        assert len(want.solutions) == len(got.solutions)
+        for a, b in zip(want.solutions, got.solutions):
+            assert np.array_equal(a.p0, b.p0) and np.array_equal(a.jacobian, b.jacobian)
+            assert np.array_equal(a.trajectory.positions, b.trajectory.positions)
+            assert np.array_equal(a.trajectory.momenta, b.trajectory.momenta)
+            assert (a.residual, a.cond) == (b.residual, b.cond)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from phasebound import shooting
 from phasebound.core import ConfigSpace, HamiltonianSystem, TimeGrid, Trajectory, action_functional
-from phasebound.errors import FlowIncompleteError, NoSuchBranchError, NotSeparableError
+from phasebound.errors import (BranchLostError, FlowIncompleteError, NoSuchBranchError,
+                              NotSeparableError)
 from phasebound.integrators import IntegratorConfig, _batch_solve, integrate_flow
 from phasebound.shooting import (
     ShootingConfig,
@@ -195,6 +196,17 @@ class TestGeneratingFunction:
             assert rep.defect_u0 <= 1e-5
             assert rep.defect_u1 <= 1e-5
             assert rep.symmetry_defect <= 1e-4
+
+    def test_first_loss_in_continuation_order_is_raised(self, monkeypatch):
+        # at r = 1 the continuations come as u0 + e_0, u0 - e_0, u1 + e_0,
+        # u1 - e_0; with two of them lost, the earlier one is raised
+        def two_lost(sys, branches, cfg, fd_step):
+            return [[None, BranchLostError("lost u0 - e_0"), BranchLostError("lost u1 + e_0"),
+                     None]]
+
+        monkeypatch.setattr(shooting, "_continue_branch", two_lost)
+        with pytest.raises(BranchLostError, match="u0 - e_0"):
+            generating_function_check(make_free_particle().system, [0.0], [2.0], fast_cfg())
 
     def test_defects_refine_with_probe_step(self):
         pen = make_pendulum()

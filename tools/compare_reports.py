@@ -9,9 +9,12 @@ checkout's ``src``).  The scenarios are the benchmark's, from
 for seed 1 unless ``--seeds`` names others.  Each tree runs each pass in
 its own interpreter through ``phasebound.cli.run_scenario``.  The output
 lists every report that differs outside its ``timing`` block, and every CSV
-that differs, with the first differing key (or CSV line and column).  The
-exit status is 0 even when outputs differ, and 1 only if a run crashes: its
-interpreter fails, or a task raises.
+that differs, with the first differing key (or CSV line and column).
+Each tree also runs ``python -m phasebound selftest --out``, and the output
+says whether the two ``selftest.json`` differ outside ``timing``.  The exit
+status is 0 even when outputs differ (or a self-test check fails), and 1
+only if a run crashes: its interpreter fails, a task raises, or the
+self-test writes no report.
 """
 
 from __future__ import annotations
@@ -67,6 +70,17 @@ def _run(src, scen_dir, out_dir):
         return "crashed: " + (done.stderr.strip().splitlines() or ["no output"])[-1]
     raised = json.loads(done.stdout.strip().splitlines()[-1])
     return f"raised in {', '.join(raised)}" if raised else None
+
+
+def _selftest(src, out_dir):
+    """Write the self-test report of the tree at src into out_dir; how it crashed, or None."""
+    out_dir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    done = subprocess.run([sys.executable, "-m", "phasebound", "selftest", "--out", str(out_dir)],
+                          capture_output=True, text=True, env=env, cwd=out_dir)
+    if not (out_dir / "selftest.json").exists():
+        return "crashed: " + (done.stderr.strip().splitlines() or ["no output"])[-1]
+    return None
 
 
 def _same(a, b):
@@ -161,8 +175,21 @@ def main(argv=None):
             print(f"- {label}: {len(moved)} outputs differ")
             for name, where in moved:
                 print(f"  - `{name}`: first difference at `{where}`")
+        work = Path(tmp) / "selftest"
+        crashes = [f"the {side} self-test {how}"
+                   for side, src in (("base", args.base_src), ("head", args.head_src))
+                   if (how := _selftest(src, work / side))]
+        if crashes:
+            crashed = True
+            selftest = "; ".join(crashes)
+        else:
+            where = _report_difference(work / "base" / "selftest.json",
+                                       work / "head" / "selftest.json")
+            selftest = ("identical outside `timing`" if where is None
+                        else f"differs, first at `{where}`")
     print(f"\n{counts['moved.json']} of {counts['.json']} reports and "
           f"{counts['moved.csv']} of {counts['.csv']} CSVs differ.")
+    print(f"`selftest.json`: {selftest}.")
     return 1 if crashed else 0
 
 
