@@ -71,6 +71,21 @@ TASK_PARAM_KEYS = {
     "constrained": {"constraint", "u0", "e0", "gauge"},
     "gotay": {"constraint", "state"},
 }
+_number = lambda v: type(v) in (int, float) and -np.inf < v < np.inf
+# The rule each of these task parameters must meet, and how it is stated.
+PARAM_RULES = {
+    "sample_count": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "require_solutions": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "branch": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "fd_step": (lambda v: _number(v) and v > 0, "a positive finite number"),
+    "probe_radius": (lambda v: _number(v) and v > 0, "a positive finite number"),
+    "lambdas": (lambda v: isinstance(v, list) and v and all(_number(x) and x >= 0 for x in v),
+                "a non-empty list of numbers >= 0"),
+    "box": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v)),
+            "a pair of numbers"),
+    "route": (lambda v: v in ("flow", "bvp"), "'flow' or 'bvp'"),
+    "gauge": (lambda v: v == "lambda-zero", "'lambda-zero', the one scenario-selectable gauge"),
+}
 
 
 class ScenarioError(PhaseboundError):
@@ -188,6 +203,10 @@ def load_scenario(path):
     if not isinstance(params, dict):
         raise ScenarioError("'parameters' must be an object")
     _reject_unknown(params, TASK_PARAM_KEYS[task], f"parameters of task {task!r}")
+    for key in params.keys() & PARAM_RULES.keys():
+        valid, need = PARAM_RULES[key]
+        if not valid(params[key]):
+            raise ScenarioError(f"parameters.{key} must be {need}, got {params[key]!r}")
     system = data["system"]
     if isinstance(system, str):
         system = {"name": system, "params": {}}
@@ -296,7 +315,7 @@ def _task_bvp(ex, scenario, icfg, scfg, seed):
         "classification": asdict(sols.classification),
         "branches": [_branch_dict(ex, b) for b in sols.solutions],
     }
-    required = int(params.get("require_solutions", 0))
+    required = params.get("require_solutions", 0)
     traj = sols.solutions[0].trajectory if sols.solutions else None
     if len(sols.solutions) < required:
         raise TaskFailure(
@@ -313,13 +332,8 @@ def _point_pairs(ex, params, seed, key="endpoint_pairs", box=(-1.0, 1.0)):
             raise ScenarioError(f"parameters.{key} must be a non-empty list of pairs")
         return [_points(p, (ex.system.dim,) * 2, f"each of parameters.{key}")
                 for p in params[key]]
-    count = params.get("sample_count", 10)
-    if type(count) is not int or count < 1:
-        raise ScenarioError(f"parameters.sample_count must be an integer >= 1, got {count!r}")
-    try:
-        return sample_phase_points(ex.system.dim, count, params.get("box", box), seed)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"parameters.box must be a pair of numbers: {exc}") from exc
+    return sample_phase_points(ex.system.dim, params.get("sample_count", 10),
+                               params.get("box", box), seed)
 
 
 def _task_classify(ex, scenario, icfg, scfg, seed):
@@ -333,15 +347,12 @@ def _task_classify(ex, scenario, icfg, scfg, seed):
 
 def _task_isotropy(ex, scenario, icfg, scfg, seed):
     params = scenario.get("parameters", {})
-    route = params.get("route", "flow")
-    if route == "flow":
+    if params.get("route", "flow") == "flow":
         points = _point_pairs(ex, params, seed, key="points", box=(-1.5, 1.5))
         report = isotropy_defect_flow(ex.system, points, icfg, seed=seed)
-    elif route == "bvp":
+    else:
         report = isotropy_defect_bvp(ex.system, _point_pairs(ex, params, seed), scfg,
                                      fd_step=params.get("fd_step", 1e-5), seed=seed)
-    else:
-        raise ScenarioError(f"isotropy route must be 'flow' or 'bvp', got {route!r}")
     return asdict(report), None
 
 
@@ -351,7 +362,7 @@ def _task_generating_function(ex, scenario, icfg, scfg, seed):
         raise ScenarioError("generating-function task needs parameters.endpoints")
     u0, u1 = _points(params["endpoints"], (ex.system.dim,) * 2, "parameters.endpoints")
     return asdict(generating_function_check(ex.system, u0, u1, scfg,
-                                            branch=int(params.get("branch", 0)),
+                                            branch=params.get("branch", 0),
                                             fd_step=params.get("fd_step", 1e-5))), None
 
 
@@ -385,9 +396,6 @@ def _task_constrained(ex, scenario, icfg, scfg, seed):
     spec = _constraint_from_params(params)
     if "u0" not in params or "e0" not in params:
         raise ScenarioError("constrained task needs parameters u0 and e0")
-    gauge = params.get("gauge", "lambda-zero")
-    if gauge != "lambda-zero":
-        raise ScenarioError("only the lambda-zero gauge is scenario-selectable")
     u0, e0 = _points((params["u0"], params["e0"]), (ex.system.dim, spec.k_dim),
                      "parameters u0 and e0")
     try:
@@ -395,6 +403,8 @@ def _task_constrained(ex, scenario, icfg, scfg, seed):
     except UnstableConstraintError as exc:
         raise TaskFailure(f"constraint unstable at t={exc.t}: tangency residual "
                           f"{exc.residual:.6e}") from exc
+    except ValueError as exc:  # a scheme the constrained integrator does not step with
+        raise ScenarioError(f"bad integrator configuration: {exc}") from exc
     out = {
         "status": _status_dict(res.status),
         "u_end": res.trajectory.positions[-1],

@@ -22,7 +22,7 @@ numerically instead of constructing the quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,14 +38,13 @@ from .core import (
     grid_derivative,
 )
 from .errors import (
-    FlowIncompleteError,
     GridMismatchError,
     NonFiniteError,
     OffConstraintError,
     UnstableConstraintError,
 )
-from .integrators import (Completed, IntegratorConfig, NewtonFailure, _midpoint_step_batch,
-                          energy_drift, step_count)
+from .integrators import (FlowResult, IntegratorConfig, _march, _midpoint_step_batch,
+                          _stopped_path, energy_drift)
 
 ON_CONSTRAINT_TOL = 1e-8
 
@@ -152,13 +151,21 @@ def presymplectic_form_matrix(r, k):
 
 
 def _tangency_solve(sys, spec, t, u, e):
-    """Minimal-norm D with dsigma(e) D = -dH/du, and the unmatched residual."""
+    """Minimal-norm D with dsigma(e) D = -dH/du at p = sigma(e), the unmatched residual,
+    dH/du, dsigma(e) and p."""
     p = spec.sigma_at(e)
     grad_u = np.asarray(sys.grad_u(t, u, p), dtype=float)
     dsig = spec.dsigma_at(e)
     d_vec, *_ = np.linalg.lstsq(dsig, -grad_u, rcond=None)
     residual = dsig @ d_vec + grad_u
-    return d_vec, residual, grad_u, dsig
+    return d_vec, residual, grad_u, dsig, p
+
+
+def _tangency_verdict(spec, residual, grad_u):
+    """(sup norm of a tangency residual, tangent): tangent iff the norm is at most
+    100 rank_tol (1 + max|dH/du|), so a NaN residual or gradient is not tangent."""
+    norm = float(np.abs(residual).max())
+    return norm, norm <= spec.rank_tol * (1.0 + float(np.abs(grad_u).max())) * 1e2
 
 
 @dataclass(frozen=True)
@@ -196,14 +203,10 @@ def gotay_step(sys: HamiltonianSystem, spec: ConstraintSpec, state: ExtendedStat
     phi = momentum_constraint_residual(spec, state.p, state.e)
     psi = polar_constraint_residual(spec, state.e, state.lam)
 
-    d_vec, tan_res, grad_u, dsig = _tangency_solve(sys, spec, t, state.u, state.e)
-    scale = 1.0 + float(np.abs(grad_u).max())
-    tan_norm = float(np.abs(tan_res).max())
-    stable = tan_norm <= spec.rank_tol * scale * 1e2
+    d_vec, tan_res, grad_u, dsig, _ = _tangency_solve(sys, spec, t, state.u, state.e)
+    tan_norm, stable = _tangency_verdict(spec, tan_res, grad_u)
 
-    secondary = None
-    c_vec = None
-    c_res = None
+    secondary = c_vec = c_res = None
     if stable:
         d2 = spec.d2sigma_at(state.e)
         rhs = -np.einsum("a,aij,j->i", state.lam, d2, d_vec)
@@ -275,7 +278,7 @@ def check_hamiltonian_descends(sys: HamiltonianSystem, spec: ConstraintSpec, pro
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConstrainedFlowResult:
+class ConstrainedFlowResult(FlowResult):
     """Constrained trajectory with its drift diagnostics.
 
     The momentum path is sigma(e(t)) by construction, so the momentum
@@ -284,17 +287,11 @@ class ConstrainedFlowResult:
     the worst tangency residual of the per-step velocity solves.
     """
 
-    trajectory: Trajectory
     e_path: np.ndarray
     lambda_path: np.ndarray
-    status: object
     energy_drift: float
     max_polar_residual: float
     max_tangency_residual: float
-
-    @property
-    def completed(self):
-        return isinstance(self.status, Completed)
 
 
 def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
@@ -304,13 +301,17 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     The state is (u, e); the momentum is evaluated from the constraint, the
     constraint velocity D comes from the per-step minimal-norm tangency
     solve, and the multiplier path is the chosen gauge (zero by default, or
-    a callable t -> Lambda).  Raises UnstableConstraintError as soon as the
-    tangency solve leaves a residual: the probe dynamics then requires a
-    secondary constraint and does not stay on the primary set.  Raises
-    FlowIncompleteError if the first step's Newton solve fails.
+    a callable t -> Lambda).  It is marched by the implicit midpoint rule
+    (another scheme is a ValueError) on flow_batch's step loop, without step
+    halving, and escapes when max|u| + max|e| crosses the blow-up threshold.
+    Raises UnstableConstraintError as soon as a state fails the tangency
+    verdict: the dynamics then requires a secondary constraint and leaves
+    the primary set.  Raises FlowIncompleteError if the first step fails.
     """
+    if cfg.scheme != "implicit-midpoint":
+        raise ValueError(f"the constrained integrator steps with the implicit midpoint rule, "
+                         f"not {cfg.scheme!r}")
     r = sys.dim
-    k = spec.k_dim
     u0 = as_point(u0, r)
     e0 = np.atleast_1d(np.asarray(e0, dtype=float))
     if gauge == "lambda-zero":
@@ -319,14 +320,14 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
         lam_of_t = lambda t: as_point(gauge(t), r)
     else:
         raise ValueError("gauge must be 'lambda-zero' or a callable t -> Lambda")
+    ExtendedState(u0, spec.sigma_at(e0), lam_of_t(0.0), e0)  # raises on non-finite start data
 
     tangency_worst = 0.0
 
     def rhs(t, y):
         """The field at y = (u, e), with the tangency residual and dH/du there."""
-        u, e = y[:r], y[r:]
-        p = spec.sigma_at(e)
-        d_vec, tan_res, grad_u, _ = _tangency_solve(sys, spec, t, u, e)
+        u = y[:r]
+        d_vec, tan_res, grad_u, _, p = _tangency_solve(sys, spec, t, u, y[r:])
         du = np.asarray(sys.grad_p(t, u, p), dtype=float) - lam_of_t(t)
         return np.concatenate([du, d_vec]), tan_res, grad_u
 
@@ -335,11 +336,10 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
         # checked: the step's predictor and Newton iterates must keep tangency
         nonlocal tangency_worst
         value, tan_res, grad_u = rhs(t, Y[0])
-        scale = 1.0 + float(np.abs(grad_u).max())
-        tan_norm = float(np.abs(tan_res).max())
-        tangency_worst = max(tangency_worst, tan_norm)
-        if tan_norm > spec.rank_tol * scale * 1e2:
+        tan_norm, tangent = _tangency_verdict(spec, tan_res, grad_u)
+        if not tangent:
             raise UnstableConstraintError(t, tan_norm)
+        tangency_worst = max(tangency_worst, tan_norm)
         return value[None]
 
     def linearize(t, Y):
@@ -347,47 +347,25 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
         # the displaced states are off the path
         return central_difference(lambda y: rhs(t, y)[0], Y[0], 1e-7)[None]
 
-    # the initial state must pass the constraint algorithm
-    report = gotay_step(sys, spec, ExtendedState(u0, spec.sigma_at(e0), lam_of_t(0.0), e0))
-    if not report.stable:
-        raise UnstableConstraintError(0.0, report.tangency_residual)
+    march_cfg = replace(cfg, max_step_halvings=0)
 
-    n_steps = step_count(1.0, cfg.step)
-    h = 1.0 / n_steps
-    grid = TimeGrid.uniform(n_steps)
-    ys = np.empty((n_steps + 1, r + k))
-    ys[0] = np.concatenate([u0, e0])
-    status = Completed()
-    last = n_steps
-    with np.errstate(all="ignore"):
-        for i in range(n_steps):
-            t = i * h
-            y_next, ok, _ = _midpoint_step_batch(field, linearize, t, ys[i:i + 1], h, cfg, False)
-            if not ok[0]:
-                status = NewtonFailure(t=t)
-                last = i
-                break
-            ys[i + 1] = y_next[0]
-    if last == 0:
-        raise FlowIncompleteError(status)
-    ys = ys[:last + 1]
-    nodes = grid.nodes[:last + 1]
+    def step(t, Y, h, live=None):
+        return _midpoint_step_batch(field, linearize, t, Y, h, march_cfg, False, live=live)
+
+    grid, path, *_, (stopped,) = _march(step, np.concatenate([u0, e0])[None], r, march_cfg,
+                                        0.0, 1.0, store_path=True, statuses=True)
+    nodes, ys = _stopped_path(grid, path, stopped)
     e_path = ys[:, r:]
     lam_path = np.stack([lam_of_t(t) for t in nodes])
-    p_path = np.stack([spec.sigma_at(e) for e in e_path])
-    traj = Trajectory(TimeGrid(nodes), ys[:, :r], p_path)
-
-    polar = max(
-        float(np.abs(polar_constraint_residual(spec, e_path[i], lam_path[i])).max())
-        for i in range(len(nodes))
-    )
+    traj = Trajectory(TimeGrid(nodes), ys[:, :r], np.stack([spec.sigma_at(e) for e in e_path]))
+    polar = np.abs([polar_constraint_residual(spec, e, lam) for e, lam in zip(e_path, lam_path)])
     return ConstrainedFlowResult(
         trajectory=traj,
+        status=stopped[0],
         e_path=e_path,
         lambda_path=lam_path,
-        status=status,
         energy_drift=energy_drift(sys, traj),
-        max_polar_residual=polar,
+        max_polar_residual=float(polar.max()),
         max_tangency_residual=tangency_worst,
     )
 

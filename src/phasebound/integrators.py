@@ -9,8 +9,9 @@ VI.3).  Tangent flows are accumulated from the exact derivative of each
 discrete step (for the midpoint rule, the Cayley transform obtained by
 differentiating the Newton fixed point), so the computed monodromy
 matrices are symplectic to solver tolerance.  Single flows
-(``flow_with_jacobian``, ``integrate_flow``, ``flow_jacobian``), the
-public one-step maps and the constrained integrator are batches of one.
+(``flow_with_jacobian``, ``integrate_flow``, ``flow_jacobian``) are
+batches of one; the constrained integrator runs its own step on the same
+step loop, and the public one-step maps call the step directly.
 
 Finite-time escape is a legitimate outcome, reported as a BlowUp status
 with the threshold-crossing time rather than raised as an error.  The
@@ -23,6 +24,7 @@ flow that does not (shooting) drops a member at its first failed step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -102,6 +104,7 @@ class FlowResult:
 # ---------------------------------------------------------------------------
 
 def _one_step(sys, scheme, t, u, p, h, cfg):
+    cfg = cfg or IntegratorConfig(scheme=scheme, step=min(h, 1.0))
     r = sys.dim
     z = np.concatenate([as_point(u, r), as_point(p, r)])[None]
     with np.errstate(all="ignore"):
@@ -113,13 +116,11 @@ def _one_step(sys, scheme, t, u, p, h, cfg):
 
 def step_implicit_midpoint(sys: HamiltonianSystem, t, u, p, h, cfg: Optional[IntegratorConfig] = None):
     """Public one-step implicit midpoint map; returns (u', p')."""
-    cfg = cfg or IntegratorConfig(step=min(h, 1.0))
     return _one_step(sys, "implicit-midpoint", t, u, p, h, cfg)
 
 
 def step_stormer_verlet(sys: HamiltonianSystem, t, u, p, h, cfg: Optional[IntegratorConfig] = None):
     """Public one-step Stormer-Verlet map for separable systems."""
-    cfg = cfg or IntegratorConfig(scheme="stormer-verlet", step=min(h, 1.0))
     return _one_step(sys, "stormer-verlet", t, u, p, h, cfg)
 
 
@@ -138,16 +139,11 @@ def flow_with_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig,
     step fails, FlowIncompleteError.
     """
     r = sys.dim
-    grid, (path_u, path_p), _, _, _, jac, ((status, stop, crossing),) = flow_batch(
+    grid, path, _, _, _, jac, (stopped,) = flow_batch(
         sys, as_point(u0, r), as_point(p0, r), cfg, t0, t1, want_jacobian,
         store_path=True, statuses=True)
-    if stop == 0 and crossing is None:
-        raise FlowIncompleteError(status)
-    times, path_u, path_p = grid.nodes[:stop + 1], path_u[:stop + 1, 0], path_p[:stop + 1, 0]
-    if crossing is not None:
-        times = np.append(times, status.t_escape)
-        path_u, path_p = np.vstack([path_u, crossing[:r]]), np.vstack([path_p, crossing[r:]])
-    result = FlowResult(Trajectory(TimeGrid(times), path_u, path_p), status)
+    times, states = _stopped_path(grid, np.concatenate(path, axis=2), stopped)
+    result = FlowResult(Trajectory(TimeGrid(times), states[:, :r], states[:, r:]), stopped[0])
     return result, (jac[0] if want_jacobian and result.completed else None)
 
 
@@ -407,35 +403,29 @@ def _stepper(sys, scheme, cfg, want_tangent, tangent_exact=True, eye=None):
     """
     if scheme == "stormer-verlet":
         return lambda t, Z, h, live=None: _verlet_step_batch(sys, t, Z, h, want_tangent, eye)
-
-    def field(t, Z):
-        return _field_batch(sys, t, Z)
-
-    def linearize(t, Z):
-        return _linearized_batch(sys, t, Z)
-
+    field, linearize = partial(_field_batch, sys), partial(_linearized_batch, sys)
     return lambda t, Z, h, live=None: _midpoint_step_batch(
         field, linearize, t, Z, h, cfg, want_tangent, tangent_exact, eye, live)
 
 
-def _sup_norms(Z):
-    """max|u| + max|p| of every row (u, p) of Z."""
-    r = Z.shape[1] // 2
-    return np.abs(Z[:, :r]).max(axis=1) + np.abs(Z[:, r:]).max(axis=1)
+def _sup_norms(Z, r):
+    """max|z[:r]| + max|z[r:]| of every row z of Z: max|u| + max|p| for a state (u, p)."""
+    size = np.abs(Z)
+    return size[:, :r].max(axis=1) + size[:, r:].max(axis=1)
 
 
-def _stop_status(z, t, cfg):
+def _stop_status(z, r, t, cfg):
     """Status of a member whose step from the one-row batch z at t failed for good.
 
     A state already over a tenth of the blow-up threshold is escaping, and
     the failure is reported as its BlowUp at t.
     """
-    if _sup_norms(z)[0] > cfg.blowup_threshold / 10.0:
+    if _sup_norms(z, r)[0] > cfg.blowup_threshold / 10.0:
         return BlowUp(t_escape=t)
     return NewtonFailure(t=t)
 
 
-def _halves(step, t, z, h, depth, cfg):
+def _halves(step, t, z, h, r, depth, cfg):
     """Redo the failed step [t, t + h] of the one-row batch z as two steps of h/2.
 
     A half that fails is split in turn, down to ``cfg.max_step_halvings``
@@ -452,67 +442,47 @@ def _halves(step, t, z, h, depth, cfg):
         z2, ok, m = step(t_sub, z, 0.5 * h)
         t_cross = t_sub + 0.5 * h
         if not ok[0]:
-            z2, m, t_cross = _halves(step, t_sub, z, 0.5 * h, depth + 1, cfg)
+            z2, m, t_cross = _halves(step, t_sub, z, 0.5 * h, r, depth + 1, cfg)
             if z2 is None or t_cross is not None:
                 return z2, None, t_cross
-        elif not _sup_norms(z2)[0] <= cfg.blowup_threshold:
+        elif not _sup_norms(z2, r)[0] <= cfg.blowup_threshold:
             return z2, None, t_cross
         z = z2
         tangent = m if tangent is None else m @ tangent
     return z, tangent, None
 
 
-def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
-               t0=0.0, t1=1.0, want_jacobian=False, store_path=False,
-               tangent_exact=True, statuses=False):
-    """Integrate a batch of initial states over [t0, t1] simultaneously.
+def _march(step, Z, r, cfg, t0, t1, want_jacobian=False, store_path=False, statuses=False):
+    """The step loop of every flow: advance the states Z (one per row) over [t0, t1].
 
-    Steps with ``cfg.scheme``: the implicit midpoint rule, or Stormer-Verlet
-    (which raises NotSeparableError for a system not declared separable).
-    Closed-form (``analytic_only``) systems are evaluated, not stepped, and
-    their grid is sampled only when ``store_path`` asks for the path.
-    Members whose step fails or that cross the blow-up threshold are flagged
-    out via the ``ok`` mask and held at their last state; once no member is
-    ok the flow stops.  Returns (grid, path or None, U1, P1, ok, jacobians
-    or None) where path is a pair of (n_nodes, batch, r) arrays.
-    ``tangent_exact`` applies to the midpoint rule only (see
-    _midpoint_step_batch).
-
-    With ``statuses``, a member's failed step is first retried on halved
-    substeps (see _halves), and a 7th element gives one (status, stop,
-    crossing) per member: Completed, BlowUp(t_escape) or NewtonFailure(t);
-    the node index up to which its path is its own; and the state that
-    crossed the blow-up threshold at t_escape, or None.
+    ``step(t, Z, h, live)`` gives (Z', ok, tangents) for states of any width;
+    ``r`` splits a state z for the blow-up test max|z[:r]| + max|z[r:]|.  A
+    member whose step fails (after halving, with ``statuses``) or that
+    crosses the threshold leaves ``ok`` and is held; the loop ends when none
+    is ok.  Returns (grid, (n_nodes, batch, width) path or None, Z1, ok,
+    jacobians or None, report or None); the report gives each member's
+    (status, stop, crossing): Completed, BlowUp(t_escape) or NewtonFailure(t),
+    the node up to which its path is its own, and the state that crossed the
+    threshold at t_escape or None.
     """
-    U0 = np.atleast_2d(np.asarray(U0, dtype=float))
-    P0 = np.atleast_2d(np.asarray(P0, dtype=float))
-    bsz, r = U0.shape
-    if sys.analytic_only:
-        out = _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
-        return out + ([(Completed(), len(out[0]) - 1, None)] * bsz,) if statuses else out
-    eye = np.eye(2 * r)
-    step = _stepper(sys, cfg.scheme, cfg, want_jacobian, tangent_exact, eye)
-
-    span = t1 - t0
-    n_steps = step_count(span, cfg.step)
-    h = span / n_steps
+    bsz, width = Z.shape
+    n_steps = step_count(t1 - t0, cfg.step)
+    h = (t1 - t0) / n_steps
     grid = TimeGrid.uniform(n_steps, t0, t1)
-    Z = np.concatenate([U0, P0], axis=1)
     ok = np.isfinite(Z).all(axis=1)
     live = None if ok.all() else ok  # the members worth iterating, None for all
-    if statuses:
-        report = [(Completed(), n_steps, None) if ok[b]
-                  else (_stop_status(Z[b:b + 1], t0, cfg), 0, None) for b in range(bsz)]
-    jac = np.tile(eye, (bsz, 1, 1)) if want_jacobian else None
-    path_u = np.empty((n_steps + 1, bsz, r)) if store_path else None
-    path_p = np.empty((n_steps + 1, bsz, r)) if store_path else None
+    report = [(Completed(), n_steps, None) if ok[b]
+              else (_stop_status(Z[b:b + 1], r, t0, cfg), 0, None)
+              for b in range(bsz)] if statuses else None
+    jac = np.tile(np.eye(width), (bsz, 1, 1)) if want_jacobian else None
+    path = np.empty((n_steps + 1, bsz, width)) if store_path else None
     if store_path:
-        path_u[0], path_p[0] = U0, P0
+        path[0] = Z
     with np.errstate(all="ignore"):
         for k in range(n_steps):
             t = t0 + k * h
             Znew, step_ok, tangents = step(t, Z, h, live)
-            was_ok, ok = ok, ok & step_ok & (_sup_norms(Znew) <= cfg.blowup_threshold)
+            was_ok, ok = ok, ok & step_ok & (_sup_norms(Znew, r) <= cfg.blowup_threshold)
             if ok.all():
                 Z = Znew
                 if want_jacobian:
@@ -522,9 +492,9 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
                     for b in np.flatnonzero(was_ok & ~ok):
                         z, m, t_cross = Znew[b:b + 1], None, t + h
                         if not step_ok[b]:
-                            z, m, t_cross = _halves(step, t, Z[b:b + 1], h, 0, cfg)
+                            z, m, t_cross = _halves(step, t, Z[b:b + 1], h, r, 0, cfg)
                         if z is None:
-                            report[b] = (_stop_status(Z[b:b + 1], t, cfg), k, None)
+                            report[b] = (_stop_status(Z[b:b + 1], r, t, cfg), k, None)
                         elif t_cross is not None:
                             report[b] = (BlowUp(t_escape=t_cross), k, z[0])
                         else:
@@ -533,7 +503,7 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
                                 tangents[b] = m[0]
                 if not ok.any():
                     if store_path:
-                        path_u[k + 1:], path_p[k + 1:] = Z[:, :r], Z[:, r:]
+                        path[k + 1:] = Z
                     break
                 live = ok
                 Z = np.where(ok[:, None], Znew, Z)
@@ -541,6 +511,48 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
                     upd = np.einsum("bij,bjk->bik", tangents, jac)
                     jac = np.where(ok[:, None, None], upd, jac)
             if store_path:
-                path_u[k + 1], path_p[k + 1] = Z[:, :r], Z[:, r:]
-    out = (grid, (path_u, path_p) if store_path else None, Z[:, :r], Z[:, r:], ok, jac)
+                path[k + 1] = Z
+    return grid, path, Z, ok, jac, report
+
+
+def _stopped_path(grid, path, stopped):
+    """Nodes and states of a batch of one's (n_nodes, 1, width) path up to its stop.
+
+    ``stopped`` is its (status, stop, crossing); an escape gets its crossing state
+    appended at t_escape.  Raises FlowIncompleteError if the first step failed."""
+    status, stop, crossing = stopped
+    if stop == 0 and crossing is None:
+        raise FlowIncompleteError(status)
+    times, states = grid.nodes[:stop + 1], path[:stop + 1, 0]
+    if crossing is not None:
+        times, states = np.append(times, status.t_escape), np.vstack([states, crossing])
+    return times, states
+
+
+def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
+               t0=0.0, t1=1.0, want_jacobian=False, store_path=False,
+               tangent_exact=True, statuses=False):
+    """Integrate a batch of initial states over [t0, t1] simultaneously.
+
+    Steps with ``cfg.scheme`` on the step loop _march: the implicit midpoint
+    rule, or Stormer-Verlet (which raises NotSeparableError for a system
+    not declared separable).  Closed-form (``analytic_only``) systems are
+    evaluated, not stepped, and their grid is sampled only when
+    ``store_path`` asks for the path.  Returns (grid, path or None, U1, P1,
+    ok, jacobians or None), path being a pair of (n_nodes, batch, r)
+    arrays, and with ``statuses`` a 7th element, the report of _march
+    (which also describes ``ok`` and step halving).  ``tangent_exact``
+    applies to the midpoint rule only (see _midpoint_step_batch).
+    """
+    U0 = np.atleast_2d(np.asarray(U0, dtype=float))
+    P0 = np.atleast_2d(np.asarray(P0, dtype=float))
+    bsz, r = U0.shape
+    if sys.analytic_only:
+        out = _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
+        return out + ([(Completed(), len(out[0]) - 1, None)] * bsz,) if statuses else out
+    step = _stepper(sys, cfg.scheme, cfg, want_jacobian, tangent_exact, np.eye(2 * r))
+    grid, path, Z, ok, jac, report = _march(step, np.concatenate([U0, P0], axis=1), r, cfg,
+                                            t0, t1, want_jacobian, store_path, statuses)
+    out = (grid, (path[..., :r], path[..., r:]) if store_path else None,
+           Z[:, :r], Z[:, r:], ok, jac)
     return out + (report,) if statuses else out

@@ -129,6 +129,30 @@ class TestSchema:
          "parameters": {"route": "bvp", "endpoint_pairs": []}},
         {"system": "free-particle", "task": "classify", "parameters": {"endpoint_pairs": []}},
         {"system": "free-particle", "task": "classify", "parameters": {"endpoint_pairs": 1.0}},
+        {**PLANAR, "task": "constrained", "integrator": {"scheme": "stormer-verlet"},
+         "parameters": {"constraint": {"name": "circle"}, "u0": [0.0, 0.0], "e0": [0.0]}},
+        *({"system": "free-particle", "task": "generating-function",
+           "parameters": {"endpoints": [0.0, 2.0], "fd_step": value}}
+          for value in (0, -1e-5, "x", True, float("inf"))),
+        *({"system": "free-particle", "task": "isotropy",
+           "parameters": {"route": "bvp", "sample_count": 1, "fd_step": value}}
+          for value in (0, -1e-5, "x")),
+        *({"system": "free-particle", "task": "classify",
+           "parameters": {"sample_count": 1, "probe_radius": value}}
+          for value in (0, -1e-2, "x", True)),
+        *({"system": "free-particle", "task": "bvp",
+           "parameters": {"endpoints": [0.0, 2.0], "require_solutions": value}}
+          for value in ("x", -1, 1.5)),
+        *({"system": "free-particle", "task": "generating-function",
+           "parameters": {"endpoints": [0.0, 2.0], "branch": value}}
+          for value in ("x", 2.7, -1, True)),
+        *({"system": {"name": "lambda-family", "params": {"field": "constant", "c": 1.0}},
+           "task": "lambda-study", "parameters": {"lambdas": value, "endpoints": [0.0, 2.0]}}
+          for value in ("x", [], ["x"], 0.5, [1.0, True], [1.0, -1.0])),
+        {"system": "free-particle", "task": "isotropy", "parameters": {"route": "shooting"}},
+        {**PLANAR, "task": "constrained",
+         "parameters": {"constraint": {"name": "circle"}, "u0": [0.0, 0.0], "e0": [0.0],
+                        "gauge": "lambda-one"}},
     ], ids=["seed-box-of-one", "seed-box-of-three", "sphere-seed-of-two", "one-endpoint",
             "no-classify-pairs", "flow-backwards", "flow-time-not-a-number",
             "flow-state-of-wrong-dimension", "isotropy-point-without-momentum",
@@ -139,7 +163,20 @@ class TestSchema:
             *(f"isotropy-{route}-sample-count-{name}" for route in ("flow", "bvp")
               for name in ("negative", "zero", "fraction", "string", "boolean")),
             "classify-sample-count-fraction", "isotropy-flow-no-points",
-            "isotropy-bvp-no-pairs", "classify-no-pairs", "classify-pairs-not-a-list"])
+            "isotropy-bvp-no-pairs", "classify-no-pairs", "classify-pairs-not-a-list",
+            "constrained-stormer-verlet",
+            *(f"generating-function-fd-step-{name}"
+              for name in ("zero", "negative", "string", "boolean", "infinite")),
+            *(f"isotropy-bvp-fd-step-{name}" for name in ("zero", "negative", "string")),
+            *(f"classify-probe-radius-{name}"
+              for name in ("zero", "negative", "string", "boolean")),
+            *(f"bvp-require-solutions-{name}" for name in ("string", "negative", "fraction")),
+            *(f"generating-function-branch-{name}"
+              for name in ("string", "fraction", "negative", "boolean")),
+            *(f"lambda-study-lambdas-{name}"
+              for name in ("string", "empty", "of-strings", "number", "with-a-boolean",
+                           "with-a-negative")),
+            "isotropy-unknown-route", "constrained-unknown-gauge"])
     def test_malformed_values_are_exit_2_with_nothing_written(self, tmp_path, capsys, payload):
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2

@@ -39,7 +39,7 @@ from phasebound.errors import (
     UnstableConstraintError,
 )
 from phasebound.integrators import IntegratorConfig, NewtonFailure, integrate_flow
-from phasebound.systems import make_free_particle, make_pendulum
+from phasebound.systems import make_free_particle, make_pendulum, make_quartic
 
 
 def planar_free():
@@ -307,6 +307,43 @@ class TestConstrainedIntegration:
         res = integrate_constrained(make_pendulum().system, make_identity_constraint(dim=1),
                                     [0.4], [1.2], IntegratorConfig(step=0.1, newton_max_iter=4))
         assert res.completed
+
+    def test_escape_stops_at_the_blow_up_threshold(self):
+        # with the identity constraint (u, e) is (u, p): the threshold on
+        # max|u| + max|e| stops the flow where the unconstrained flow stops
+        quartic = make_quartic().system
+        cfg = IntegratorConfig(blowup_threshold=100.0)
+        con = integrate_constrained(quartic, make_identity_constraint(dim=1), [4.0], [8.0], cfg)
+        unc = integrate_flow(quartic, [4.0], [8.0], cfg)
+        assert con.status == unc.status
+        assert con.status.t_escape == pytest.approx(0.349)
+        assert np.array_equal(con.trajectory.grid.nodes, unc.trajectory.grid.nodes)
+        assert np.abs(con.trajectory.positions - unc.trajectory.positions).max() <= 1e-10
+        assert np.abs(con.trajectory.momenta - unc.trajectory.momenta).max() <= 1e-10
+
+    def test_nan_tangency_residual_is_unstable(self):
+        # dH/du = sqrt(u): from u = 0.2 at speed 1 a Newton iterate reaches
+        # u < 0 near t = 0.19, where the residual is NaN, which is not tangent
+        well = HamiltonianSystem(
+            config=ConfigSpace(1),
+            hamiltonian=lambda t, u, p: 0.5 * p[0] ** 2 + (2.0 / 3.0) * u[0] ** 1.5,
+            grad_u=lambda t, u, p: np.sqrt(np.asarray(u, dtype=float)),
+            grad_p=lambda t, u, p: np.asarray(p, dtype=float),
+            name="root-well",
+        )
+        ident = make_identity_constraint(dim=1)
+        with pytest.raises(UnstableConstraintError) as err:
+            integrate_constrained(well, ident, [0.2], [-1.0], IntegratorConfig())
+        assert err.value.t == pytest.approx(0.19, abs=0.01)
+        assert np.isnan(err.value.residual)
+        with np.errstate(invalid="ignore"):
+            report = gotay_step(well, ident, ExtendedState([-0.1], [-1.0], [0.0], [-1.0]))
+        assert not report.stable and np.isnan(report.tangency_residual)
+
+    def test_only_the_midpoint_scheme(self):
+        with pytest.raises(ValueError, match="stormer-verlet"):
+            integrate_constrained(make_free_particle().system, make_identity_constraint(dim=1),
+                                  [0.0], [1.0], IntegratorConfig(scheme="stormer-verlet"))
 
     def test_height_hamiltonian_unstable_at_start(self):
         circ = make_circle_constraint()

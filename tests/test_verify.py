@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from phasebound.integrators import IntegratorConfig, integrate_flow
+from phasebound.integrators import IntegratorConfig, flow_batch, integrate_flow
 from phasebound.shooting import ShootingConfig, solve_dirichlet
 from phasebound.systems import (
     make_cotangent_lift,
@@ -117,11 +117,9 @@ class TestCotangentLiftGraph:
         lift = make_cotangent_lift()
         x_flow = lift.facts["x_flow"]
         rng = np.random.default_rng(9)
-        worst = 0.0
-        for _ in range(6):
-            u0 = rng.uniform(-1, 1, 1)
-            p0 = rng.uniform(-1, 1, 1)
-            res = integrate_flow(lift.system, u0, p0, IntegratorConfig(step=1e-4))
-            u1 = res.trajectory.positions[-1]
-            worst = max(worst, float(np.abs(u1 - x_flow(1.0, u0)).max()))
+        # six (u0, p0) draws flowed as one batch, whose members equal solo flows
+        U0, P0 = rng.uniform(-1, 1, (6, 2)).T[:, :, None]
+        _, _, U1, _, ok, _ = flow_batch(lift.system, U0, P0, IntegratorConfig(step=1e-4))
+        assert ok.all()
+        worst = max(float(np.abs(u1 - x_flow(1.0, u0)).max()) for u0, u1 in zip(U0, U1))
         assert worst <= 1e-8
