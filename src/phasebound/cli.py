@@ -46,7 +46,7 @@ from .shooting import (
     generating_function_check,
     solve_dirichlet,
 )
-from .systems import example_names, make_example, topological_limit_study, _field_from_params
+from .systems import example_names, make_example, topological_limit_study
 from .verify import isotropy_defect_bvp, isotropy_defect_flow, sample_phase_points
 
 ENV_OUT_DIR = "PHASEBOUND_OUT"
@@ -61,15 +61,16 @@ INTEGRATOR_KEYS = {"scheme", "step", "newton_tol", "newton_max_iter", "blowup_th
 SHOOTING_KEYS = {"newton_tol", "max_iter", "seeds", "seed_count", "seed_box",
                  "distinctness_radius"}
 OUTPUT_KEYS = {"report", "trajectory"}
+# Each task's (needed, optional) parameters.
 TASK_PARAM_KEYS = {
-    "flow": {"u0", "p0", "t0", "t1"},
-    "bvp": {"endpoints", "require_solutions"},
-    "classify": {"endpoint_pairs", "sample_count", "box", "probe_radius"},
-    "isotropy": {"route", "points", "endpoint_pairs", "sample_count", "box", "fd_step"},
-    "generating-function": {"endpoints", "branch", "fd_step"},
-    "lambda-study": {"lambdas", "endpoints"},
-    "constrained": {"constraint", "u0", "e0", "gauge"},
-    "gotay": {"constraint", "state"},
+    "flow": ({"u0", "p0"}, {"t0", "t1"}),
+    "bvp": ({"endpoints"}, {"require_solutions"}),
+    "classify": (set(), {"endpoint_pairs", "sample_count", "box", "probe_radius"}),
+    "isotropy": (set(), {"route", "points", "endpoint_pairs", "sample_count", "box", "fd_step"}),
+    "generating-function": ({"endpoints"}, {"branch", "fd_step"}),
+    "lambda-study": ({"lambdas", "endpoints"}, set()),
+    "constrained": ({"constraint", "u0", "e0"}, {"gauge"}),
+    "gotay": ({"constraint", "state"}, set()),
 }
 _number = lambda v: type(v) in (int, float) and -np.inf < v < np.inf
 # The rule each of these task parameters must meet, and how it is stated.
@@ -78,6 +79,8 @@ PARAM_RULES = {
     "require_solutions": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "branch": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "fd_step": (lambda v: _number(v) and v > 0, "a positive finite number"),
+    "t0": (lambda v: _number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "t1": (lambda v: _number(v) and 0 <= v <= 1, "a number in [0, 1]"),
     "probe_radius": (lambda v: _number(v) and v > 0, "a positive finite number"),
     "lambdas": (lambda v: isinstance(v, list) and v and all(_number(x) and x >= 0 for x in v),
                 "a non-empty list of numbers >= 0"),
@@ -202,7 +205,10 @@ def load_scenario(path):
     params = data.get("parameters", {})
     if not isinstance(params, dict):
         raise ScenarioError("'parameters' must be an object")
-    _reject_unknown(params, TASK_PARAM_KEYS[task], f"parameters of task {task!r}")
+    needed, optional = TASK_PARAM_KEYS[task]
+    _reject_unknown(params, needed | optional, f"parameters of task {task!r}")
+    if missing := needed - params.keys():
+        raise ScenarioError(f"task {task!r} needs parameters {sorted(missing)}")
     for key in params.keys() & PARAM_RULES.keys():
         valid, need = PARAM_RULES[key]
         if not valid(params[key]):
@@ -218,15 +224,18 @@ def load_scenario(path):
     if system["name"] not in example_names():
         raise ScenarioError(f"unknown system {system['name']!r}; "
                             f"known: {', '.join(example_names())}")
+    if task == "lambda-study" and system["name"] != "lambda-family":
+        raise ScenarioError("lambda-study requires system 'lambda-family'")
     data = dict(data)
     data["system"] = system
     return data
 
 
 def _build_example(scenario):
+    """The scenario's system; a factory's complaint about its parameters is a ScenarioError."""
     try:
         return make_example(scenario["system"]["name"], **scenario["system"]["params"])
-    except TypeError as exc:
+    except (TypeError, ValueError, PhaseboundError) as exc:
         raise ScenarioError(f"bad system parameters: {exc}") from exc
 
 
@@ -270,16 +279,13 @@ def _status_dict(status):
 # Task runners: each returns (results dict, trajectory or None)
 # ---------------------------------------------------------------------------
 
-def _task_flow(ex, scenario, icfg, scfg, seed):
-    params = scenario.get("parameters", {})
-    if "u0" not in params or "p0" not in params:
-        raise ScenarioError("flow task needs parameters u0 and p0")
+def _task_flow(ex, params, scfg, seed):
     u0, p0 = _points((params["u0"], params["p0"]), (ex.system.dim,) * 2,
                      "parameters u0 and p0")
     t0, t1 = params.get("t0", 0.0), params.get("t1", 1.0)
-    if not (all(isinstance(t, (int, float)) for t in (t0, t1)) and 0.0 <= t0 < t1 <= 1.0):
-        raise ScenarioError(f"flow task needs 0 <= t0 < t1 <= 1, got t0={t0!r}, t1={t1!r}")
-    res = integrate_flow(ex.system, u0, p0, icfg, t0=t0, t1=t1)
+    if not t0 < t1:
+        raise ScenarioError(f"flow task needs t0 < t1, got t0={t0!r}, t1={t1!r}")
+    res = integrate_flow(ex.system, u0, p0, scfg.integrator, t0=t0, t1=t1)
     out = {
         "status": _status_dict(res.status),
         "final_time": float(res.trajectory.grid.nodes[-1]),
@@ -305,10 +311,7 @@ def _branch_dict(ex, branch):
     }
 
 
-def _task_bvp(ex, scenario, icfg, scfg, seed):
-    params = scenario.get("parameters", {})
-    if "endpoints" not in params:
-        raise ScenarioError("bvp task needs parameters.endpoints = [u0, u1]")
+def _task_bvp(ex, params, scfg, seed):
     u0, u1 = _points(params["endpoints"], (ex.system.dim,) * 2, "parameters.endpoints")
     sols = solve_dirichlet(ex.system, u0, u1, scfg)
     out = {
@@ -336,8 +339,7 @@ def _point_pairs(ex, params, seed, key="endpoint_pairs", box=(-1.0, 1.0)):
                                params.get("box", box), seed)
 
 
-def _task_classify(ex, scenario, icfg, scfg, seed):
-    params = scenario.get("parameters", {})
+def _task_classify(ex, params, scfg, seed):
     out = asdict(classify_theory(ex.system, _point_pairs(ex, params, seed), scfg,
                                  probe_radius=params.get("probe_radius", 1e-2)))
     out["verdict"] = out.pop("kind")
@@ -345,37 +347,28 @@ def _task_classify(ex, scenario, icfg, scfg, seed):
     return out, None
 
 
-def _task_isotropy(ex, scenario, icfg, scfg, seed):
-    params = scenario.get("parameters", {})
+def _task_isotropy(ex, params, scfg, seed):
     if params.get("route", "flow") == "flow":
         points = _point_pairs(ex, params, seed, key="points", box=(-1.5, 1.5))
-        report = isotropy_defect_flow(ex.system, points, icfg, seed=seed)
+        report = isotropy_defect_flow(ex.system, points, scfg.integrator, seed=seed)
     else:
         report = isotropy_defect_bvp(ex.system, _point_pairs(ex, params, seed), scfg,
                                      fd_step=params.get("fd_step", 1e-5), seed=seed)
     return asdict(report), None
 
 
-def _task_generating_function(ex, scenario, icfg, scfg, seed):
-    params = scenario.get("parameters", {})
-    if "endpoints" not in params:
-        raise ScenarioError("generating-function task needs parameters.endpoints")
+def _task_generating_function(ex, params, scfg, seed):
     u0, u1 = _points(params["endpoints"], (ex.system.dim,) * 2, "parameters.endpoints")
     return asdict(generating_function_check(ex.system, u0, u1, scfg,
                                             branch=params.get("branch", 0),
                                             fd_step=params.get("fd_step", 1e-5))), None
 
 
-def _task_lambda_study(ex, scenario, icfg, scfg, seed):
-    params = scenario.get("parameters", {})
-    if scenario["system"]["name"] != "lambda-family":
-        raise ScenarioError("lambda-study requires system 'lambda-family'")
-    if "lambdas" not in params or "endpoints" not in params:
-        raise ScenarioError("lambda-study needs parameters.lambdas and parameters.endpoints")
-    (X, dX, d2X, x_flow), dim = _field_from_params(scenario["system"]["params"])
-    u0, u1 = _points(params["endpoints"], (dim, dim), "parameters.endpoints")
-    out = asdict(topological_limit_study(params["lambdas"], u0, u1, scfg,
-                                         X=X, dX=dX, d2X=d2X, dim=dim, x_flow=x_flow))
+def _task_lambda_study(ex, params, scfg, seed):
+    X, dX, d2X, x_flow = ex.facts["field"]
+    u0, u1 = _points(params["endpoints"], (ex.system.dim,) * 2, "parameters.endpoints")
+    out = asdict(topological_limit_study(params["lambdas"], u0, u1, scfg, X=X, dX=dX, d2X=d2X,
+                                         dim=ex.system.dim, x_flow=x_flow))
     out["rows"] = [{"lambda": row.pop("lam"), **row} for row in out["rows"]]
     return out, None
 
@@ -391,15 +384,12 @@ def _constraint_from_params(params):
         raise ScenarioError(str(exc)) from exc
 
 
-def _task_constrained(ex, scenario, icfg, scfg, seed):
-    params = scenario.get("parameters", {})
+def _task_constrained(ex, params, scfg, seed):
     spec = _constraint_from_params(params)
-    if "u0" not in params or "e0" not in params:
-        raise ScenarioError("constrained task needs parameters u0 and e0")
     u0, e0 = _points((params["u0"], params["e0"]), (ex.system.dim, spec.k_dim),
                      "parameters u0 and e0")
     try:
-        res = integrate_constrained(ex.system, spec, u0, e0, icfg)
+        res = integrate_constrained(ex.system, spec, u0, e0, scfg.integrator)
     except UnstableConstraintError as exc:
         raise TaskFailure(f"constraint unstable at t={exc.t}: tangency residual "
                           f"{exc.residual:.6e}") from exc
@@ -418,8 +408,7 @@ def _task_constrained(ex, scenario, icfg, scfg, seed):
     return out, res.trajectory
 
 
-def _task_gotay(ex, scenario, icfg, scfg, seed):
-    params = scenario.get("parameters", {})
+def _task_gotay(ex, params, scfg, seed):
     spec = _constraint_from_params(params)
     state = params.get("state")
     if not isinstance(state, dict) or not {"u", "p", "lambda", "e"} <= set(state):
@@ -470,7 +459,8 @@ def run_scenario(path, out_dir=None, seed=None, step=None):
     started = time.perf_counter()
     failure = None
     try:
-        results, traj = _TASK_RUNNERS[scenario["task"]](ex, scenario, icfg, scfg, seed)
+        results, traj = _TASK_RUNNERS[scenario["task"]](ex, scenario.get("parameters", {}),
+                                                        scfg, seed)
     except TaskFailure as exc:
         failure = str(exc)
         results, traj = {"failure": failure}, None

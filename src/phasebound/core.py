@@ -59,8 +59,9 @@ class ConfigSpace:
     kinds: tuple = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatchError(f"configuration dimension must be >= 1, got {self.dim}")
+        if type(self.dim) is bool or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise DimensionMismatchError(f"configuration dimension must be an integer >= 1, "
+                                         f"got {self.dim!r}")
         kinds = self.kinds if self.kinds is not None else ("linear",) * self.dim
         kinds = tuple(kinds)
         if len(kinds) != self.dim:

@@ -541,15 +541,22 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
     ``store_path`` asks for the path.  Returns (grid, path or None, U1, P1,
     ok, jacobians or None), path being a pair of (n_nodes, batch, r)
     arrays, and with ``statuses`` a 7th element, the report of _march
-    (which also describes ``ok`` and step halving).  ``tangent_exact``
+    (which also describes ``ok`` and step halving); a closed-form member
+    that is not ok stops at t0, as after a failed first step.  ``tangent_exact``
     applies to the midpoint rule only (see _midpoint_step_batch).
     """
     U0 = np.atleast_2d(np.asarray(U0, dtype=float))
     P0 = np.atleast_2d(np.asarray(P0, dtype=float))
     bsz, r = U0.shape
     if sys.analytic_only:
-        out = _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
-        return out + ([(Completed(), len(out[0]) - 1, None)] * bsz,) if statuses else out
+        with np.errstate(all="ignore"):
+            out = _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
+        if not statuses:
+            return out
+        Z0 = np.concatenate([U0, P0], axis=1)
+        return out + ([(Completed(), len(out[0]) - 1, None) if ok else
+                       (_stop_status(Z0[b:b + 1], r, t0, cfg), 0, None)
+                       for b, ok in enumerate(out[4])],)
     step = _stepper(sys, cfg.scheme, cfg, want_jacobian, tangent_exact, np.eye(2 * r))
     grid, path, Z, ok, jac, report = _march(step, np.concatenate([U0, P0], axis=1), r, cfg,
                                             t0, t1, want_jacobian, store_path, statuses)

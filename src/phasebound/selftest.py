@@ -58,27 +58,24 @@ class CheckResult:
     passed: bool
 
 
+def _smooth_pair(rng, t, amplitude):
+    """Two random (n_nodes, 1) series of the modes 1, sin(pi t) and cos(pi t)."""
+    def series():
+        coeffs = rng.uniform(-amplitude, amplitude, 3)
+        return (coeffs[0]
+                + coeffs[1] * np.sin(np.pi * t)
+                + coeffs[2] * np.cos(np.pi * t))[:, None]
+    return series(), series()
+
+
 def smooth_test_trajectory(rng, n_nodes=1000, amplitude=0.6):
     """A smooth random curve from a few low-frequency modes (fixed seed)."""
     t = np.linspace(0.0, 1.0, n_nodes)
-    def series():
-        coeffs = rng.uniform(-amplitude, amplitude, 3)
-        return (coeffs[0]
-                + coeffs[1] * np.sin(np.pi * t)
-                + coeffs[2] * np.cos(np.pi * t))
-    u = series()[:, None]
-    p = series()[:, None]
-    return Trajectory(TimeGrid(t), u, p)
+    return Trajectory(TimeGrid(t), *_smooth_pair(rng, t, amplitude))
 
 
 def smooth_variation(rng, n_nodes=1000, amplitude=0.4):
-    t = np.linspace(0.0, 1.0, n_nodes)
-    def series():
-        coeffs = rng.uniform(-amplitude, amplitude, 3)
-        return (coeffs[0]
-                + coeffs[1] * np.sin(np.pi * t)
-                + coeffs[2] * np.cos(np.pi * t))
-    return series()[:, None], series()[:, None]
+    return _smooth_pair(rng, np.linspace(0.0, 1.0, n_nodes), amplitude)
 
 
 def action_variation_defect(sys, chi, delta_u, delta_p, fd_eps=1e-6):
@@ -150,17 +147,7 @@ def _composition_check():
 
 
 def _gotay_checks():
-    import numpy as np
-    from .core import ConfigSpace, HamiltonianSystem
-
-    free2 = HamiltonianSystem(
-        config=ConfigSpace(2),
-        hamiltonian=lambda t, u, p: 0.5 * np.sum(p * p, axis=-1),
-        grad_u=lambda t, u, p: np.zeros_like(np.asarray(u, dtype=float)),
-        grad_p=lambda t, u, p: np.asarray(p, dtype=float),
-        vectorized=True,
-        name="planar-free",
-    )
+    free2 = make_free_particle(dim=2).system
     circ = make_circle_constraint()
     ident = make_identity_constraint(dim=2)
 

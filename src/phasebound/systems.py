@@ -27,19 +27,23 @@ Bundled systems:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import shooting
 from .core import (
     ConfigSpace,
     HamiltonianSystem,
+    TimeGrid,
     Trajectory,
+    action_functional,
     as_point,
     check_gradients,
     el_residual,
     grid_derivative,
+    hamiltonian_vector_field,
 )
 from .errors import NegativeLambdaError, NonPositiveMassError, PhaseboundError
 from .integrators import (
@@ -68,10 +72,6 @@ class ExampleSystem:
     checks: tuple
 
 
-def _default_cfg(step=1e-3):
-    return IntegratorConfig(step=step)
-
-
 def _gradient_check(sys, probes):
     return SelfCheck(
         name=f"{sys.name}: gradients match differences of H",
@@ -82,7 +82,7 @@ def _gradient_check(sys, probes):
 
 def _energy_check(sys, u0, p0, tol=1e-6):
     def run():
-        res = integrate_flow(sys, u0, p0, _default_cfg())
+        res = integrate_flow(sys, u0, p0, IntegratorConfig())
         return energy_drift(sys, res.trajectory)
 
     return SelfCheck(name=f"{sys.name}: energy drift over [0,1] at h=1e-3", tol=tol, run=run)
@@ -98,8 +98,6 @@ def _analytic_flow_residual_check(sys, u0, p0, n_nodes=2000, tol=1e-8):
             u, p = sys.analytic_flow(tk, as_point(u0, sys.dim), as_point(p0, sys.dim))
             us.append(np.atleast_1d(u))
             ps.append(np.atleast_1d(p))
-        from .core import TimeGrid
-
         chi = Trajectory(TimeGrid(t), np.stack(us), np.stack(ps))
         return el_residual(sys, chi)[2]
 
@@ -114,7 +112,7 @@ def make_free_particle(m=1.0, dim=1):
     """Kinetic Hamiltonian |p|^2 / 2m on R^dim."""
     if m <= 0:
         raise NonPositiveMassError(f"mass must be positive, got {m}")
-    r = int(dim)
+    r = dim
     cfgspace = ConfigSpace(r)
     eye = np.eye(r)
 
@@ -143,7 +141,7 @@ def make_free_particle(m=1.0, dim=1):
     }
 
     def check_flow():
-        res = integrate_flow(sys, np.zeros(r), np.ones(r), _default_cfg())
+        res = integrate_flow(sys, np.zeros(r), np.ones(r), IntegratorConfig())
         u1, p1 = res.trajectory.state(-1)
         exact_u, exact_p = facts["flow"](1.0, np.zeros(r), np.ones(r))
         return float(max(np.abs(u1 - exact_u).max(), np.abs(p1 - exact_p).max()))
@@ -154,7 +152,7 @@ def make_free_particle(m=1.0, dim=1):
         for _ in range(5):
             u0 = rng.uniform(-1, 1, r)
             p0 = rng.uniform(-2, 2, r)
-            res = integrate_flow(sys, u0, p0, _default_cfg())
+            res = integrate_flow(sys, u0, p0, IntegratorConfig())
             u1, p1 = res.trajectory.state(-1)
             worst = max(worst, np.abs(p1 - p0).max(), np.abs(p0 - m * (u1 - u0)).max())
         return worst
@@ -223,7 +221,7 @@ def make_quartic(m=1.0):
 
     def check_escape():
         u0 = 4.0
-        res = integrate_flow(sys, [u0], [facts["growing_p0"](u0)], _default_cfg())
+        res = integrate_flow(sys, [u0], [facts["growing_p0"](u0)], IntegratorConfig())
         if not isinstance(res.status, BlowUp):
             return 1.0
         return abs(res.status.t_escape - facts["escape_time"](u0))
@@ -276,22 +274,17 @@ def make_pendulum(m=1.0, k=1.0):
     }
 
     def check_fixed_point():
-        from .core import hamiltonian_vector_field
-
         du, dp = hamiltonian_vector_field(sys, 0.0, [0.0], [0.0])
         return float(max(np.abs(du).max(), np.abs(dp).max()))
 
     def check_frequency():
-        jac = flow_jacobian(sys, [0.0], [0.0], _default_cfg())
+        jac = flow_jacobian(sys, [0.0], [0.0], IntegratorConfig())
         eig = np.linalg.eigvals(jac)
         angle = abs(np.angle(eig[0]))
         return abs(angle - facts["small_angle_frequency"])
 
     def check_branches():
-        from .shooting import ShootingConfig, solve_dirichlet
-        from .core import action_functional
-
-        sols = solve_dirichlet(sys, [0.0], [math.pi / 2], ShootingConfig())
+        sols = shooting.solve_dirichlet(sys, [0.0], [math.pi / 2], shooting.ShootingConfig())
         if len(sols.solutions) < 2:
             return 1.0
         w = sorted(action_functional(sys, b.trajectory) for b in sols.solutions)
@@ -423,17 +416,16 @@ def make_sphere_geodesics():
 
 def linear_vector_field(dim=1, scale=1.0):
     """X(u) = scale * u, with flow u0 * exp(scale * t)."""
-    r = int(dim)
-    eye = np.eye(r)
+    eye = np.eye(dim)
 
     def X(u):
         return scale * np.asarray(u, dtype=float)
 
     def dX(u):
-        return np.broadcast_to(scale * eye, np.shape(u) + (r,))
+        return np.broadcast_to(scale * eye, np.shape(u) + (dim,))
 
     def d2X(u):
-        return np.zeros(np.shape(u) + (r, r))
+        return np.zeros(np.shape(u) + (dim, dim))
 
     def x_flow(t, u0):
         return np.asarray(u0, dtype=float) * math.exp(scale * t)
@@ -461,7 +453,11 @@ def constant_vector_field(c):
     return X, dX, d2X, x_flow
 
 
-def _drift_callbacks(X, dX, d2X):
+def _drift_system(lam, X, dX, d2X, r, name):
+    """H = lam |p|^2 / 2 + p . X(u) on R^r; at lam = 0 no kinetic term is computed."""
+    def drift(t, u, p):
+        return np.sum(np.asarray(p, dtype=float) * X(u), axis=-1)
+
     def grad_u(t, u, p):
         return np.einsum("...b,...ba->...a", np.asarray(p, dtype=float), dX(u))
 
@@ -473,10 +469,31 @@ def _drift_callbacks(X, dX, d2X):
         def hess_uu(t, u, p):
             return np.einsum("...b,...bac->...ac", np.asarray(p, dtype=float), d2X(u))
 
-    return grad_u, hess_up, hess_uu
+    if lam == 0:
+        hamiltonian = drift
+        grad_p = lambda t, u, p: np.asarray(X(u), dtype=float)
+        hess_pp = lambda t, u, p: np.zeros(np.shape(u) + (r,))
+    else:
+        eye = np.eye(r)
+        hamiltonian = lambda t, u, p: (0.5 * lam * np.sum(np.asarray(p) ** 2, axis=-1)
+                                       + drift(t, u, p))
+        grad_p = lambda t, u, p: lam * np.asarray(p, dtype=float) + np.asarray(X(u), dtype=float)
+        hess_pp = lambda t, u, p: np.broadcast_to(lam * eye, np.shape(u) + (r,))
+    return HamiltonianSystem(
+        config=ConfigSpace(r),
+        hamiltonian=hamiltonian,
+        grad_u=grad_u,
+        grad_p=grad_p,
+        hess_uu=hess_uu,
+        hess_up=hess_up,
+        hess_pp=hess_pp,
+        vectorized=True,
+        autonomous=True,
+        name=name,
+    )
 
 
-def make_cotangent_lift(X=None, dX=None, d2X=None, dim=1, x_flow=None, complete=True):
+def make_cotangent_lift(X=None, dX=None, d2X=None, dim=1, x_flow=None):
     """H = p . X(u): the flow is the cotangent lift of the flow of X.
 
     Defaults to X(u) = u on the line.  ``x_flow`` is the base-flow oracle
@@ -484,52 +501,34 @@ def make_cotangent_lift(X=None, dX=None, d2X=None, dim=1, x_flow=None, complete=
     """
     if X is None:
         X, dX, d2X, x_flow = linear_vector_field(dim)
-    grad_u, hess_up, hess_uu = _drift_callbacks(X, dX, d2X)
-    r = int(dim)
-    cfgspace = ConfigSpace(r)
-
-    sys = HamiltonianSystem(
-        config=cfgspace,
-        hamiltonian=lambda t, u, p: np.sum(np.asarray(p, dtype=float) * X(u), axis=-1),
-        grad_u=grad_u,
-        grad_p=lambda t, u, p: np.asarray(X(u), dtype=float),
-        hess_uu=hess_uu,
-        hess_up=hess_up,
-        hess_pp=lambda t, u, p: np.zeros(np.shape(u) + (r,)),
-        vectorized=True,
-        autonomous=True,
-        name="cotangent-lift",
-    )
-
-    facts = {"x_flow": x_flow, "complete": complete}
+    sys = _drift_system(0.0, X, dX, d2X, dim, "cotangent-lift")
+    facts = {"x_flow": x_flow, "field": (X, dX, d2X, x_flow)}
 
     checks = [
-        _gradient_check(sys, [(0.0, np.full(r, 0.9), np.full(r, -1.4))]),
+        _gradient_check(sys, [(0.0, np.full(dim, 0.9), np.full(dim, -1.4))]),
     ]
 
     if x_flow is not None:
         def check_base_flow():
             cfg = IntegratorConfig(step=1e-4)
-            res = integrate_flow(sys, np.full(r, 1.0), np.full(r, 1.0), cfg)
+            res = integrate_flow(sys, np.full(dim, 1.0), np.full(dim, 1.0), cfg)
             u1 = res.trajectory.positions[-1]
-            return float(np.abs(u1 - x_flow(1.0, np.full(r, 1.0))).max())
+            return float(np.abs(u1 - x_flow(1.0, np.full(dim, 1.0))).max())
 
         checks.append(SelfCheck(
             "cotangent-lift: base flow reached at t=1 (h=1e-4)", 1e-8, check_base_flow))
 
         def check_unreachable():
-            from .shooting import ShootingConfig, solve_dirichlet
-
-            u0 = np.full(r, 0.0)
+            u0 = np.full(dim, 0.0)
             off = x_flow(1.0, u0) + 0.5
-            sols = solve_dirichlet(sys, u0, off, ShootingConfig())
+            sols = shooting.solve_dirichlet(sys, u0, off, shooting.ShootingConfig())
             return 0.0 if sols.classification.kind == "NoSolution" else 1.0
 
         checks.append(SelfCheck(
             "cotangent-lift: endpoints off the base-flow graph are unreachable", 0.5,
             check_unreachable))
 
-    checks.append(_energy_check(sys, np.full(r, 1.0), np.full(r, 1.0)))
+    checks.append(_energy_check(sys, np.full(dim, 1.0), np.full(dim, 1.0)))
     return ExampleSystem("cotangent-lift", sys, facts, tuple(checks))
 
 
@@ -539,30 +538,12 @@ def make_lambda_family(lam, X=None, dX=None, d2X=None, dim=1, x_flow=None):
         raise NegativeLambdaError(f"kinetic weight must be nonnegative, got {lam}")
     if X is None:
         X, dX, d2X, x_flow = constant_vector_field(np.ones(dim))
-    grad_u, hess_up, hess_uu = _drift_callbacks(X, dX, d2X)
-    r = int(dim)
-    cfgspace = ConfigSpace(r)
-    eye = np.eye(r)
-
-    sys = HamiltonianSystem(
-        config=cfgspace,
-        hamiltonian=lambda t, u, p: 0.5 * lam * np.sum(np.asarray(p) ** 2, axis=-1)
-        + np.sum(np.asarray(p, dtype=float) * X(u), axis=-1),
-        grad_u=grad_u,
-        grad_p=lambda t, u, p: lam * np.asarray(p, dtype=float) + np.asarray(X(u), dtype=float),
-        hess_uu=hess_uu,
-        hess_up=hess_up,
-        hess_pp=lambda t, u, p: np.broadcast_to(lam * eye, np.shape(u) + (r,)),
-        vectorized=True,
-        autonomous=True,
-        name=f"lambda-family(lam={lam})",
-    )
-
-    facts = {"lam": lam, "x_flow": x_flow}
+    sys = _drift_system(lam, X, dX, d2X, dim, f"lambda-family(lam={lam})")
+    facts = {"lam": lam, "x_flow": x_flow, "field": (X, dX, d2X, x_flow)}
 
     checks = (
-        _gradient_check(sys, [(0.0, np.full(r, 0.2), np.full(r, 0.7))]),
-        _energy_check(sys, np.full(r, 0.2), np.full(r, 0.7)),
+        _gradient_check(sys, [(0.0, np.full(dim, 0.2), np.full(dim, 0.7))]),
+        _energy_check(sys, np.full(dim, 0.2), np.full(dim, 0.7)),
     )
     return ExampleSystem("lambda-family", sys, facts, checks)
 
@@ -621,16 +602,14 @@ def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, X=None, dX=None,
     trajectory to the flow line of X.  The momentum divergence rate is the
     fitted log-log slope of |p0| against lam.
     """
-    from .shooting import ShootingConfig, solve_dirichlet
-
     if X is None:
         X, dX, d2X, x_flow = constant_vector_field(np.ones(dim))
-    cfg = shooting_cfg or ShootingConfig()
+    cfg = shooting_cfg or shooting.ShootingConfig()
     rows = []
     for lam in lambdas:
         ex = make_lambda_family(lam, X, dX, d2X, dim=dim, x_flow=x_flow)
         try:
-            sols = solve_dirichlet(ex.system, u0, u1, cfg)
+            sols = shooting.solve_dirichlet(ex.system, u0, u1, cfg)
         except PhaseboundError as exc:
             rows.append(LambdaStudyRow(lam, None, None, None, None, f"solver error: {exc}"))
             continue
@@ -638,8 +617,6 @@ def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, X=None, dX=None,
             rows.append(LambdaStudyRow(lam, None, None, None, None, "NoSolution"))
             continue
         branch = sols.solutions[0]
-        from .core import action_functional
-
         res, res_norm = second_order_residual(X, dX, branch.trajectory)
         dist = None
         if x_flow is not None:
@@ -669,34 +646,31 @@ def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, X=None, dX=None,
 # Registry
 # ---------------------------------------------------------------------------
 
-def _field_from_params(params):
-    kind = params.get("field", "linear")
-    dim = int(params.get("dim", 1))
-    if kind == "linear":
-        return linear_vector_field(dim, scale=float(params.get("scale", 1.0))), dim
-    if kind == "constant":
-        c = params.get("c", 1.0)
+def _vector_field(field="linear", dim=1, scale=1.0, c=1.0):
+    """The drift systems' vector field named by their scenario parameters, and its dimension."""
+    if field == "linear":
+        return linear_vector_field(dim, scale=float(scale)), dim
+    if field == "constant":
         c = np.atleast_1d(np.asarray(c, dtype=float))
         return constant_vector_field(c), c.size
-    raise ValueError(f"unknown vector-field kind {kind!r} (use 'linear' or 'constant')")
+    raise ValueError(f"unknown vector-field kind {field!r} (use 'linear' or 'constant')")
 
 
 def _make_cotangent_named(**params):
-    (X, dX, d2X, x_flow), dim = _field_from_params(params)
+    (X, dX, d2X, x_flow), dim = _vector_field(**params)
     return make_cotangent_lift(X, dX, d2X, dim=dim, x_flow=x_flow)
 
 
-def _make_lambda_named(**params):
-    lam = float(params.get("lam", params.get("lambda", 1.0)))
-    (X, dX, d2X, x_flow), dim = _field_from_params(params)
-    return make_lambda_family(lam, X, dX, d2X, dim=dim, x_flow=x_flow)
+def _make_lambda_named(lam=1.0, **params):
+    (X, dX, d2X, x_flow), dim = _vector_field(**params)
+    return make_lambda_family(float(lam), X, dX, d2X, dim=dim, x_flow=x_flow)
 
 
 REGISTRY = {
-    "free-particle": lambda **kw: make_free_particle(**kw),
-    "quartic": lambda **kw: make_quartic(**kw),
-    "pendulum": lambda **kw: make_pendulum(**kw),
-    "sphere": lambda **kw: make_sphere_geodesics(**kw),
+    "free-particle": make_free_particle,
+    "quartic": make_quartic,
+    "pendulum": make_pendulum,
+    "sphere": make_sphere_geodesics,
     "cotangent-lift": _make_cotangent_named,
     "lambda-family": _make_lambda_named,
 }

@@ -153,6 +153,26 @@ class TestSchema:
         {**PLANAR, "task": "constrained",
          "parameters": {"constraint": {"name": "circle"}, "u0": [0.0, 0.0], "e0": [0.0],
                         "gauge": "lambda-one"}},
+        *({"system": {"name": name, "params": params}, "task": "flow",
+           "parameters": {"u0": 0.0, "p0": 1.0}}
+          for name, params in (("cotangent-lift", {"field": "bogus"}),
+                               ("cotangent-lift", {"scael": 2}),
+                               ("lambda-family", {"lam": 0.5, "lambda": 2.0}),
+                               ("free-particle", {"m": 0}), ("pendulum", {"k": -1}),
+                               ("lambda-family", {"lam": -1}), ("cotangent-lift", {"dim": 0}),
+                               ("free-particle", {"dim": 0}),
+                               ("free-particle", {"dim": True}))),
+        *({"system": {"name": name, "params": {"dim": 2.5}}, "task": "flow",
+           "parameters": {"u0": [0.0, 0.0], "p0": [1.0, 0.0]}}
+          for name in ("free-particle", "cotangent-lift")),
+        {"system": "free-particle", "task": "flow", "parameters": {"u0": 0.0}},
+        {"system": "pendulum", "task": "lambda-study",
+         "parameters": {"lambdas": [1.0], "endpoints": [0.0, 2.0]}},
+        {"system": "free-particle", "task": "flow",
+         "parameters": {"u0": 0.0, "p0": 1.0, "t0": False, "t1": True}},
+        *({"system": "free-particle", "task": "flow",
+           "parameters": {"u0": 0.0, "p0": 1.0, key: value}}
+          for key, value in (("t0", -0.5), ("t1", 1.5), ("t1", float("nan")))),
     ], ids=["seed-box-of-one", "seed-box-of-three", "sphere-seed-of-two", "one-endpoint",
             "no-classify-pairs", "flow-backwards", "flow-time-not-a-number",
             "flow-state-of-wrong-dimension", "isotropy-point-without-momentum",
@@ -176,12 +196,27 @@ class TestSchema:
             *(f"lambda-study-lambdas-{name}"
               for name in ("string", "empty", "of-strings", "number", "with-a-boolean",
                            "with-a-negative")),
-            "isotropy-unknown-route", "constrained-unknown-gauge"])
+            "isotropy-unknown-route", "constrained-unknown-gauge",
+            "cotangent-lift-unknown-field", "cotangent-lift-misspelt-key",
+            "lambda-family-lambda-alias", "free-particle-zero-mass",
+            "pendulum-negative-stiffness", "lambda-family-negative-lam",
+            "cotangent-lift-dim-zero", "free-particle-dim-zero", "free-particle-dim-boolean",
+            "free-particle-dim-fraction", "cotangent-lift-dim-fraction", "flow-without-p0", "lambda-study-on-pendulum",
+            "flow-times-boolean", "flow-t0-negative", "flow-t1-above-one", "flow-t1-nan"])
     def test_malformed_values_are_exit_2_with_nothing_written(self, tmp_path, capsys, payload):
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
         assert "scenario error" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("payload", [
+        {"system": "free-particle", "task": "flow", "parameters": {"u0": 0.0}},
+        {"system": "pendulum", "task": "lambda-study",
+         "parameters": {"lambdas": [1.0], "endpoints": [0.0, 2.0]}},
+    ], ids=["flow-without-p0", "lambda-study-on-pendulum"])
+    def test_task_needs_are_checked_at_load(self, tmp_path, payload):
+        with pytest.raises(ScenarioError):
+            load_scenario(write_scenario(tmp_path, payload))
 
 
 class TestRunScenarios:
@@ -307,6 +342,17 @@ class TestRunScenarios:
         assert res["rank_estimate"] == 2
         assert res["seed"] == 3
         assert "hypothesis" in res["caveat"]
+
+    def test_isotropy_lists_an_unflowable_sphere_point_as_inapplicable(self, tmp_path):
+        north, huge = [0.0, 0.0, 1.0], [1e200, 1e200, 0.0]
+        path = write_scenario(tmp_path, {
+            "system": "sphere", "task": "isotropy",
+            "parameters": {"route": "flow", "points": [[north, [1.0, 0.0, 0.0]], [north, huge]]},
+        })
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        res = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        assert res["samples"] == 1
+        assert res["inapplicable"] == [[north, huge, "BlowUp(t_escape=0.0)"]]
 
     def test_generating_function_task(self, tmp_path):
         path = write_scenario(tmp_path, {

@@ -315,6 +315,20 @@ class TestClosedFormFlows:
                             store_path=store_path)[4]
             assert ok.tolist() == [True, False]
 
+    def test_non_finite_member_gets_a_first_step_status(self):
+        sph = make_sphere_geodesics().system
+        huge = np.array([1e200, 1e200, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            *_, ok, _, report = flow_batch(sph, np.tile(self.north, (2, 1)),
+                                           np.stack([self.east, huge]), IntegratorConfig(),
+                                           want_jacobian=True, statuses=True)
+        assert ok.tolist() == [True, False]
+        assert isinstance(report[0][0], Completed) and report[0][1] == 1000
+        assert report[1] == (BlowUp(t_escape=0.0), 0, None)
+        with pytest.raises(FlowIncompleteError):
+            flow_with_jacobian(sph, self.north, huge, IntegratorConfig())
+
 
 class TestBatchedVerlet:
     verlet = IntegratorConfig(scheme="stormer-verlet")

@@ -143,17 +143,15 @@ class TestCotangentLift:
 
 class TestLambdaFamily:
     def test_zero_lambda_matches_cotangent_lift(self):
-        X, dX, d2X, x_flow = linear_vector_field(1)
-        fam = make_lambda_family(0.0, X, dX, d2X, dim=1, x_flow=x_flow)
-        lift = make_cotangent_lift(X, dX, d2X, dim=1, x_flow=x_flow)
         rng = np.random.default_rng(8)
-        for _ in range(5):
-            u = rng.uniform(-1, 1, 1)
-            p = rng.uniform(-1, 1, 1)
-            assert fam.system.hamiltonian(0.0, u, p) == pytest.approx(
-                lift.system.hamiltonian(0.0, u, p))
-            np.testing.assert_allclose(fam.system.grad_p(0.0, u, p),
-                                       lift.system.grad_p(0.0, u, p))
+        for r in (1, 2):
+            X, dX, d2X, x_flow = linear_vector_field(r)
+            fam = make_lambda_family(0.0, X, dX, d2X, dim=r, x_flow=x_flow)
+            lift = make_cotangent_lift(X, dX, d2X, dim=r, x_flow=x_flow)
+            u, p = rng.uniform(-1, 1, (2, 8, r))
+            for name in ("hamiltonian", "grad_u", "grad_p", "hess_uu", "hess_up", "hess_pp"):
+                assert np.array_equal(getattr(fam.system, name)(0.0, u, p),
+                                      getattr(lift.system, name)(0.0, u, p)), (r, name)
 
     def test_constant_field_momentum_formula(self):
         X, dX, d2X, x_flow = constant_vector_field([1.0])
