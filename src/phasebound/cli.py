@@ -37,7 +37,7 @@ from .constraints import (
     integrate_constrained,
     make_constraint,
 )
-from .core import as_point
+from .core import action_functional, as_point
 from .errors import DimensionMismatchError, PhaseboundError, UnstableConstraintError
 from .integrators import IntegratorConfig, energy_drift, integrate_flow
 from .shooting import (
@@ -51,27 +51,11 @@ from .verify import isotropy_defect_bvp, isotropy_defect_flow, sample_phase_poin
 
 ENV_OUT_DIR = "PHASEBOUND_OUT"
 
-TASKS = (
-    "flow", "bvp", "classify", "isotropy", "generating-function",
-    "lambda-study", "constrained", "gotay",
-)
-
 TOP_KEYS = {"system", "task", "integrator", "shooting", "parameters", "seed", "output"}
 INTEGRATOR_KEYS = {"scheme", "step", "newton_tol", "newton_max_iter", "blowup_threshold"}
 SHOOTING_KEYS = {"newton_tol", "max_iter", "seeds", "seed_count", "seed_box",
                  "distinctness_radius"}
 OUTPUT_KEYS = {"report", "trajectory"}
-# Each task's (needed, optional) parameters.
-TASK_PARAM_KEYS = {
-    "flow": ({"u0", "p0"}, {"t0", "t1"}),
-    "bvp": ({"endpoints"}, {"require_solutions"}),
-    "classify": (set(), {"endpoint_pairs", "sample_count", "box", "probe_radius"}),
-    "isotropy": (set(), {"route", "points", "endpoint_pairs", "sample_count", "box", "fd_step"}),
-    "generating-function": ({"endpoints"}, {"branch", "fd_step"}),
-    "lambda-study": ({"lambdas", "endpoints"}, set()),
-    "constrained": ({"constraint", "u0", "e0"}, {"gauge"}),
-    "gotay": ({"constraint", "state"}, set()),
-}
 _number = lambda v: type(v) in (int, float) and -np.inf < v < np.inf
 # The rule each of these task parameters must meet, and how it is stated.
 PARAM_RULES = {
@@ -177,8 +161,9 @@ def write_trajectory_csv(path, traj):
 # ---------------------------------------------------------------------------
 
 def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - allowed
-    if unknown:
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{where} must be an object, got {mapping!r}")
+    if unknown := set(mapping) - allowed:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}; "
                             f"allowed: {sorted(allowed)}")
 
@@ -191,21 +176,22 @@ def load_scenario(path):
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
     _reject_unknown(data, TOP_KEYS, "scenario")
     if "system" not in data or "task" not in data:
         raise ScenarioError("scenario needs 'system' and 'task'")
     task = data["task"]
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in TASKS:
         raise ScenarioError(f"unknown task {task!r}; known tasks: {', '.join(TASKS)}")
     _reject_unknown(data.get("integrator", {}), INTEGRATOR_KEYS, "integrator")
     _reject_unknown(data.get("shooting", {}), SHOOTING_KEYS, "shooting")
     _reject_unknown(data.get("output", {}), OUTPUT_KEYS, "output")
+    for key, name in data.get("output", {}).items():
+        if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ScenarioError(f"output.{key} must be a plain file name, got {name!r}")
+    if "seed" in data and type(data["seed"]) is not int:
+        raise ScenarioError(f"seed must be an integer, got {data['seed']!r}")
     params = data.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ScenarioError("'parameters' must be an object")
-    needed, optional = TASK_PARAM_KEYS[task]
+    _, needed, optional = TASKS[task]
     _reject_unknown(params, needed | optional, f"parameters of task {task!r}")
     if missing := needed - params.keys():
         raise ScenarioError(f"task {task!r} needs parameters {sorted(missing)}")
@@ -224,6 +210,9 @@ def load_scenario(path):
     if system["name"] not in example_names():
         raise ScenarioError(f"unknown system {system['name']!r}; "
                             f"known: {', '.join(example_names())}")
+    values = system["params"].values() if isinstance(system["params"], dict) else ()
+    if any(isinstance(x, bool) for v in values for x in (v if isinstance(v, list) else [v])):
+        raise ScenarioError("system parameters are numbers or names, never booleans")
     if task == "lambda-study" and system["name"] != "lambda-family":
         raise ScenarioError("lambda-study requires system 'lambda-family'")
     data = dict(data)
@@ -299,8 +288,6 @@ def _task_flow(ex, params, scfg, seed):
 
 
 def _branch_dict(ex, branch):
-    from .core import action_functional
-
     return {
         "p0": branch.p0,
         "p1": branch.p1,
@@ -373,28 +360,34 @@ def _task_lambda_study(ex, params, scfg, seed):
     return out, None
 
 
-def _constraint_from_params(params):
+def _constraint_from_params(ex, params):
+    """The task's constraint, whose sigma must give momenta of the system's dimension."""
     spec = params.get("constraint")
     if not isinstance(spec, dict) or "name" not in spec:
         raise ScenarioError("constrained/gotay tasks need parameters.constraint = {name, ...}")
     extra = {k: v for k, v in spec.items() if k != "name"}
     try:
-        return make_constraint(spec["name"], **extra)
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(str(exc)) from exc
+        spec = make_constraint(spec["name"], **extra)
+    except (KeyError, TypeError, ValueError, PhaseboundError) as exc:
+        raise ScenarioError(f"bad constraint parameters: {exc}") from exc
+    if (shape := spec.sigma_at(np.zeros(spec.k_dim)).shape) != (ex.system.dim,):
+        raise ScenarioError(f"constraint {spec.name!r} gives momenta of shape {shape}; "
+                            f"the system's dimension is {ex.system.dim}")
+    return spec
 
 
 def _task_constrained(ex, params, scfg, seed):
-    spec = _constraint_from_params(params)
+    spec = _constraint_from_params(ex, params)
     u0, e0 = _points((params["u0"], params["e0"]), (ex.system.dim, spec.k_dim),
                      "parameters u0 and e0")
+    if scfg.integrator.scheme != "implicit-midpoint":
+        raise ScenarioError(f"bad integrator configuration: the constrained integrator steps "
+                            f"with the implicit midpoint rule, not {scfg.integrator.scheme!r}")
     try:
         res = integrate_constrained(ex.system, spec, u0, e0, scfg.integrator)
     except UnstableConstraintError as exc:
         raise TaskFailure(f"constraint unstable at t={exc.t}: tangency residual "
                           f"{exc.residual:.6e}") from exc
-    except ValueError as exc:  # a scheme the constrained integrator does not step with
-        raise ScenarioError(f"bad integrator configuration: {exc}") from exc
     out = {
         "status": _status_dict(res.status),
         "u_end": res.trajectory.positions[-1],
@@ -409,7 +402,7 @@ def _task_constrained(ex, params, scfg, seed):
 
 
 def _task_gotay(ex, params, scfg, seed):
-    spec = _constraint_from_params(params)
+    spec = _constraint_from_params(ex, params)
     state = params.get("state")
     if not isinstance(state, dict) or not {"u", "p", "lambda", "e"} <= set(state):
         raise ScenarioError("gotay task needs parameters.state = {u, p, lambda, e}")
@@ -421,15 +414,17 @@ def _task_gotay(ex, params, scfg, seed):
     return out, None
 
 
-_TASK_RUNNERS = {
-    "flow": _task_flow,
-    "bvp": _task_bvp,
-    "classify": _task_classify,
-    "isotropy": _task_isotropy,
-    "generating-function": _task_generating_function,
-    "lambda-study": _task_lambda_study,
-    "constrained": _task_constrained,
-    "gotay": _task_gotay,
+# Each task's runner and its (needed, optional) parameters.
+TASKS = {
+    "flow": (_task_flow, {"u0", "p0"}, {"t0", "t1"}),
+    "bvp": (_task_bvp, {"endpoints"}, {"require_solutions"}),
+    "classify": (_task_classify, set(), {"endpoint_pairs", "sample_count", "box", "probe_radius"}),
+    "isotropy": (_task_isotropy, set(),
+                 {"route", "points", "endpoint_pairs", "sample_count", "box", "fd_step"}),
+    "generating-function": (_task_generating_function, {"endpoints"}, {"branch", "fd_step"}),
+    "lambda-study": (_task_lambda_study, {"lambdas", "endpoints"}, set()),
+    "constrained": (_task_constrained, {"constraint", "u0", "e0"}, {"gauge"}),
+    "gotay": (_task_gotay, {"constraint", "state"}, set()),
 }
 
 
@@ -450,7 +445,7 @@ def _provenance(scenario, seed):
 def run_scenario(path, out_dir=None, seed=None, step=None):
     """Execute a scenario file; returns (report dict, files written, exit code)."""
     scenario = load_scenario(path)
-    seed = int(scenario.get("seed", 0)) if seed is None else int(seed)
+    seed = scenario.get("seed", 0) if seed is None else int(seed)
     out_dir = out_dir or os.environ.get(ENV_OUT_DIR) or "."
     os.makedirs(out_dir, exist_ok=True)
     icfg = _integrator_config(scenario, step_override=step)
@@ -459,8 +454,8 @@ def run_scenario(path, out_dir=None, seed=None, step=None):
     started = time.perf_counter()
     failure = None
     try:
-        results, traj = _TASK_RUNNERS[scenario["task"]](ex, scenario.get("parameters", {}),
-                                                        scfg, seed)
+        results, traj = TASKS[scenario["task"]][0](ex, scenario.get("parameters", {}),
+                                                   scfg, seed)
     except TaskFailure as exc:
         failure = str(exc)
         results, traj = {"failure": failure}, None

@@ -26,16 +26,18 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .core import (
+    ConfigSpace,
     HamiltonianSystem,
     TimeGrid,
     Trajectory,
+    _eval_along,
     as_point,
     canonical_skew,
     central_difference,
     grid_derivative,
+    hamiltonian_vector_field,
 )
 from .errors import (
     GridMismatchError,
@@ -47,6 +49,16 @@ from .integrators import (FlowResult, IntegratorConfig, _march, _midpoint_step_b
                           _stopped_path, energy_drift)
 
 ON_CONSTRAINT_TOL = 1e-8
+RANK_TOL = 1e-10  # singular-value cutoff of the two-form's kernel; scale of tangency
+
+
+def _null_space(a, rcond=None):
+    """Orthonormal null-space basis of a: the right singular vectors of the singular values
+    at most rcond (eps * max(a.shape) by default) times the largest, as scipy's null_space."""
+    _, s, vh = np.linalg.svd(a)
+    if rcond is None:
+        rcond = np.finfo(float).eps * max(a.shape)
+    return vh[np.count_nonzero(s > rcond * np.max(s, initial=0.0)):].T
 
 
 @dataclass(frozen=True)
@@ -60,7 +72,6 @@ class ConstraintSpec:
     k_dim: int
     sigma: Callable
     dsigma: Callable
-    rank_tol: float = 1e-10
     name: str = "custom"
 
     def sigma_at(self, e):
@@ -112,7 +123,7 @@ def extended_action(sys: HamiltonianSystem, spec: ConstraintSpec, chi: Trajector
         raise GridMismatchError("multiplier and constraint paths must share the trajectory grid")
     t = chi.grid.nodes
     du = grid_derivative(chi.positions, t)
-    h_vals = np.array([sys.hamiltonian(t[k], chi.positions[k], chi.momenta[k]) for k in range(n)])
+    h_vals = _eval_along(sys, chi, sys.hamiltonian)
     sigma_vals = np.stack([spec.sigma_at(e_path[k]) for k in range(n)])
     integrand = (np.sum(chi.momenta * du, axis=1) - h_vals
                  + np.sum(lambda_path * (chi.momenta - sigma_vals), axis=1))
@@ -125,11 +136,8 @@ def constrained_vector_field(sys: HamiltonianSystem, spec: ConstraintSpec,
 
     The constraints themselves are residuals, not substituted here.
     """
-    du = np.asarray(sys.grad_p(t, state.u, state.p), dtype=float) - state.lam
-    dp = -np.asarray(sys.grad_u(t, state.u, state.p), dtype=float)
-    if not (np.all(np.isfinite(du)) and np.all(np.isfinite(dp))):
-        raise NonFiniteError("constrained vector field not finite")
-    return du, dp
+    du, dp = hamiltonian_vector_field(sys, t, state.u, state.p)
+    return du - state.lam, dp
 
 
 def polar_constraint_residual(spec: ConstraintSpec, e, lam):
@@ -161,11 +169,11 @@ def _tangency_solve(sys, spec, t, u, e):
     return d_vec, residual, grad_u, dsig, p
 
 
-def _tangency_verdict(spec, residual, grad_u):
+def _tangency_verdict(residual, grad_u):
     """(sup norm of a tangency residual, tangent): tangent iff the norm is at most
-    100 rank_tol (1 + max|dH/du|), so a NaN residual or gradient is not tangent."""
+    100 RANK_TOL (1 + max|dH/du|), so a NaN residual or gradient is not tangent."""
     norm = float(np.abs(residual).max())
-    return norm, norm <= spec.rank_tol * (1.0 + float(np.abs(grad_u).max())) * 1e2
+    return norm, norm <= RANK_TOL * (1.0 + float(np.abs(grad_u).max())) * 1e2
 
 
 @dataclass(frozen=True)
@@ -198,13 +206,13 @@ def gotay_step(sys: HamiltonianSystem, spec: ConstraintSpec, state: ExtendedStat
     r = sys.dim
     k = spec.k_dim
     omega0 = presymplectic_form_matrix(r, k)
-    kernel = null_space(omega0, rcond=spec.rank_tol)
+    kernel = _null_space(omega0, rcond=RANK_TOL)
 
     phi = momentum_constraint_residual(spec, state.p, state.e)
     psi = polar_constraint_residual(spec, state.e, state.lam)
 
     d_vec, tan_res, grad_u, dsig, _ = _tangency_solve(sys, spec, t, state.u, state.e)
-    tan_norm, stable = _tangency_verdict(spec, tan_res, grad_u)
+    tan_norm, stable = _tangency_verdict(tan_res, grad_u)
 
     secondary = c_vec = c_res = None
     if stable:
@@ -233,7 +241,7 @@ def gotay_step(sys: HamiltonianSystem, spec: ConstraintSpec, state: ExtendedStat
 def polar_space_basis(spec: ConstraintSpec, e):
     """Orthonormal basis of multipliers annihilating the image of dsigma."""
     dsig = spec.dsigma_at(e)
-    return null_space(dsig.T)
+    return _null_space(dsig.T)
 
 
 def stability_check(sys: HamiltonianSystem, spec: ConstraintSpec, state: ExtendedState, t=0.0):
@@ -336,7 +344,7 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
         # checked: the step's predictor and Newton iterates must keep tangency
         nonlocal tangency_worst
         value, tan_res, grad_u = rhs(t, Y[0])
-        tan_norm, tangent = _tangency_verdict(spec, tan_res, grad_u)
+        tan_norm, tangent = _tangency_verdict(tan_res, grad_u)
         if not tangent:
             raise UnstableConstraintError(t, tan_norm)
         tangency_worst = max(tangency_worst, tan_norm)
@@ -376,9 +384,10 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
 
 def make_identity_constraint(dim=1):
     """sigma(e) = e with K = R^dim: constrains nothing."""
-    eye = np.eye(int(dim))
+    dim = ConfigSpace(dim).dim  # an integer >= 1, checked as a configuration dimension is
+    eye = np.eye(dim)
     return ConstraintSpec(
-        k_dim=int(dim),
+        k_dim=dim,
         sigma=lambda e: np.asarray(e, dtype=float),
         dsigma=lambda e: eye,
         name="identity",
@@ -397,7 +406,7 @@ def make_circle_constraint():
 
 CONSTRAINT_REGISTRY = {
     "identity": make_identity_constraint,
-    "circle": lambda **kw: make_circle_constraint(),
+    "circle": make_circle_constraint,
 }
 
 

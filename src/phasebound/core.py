@@ -26,10 +26,6 @@ from .errors import (
 
 TWO_PI = 2.0 * np.pi
 
-# Acceptance threshold for calling an analytically-specified curve a solution
-# of Hamilton's equations; integrated curves use a scheme-dependent multiple.
-DEFAULT_EL_TOL = 1e-6
-
 
 def integrated_el_tol(step, order=2, safety=10.0, scale=1.0):
     """Residual acceptance threshold for a curve produced by an integrator.
@@ -82,10 +78,6 @@ class ConfigSpace:
         if mask.any():
             d = np.where(mask, wrap_angle(d), d)
         return d
-
-    def distance(self, a, b):
-        """Sup-norm distance on Q respecting angular wrapping."""
-        return float(np.max(np.abs(self.wrap_diff(a, b))))
 
 
 def as_point(x, dim):
@@ -355,18 +347,15 @@ class BoundaryPoint:
     p1: np.ndarray
 
     def __post_init__(self):
-        vals = {}
         dims = set()
         for name in ("u0", "p0", "u1", "p1"):
             v = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if not np.all(np.isfinite(v)):
                 raise NonFiniteError(f"boundary component {name} is not finite")
-            vals[name] = v
             dims.add(v.shape)
+            object.__setattr__(self, name, v)
         if len(dims) != 1:
             raise DimensionMismatchError("boundary components must share one dimension")
-        for name, v in vals.items():
-            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
@@ -456,10 +445,6 @@ def grid_derivative(values, nodes):
     return out
 
 
-def _trapezoid(values, nodes):
-    return float(np.trapezoid(values, nodes))
-
-
 # ---------------------------------------------------------------------------
 # Action, residual, boundary forms
 # ---------------------------------------------------------------------------
@@ -483,7 +468,7 @@ def action_functional(sys: HamiltonianSystem, chi: Trajectory):
     integrand = np.sum(chi.momenta * du, axis=1) - h_vals
     if not np.all(np.isfinite(integrand)):
         raise NonFiniteError("action integrand is not finite")
-    return _trapezoid(integrand, t)
+    return float(np.trapezoid(integrand, t))
 
 
 def el_residual(sys: HamiltonianSystem, chi: Trajectory):
@@ -491,8 +476,6 @@ def el_residual(sys: HamiltonianSystem, chi: Trajectory):
 
     Returns (res_u, res_p, norm) with res_u = du/dt - dH/dp,
     res_p = dp/dt + dH/du, and norm the max over nodes of the sup-norm.
-    A curve is accepted as a solution when norm <= DEFAULT_EL_TOL for
-    analytic curves (integrated curves carry scheme-order error).
     """
     if len(chi.grid) < 3:
         raise GridTooCoarseError("residual stencils need at least 3 nodes")
@@ -524,7 +507,7 @@ def el_pairing(sys: HamiltonianSystem, chi: Trajectory, delta_u, delta_p):
     delta_u = np.asarray(delta_u, dtype=float)
     delta_p = np.asarray(delta_p, dtype=float)
     integrand = np.sum(res_u * delta_p, axis=1) - np.sum(res_p * delta_u, axis=1)
-    return _trapezoid(integrand, chi.grid.nodes)
+    return float(np.trapezoid(integrand, chi.grid.nodes))
 
 
 def boundary_projection(chi: Trajectory):

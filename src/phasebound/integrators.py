@@ -23,7 +23,7 @@ flow that does not (shooting) drops a member at its first failed step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Optional
 
@@ -49,6 +49,15 @@ from .errors import (
 )
 
 
+def _check_field_kinds(cfg):
+    """ValueError unless each int field of cfg holds an integer and each float field a number."""
+    for f in fields(cfg):  # f.type is the annotation's text (from __future__ import annotations)
+        v, integer = getattr(cfg, f.name), f.type == "int"
+        kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+        if f.type in ("int", "float") and (isinstance(v, bool) or not isinstance(v, kinds)):
+            raise ValueError(f"{f.name}: {v!r} is not {'an integer' if integer else 'a number'}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     scheme: str = "implicit-midpoint"
@@ -59,6 +68,7 @@ class IntegratorConfig:
     max_step_halvings: int = 26
 
     def __post_init__(self):
+        _check_field_kinds(self)
         if self.scheme not in ("implicit-midpoint", "stormer-verlet"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0.0 < self.step <= 1.0):

@@ -44,10 +44,13 @@ from .errors import (
 from .integrators import (
     IntegratorConfig,
     _batch_solve,
+    _check_field_kinds,
     flow_batch,
     flow_with_jacobian,
     step_count,
 )
+
+SINGULAR_COND = 1e10  # shooting-matrix condition above which a representative is singular
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,9 @@ class ShootingConfig:
     seed_count: int = 32
     seed_box: tuple = (-6.0, 6.0)
     distinctness_radius: float = 1e-4
-    singular_cond: float = 1e10
 
     def __post_init__(self):
+        _check_field_kinds(self)
         if self.distinctness_radius <= 0:
             raise ValueError("distinctness radius must be positive")
         if (self.seed_count if self.seeds is None else len(self.seeds)) < 1:
@@ -77,10 +80,9 @@ class ShootingConfig:
             raise ValueError("newton_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if len(self.seed_box) != 2 or not self.seed_box[0] < self.seed_box[1]:
-            raise ValueError("seed_box must be (lo, hi) with lo < hi")
-        if not self.singular_cond >= 1:
-            raise ValueError("singular_cond is a condition number, at least 1")
+        lo_hi = self.seed_box
+        if len(lo_hi) != 2 or bool in map(type, lo_hi) or not lo_hi[0] < lo_hi[1]:
+            raise ValueError("seed_box must be numbers (lo, hi), not booleans, with lo < hi")
 
     def resolve_seeds(self, r):
         if self.seeds is not None:
@@ -373,10 +375,10 @@ def _classify(config, entries, cfg):
     reps = _dedupe(config, entries, cfg.distinctness_radius)
     reps_half = _dedupe(config, entries, 0.5 * cfg.distinctness_radius)
     stable = len(reps_half) == len(reps)
-    n_singular = sum(1 for e in reps if e.cond > cfg.singular_cond)
+    n_singular = sum(1 for e in reps if e.cond > SINGULAR_COND)
     if len(reps) >= 2 and (n_singular >= 2 or not stable):
         note = (f"{len(reps)} representatives, {n_singular} with shooting matrix "
-                f"condition > {cfg.singular_cond:.0e}; dedup "
+                f"condition > {SINGULAR_COND:.0e}; dedup "
                 + ("stable" if stable else "unstable") + " under radius halving")
         return Classification("Continuum", len(reps), note), reps
     if len(reps) == 1:
@@ -578,25 +580,19 @@ def classify_theory(sys: HamiltonianSystem, sample_endpoints, cfg: ShootingConfi
     return TheoryClassification("Neither", evidence, witness)
 
 
-def solve_with_lagrangian_boundary(sys: HamiltonianSystem, F: Optional[Callable],
-                                   grad_F: Optional[Callable], cfg: ShootingConfig,
-                                   state_seeds=None, fixed_endpoints=None,
-                                   fd_step=1e-6):
+def solve_with_lagrangian_boundary(sys: HamiltonianSystem, grad_F: Callable,
+                                   cfg: ShootingConfig, state_seeds=None, fd_step=1e-6):
     """Critical curves whose boundary data lies on the graph of dF.
 
     The implemented boundary submanifolds are graphs {p0 = -dF/du0,
-    p1 = dF/du1} over Q x Q; the fixed-endpoint problem is not of graph type
-    and is routed to the Dirichlet solver via ``fixed_endpoints``.  The
-    multistart Newton driver of the Dirichlet solver runs on the unknowns
+    p1 = dF/du1} over Q x Q, given by grad_F(u0, u1) = (dF/du0, dF/du1);
+    the fixed-endpoint problem is not of graph type and is solve_dirichlet's.
+    The multistart Newton driver of the Dirichlet solver runs on the unknowns
     (u0, p0), one row per state seed; a singular boundary-condition
     jacobian gets the minimum-norm (pinv) step, so families of solutions
     (rank-deficient boundary conditions) converge to the member nearest the
     seed.  A branch's jacobian is the 2r x 2r boundary-condition jacobian.
     """
-    if fixed_endpoints is not None:
-        return solve_dirichlet(sys, fixed_endpoints[0], fixed_endpoints[1], cfg)
-    if grad_F is None:
-        raise ValueError("graph-type boundary data needs the gradient of F")
     r = sys.dim
     if state_seeds is None:
         state_seeds = [(np.zeros(r), p) for p in cfg.resolve_seeds(r)]

@@ -132,12 +132,10 @@ def make_free_particle(m=1.0, dim=1):
     )
 
     facts = {
-        "mass": m,
         "flow": lambda t, u0, p0: (np.asarray(u0) + np.asarray(p0) * t / m, np.asarray(p0)),
         "principal_function": lambda u0, u1: 0.5 * m * float(
             np.sum((as_point(u1, r) - as_point(u0, r)) ** 2)
         ),
-        "bvp_momentum": lambda u0, u1: m * (as_point(u1, r) - as_point(u0, r)),
     }
 
     def check_flow():
@@ -200,13 +198,8 @@ def make_quartic(m=1.0):
     def growing_curve(t, u0):
         return 2.0 * u0 / (2.0 - u0 * t)
 
-    def decaying_curve(t, u0):
-        return 2.0 * u0 / (2.0 + u0 * t)
-
     facts = {
-        "mass": m,
         "growing_curve": growing_curve,
-        "decaying_curve": decaying_curve,
         "growing_p0": lambda u0: 0.5 * m * u0 ** 2,
         "decaying_p0": lambda u0: -0.5 * m * u0 ** 2,
         "escape_time": lambda u0: 2.0 / u0,
@@ -266,12 +259,7 @@ def make_pendulum(m=1.0, k=1.0):
         name=f"pendulum(m={m},k={k})",
     )
 
-    facts = {
-        "mass": m,
-        "stiffness": k,
-        "small_angle_frequency": math.sqrt(k / m),
-        "min_branches": 2,
-    }
+    facts = {"small_angle_frequency": math.sqrt(k / m)}
 
     def check_fixed_point():
         du, dp = hamiltonian_vector_field(sys, 0.0, [0.0], [0.0])
@@ -384,11 +372,7 @@ def make_sphere_geodesics():
     )
 
     north = np.array([0.0, 0.0, 1.0])
-    facts = {
-        "flow": _sphere_flow,
-        "north_pole": north,
-        "antipodal_speed": math.pi,
-    }
+    facts = {"flow": _sphere_flow, "north_pole": north}
 
     def check_antipode():
         p0 = math.pi * np.array([1.0, 0.0, 0.0])
@@ -539,7 +523,7 @@ def make_lambda_family(lam, X=None, dX=None, d2X=None, dim=1, x_flow=None):
     if X is None:
         X, dX, d2X, x_flow = constant_vector_field(np.ones(dim))
     sys = _drift_system(lam, X, dX, d2X, dim, f"lambda-family(lam={lam})")
-    facts = {"lam": lam, "x_flow": x_flow, "field": (X, dX, d2X, x_flow)}
+    facts = {"x_flow": x_flow, "field": (X, dX, d2X, x_flow)}
 
     checks = (
         _gradient_check(sys, [(0.0, np.full(dim, 0.2), np.full(dim, 0.7))]),
@@ -602,12 +586,11 @@ def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, X=None, dX=None,
     trajectory to the flow line of X.  The momentum divergence rate is the
     fitted log-log slope of |p0| against lam.
     """
-    if X is None:
-        X, dX, d2X, x_flow = constant_vector_field(np.ones(dim))
     cfg = shooting_cfg or shooting.ShootingConfig()
     rows = []
     for lam in lambdas:
         ex = make_lambda_family(lam, X, dX, d2X, dim=dim, x_flow=x_flow)
+        X, dX, d2X, x_flow = ex.facts["field"]  # the family's own default when X is None
         try:
             sols = shooting.solve_dirichlet(ex.system, u0, u1, cfg)
         except PhaseboundError as exc:
@@ -646,14 +629,22 @@ def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, X=None, dX=None,
 # Registry
 # ---------------------------------------------------------------------------
 
-def _vector_field(field="linear", dim=1, scale=1.0, c=1.0):
-    """The drift systems' vector field named by their scenario parameters, and its dimension."""
-    if field == "linear":
-        return linear_vector_field(dim, scale=float(scale)), dim
-    if field == "constant":
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        return constant_vector_field(c), c.size
-    raise ValueError(f"unknown vector-field kind {field!r} (use 'linear' or 'constant')")
+_linear_field = lambda dim=1, scale=1.0: (linear_vector_field(dim, scale=float(scale)), dim)
+
+
+def _constant_field(c=1.0, dim=None):
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if dim not in (None, c.size):
+        raise ValueError(f"a constant field's dim is len(c) = {c.size}, got {dim!r}")
+    return constant_vector_field(c), c.size if dim is None else dim
+
+
+def _vector_field(field="linear", **params):
+    """The drift systems' vector field named by their scenario parameters, and its dimension;
+    each field takes only its own parameters."""
+    if field not in ("linear", "constant"):
+        raise ValueError(f"unknown vector-field kind {field!r} (use 'linear' or 'constant')")
+    return (_linear_field if field == "linear" else _constant_field)(**params)
 
 
 def _make_cotangent_named(**params):

@@ -44,6 +44,15 @@ def gotay_state(**changed):
             "parameters": {"constraint": {"name": "circle"}, "state": state}}
 
 
+def fresh_python(*args):
+    """A new interpreter run with this checkout's phasebound first on its path."""
+    src = str(Path(phasebound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 def key_paths(obj, prefix=""):
     """Every key path of a report's nested dicts; list items share the path ``key[]``."""
     if isinstance(obj, dict):
@@ -173,6 +182,34 @@ class TestSchema:
         *({"system": "free-particle", "task": "flow",
            "parameters": {"u0": 0.0, "p0": 1.0, key: value}}
           for key, value in (("t0", -0.5), ("t1", 1.5), ("t1", float("nan")))),
+        *({"system": "free-particle", "task": "flow", "parameters": {"u0": 0.0, "p0": 1.0},
+           **section}
+          for section in ({"integrator": 5}, {"integrator": None}, {"seed": "abc"},
+                          {"seed": None}, {"seed": 1.5}, {"seed": True},
+                          {"output": {"report": 5}}, {"output": {"report": "../escape.json"}},
+                          {"output": {"trajectory": "."}},
+                          {"integrator": {"newton_max_iter": 2.5}},
+                          {"integrator": {"step": True}},
+                          {"integrator": {"blowup_threshold": True}},
+                          {"shooting": {"seed_count": 2.5}}, {"shooting": {"max_iter": 2.5}},
+                          {"shooting": {"seed_count": True}})),
+        *({"system": {"name": name, "params": params}, "task": "flow",
+           "parameters": {"u0": [0.0] * dim, "p0": [1.0] * dim}}
+          for name, params, dim in (
+              ("free-particle", {"m": True}, 1), ("lambda-family", {"lam": True}, 1),
+              ("cotangent-lift", {"scale": True}, 1),
+              ("cotangent-lift", {"field": "constant", "c": [1.0, 2.0], "dim": 3}, 2),
+              ("cotangent-lift", {"field": "linear", "c": [5.0]}, 1),
+              ("cotangent-lift", {"field": "constant", "c": 1.0, "scale": 9.0}, 1))),
+        {**PLANAR, "task": "constrained",
+         "parameters": {"constraint": {"name": "circle", "radius": 3.0},
+                        "u0": [0.0, 0.0], "e0": [0.0]}},
+        *({**PLANAR, "task": "constrained",
+           "parameters": {"constraint": {"name": "identity", "dim": dim},
+                          "u0": [0.0, 0.0], "e0": [0.0, 0.0]}} for dim in ("x", 2.5)),
+        {"system": "free-particle", "task": "gotay",
+         "parameters": {"constraint": {"name": "circle"},
+                        "state": {"u": [0.0], "p": [1.0], "lambda": [0.0], "e": [0.0]}}},
     ], ids=["seed-box-of-one", "seed-box-of-three", "sphere-seed-of-two", "one-endpoint",
             "no-classify-pairs", "flow-backwards", "flow-time-not-a-number",
             "flow-state-of-wrong-dimension", "isotropy-point-without-momentum",
@@ -202,11 +239,33 @@ class TestSchema:
             "pendulum-negative-stiffness", "lambda-family-negative-lam",
             "cotangent-lift-dim-zero", "free-particle-dim-zero", "free-particle-dim-boolean",
             "free-particle-dim-fraction", "cotangent-lift-dim-fraction", "flow-without-p0", "lambda-study-on-pendulum",
-            "flow-times-boolean", "flow-t0-negative", "flow-t1-above-one", "flow-t1-nan"])
+            "flow-times-boolean", "flow-t0-negative", "flow-t1-above-one", "flow-t1-nan",
+            "integrator-a-number", "integrator-null", "seed-a-string", "seed-null",
+            "seed-fraction", "seed-boolean", "report-name-a-number", "report-name-escapes-out",
+            "trajectory-name-a-dot", "newton-max-iter-fraction", "step-boolean",
+            "blowup-threshold-boolean", "seed-count-fraction", "max-iter-fraction",
+            "seed-count-boolean", "free-particle-mass-boolean", "lambda-family-lam-boolean",
+            "cotangent-lift-scale-boolean", "constant-field-dim-unlike-c",
+            "linear-field-with-c", "constant-field-with-scale", "circle-with-radius",
+            "identity-dim-string", "identity-dim-fraction", "gotay-circle-on-the-line"])
     def test_malformed_values_are_exit_2_with_nothing_written(self, tmp_path, capsys, payload):
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
         assert "scenario error" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) in (["scenario.json"],
+                                                               ["out", "scenario.json"])
+
+    @pytest.mark.parametrize("task, parameters", [
+        ("constrained", {"u0": [0.0], "e0": [0.0]}),
+        ("gotay", {"state": {"u": [0.0], "p": [1.0], "lambda": [0.0], "e": [0.0]}}),
+    ], ids=["constrained", "gotay"])
+    def test_constraint_of_another_dimension_is_named(self, tmp_path, capsys, task, parameters):
+        payload = {"system": "free-particle", "task": task,
+                   "parameters": {"constraint": {"name": "circle"}, **parameters}}
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
+        assert "gives momenta of shape (2,); the system's dimension is 1" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
     @pytest.mark.parametrize("payload", [
@@ -474,14 +533,16 @@ class TestCliEntry:
             assert name in out
 
     def test_python_dash_m_entry_point(self):
-        src = str(Path(phasebound.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-m", "phasebound", "list-examples"],
-                              capture_output=True, text=True, env=env, timeout=120)
+        done = fresh_python("-m", "phasebound", "list-examples")
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["cotangent-lift", "free-particle", "lambda-family",
                                        "pendulum", "quartic", "sphere"]
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        done = fresh_python("-c", "import sys, phasebound.cli; "
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_run_via_main(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {

@@ -103,6 +103,11 @@ class TestIntegratorConfig:
     @pytest.mark.parametrize("kw", [
         {"newton_max_iter": 0},
         {"max_step_halvings": -1},
+        {"newton_max_iter": 2.5},
+        {"max_step_halvings": True},
+        {"step": True},
+        {"newton_tol": "1e-12"},
+        {"blowup_threshold": True},
     ])
     def test_rejects_invalid_settings(self, kw):
         with pytest.raises(ValueError):

@@ -216,9 +216,9 @@ class TestBatchComposition:
                 k = rows.tolist().index(i)
                 assert np.array_equal(together[k], alone[0])
                 assert norms[k] == alone_norms[0]
-        sols = solve_with_lagrangian_boundary(pen.system, None, grad_F, c, state_seeds=seeds)
+        sols = solve_with_lagrangian_boundary(pen.system, grad_F, c, state_seeds=seeds)
         alone = [b for s in seeds for b in solve_with_lagrangian_boundary(
-            pen.system, None, grad_F, c, state_seeds=[s]).solutions]
+            pen.system, grad_F, c, state_seeds=[s]).solutions]
         for b in sols.solutions:
             assert any(np.array_equal(b.p0, a.p0) and b.residual == a.residual
                        and np.array_equal(b.trajectory.positions, a.trajectory.positions)

@@ -47,8 +47,11 @@ class TestShootingConfig:
         {"max_iter": 0},
         {"seed_box": (1.0, 1.0)},
         {"seed_box": (2.0, -2.0)},
-        {"singular_cond": -1.0},
-        {"singular_cond": 0.5},
+        {"seed_box": (False, True)},
+        {"seed_count": 2.5},
+        {"seed_count": True},
+        {"max_iter": 2.5},
+        {"distinctness_radius": True},
     ])
     def test_rejects_invalid_settings(self, kw):
         with pytest.raises(ValueError):
@@ -339,8 +342,7 @@ class TestLagrangianBoundary:
         free = make_free_particle()
         seeds = [(np.array([0.4]), np.array([0.5])), (np.array([-1.2]), np.array([-0.3]))]
         sols = solve_with_lagrangian_boundary(
-            free.system, F=lambda u0, u1: 0.0,
-            grad_F=lambda u0, u1: (np.zeros(1), np.zeros(1)),
+            free.system, grad_F=lambda u0, u1: (np.zeros(1), np.zeros(1)),
             cfg=fast_cfg(), state_seeds=seeds)
         assert len(sols.solutions) >= 1
         for branch in sols.solutions:
@@ -348,21 +350,12 @@ class TestLagrangianBoundary:
             traj = branch.trajectory
             assert np.abs(traj.positions - traj.positions[0]).max() <= 1e-9
 
-    def test_fixed_endpoints_routes_to_dirichlet(self):
-        free = make_free_particle()
-        sols = solve_with_lagrangian_boundary(
-            free.system, F=None, grad_F=None, cfg=fast_cfg(),
-            fixed_endpoints=([0.0], [2.0]))
-        assert sols.classification.kind == "Unique"
-        assert abs(sols.solutions[0].p0[0] - 2.0) <= 1e-8
-
     def test_quadratic_boundary_function_pins_endpoint(self):
         # F = (u1 - a)^2 / 2 demands p0 = 0 and p1 = u1 - a, so u == a
         free = make_free_particle()
         a = 1.5
         sols = solve_with_lagrangian_boundary(
             free.system,
-            F=lambda u0, u1: 0.5 * float((u1[0] - a) ** 2),
             grad_F=lambda u0, u1: (np.zeros(1), np.array([u1[0] - a])),
             cfg=fast_cfg(), state_seeds=[(np.array([0.0]), np.array([0.3]))])
         assert len(sols.solutions) == 1
@@ -378,7 +371,7 @@ class TestLagrangianBoundary:
         # finite-difference Hessian of F, so it is compared relatively.
         pen = make_pendulum()
         sols = solve_with_lagrangian_boundary(
-            pen.system, F=lambda u0, u1: 0.5 * u0[0] ** 2 + 0.5 * (u1[0] - 0.7) ** 2,
+            pen.system,
             grad_F=lambda u0, u1: (np.array([u0[0]]), np.array([u1[0] - 0.7])),
             cfg=ShootingConfig(seed_count=16))
         assert sols.classification.kind == "Unique"
@@ -402,8 +395,7 @@ class TestLagrangianBoundary:
         free = make_free_particle()
         seeds = [(np.array([u]), np.array([p])) for u in (-1.0, 0.0, 0.8) for p in (0.5, -0.3)]
         sols = solve_with_lagrangian_boundary(
-            free.system, F=lambda u0, u1: 0.0,
-            grad_F=lambda u0, u1: (np.zeros(1), np.zeros(1)),
+            free.system, grad_F=lambda u0, u1: (np.zeros(1), np.zeros(1)),
             cfg=fast_cfg(step=1e-2), state_seeds=seeds)
         assert sols.classification.kind == "Continuum"
         assert sols.classification.count == 3
