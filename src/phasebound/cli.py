@@ -446,6 +446,8 @@ def run_scenario(path, out_dir=None, seed=None, step=None):
     """Execute a scenario file; returns (report dict, files written, exit code)."""
     scenario = load_scenario(path)
     seed = scenario.get("seed", 0) if seed is None else int(seed)
+    if seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {seed}")
     out_dir = out_dir or os.environ.get(ENV_OUT_DIR) or "."
     os.makedirs(out_dir, exist_ok=True)
     icfg = _integrator_config(scenario, step_override=step)
@@ -518,7 +520,8 @@ def main(argv=None):
     p_run.add_argument("scenario", help="path to the scenario file")
     p_run.add_argument("--out", default=None, help="output directory "
                        f"(default ${ENV_OUT_DIR} or the working directory)")
-    p_run.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+    p_run.add_argument("--seed", type=int, default=None,
+                       help="override the RNG seed (an integer >= 0)")
     p_run.add_argument("--step", type=float, default=None, help="override the integrator step")
 
     p_self = sub.add_parser("selftest", help="verify every bundled fact and invariant")

@@ -388,36 +388,52 @@ def _classify(config, entries, cfg):
         f"{len(reps)} isolated representatives, dedup stable"), reps
 
 
-def solve_dirichlet_many(sys: HamiltonianSystem, pairs, cfg: ShootingConfig, seeds=None):
+def _system_of(sys, pair_of_row):
+    """The system that flows batch rows belonging to pairs ``pair_of_row``: ``sys``
+    itself, or for a family of one system per pair, ``sys(pair_of_row)``."""
+    return sys if isinstance(sys, HamiltonianSystem) else sys(pair_of_row)
+
+
+def solve_dirichlet_many(sys: HamiltonianSystem | Callable, pairs, cfg: ShootingConfig,
+                         seeds=None):
     """All boundary-value solutions for each of several endpoint pairs.
 
     Every pair's seeds (``cfg``'s seed set, or ``seeds[k]`` for pair k) go
     through one multistart Newton batch and one stored-path flow; branches
     are then sorted, deduplicated and classified pair by pair.  Members of
     the batch do not interact, so a pair's result does not depend on which
-    other pairs share the batch.  Returns one BvpSolutionSet per pair.
+    other pairs share the batch.  ``sys`` is one system for every pair, or a
+    family of one system per pair on one configuration space: a function
+    that maps the pair index of each batch row to one system, whose row i is
+    pair index[i]'s system.  Returns one BvpSolutionSet per pair.
     """
-    r = sys.dim
-    pairs = [(as_point(u0, r), as_point(u1, r)) for u0, u1 in pairs]
+    pairs = list(pairs)
     if not pairs:
         return []
+    base = _system_of(sys, np.arange(len(pairs)))
+    r = base.dim
+    pairs = [(as_point(u0, r), as_point(u1, r)) for u0, u1 in pairs]
     if seeds is None:
         seeds = [cfg.resolve_seeds(r)] * len(pairs)
     seeds = [np.asarray(s, dtype=float).reshape(-1, r) for s in seeds]
     owner = np.repeat(np.arange(len(pairs)), [len(s) for s in seeds])
     U0, U1 = np.array(pairs)[owner].transpose(1, 0, 2)
     icfg = cfg.integrator
+    m = _segment_count(base, icfg)
     # multistart multiple shooting of u(1; U0[i], p) = U1[i] from seed row i
     found, _, rows = _multistart_newton(
-        lambda idx, P: _batch_eval(sys, U0[idx], P, U1[idx], icfg, want_jacobian=True),
-        _shooting_unknowns(sys, U0, np.concatenate(seeds), icfg), cfg, solve=_condensed_solve)
-    branches = _branches_from_momenta(sys, U0[rows], found[:, :r], cfg, targets=U1[rows])
+        lambda idx, P: _batch_eval(_system_of(sys, np.repeat(owner[idx], m)), U0[idx], P,
+                                   U1[idx], icfg, want_jacobian=True),
+        _shooting_unknowns(_system_of(sys, owner), U0, np.concatenate(seeds), icfg), cfg,
+        solve=_condensed_solve)
+    branches = _branches_from_momenta(_system_of(sys, owner[rows]), U0[rows], found[:, :r], cfg,
+                                      targets=U1[rows])
     sets = []
     for k, (u0, u1) in enumerate(pairs):
         entries = [b for b, i in zip(branches, rows) if owner[i] == k and b is not None]
         # sorted by momentum, lexicographically, for a deterministic merge order
         entries.sort(key=lambda e: tuple(e.p0))
-        classification, reps = _classify(sys.config, entries, cfg)
+        classification, reps = _classify(base.config, entries, cfg)
         sets.append(BvpSolutionSet(endpoints=(u0, u1), solutions=tuple(reps),
                                    classification=classification))
     return sets

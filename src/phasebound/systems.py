@@ -438,9 +438,18 @@ def constant_vector_field(c):
 
 
 def _drift_system(lam, X, dX, d2X, r, name):
-    """H = lam |p|^2 / 2 + p . X(u) on R^r; at lam = 0 no kinetic term is computed."""
-    def drift(t, u, p):
-        return np.sum(np.asarray(p, dtype=float) * X(u), axis=-1)
+    """H = lam |p|^2 / 2 + p . X(u) on R^r.
+
+    ``lam`` is one weight, or one weight per row of a (B, r) batch; a row's
+    values are then those of the system with that row's weight, bit for bit
+    (0 p + X(u) is X(u)).
+    """
+    lam = np.asarray(lam, dtype=float)
+    lam_rows, lam_eye = lam[..., None], lam[..., None, None] * np.eye(r)
+
+    def hamiltonian(t, u, p):
+        p = np.asarray(p, dtype=float)
+        return 0.5 * lam * np.sum(p ** 2, axis=-1) + np.sum(p * X(u), axis=-1)
 
     def grad_u(t, u, p):
         return np.einsum("...b,...ba->...a", np.asarray(p, dtype=float), dX(u))
@@ -453,16 +462,12 @@ def _drift_system(lam, X, dX, d2X, r, name):
         def hess_uu(t, u, p):
             return np.einsum("...b,...bac->...ac", np.asarray(p, dtype=float), d2X(u))
 
-    if lam == 0:
-        hamiltonian = drift
-        grad_p = lambda t, u, p: np.asarray(X(u), dtype=float)
-        hess_pp = lambda t, u, p: np.zeros(np.shape(u) + (r,))
-    else:
-        eye = np.eye(r)
-        hamiltonian = lambda t, u, p: (0.5 * lam * np.sum(np.asarray(p) ** 2, axis=-1)
-                                       + drift(t, u, p))
-        grad_p = lambda t, u, p: lam * np.asarray(p, dtype=float) + np.asarray(X(u), dtype=float)
-        hess_pp = lambda t, u, p: np.broadcast_to(lam * eye, np.shape(u) + (r,))
+    def grad_p(t, u, p):
+        return lam_rows * np.asarray(p, dtype=float) + np.asarray(X(u), dtype=float)
+
+    def hess_pp(t, u, p):
+        return np.zeros(np.shape(u) + (r,)) + lam_eye  # a third of np.broadcast_to's cost
+
     return HamiltonianSystem(
         config=ConfigSpace(r),
         hamiltonian=hamiltonian,
@@ -583,16 +588,29 @@ def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, X=None, dX=None,
     solved for H = lam |p|^2/2 + p . X(u); the report records p0(lam), the
     action, the residual of the lam-independent second-order base equation,
     and (when the base-flow oracle is available) the distance of the
-    trajectory to the flow line of X.  The momentum divergence rate is the
-    fitted log-log slope of |p0| against lam.
+    trajectory to the flow line of X.  Every lam's seeds go through one
+    solve_dirichlet_many batch, its rows flowed with their own lam; a row's
+    result is that of its lam solved alone, bit for bit.  The momentum
+    divergence rate is the fitted log-log slope of |p0| against lam over the
+    rows with lam > 0 and a nonzero p0.
     """
     cfg = shooting_cfg or shooting.ShootingConfig()
+    examples = [make_lambda_family(lam, X, dX, d2X, dim=dim, x_flow=x_flow) for lam in lambdas]
+    if examples:  # the family's own default field when X is None
+        X, dX, d2X, x_flow = examples[0].facts["field"]
+    weights = np.array(lambdas, dtype=float)
+    family = lambda k: _drift_system(weights[k], X, dX, d2X, dim, "lambda-family")
+    try:
+        solved = shooting.solve_dirichlet_many(family, [(u0, u1)] * len(lambdas), cfg)
+    except PhaseboundError:
+        # the batch raises whatever the weights, and so does each lam alone: its row
+        # note comes from its own solve, which names its own system
+        solved = None
     rows = []
-    for lam in lambdas:
-        ex = make_lambda_family(lam, X, dX, d2X, dim=dim, x_flow=x_flow)
-        X, dX, d2X, x_flow = ex.facts["field"]  # the family's own default when X is None
+    for k, (lam, ex) in enumerate(zip(lambdas, examples)):
         try:
-            sols = shooting.solve_dirichlet(ex.system, u0, u1, cfg)
+            sols = solved[k] if solved is not None else shooting.solve_dirichlet(
+                ex.system, u0, u1, cfg)
         except PhaseboundError as exc:
             rows.append(LambdaStudyRow(lam, None, None, None, None, f"solver error: {exc}"))
             continue
@@ -617,7 +635,7 @@ def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, X=None, dX=None,
             status="ok",
         ))
     usable = [(row.lam, np.linalg.norm(row.p0)) for row in rows
-              if row.p0 is not None and np.linalg.norm(row.p0) > 1e-12]
+              if row.lam > 0 and row.p0 is not None and np.linalg.norm(row.p0) > 1e-12]
     slope = None
     if len(usable) >= 2:
         ls, ps = zip(*usable)

@@ -257,6 +257,19 @@ class TestSchema:
                                                                ["out", "scenario.json"])
 
     @pytest.mark.parametrize("task, parameters", [
+        ("flow", {"u0": 0.0, "p0": 1.0}),
+        ("classify", {"sample_count": 1}),
+    ], ids=["flow", "classify"])
+    def test_negative_seed_is_exit_2_on_both_routes(self, tmp_path, capsys, task, parameters):
+        payload = {"system": "free-particle", "task": task, "parameters": parameters}
+        for scenario, override in ((dict(payload, seed=-1), []), (payload, ["--seed", "-1"])):
+            out = tmp_path / "out"
+            assert main(["run", write_scenario(tmp_path, scenario), "--out", str(out),
+                         *override]) == 2
+            assert "scenario error" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("task, parameters", [
         ("constrained", {"u0": [0.0], "e0": [0.0]}),
         ("gotay", {"state": {"u": [0.0], "p": [1.0], "lambda": [0.0], "e": [0.0]}}),
     ], ids=["constrained", "gotay"])
@@ -376,6 +389,19 @@ class TestRunScenarios:
         report, _, code = run_scenario(path, out_dir=str(tmp_path / "out"))
         assert code == 0
         assert abs(report["results"]["momentum_slope"] + 1.0) <= 0.05
+
+    def test_lambda_study_with_a_zero_lambda_fits_the_positive_ones(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "system": {"name": "lambda-family", "params": {"field": "linear"}},
+            "task": "lambda-study",
+            "shooting": {"seed_count": 8, "newton_tol": 1e-6},
+            "parameters": {"lambdas": [1.0, 0.5, 0.0], "endpoints": [1.0, np.e]},
+        })
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+        assert [row["status"] for row in results["rows"]] == ["ok"] * 3
+        assert results["rows"][-1]["p0"][0] != 0.0
+        assert results["momentum_slope"] == pytest.approx(-1.0, abs=1e-3)
 
     def test_step_override(self, tmp_path):
         path = write_scenario(tmp_path, {

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from phasebound import shooting
-from phasebound.core import _eval_along, check_gradients
+from phasebound.core import _eval_along, action_functional, check_gradients
 from phasebound.errors import NegativeLambdaError, NewtonConvergenceError, NonPositiveMassError
 from phasebound.integrators import IntegratorConfig, energy_drift, integrate_flow
 from phasebound.shooting import ShootingConfig, solve_dirichlet
 from phasebound.systems import (
+    _drift_system,
     constant_vector_field,
     linear_vector_field,
     make_cotangent_lift,
@@ -194,7 +195,7 @@ class TestTopologicalLimit:
         def failing(*args, **kwargs):
             raise NewtonConvergenceError("midpoint Newton stalled at t=0.5")
 
-        monkeypatch.setattr(shooting, "solve_dirichlet", failing)
+        monkeypatch.setattr(shooting, "solve_dirichlet_many", failing)
         report = topological_limit_study([1.0, 0.5], [0.0], [2.0])
         assert [row.status for row in report.rows] == \
             ["solver error: midpoint Newton stalled at t=0.5"] * 2
@@ -205,9 +206,61 @@ class TestTopologicalLimit:
         def broken(*args, **kwargs):
             raise TypeError("unexpected keyword")
 
-        monkeypatch.setattr(shooting, "solve_dirichlet", broken)
+        monkeypatch.setattr(shooting, "solve_dirichlet_many", broken)
         with pytest.raises(TypeError, match="unexpected keyword"):
             topological_limit_study([1.0], [0.0], [2.0])
+
+    @pytest.mark.parametrize("field, u0, u1, newton_tol", [
+        (None, [0.0], [2.0], 1e-10),
+        (linear_vector_field(1), [1.0], [np.e], 1e-6),
+    ], ids=["constant", "linear"])
+    def test_batched_study_equals_one_solve_per_lambda(self, field, u0, u1, newton_tol):
+        lambdas = [1.0, 0.5, 0.25, 0.0]
+        scfg = ShootingConfig(seed_count=8, newton_tol=newton_tol)
+        kw = dict(zip(("X", "dX", "d2X", "x_flow"), field)) if field else {}
+        report = topological_limit_study(lambdas, u0, u1, scfg, **kw)
+        assert [row.lam for row in report.rows] == lambdas
+        for row, lam in zip(report.rows, lambdas):
+            ex = make_lambda_family(lam, **kw)
+            X, dX, _, x_flow = ex.facts["field"]
+            sols = solve_dirichlet(ex.system, u0, u1, scfg)
+            if not sols.solutions:
+                assert (row.p0, row.action, row.status) == (None, None, "NoSolution")
+                continue
+            traj = sols.solutions[0].trajectory
+            line = np.array([x_flow(t, np.array(u0)) for t in traj.grid.nodes])
+            assert row.status == "ok"
+            assert np.array_equal(row.p0, sols.solutions[0].p0)
+            assert row.action == action_functional(ex.system, traj)
+            assert row.second_order_residual == second_order_residual(X, dX, traj)[1]
+            assert row.flowline_distance == float(np.abs(traj.positions - line).max())
+        if field:  # the lam = 0 row joins the pair too, with a nonzero p0
+            assert report.rows[-1].status == "ok" and report.rows[-1].p0[0] != 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_drift_rows_equal_the_scalar_systems(self, dim):
+        X, dX, d2X, _ = linear_vector_field(dim, scale=-0.7)
+        lambdas = [1.0, 0.5, 0.0]
+        rng = np.random.default_rng(5)
+        U, P = rng.uniform(-2, 2, (2, len(lambdas), dim))
+        rows = _drift_system(np.array(lambdas), X, dX, d2X, dim, "rows")
+        for k, lam in enumerate(lambdas):
+            one = _drift_system(lam, X, dX, d2X, dim, "one")
+            for fn in ("grad_p", "hamiltonian", "hess_pp", "grad_u", "hess_uu", "hess_up"):
+                assert np.array_equal(getattr(rows, fn)(0.0, U, P)[k],
+                                      getattr(one, fn)(0.0, U[k], P[k])), fn
+        # 0 p + X(u) is X(u), and a zero weight leaves no kinetic term
+        assert np.array_equal(rows.grad_p(0.0, U, P)[-1], X(U[-1]))
+        assert np.array_equal(rows.hamiltonian(0.0, U, P)[-1], np.sum(P[-1] * X(U[-1])))
+        assert not rows.hess_pp(0.0, U, P)[-1].any()
+
+    def test_verlet_study_notes_each_row_with_its_own_system(self):
+        scfg = ShootingConfig(integrator=IntegratorConfig(scheme="stormer-verlet"))
+        report = topological_limit_study([1.0, 0.5, 0.0], [0.0], [2.0], scfg)
+        assert [row.status for row in report.rows] == [
+            f"solver error: system 'lambda-family(lam={lam})' is not declared separable"
+            for lam in (1.0, 0.5, 0.0)]
+        assert report.momentum_slope is None
 
     def test_second_order_residual_detects_non_solutions(self):
         from phasebound.core import TimeGrid, Trajectory
