@@ -43,7 +43,6 @@ from .shooting import (
     classify_theory,
     generating_function_check,
     hamilton_principal_function,
-    shoot_residual,
     solve_dirichlet,
     solve_dirichlet_many,
     solve_with_lagrangian_boundary,

@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     ConfigSpace,
     HamiltonianSystem,
+    TimeGrid,
     Trajectory,
     action_functional,
     as_point,
@@ -38,7 +39,6 @@ from .core import (
 )
 from .errors import (
     BranchLostError,
-    FlowIncompleteError,
     NoSuchBranchError,
 )
 from .integrators import (
@@ -46,7 +46,6 @@ from .integrators import (
     _batch_solve,
     _check_field_kinds,
     flow_batch,
-    flow_with_jacobian,
     step_count,
 )
 
@@ -128,23 +127,6 @@ class BvpSolutionSet:
     classification: Classification
 
 
-def shoot_residual(sys: HamiltonianSystem, u0, p0, u1, cfg: ShootingConfig):
-    """Shooting residual u(1; u0, p0) - u1 and its derivative in p0.
-
-    Angular coordinates are wrapped into (-pi, pi].  Raises
-    FlowIncompleteError when the flow from (u0, p0) does not reach t = 1.
-    """
-    r = sys.dim
-    u0 = as_point(u0, r)
-    p0 = as_point(p0, r)
-    u1 = as_point(u1, r)
-    result, jac = flow_with_jacobian(sys, u0, p0, cfg.integrator)
-    if not result.completed:
-        raise FlowIncompleteError(result.status)
-    res = sys.config.wrap_diff(result.trajectory.positions[-1], u1)
-    return res, jac[:r, r:]
-
-
 def _cond(mat):
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv[-1] <= 0 or not np.isfinite(sv[-1]):
@@ -217,6 +199,16 @@ def _batch_eval(sys, u0, P, u1, icfg, want_jacobian):
     return res, rnorm, blocks, ok
 
 
+def _tangent_chain(tangents):
+    """d z(1) / dp0 = (Phi_M ... Phi_1)[:, r:] from segment tangents ``tangents``
+    (B, M, 2r, 2r); its first r rows are du1/dp0."""
+    r = tangents.shape[-1] // 2
+    chain = tangents[:, 0, :, r:]  # z_0 = (u0, p0) varies in p0 only
+    for k in range(1, tangents.shape[1]):
+        chain = tangents[:, k] @ chain
+    return chain
+
+
 def _condensed_solve(tangents, res):
     """Solve the multiple-shooting Newton systems J x = res by condensing.
 
@@ -232,11 +224,10 @@ def _condensed_solve(tangents, res):
     bsz, m, two_r, _ = tangents.shape
     r = two_r // 2
     defects = res[:, :-r].reshape(bsz, m - 1, two_r)
-    du1_dp0, carried = tangents[:, 0, :, r:], np.zeros((bsz, two_r))
+    carried = np.zeros((bsz, two_r))
     for k in range(1, m):
-        du1_dp0 = tangents[:, k] @ du1_dp0
         carried = np.einsum("bij,bj->bi", tangents[:, k], carried + defects[:, k - 1])
-    x = _batch_solve(du1_dp0[:, :r], res[:, -r:] - carried[:, :r])
+    x = _batch_solve(_tangent_chain(tangents)[:, :r], res[:, -r:] - carried[:, :r])
     parts = [x]
     for k in range(m - 1):
         phi = tangents[:, k] if k else tangents[:, 0, :, r:]  # z_0 varies in p0 only
@@ -328,30 +319,64 @@ def _multistart_newton(evaluate, seeds, cfg, solve=_batch_solve):
     return P[conv], rnorm[conv], conv
 
 
-def _branches_from_momenta(sys, U0, momenta, cfg, targets=None, rnorms=None,
-                           bc_jacobian=None):
-    """Final trajectories from one stored-path flow; a branch per member, or
-    None where the path is not finite.  A branch's residual is its landing
-    miss max|u(1) - target| (wrapped) when ``targets`` are given, else its
-    ``rnorms`` entry.  Its jacobian is du1/dp0, or
-    ``bc_jacobian(u0, u1, flow jacobian)`` when given."""
-    if momenta.shape[0] == 0:
+def _branch(p0, grid, positions, momenta, residual, jacobian):
+    return BvpBranch(p0=p0.copy(), trajectory=Trajectory(grid, positions, momenta),
+                     residual=float(residual), jacobian=jacobian, cond=_cond(jacobian))
+
+
+def _dirichlet_branches(sys, U0, P, U1, icfg):
+    """Branches of converged multiple-shooting unknowns ``P`` (rows as in
+    _batch_eval) from one stored-path flow of their M segments over [0, 1/M]
+    with the exact tangent; a branch per member, or None where a segment
+    flow fails.
+
+    A member's path is nodes 0 .. n-1 of each of its segments in turn, then
+    the last segment's end, on the grid of a flow over [0, 1] (n M steps);
+    its jacobian du1/dp0 is the product of the segment tangents, and its
+    residual the wrapped landing miss max|u(1) - u1| of that end.  Rows of
+    p0 alone (M = 1) give the full-interval flow from p0, whose path is
+    the member's as it stands.  For M > 1 each member's path is its own
+    copy, so the segment paths are freed on return and the paths of the
+    branches that deduplication drops are freed with them.
+    """
+    if P.shape[0] == 0:
         return []
-    grid, path, U1, _, ok, jac = flow_batch(
-        sys, U0, momenta, cfg.integrator, want_jacobian=True, store_path=True)
-    path_u, path_p = path
-    r = momenta.shape[1]
-    if targets is not None:
-        with np.errstate(all="ignore"):
-            rnorms = np.max(np.abs(sys.config.wrap_diff(U1, targets)), axis=1)
+    bsz, r = U0.shape
+    m = 1 + (P.shape[1] - r) // (2 * r)
+    Z = np.concatenate([U0, P], axis=1).reshape(bsz * m, 2 * r)
+    _, path, U1_ends, _, ok, jac = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
+                                              want_jacobian=True, store_path=True)
+    n = path[0].shape[0] - 1
 
-    def branch(b):
-        bc = jac[b, :r, r:] if bc_jacobian is None else bc_jacobian(U0[b], U1[b], jac[b])
-        return BvpBranch(p0=momenta[b].copy(),
-                         trajectory=Trajectory(grid, path_u[:, b], path_p[:, b]),
-                         residual=float(rnorms[b]), jacobian=bc, cond=_cond(bc))
+    def stitch(seg, b):  # member b's (n m + 1, r) path from (n + 1, bsz m, r) segment paths
+        if m == 1:
+            return seg[:, b]
+        out = np.empty((n * m + 1, r))
+        out[:-1].reshape(m, n, r)[...] = seg[:-1, b * m:(b + 1) * m].transpose(1, 0, 2)
+        out[-1] = seg[-1, (b + 1) * m - 1]
+        return out
 
-    return [branch(b) if ok[b] else None for b in range(momenta.shape[0])]
+    with np.errstate(all="ignore"):
+        residuals = np.max(np.abs(sys.config.wrap_diff(U1_ends[m - 1::m], U1)), axis=1)
+    du1_dp0 = _tangent_chain(jac.reshape(bsz, m, 2 * r, 2 * r))[:, :r]
+    ok = ok.reshape(bsz, m).all(axis=1)
+    grid = TimeGrid.uniform(n * m)  # a flow's over [0, 1]
+    return [_branch(P[b, :r], grid, stitch(path[0], b), stitch(path[1], b), residuals[b],
+                    du1_dp0[b]) if ok[b] else None for b in range(bsz)]
+
+
+def _graph_branches(sys, grad_F, X, rnorms, icfg, fd_step):
+    """Branches of converged graph-type unknowns X = (u0, p0) from one
+    full-interval stored-path flow; a branch's residual is its ``rnorms``
+    entry and its jacobian the boundary-condition jacobian of _graph_jacobian."""
+    if X.shape[0] == 0:
+        return []
+    r = X.shape[1] // 2
+    grid, (path_u, path_p), U1, _, ok, jac = flow_batch(
+        sys, X[:, :r], X[:, r:], icfg, want_jacobian=True, store_path=True)
+    return [_branch(X[b, r:], grid, path_u[:, b], path_p[:, b], rnorms[b],
+                    _graph_jacobian(grad_F, X[b, :r], U1[b], jac[b], fd_step))
+            if ok[b] else None for b in range(len(X))]
 
 
 def _dedupe(config: ConfigSpace, entries, radius):
@@ -395,17 +420,20 @@ def _system_of(sys, pair_of_row):
 
 
 def solve_dirichlet_many(sys: HamiltonianSystem | Callable, pairs, cfg: ShootingConfig,
-                         seeds=None):
+                         seeds=None, *, full_interval=False):
     """All boundary-value solutions for each of several endpoint pairs.
 
     Every pair's seeds (``cfg``'s seed set, or ``seeds[k]`` for pair k) go
-    through one multistart Newton batch and one stored-path flow; branches
-    are then sorted, deduplicated and classified pair by pair.  Members of
-    the batch do not interact, so a pair's result does not depend on which
-    other pairs share the batch.  ``sys`` is one system for every pair, or a
-    family of one system per pair on one configuration space: a function
-    that maps the pair index of each batch row to one system, whose row i is
-    pair index[i]'s system.  Returns one BvpSolutionSet per pair.
+    through one multistart Newton batch and one stored-path flow of the
+    converged segments (_dirichlet_branches), or with ``full_interval`` of
+    the converged p0 over [0, 1], free of the segments' junction jumps at
+    the Newton tolerance; branches are then sorted, deduplicated and
+    classified pair by pair.  Members of the batch do not interact, so a
+    pair's result does not depend on which other pairs share the batch.
+    ``sys`` is one system for every pair, or a family of one system per pair
+    on one configuration space: a function that maps the pair index of each
+    batch row to one system, whose row i is pair index[i]'s system.  Returns
+    one BvpSolutionSet per pair.
     """
     pairs = list(pairs)
     if not pairs:
@@ -426,8 +454,10 @@ def solve_dirichlet_many(sys: HamiltonianSystem | Callable, pairs, cfg: Shooting
                                    U1[idx], icfg, want_jacobian=True),
         _shooting_unknowns(_system_of(sys, owner), U0, np.concatenate(seeds), icfg), cfg,
         solve=_condensed_solve)
-    branches = _branches_from_momenta(_system_of(sys, owner[rows]), U0[rows], found[:, :r], cfg,
-                                      targets=U1[rows])
+    if full_interval:
+        found, m = found[:, :r], 1
+    branches = _dirichlet_branches(_system_of(sys, np.repeat(owner[rows], m)), U0[rows], found,
+                                   U1[rows], icfg)
     sets = []
     for k, (u0, u1) in enumerate(pairs):
         entries = [b for b, i in zip(branches, rows) if owner[i] == k and b is not None]
@@ -475,7 +505,10 @@ def _continue_branch(sys, branches, cfg, fd_step):
         pairs += [(u0, v) for v in central_points(u1, fd_step).reshape(2 * r, r)]
         seeds += [as_point(p0, r)] * (4 * r)
     out = []
-    for p0, sols in zip(seeds, solve_dirichlet_many(sys, pairs, cfg, seeds=seeds)):
+    # finite differences of these rows' actions and momenta at fd_step would
+    # magnify segment junction jumps, so their branches are flown whole
+    for p0, sols in zip(seeds, solve_dirichlet_many(sys, pairs, cfg, seeds=seeds,
+                                                    full_interval=True)):
         if not sols.solutions:
             out.append(BranchLostError(f"continuation from p0={p0} did not converge"))
             continue
@@ -616,9 +649,7 @@ def solve_with_lagrangian_boundary(sys: HamiltonianSystem, grad_F: Callable,
                   for u0, p0 in state_seeds]).reshape(-1, 2 * r)
     found, rnorms, _ = _multistart_newton(
         lambda rows, Xr: _graph_eval(sys, grad_F, Xr, cfg.integrator, fd_step), X, cfg)
-    branches = _branches_from_momenta(
-        sys, found[:, :r], found[:, r:], cfg, rnorms=rnorms,
-        bc_jacobian=lambda u0, u1, jac: _graph_jacobian(grad_F, u0, u1, jac, fd_step))
+    branches = _graph_branches(sys, grad_F, found, rnorms, cfg.integrator, fd_step)
     entries = sorted((b for b in branches if b is not None), key=lambda e: tuple(e.p0))
     classification, reps = _classify(sys.config, entries, cfg)
     return BvpSolutionSet(endpoints=None, solutions=tuple(reps), classification=classification)

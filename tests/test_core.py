@@ -383,7 +383,7 @@ class TestCentralStencil:
         class Stop(Exception):
             pass
 
-        def record(sys, pairs, cfg, seeds=None):
+        def record(sys, pairs, cfg, seeds=None, full_interval=False):
             seen.update(U0=np.array([u for u, _ in pairs]), U1=np.array([u for _, u in pairs]),
                         seeds=np.array(seeds))
             raise Stop

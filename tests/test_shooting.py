@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 from phasebound import shooting
 from phasebound.core import ConfigSpace, HamiltonianSystem, TimeGrid, Trajectory, action_functional
-from phasebound.errors import (BranchLostError, FlowIncompleteError, NoSuchBranchError,
-                              NotSeparableError)
-from phasebound.integrators import IntegratorConfig, _batch_solve, integrate_flow
+from phasebound.errors import BranchLostError, NoSuchBranchError, NotSeparableError
+from phasebound.integrators import (IntegratorConfig, _batch_solve, flow_with_jacobian,
+                                    integrate_flow)
 from phasebound.shooting import (
     ShootingConfig,
     classify_theory,
     generating_function_check,
     hamilton_principal_function,
-    shoot_residual,
     solve_dirichlet,
     solve_with_lagrangian_boundary,
 )
@@ -61,16 +60,26 @@ class TestShootingConfig:
         assert len(ShootingConfig(seeds=(1.0,), seed_count=0).resolve_seeds(1)) == 1
 
 
+def single_shot(sys, u0, p0, u1, cfg):
+    """Single-shooting residual u(1) - u1 (wrapped) and du1/dp0 of one member,
+    with whether its flow completed and the residual's sup norm (inf if not)."""
+    res, rnorm, blocks, ok = shooting._batch_eval(sys, np.atleast_2d(u0), np.atleast_2d(p0),
+                                                  u1, cfg.integrator, True)
+    r = len(u0)
+    return res[0], blocks[0, 0, :r, r:], bool(ok[0]), float(rnorm[0])
+
+
 class TestShootResidual:
+    # single shooting is _batch_eval at M = 1 (unknowns p0 alone)
     def test_free_particle_on_target(self):
         free = make_free_particle()
-        res, jac = shoot_residual(free.system, [0.0], [2.0], [2.0], fast_cfg())
+        res, jac, _, _ = single_shot(free.system, [0.0], [2.0], [2.0], fast_cfg())
         np.testing.assert_allclose(res, [0.0], atol=1e-12)
         np.testing.assert_allclose(jac, [[1.0]], atol=1e-12)
 
     def test_free_particle_miss(self):
         free = make_free_particle()
-        res, jac = shoot_residual(free.system, [0.0], [0.0], [2.0], fast_cfg())
+        res, jac, _, _ = single_shot(free.system, [0.0], [0.0], [2.0], fast_cfg())
         np.testing.assert_allclose(res, [-2.0], atol=1e-12)
         np.testing.assert_allclose(jac, [[1.0]], atol=1e-12)
 
@@ -78,15 +87,15 @@ class TestShootResidual:
         pen = make_pendulum()
         fwd = integrate_flow(pen.system, [0.3], [1.1], IntegratorConfig())
         u1 = fwd.trajectory.positions[-1]
-        res, _ = shoot_residual(pen.system, [0.3], [1.1], u1, fast_cfg())
+        res, _, _, _ = single_shot(pen.system, [0.3], [1.1], u1, fast_cfg())
         np.testing.assert_allclose(res, [0.0], atol=1e-12)
 
-    def test_blowup_raises(self):
+    def test_blowup_is_not_ok(self):
         from phasebound.systems import make_quartic
 
         quart = make_quartic()
-        with pytest.raises(FlowIncompleteError):
-            shoot_residual(quart.system, [4.0], [8.0], [0.0], fast_cfg())
+        _, _, ok, rnorm = single_shot(quart.system, [4.0], [8.0], [0.0], fast_cfg())
+        assert not ok and rnorm == float("inf")
 
 
 class TestSolveDirichlet:
@@ -114,7 +123,8 @@ class TestSolveDirichlet:
         cfg = fast_cfg()
         sols = solve_dirichlet(pen.system, [0.0], [np.pi / 2], cfg)
         for branch in sols.solutions:
-            res, _ = shoot_residual(pen.system, [0.0], branch.p0, [np.pi / 2], cfg)
+            result, _ = flow_with_jacobian(pen.system, [0.0], branch.p0, cfg.integrator)
+            res = pen.system.config.wrap_diff(result.trajectory.positions[-1], [np.pi / 2])
             assert np.abs(res).max() <= cfg.newton_tol * 10
 
 
@@ -565,3 +575,59 @@ class TestMultipleShooting:
         # flown from t = 0, segments of a time-dependent H solve another problem
         wrong = solve_dirichlet(dataclasses.replace(sys, autonomous=True), [0.2], [1.5], c)
         assert abs(wrong.solutions[0].p0[0] - (1.3 - 1.0 / 6.0)) > 1e-2
+
+
+class TestStitchedBranches:
+    """Branches built from the converged segments instead of a full-interval flow."""
+
+    # Measured at the CLI defaults: nodes within 1.6e-14 of the full flow and
+    # du1/dp0 within 3e-15 relatively.  A segment junction may jump by up to
+    # the Newton tolerance, which on other pendulum pairs shows as 1.4e-12.
+    @pytest.mark.parametrize("system, u0, u1", [
+        (lambda: make_pendulum().system, [0.0], [np.pi / 2]),
+        (lambda: make_example("quartic").system, [1.0], [2.0 / 3.0]),
+        (lambda: make_free_particle(dim=2).system, [0.1, -0.2], [1.0, 0.5]),
+    ], ids=["pendulum", "quartic", "free-particle-2d"])
+    def test_branches_match_the_full_flow_from_p0(self, system, u0, u1):
+        sys, cfg = system(), ShootingConfig()
+        assert shooting._segment_count(sys, cfg.integrator) == 8
+        sols = solve_dirichlet(sys, u0, u1, cfg)
+        assert sols.solutions
+        r = len(u0)
+        for b in sols.solutions:
+            full, jac = flow_with_jacobian(sys, u0, b.p0, cfg.integrator)
+            assert np.array_equal(b.trajectory.grid.nodes, full.trajectory.grid.nodes)
+            np.testing.assert_allclose(b.trajectory.positions, full.trajectory.positions,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b.trajectory.momenta, full.trajectory.momenta,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b.jacobian, jac[:r, r:], rtol=1e-12, atol=0)
+            assert b.residual == np.max(np.abs(sys.config.wrap_diff(b.u1, u1)))
+
+    def test_continuation_rows_are_full_interval_flows(self):
+        pen = make_pendulum()
+        cfg = fast_cfg()
+        center = solve_dirichlet(pen.system, [0.0], [np.pi / 2], cfg).solutions[0]
+        rows = shooting._continue_branch(pen.system, [([0.0], [np.pi / 2], center.p0)], cfg,
+                                         1e-5)[0]
+        for b in rows:
+            full, jac = flow_with_jacobian(pen.system, b.trajectory.positions[0], b.p0,
+                                           cfg.integrator)
+            assert np.array_equal(b.trajectory.grid.nodes, full.trajectory.grid.nodes)
+            assert np.array_equal(b.trajectory.positions, full.trajectory.positions)
+            assert np.array_equal(b.trajectory.momenta, full.trajectory.momenta)
+            assert np.array_equal(b.jacobian, jac[:1, 1:])
+
+    def test_verlet_segment_branches_land(self):
+        pen = make_pendulum()
+        verlet = IntegratorConfig(scheme="stormer-verlet")
+        cfg = ShootingConfig(integrator=verlet, seed_count=12)
+        assert shooting._segment_count(pen.system, verlet) == 8
+        sols = solve_dirichlet(pen.system, [0.3], [-1.2], cfg)
+        assert len(sols.solutions) >= 2
+        for b in sols.solutions:
+            miss = np.max(np.abs(pen.system.config.wrap_diff(b.u1, [-1.2])))
+            assert b.residual == miss <= cfg.newton_tol
+            full = integrate_flow(pen.system, [0.3], b.p0, verlet)
+            assert np.max(np.abs(pen.system.config.wrap_diff(
+                full.trajectory.positions[-1], [-1.2]))) <= 10 * cfg.newton_tol

@@ -9,7 +9,12 @@ checkout's ``src``).  The scenarios are the benchmark's, from
 for seed 1 unless ``--seeds`` names others.  Each tree runs each pass in
 its own interpreter through ``phasebound.cli.run_scenario``.  The output
 lists every report that differs outside its ``timing`` block, and every CSV
-that differs, with the first differing key (or CSV line and column).
+that differs, with the first differing key (or CSV line and column).  For a
+differing report it also gives the largest absolute and the largest relative
+difference between numbers, each with its key, and lists every other
+difference: a string, bool or int, a list length or a missing key.  A pair of
+numbers counts as numeric when either is a float, since a float report value
+of 0.0 is written as the int 0.
 Each tree also runs ``python -m phasebound selftest --out``, and the output
 says whether the two ``selftest.json`` differ outside ``timing``.  The exit
 status is 0 even when outputs differ (or a self-test check fails), and 1
@@ -89,31 +94,61 @@ def _same(a, b):
     return type(a) is type(b) and a == b
 
 
-def first_difference(a, b, path=""):
-    """The first key path, in sorted-key order, at which two JSON values differ, or None."""
+# The value of a key that a report lacks, in leaf_differences.
+MISSING = "<missing>"
+
+
+def leaf_differences(a, b, path=""):
+    """Yield (key path, base value, head value) for every leaf at which two JSON
+    values differ, in sorted-key order.  A key held on one side only has the
+    value MISSING on the other; lists are compared over their common length,
+    and then a length that differs is a leaf ``path.length``."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             sub = f"{path}.{key}" if path else key
-            if key not in a or key not in b:
-                return sub
-            found = first_difference(a[key], b[key], sub)
-            if found is not None:
-                return found
-        return None
-    if isinstance(a, list) and isinstance(b, list):
+            yield from leaf_differences(a.get(key, MISSING), b.get(key, MISSING), sub)
+    elif isinstance(a, list) and isinstance(b, list):
         for i, (x, y) in enumerate(zip(a, b)):
-            found = first_difference(x, y, f"{path}[{i}]")
-            if found is not None:
-                return found
-        return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
-    return None if _same(a, b) else (path or "<root>")
+            yield from leaf_differences(x, y, f"{path}[{i}]")
+        if len(a) != len(b):
+            yield f"{path}.length", len(a), len(b)
+    elif not _same(a, b):
+        yield path or "<root>", a, b
+
+
+def _numeric(a, b):
+    """Whether two differing leaves are one number moved: both finite numbers, one a float."""
+    numbers = [isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+               for x in (a, b)]
+    return all(numbers) and float in (type(a), type(b))
+
+
+def summarize(base, head):
+    """(largest absolute, largest relative) numeric difference, each (size, key)
+    or None, and every other difference as (key, base value, head value)."""
+    largest_abs = largest_rel = None
+    others = []
+    for key, a, b in leaf_differences(base, head):
+        if not _numeric(a, b):
+            others.append((key, a, b))
+            continue
+        diff = abs(a - b)
+        rel = diff / max(abs(a), abs(b)) if diff else 0.0
+        if largest_abs is None or diff > largest_abs[0]:
+            largest_abs = (diff, key)
+        if largest_rel is None or rel > largest_rel[0]:
+            largest_rel = (rel, key)
+    return largest_abs, largest_rel, others
 
 
 def _report_difference(base_file, head_file):
+    """None for reports equal outside ``timing``, else (first differing key, summary)."""
     texts = [TIMING.sub('"timing": {}', f.read_text()) for f in (base_file, head_file)]
     if texts[0] == texts[1]:
         return None
-    return first_difference(*(json.loads(text) for text in texts)) or "formatting"
+    base, head = (json.loads(text) for text in texts)
+    first = next(leaf_differences(base, head), ("formatting",))[0]
+    return first, summarize(base, head)
 
 
 def _csv_difference(base_file, head_file):
@@ -136,11 +171,30 @@ def compare(base_out, head_out):
         if not base_file.exists() or not head_file.exists():
             moved.append((name, "only in " + ("head" if head_file.exists() else "base")))
             continue
-        differ = _report_difference if name.endswith(".json") else _csv_difference
-        where = differ(base_file, head_file)
-        if where is not None:
-            moved.append((name, where))
+        if name.endswith(".json"):
+            found = _report_difference(base_file, head_file)
+            if found is not None:
+                moved.append((name, *found))
+        else:
+            where = _csv_difference(base_file, head_file)
+            if where is not None:
+                moved.append((name, where, None))
     return moved
+
+
+def _describe(summary):
+    """Markdown lines for a differing report's summary (see summarize)."""
+    largest_abs, largest_rel, others = summary
+    lines = []
+    if largest_abs is not None:
+        lines.append(f"largest float difference: {largest_abs[0]:.3g} absolute at "
+                     f"`{largest_abs[1]}`, {largest_rel[0]:.3g} relative at `{largest_rel[1]}`")
+    if others:
+        lines.append(f"{len(others)} non-float differences:")
+        lines += [f"  - `{key}`: `{json.dumps(a)}` -> `{json.dumps(b)}`" for key, a, b in others]
+    else:
+        lines.append("no non-float difference")
+    return lines
 
 
 def main(argv=None):
@@ -171,25 +225,31 @@ def main(argv=None):
             moved = compare(work / "base", work / "head")
             for kind in (".json", ".csv"):
                 counts[kind] += sum(p.suffix == kind for p in (work / "head").iterdir())
-                counts["moved" + kind] += sum(name.endswith(kind) for name, _ in moved)
+                counts["moved" + kind] += sum(name.endswith(kind) for name, _, _ in moved)
             print(f"- {label}: {len(moved)} outputs differ")
-            for name, where in moved:
+            for name, where, summary in moved:
                 print(f"  - `{name}`: first difference at `{where}`")
+                if summary is not None:
+                    counts["non-float"] += len(summary[2])
+                    for line in _describe(summary):
+                        print(f"    - {line}")
         work = Path(tmp) / "selftest"
         crashes = [f"the {side} self-test {how}"
                    for side, src in (("base", args.base_src), ("head", args.head_src))
                    if (how := _selftest(src, work / side))]
         if crashes:
             crashed = True
-            selftest = "; ".join(crashes)
+            selftest = "; ".join(crashes) + "."
         else:
-            where = _report_difference(work / "base" / "selftest.json",
+            found = _report_difference(work / "base" / "selftest.json",
                                        work / "head" / "selftest.json")
-            selftest = ("identical outside `timing`" if where is None
-                        else f"differs, first at `{where}`")
+            selftest = ("identical outside `timing`." if found is None
+                        else "\n".join([f"differs, first at `{found[0]}`."]
+                                        + [f"- {line}" for line in _describe(found[1])]))
     print(f"\n{counts['moved.json']} of {counts['.json']} reports and "
-          f"{counts['moved.csv']} of {counts['.csv']} CSVs differ.")
-    print(f"`selftest.json`: {selftest}.")
+          f"{counts['moved.csv']} of {counts['.csv']} CSVs differ; the reports hold "
+          f"{counts['non-float']} non-float differences.")
+    print(f"`selftest.json`: {selftest}")
     return 1 if crashed else 0
 
 
