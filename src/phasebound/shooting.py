@@ -48,6 +48,8 @@ from .integrators import (
     flow_batch,
     step_count,
 )
+# flow_with_jacobian stays bound here: perfbench/tracer.py hooks it under this module
+from .integrators import flow_with_jacobian  # noqa: F401
 
 SINGULAR_COND = 1e10  # shooting-matrix condition above which a representative is singular
 
