@@ -489,7 +489,7 @@ def _march(step, Z, r, cfg, t0, t1, want_jacobian=False, store_path=False, statu
     if store_path:
         path[0] = Z
     with np.errstate(all="ignore"):
-        for k in range(n_steps):
+        for k in range(n_steps if bsz else 0):  # no row to evaluate in an empty batch
             t = t0 + k * h
             Znew, step_ok, tangents = step(t, Z, h, live)
             was_ok, ok = ok, ok & step_ok & (_sup_norms(Znew, r) <= cfg.blowup_threshold)

@@ -158,8 +158,17 @@ def _segment_count(sys, icfg):
     return 1
 
 
-def _shooting_unknowns(sys, U0, seeds, icfg):
-    """Multiple-shooting unknowns (p0, z_1 ... z_{M-1}) for rows of seed momenta.
+def _segment_states(u0, P, r):
+    """Segment start states z_0 ... z_{M-1} of rows ``P`` as (B M, 2r), M and k (_batch_eval)."""
+    k = 2 * r if u0 is None else r
+    m = 1 + (P.shape[1] - k) // (2 * r)
+    Z = P if u0 is None else np.concatenate([np.broadcast_to(u0, (len(P), r)), P], axis=1)
+    return Z.reshape(len(P) * m, 2 * r), m, k
+
+
+def _shooting_unknowns(sys, u0, lead, icfg):
+    """Multiple-shooting unknowns (lead, z_1 ... z_{M-1}) for rows of leading
+    unknowns ``lead``: seed momenta after ``u0``, or (u0, p0) for ``u0`` None.
 
     The interior states z_k are read at the segment nodes of one stored-path
     flow from each seed (without its tangent), so the first evaluation's
@@ -167,135 +176,133 @@ def _shooting_unknowns(sys, U0, seeds, icfg):
     """
     m = _segment_count(sys, icfg)
     if m == 1:
-        return seeds
-    _, (path_u, path_p), _, _, _, _ = flow_batch(sys, U0, seeds, icfg, store_path=True)
+        return lead
+    r = sys.dim
+    U0, P0 = (lead[:, :r], lead[:, r:]) if u0 is None else (u0, lead)
+    _, (path_u, path_p), _, _, _, _ = flow_batch(sys, U0, P0, icfg, store_path=True)
     nodes = np.arange(1, m) * ((path_u.shape[0] - 1) // m)
     states = np.concatenate([path_u[nodes], path_p[nodes]], axis=2).transpose(1, 0, 2)
-    return np.concatenate([seeds, states.reshape(len(seeds), -1)], axis=1)
+    return np.concatenate([lead, states.reshape(len(lead), 2 * r * (m - 1))], axis=1)
 
 
-def _batch_eval(sys, u0, P, u1, icfg, want_jacobian):
-    """Multiple-shooting residuals (and segment tangents) for a batch of unknowns.
+def _fixed_end(config, u1):
+    """The Dirichlet boundary condition u(1) = u1 for _batch_eval: b is the
+    wrapped u(1) - u1, and its rows are None, selecting u(1)."""
+    return lambda z0, z1, ok, want_jacobian: (config.wrap_diff(z1[:, :config.dim], u1), None)
 
-    A row of ``P`` holds p0 and the states z_1 ... z_{M-1} at the interior
-    segment nodes, so M = 1 + (P.shape[1] - r) / 2r.  All M segments of all
-    rows, z_0 = (u0, p0), are flown over [0, 1/M] in one flow_batch; the
-    residual is the continuity defects z_k - phi(z_{k-1}) followed by the
-    wrapped u(1) - u1.  ``u0`` and ``u1`` are one point for every member or
-    one row per member.  Blocks are each member's (M, 2r, 2r) segment
-    tangents, for _condensed_solve.
+
+def _graph_boundary(grad_F, fd_step):
+    """The graph-type condition for _batch_eval: b = (p0 + dF/du0, p1 - dF/du1)
+    and its rows (B0, B1), its derivatives in z0 = (u0, p0) and z1 = z(1) by
+    central differences of grad_F; grad_F is called only on completed flows."""
+    def grad(u):
+        return np.hstack(grad_F(u[:len(u) // 2], u[len(u) // 2:]))
+
+    def boundary(z0, z1, ok, want_jacobian):
+        r = z0.shape[1] // 2
+        sign = np.repeat([1.0, -1.0], r)
+        b = np.full(z0.shape, np.nan)
+        B0, B1 = np.zeros((2, len(z0), 2 * r, 2 * r))
+        B0[:, :r, r:] = B1[:, r:, r:] = np.eye(r)
+        for i in np.flatnonzero(ok):
+            u = np.concatenate([z0[i, :r], z1[i, :r]])
+            b[i] = np.concatenate([z0[i, r:], z1[i, r:]]) + sign * grad(u)
+            if want_jacobian:
+                B0[i, :, :r], B1[i, :, :r] = np.hsplit(
+                    sign[:, None] * central_difference(grad, u, fd_step), 2)
+        return b, (B0, B1) if want_jacobian else None
+
+    return boundary
+
+
+def _batch_eval(sys, u0, P, boundary, icfg, want_jacobian):
+    """Multiple-shooting residuals (and Newton directions) for a batch of unknowns.
+
+    A row of ``P`` holds the k leading unknowns, p0 after ``u0`` (one point,
+    or one row per member) or (u0, p0) for ``u0`` None, then the states
+    z_1 ... z_{M-1} at the interior segment nodes.  All M segments of all
+    rows are flown over [0, 1/M] in one flow_batch; the residual is the
+    defects z_k - phi(z_{k-1}), then b of ``boundary(z0, z1, ok,
+    want_jacobian) -> (b, rows)`` (_fixed_end, _graph_boundary).  With
+    ``want_jacobian`` each completed member's Newton direction follows.
     """
-    bsz, r = P.shape[0], np.shape(u0)[-1]
-    m = 1 + (P.shape[1] - r) // (2 * r)
-    Z = np.concatenate([np.broadcast_to(u0, (bsz, r)), P], axis=1).reshape(bsz * m, 2 * r)
+    bsz, r = P.shape[0], sys.dim
+    Z, m, k = _segment_states(u0, P, r)
     _, _, U1, P1, ok, jac = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
                                        want_jacobian=want_jacobian, tangent_exact=False)
     ends = np.concatenate([U1, P1], axis=1).reshape(bsz, m, 2 * r)
-    landing = sys.config.wrap_diff(ends[:, -1, :r], np.broadcast_to(u1, (bsz, r)))
-    res = np.concatenate([P[:, r:] - ends[:, :-1].reshape(bsz, P.shape[1] - r), landing], axis=1)
     ok = ok.reshape(bsz, m).all(axis=1)
+    b, rows = boundary(Z[::m], ends[:, -1], ok, want_jacobian)
+    res = np.concatenate([P[:, k:] - ends[:, :-1].reshape(bsz, P.shape[1] - k), b], axis=1)
     with np.errstate(all="ignore"):
         rnorm = np.max(np.abs(res), axis=1)
     rnorm = np.where(ok & np.isfinite(rnorm), rnorm, np.inf)
-    blocks = jac.reshape(bsz, m, 2 * r, 2 * r) if want_jacobian else None
-    return res, rnorm, blocks, ok
+    step = None
+    if want_jacobian:
+        step = np.full(res.shape, np.nan)
+        step[ok] = _condensed_solve(jac.reshape(bsz, m, 2 * r, 2 * r)[ok], res[ok],
+                                    None if rows is None else (rows[0][ok], rows[1][ok]))
+    return res, rnorm, step, ok
 
 
-def _tangent_chain(tangents):
-    """d z(1) / dp0 = (Phi_M ... Phi_1)[:, r:] from segment tangents ``tangents``
-    (B, M, 2r, 2r); its first r rows are du1/dp0."""
+def _condensed_matrix(tangents, rows, k):
+    """The k x k condensed shooting matrix B0 E + B1 (Phi_M ... Phi_1) E from
+    segment tangents ``tangents`` (B, M, 2r, 2r), where z_0 varies in its
+    last k entries (E); boundary ``rows`` None select u(1), giving du1/dp0."""
     r = tangents.shape[-1] // 2
-    chain = tangents[:, 0, :, r:]  # z_0 = (u0, p0) varies in p0 only
-    for k in range(1, tangents.shape[1]):
-        chain = tangents[:, k] @ chain
-    return chain
+    chain = tangents[:, 0, :, 2 * r - k:]
+    for j in range(1, tangents.shape[1]):
+        chain = tangents[:, j] @ chain
+    return chain[:, :r] if rows is None else rows[0][:, :, 2 * r - k:] + rows[1] @ chain
 
 
-def _condensed_solve(tangents, res):
+def _condensed_solve(tangents, res, rows):
     """Solve the multiple-shooting Newton systems J x = res by condensing.
 
-    ``tangents`` (B, M, 2r, 2r) are the segment tangents Phi_k and ``res``
-    the residuals of _batch_eval.  J is block bidiagonal: identity blocks
-    against -Phi_k for the defects, then the landing row Phi_M[:r].
-    Eliminating the interior states leaves the single-shooting matrix
-    du1/dp0 = (Phi_M ... Phi_1)[:r, r:], solved by _batch_solve (a singular
-    member gets its pinv solution alone); the states' parts then follow by
-    forward recursion (Deuflhard, Newton Methods for Nonlinear Problems,
-    8.1).  At M = 1 this is _batch_solve(du1/dp0, res).
+    ``tangents`` (B, M, 2r, 2r) are the segment tangents Phi_k, and ``res``
+    and ``rows`` as in _batch_eval.  J is block bidiagonal: identity blocks
+    against -Phi_k for the defects, then B0 E and B1 Phi_M for b.  Eliminating
+    the interior states leaves the matrix of _condensed_matrix, solved by
+    _batch_solve (a singular member alone gets its pinv solution); the
+    states' parts follow by forward recursion (Deuflhard, Newton Methods for
+    Nonlinear Problems, 8.1; Ascher, Mattheij & Russell, 4.3).
     """
     bsz, m, two_r, _ = tangents.shape
-    r = two_r // 2
-    defects = res[:, :-r].reshape(bsz, m - 1, two_r)
+    k = res.shape[1] - two_r * (m - 1)
+    defects = res[:, :-k].reshape(bsz, m - 1, two_r)
     carried = np.zeros((bsz, two_r))
-    for k in range(1, m):
-        carried = np.einsum("bij,bj->bi", tangents[:, k], carried + defects[:, k - 1])
-    x = _batch_solve(_tangent_chain(tangents)[:, :r], res[:, -r:] - carried[:, :r])
+    for j in range(1, m):
+        carried = np.einsum("bij,bj->bi", tangents[:, j], carried + defects[:, j - 1])
+    end = carried[:, :two_r // 2] if rows is None else np.einsum("bij,bj->bi", rows[1], carried)
+    x = _batch_solve(_condensed_matrix(tangents, rows, k), res[:, -k:] - end)
     parts = [x]
-    for k in range(m - 1):
-        phi = tangents[:, k] if k else tangents[:, 0, :, r:]  # z_0 varies in p0 only
-        x = np.einsum("bij,bj->bi", phi, x) + defects[:, k]
+    for j in range(m - 1):
+        phi = tangents[:, j] if j else tangents[:, 0, :, two_r - k:]  # as in _condensed_matrix
+        x = np.einsum("bij,bj->bi", phi, x) + defects[:, j]
         parts.append(x)
     return np.concatenate(parts, axis=1)
 
 
-def _graph_eval(sys, grad_F, X, icfg, fd_step):
-    """Graph-type boundary residuals (p0 + dF/du0, p1 - dF/du1) for rows X = (u0, p0).
-
-    One flow_batch for the whole batch; grad_F is called only on members
-    whose flow completed.  Blocks are the derivatives in (u0, p0).
-    """
-    r = X.shape[1] // 2
-    _, _, U1, P1, ok, jac = flow_batch(sys, X[:, :r], X[:, r:], icfg,
-                                       want_jacobian=True, tangent_exact=False)
-    res = np.full(X.shape, np.nan)
-    blocks = np.zeros((len(X), 2 * r, 2 * r))
-    for b in np.flatnonzero(ok):
-        g = _grad_F_at(grad_F, X[b, :r], U1[b])
-        res[b] = np.concatenate([X[b, r:] + g[:r], P1[b] - g[r:]])
-        blocks[b] = _graph_jacobian(grad_F, X[b, :r], U1[b], jac[b], fd_step)
-    with np.errstate(all="ignore"):
-        rnorm = np.max(np.abs(res), axis=1)
-    rnorm = np.where(ok & np.isfinite(rnorm), rnorm, np.inf)
-    return res, rnorm, blocks, ok
-
-
-def _grad_F_at(grad_F, u0, u1):
-    return np.concatenate([np.atleast_1d(np.asarray(g, dtype=float)) for g in grad_F(u0, u1)])
-
-
-def _graph_jacobian(grad_F, u0, u1, jac, fd_step):
-    """Derivative in (u0, p0) of the graph-type residual, from the flow jacobian
-    ``jac`` at (u0, p0) and the Hessian of F by central differences of grad_F."""
-    r = u0.size
-    hess = central_difference(lambda w: _grad_F_at(grad_F, w[:r], w[r:]),
-                              np.concatenate([u0, u1]), fd_step)
-    # d(dF/du0, dF/du1)/d(u0, p0) through d(u0, u1)/d(u0, p0) = [[I, 0], du1/d(u0, p0)]
-    dgrad = hess @ np.vstack([np.eye(r, 2 * r), jac[:r]])
-    return np.vstack([np.eye(r, 2 * r, r) + dgrad[:r], jac[r:] - dgrad[r:]])
-
-
-def _multistart_newton(evaluate, seeds, cfg, solve=_batch_solve):
+def _multistart_newton(evaluate, seeds, cfg):
     """Run damped Newton from every seed row; return the converged rows.
 
     ``evaluate(rows, P)`` gives, for the unknowns ``P`` of seed rows
-    ``rows``, (res, rnorm, blocks, ok): the residual vectors, their sup norms
-    (inf where not ok), the residual derivatives and which members' flows
-    completed; an accepted line-search trial is thus the next iterate.
-    ``solve(blocks, res)`` gives the members' solutions of J x = res (by
-    default the blocks are the square J, solved by _batch_solve).
-    Members do not interact, so independent boundary problems share the
-    batch.  Returns the converged unknowns, their norms and seed-row indices.
+    ``rows``, (res, rnorm, step, ok): the residual vectors, their sup norms
+    (inf where not ok), the Newton directions J^-1 res (pinv where J is
+    singular) and which members' flows completed; an accepted line-search
+    trial is thus the next iterate.  Members do not interact, so independent
+    boundary problems share the batch.  Returns the converged unknowns,
+    their norms and seed-row indices.
     """
     P = seeds.copy()
-    res, rnorm, blocks, ok = evaluate(np.arange(len(P)), P)
+    _, rnorm, step, ok = evaluate(np.arange(len(P)), P)
     alive = ok.copy()
     for _ in range(cfg.max_iter):
         work = alive & (rnorm > cfg.newton_tol)
         if not work.any():
             break
         idx = np.flatnonzero(work)
-        # a singular shooting matrix gets its least-squares (pinv) direction
-        delta = -solve(blocks[idx], res[idx])
+        delta = -step[idx]
         delta = np.where(np.isfinite(delta), delta, 0.0)
         # a vanishing direction (e.g. singular shooting matrix at an
         # unreachable target) cannot be line-searched; retire those seeds
@@ -309,11 +316,10 @@ def _multistart_newton(evaluate, seeds, cfg, solve=_batch_solve):
             sub = np.flatnonzero(trying)
             rows = idx[sub]
             trial = P[rows] + damp[sub, None] * delta[sub]
-            tres, tnorm, tblocks, tok = evaluate(rows, trial)
+            _, tnorm, tstep, tok = evaluate(rows, trial)
             better = tok & (tnorm < (1.0 - 1e-4) * rnorm[rows])
             won = rows[better]
-            P[won], res[won], rnorm[won], blocks[won] = (
-                trial[better], tres[better], tnorm[better], tblocks[better])
+            P[won], rnorm[won], step[won] = trial[better], tnorm[better], tstep[better]
             trying[sub[better]] = False
             damp[sub[~better]] *= 0.5
         alive[idx[trying]] = False
@@ -321,64 +327,42 @@ def _multistart_newton(evaluate, seeds, cfg, solve=_batch_solve):
     return P[conv], rnorm[conv], conv
 
 
-def _branch(p0, grid, positions, momenta, residual, jacobian):
-    return BvpBranch(p0=p0.copy(), trajectory=Trajectory(grid, positions, momenta),
-                     residual=float(residual), jacobian=jacobian, cond=_cond(jacobian))
+def _branches(sys, u0, P, boundary, icfg):
+    """Branches of converged unknowns ``P`` (rows as in _batch_eval) from one
+    stored-path flow of their M segments over [0, 1/M] with the exact
+    tangent; a branch per member, or None where a segment flow fails.
 
-
-def _dirichlet_branches(sys, U0, P, U1, icfg):
-    """Branches of converged multiple-shooting unknowns ``P`` (rows as in
-    _batch_eval) from one stored-path flow of their M segments over [0, 1/M]
-    with the exact tangent; a branch per member, or None where a segment
-    flow fails.
-
-    A member's path is nodes 0 .. n-1 of each of its segments in turn, then
-    the last segment's end, on the grid of a flow over [0, 1] (n M steps);
-    its jacobian du1/dp0 is the product of the segment tangents, and its
-    residual the wrapped landing miss max|u(1) - u1| of that end.  Rows of
-    p0 alone (M = 1) give the full-interval flow from p0, whose path is
-    the member's as it stands.  For M > 1 each member's path is its own
-    copy, so the segment paths are freed on return and the paths of the
-    branches that deduplication drops are freed with them.
+    A path is nodes 0 .. n-1 of each segment in turn, then the last end, on
+    the grid of a flow over [0, 1]: the batch's path at M = 1, else the
+    member's own copy, so the segment paths (and those of the branches that
+    deduplication drops) are freed.  The jacobian is the condensed matrix
+    (du1/dp0 for _fixed_end), and the residual max|b| at the end.
     """
     if P.shape[0] == 0:
         return []
-    bsz, r = U0.shape
-    m = 1 + (P.shape[1] - r) // (2 * r)
-    Z = np.concatenate([U0, P], axis=1).reshape(bsz * m, 2 * r)
-    _, path, U1_ends, _, ok, jac = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
-                                              want_jacobian=True, store_path=True)
+    bsz, r = P.shape[0], sys.dim
+    Z, m, k = _segment_states(u0, P, r)
+    _, path, U1, P1, ok, jac = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
+                                          want_jacobian=True, store_path=True)
     n = path[0].shape[0] - 1
 
-    def stitch(seg, b):  # member b's (n m + 1, r) path from (n + 1, bsz m, r) segment paths
+    def stitch(seg, i):  # member i's (n m + 1, r) path from (n + 1, bsz m, r) segment paths
         if m == 1:
-            return seg[:, b]
+            return seg[:, i]
         out = np.empty((n * m + 1, r))
-        out[:-1].reshape(m, n, r)[...] = seg[:-1, b * m:(b + 1) * m].transpose(1, 0, 2)
-        out[-1] = seg[-1, (b + 1) * m - 1]
+        out[:-1].reshape(m, n, r)[...] = seg[:-1, i * m:(i + 1) * m].transpose(1, 0, 2)
+        out[-1] = seg[-1, (i + 1) * m - 1]
         return out
 
-    with np.errstate(all="ignore"):
-        residuals = np.max(np.abs(sys.config.wrap_diff(U1_ends[m - 1::m], U1)), axis=1)
-    du1_dp0 = _tangent_chain(jac.reshape(bsz, m, 2 * r, 2 * r))[:, :r]
     ok = ok.reshape(bsz, m).all(axis=1)
+    b, rows = boundary(Z[::m], np.concatenate([U1, P1], axis=1)[m - 1::m], ok, True)
+    with np.errstate(all="ignore"):
+        residuals = np.max(np.abs(b), axis=1)
+    mats = _condensed_matrix(jac.reshape(bsz, m, 2 * r, 2 * r), rows, k)
     grid = TimeGrid.uniform(n * m)  # a flow's over [0, 1]
-    return [_branch(P[b, :r], grid, stitch(path[0], b), stitch(path[1], b), residuals[b],
-                    du1_dp0[b]) if ok[b] else None for b in range(bsz)]
-
-
-def _graph_branches(sys, grad_F, X, rnorms, icfg, fd_step):
-    """Branches of converged graph-type unknowns X = (u0, p0) from one
-    full-interval stored-path flow; a branch's residual is its ``rnorms``
-    entry and its jacobian the boundary-condition jacobian of _graph_jacobian."""
-    if X.shape[0] == 0:
-        return []
-    r = X.shape[1] // 2
-    grid, (path_u, path_p), U1, _, ok, jac = flow_batch(
-        sys, X[:, :r], X[:, r:], icfg, want_jacobian=True, store_path=True)
-    return [_branch(X[b, r:], grid, path_u[:, b], path_p[:, b], rnorms[b],
-                    _graph_jacobian(grad_F, X[b, :r], U1[b], jac[b], fd_step))
-            if ok[b] else None for b in range(len(X))]
+    return [BvpBranch(Z[i * m, r:].copy(), Trajectory(grid, *(stitch(s, i) for s in path)),
+                      float(residuals[i]), mats[i], _cond(mats[i])) if ok[i] else None
+            for i in range(bsz)]
 
 
 def _dedupe(config: ConfigSpace, entries, radius):
@@ -427,7 +411,7 @@ def solve_dirichlet_many(sys: HamiltonianSystem | Callable, pairs, cfg: Shooting
 
     Every pair's seeds (``cfg``'s seed set, or ``seeds[k]`` for pair k) go
     through one multistart Newton batch and one stored-path flow of the
-    converged segments (_dirichlet_branches), or with ``full_interval`` of
+    converged segments (_branches), or with ``full_interval`` of
     the converged p0 over [0, 1], free of the segments' junction jumps at
     the Newton tolerance; branches are then sorted, deduplicated and
     classified pair by pair.  Members of the batch do not interact, so a
@@ -453,13 +437,12 @@ def solve_dirichlet_many(sys: HamiltonianSystem | Callable, pairs, cfg: Shooting
     # multistart multiple shooting of u(1; U0[i], p) = U1[i] from seed row i
     found, _, rows = _multistart_newton(
         lambda idx, P: _batch_eval(_system_of(sys, np.repeat(owner[idx], m)), U0[idx], P,
-                                   U1[idx], icfg, want_jacobian=True),
-        _shooting_unknowns(_system_of(sys, owner), U0, np.concatenate(seeds), icfg), cfg,
-        solve=_condensed_solve)
+                                   _fixed_end(base.config, U1[idx]), icfg, want_jacobian=True),
+        _shooting_unknowns(_system_of(sys, owner), U0, np.concatenate(seeds), icfg), cfg)
     if full_interval:
         found, m = found[:, :r], 1
-    branches = _dirichlet_branches(_system_of(sys, np.repeat(owner[rows], m)), U0[rows], found,
-                                   U1[rows], icfg)
+    branches = _branches(_system_of(sys, np.repeat(owner[rows], m)), U0[rows], found,
+                         _fixed_end(base.config, U1[rows]), icfg)
     sets = []
     for k, (u0, u1) in enumerate(pairs):
         entries = [b for b, i in zip(branches, rows) if owner[i] == k and b is not None]
@@ -638,20 +621,23 @@ def solve_with_lagrangian_boundary(sys: HamiltonianSystem, grad_F: Callable,
     The implemented boundary submanifolds are graphs {p0 = -dF/du0,
     p1 = dF/du1} over Q x Q, given by grad_F(u0, u1) = (dF/du0, dF/du1);
     the fixed-endpoint problem is not of graph type and is solve_dirichlet's.
-    The multistart Newton driver of the Dirichlet solver runs on the unknowns
-    (u0, p0), one row per state seed; a singular boundary-condition
-    jacobian gets the minimum-norm (pinv) step, so families of solutions
-    (rank-deficient boundary conditions) converge to the member nearest the
-    seed.  A branch's jacobian is the 2r x 2r boundary-condition jacobian.
+    Both share one multiple-shooting evaluation and Newton driver, here on
+    the unknowns (u0, p0), one row per state seed; a singular
+    boundary-condition jacobian gets the minimum-norm (pinv) step, so
+    families of solutions (rank-deficient boundary conditions) converge to
+    the member nearest the seed.  A branch's jacobian is the 2r x 2r
+    boundary-condition jacobian in (u0, p0).
     """
     r = sys.dim
     if state_seeds is None:
         state_seeds = [(np.zeros(r), p) for p in cfg.resolve_seeds(r)]
     X = np.array([np.concatenate([as_point(u0, r), as_point(p0, r)])
                   for u0, p0 in state_seeds]).reshape(-1, 2 * r)
-    found, rnorms, _ = _multistart_newton(
-        lambda rows, Xr: _graph_eval(sys, grad_F, Xr, cfg.integrator, fd_step), X, cfg)
-    branches = _graph_branches(sys, grad_F, found, rnorms, cfg.integrator, fd_step)
+    icfg, boundary = cfg.integrator, _graph_boundary(grad_F, fd_step)
+    found, _, _ = _multistart_newton(
+        lambda rows, P: _batch_eval(sys, None, P, boundary, icfg, want_jacobian=True),
+        _shooting_unknowns(sys, None, X, icfg), cfg)
+    branches = _branches(sys, None, found, boundary, icfg)
     entries = sorted((b for b in branches if b is not None), key=lambda e: tuple(e.p0))
     classification, reps = _classify(sys.config, entries, cfg)
     return BvpSolutionSet(endpoints=None, solutions=tuple(reps), classification=classification)

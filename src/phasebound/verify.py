@@ -165,11 +165,24 @@ def isotropy_defect_bvp(sys: HamiltonianSystem, endpoint_samples, cfg: ShootingC
 
 
 def frame_subspace_angles(frame_a, frame_b):
-    """Principal angles between the column spans of two tangent frames."""
-    from scipy.linalg import subspace_angles
+    """Principal angles between the column spans of two tangent frames, largest first.
 
-    return subspace_angles(np.asarray(frame_a, dtype=float),
-                           np.asarray(frame_b, dtype=float))
+    With orthonormal bases Q_a (the wider) and Q_b, the cosines are the
+    singular values of Q_a^T Q_b and the sines those of Q_b - Q_a Q_a^T Q_b;
+    an angle with cosine^2 >= 1/2 comes from its sine, which keeps the small
+    angles that arccos loses (Knyazev & Argentati, SIAM J. Sci. Comput. 2002).
+    """
+    def orth(frame):  # left singular vectors above eps * max(shape) * the largest
+        u, s, _ = np.linalg.svd(frame, full_matrices=False)
+        return u[:, :np.count_nonzero(s > np.finfo(float).eps * max(frame.shape) * s[0])]
+
+    qb, qa = sorted((orth(np.asarray(f, dtype=float)) for f in (frame_a, frame_b)),
+                    key=lambda q: q.shape[1])
+    cross = qa.T @ qb
+    cos = np.linalg.svd(cross, compute_uv=False)[::-1]  # ascending: the largest angle first
+    sin = np.linalg.svd(qb - qa @ cross, compute_uv=False)
+    return np.where(cos ** 2 >= 0.5, np.arcsin(np.minimum(sin, 1.0)),
+                    np.arccos(np.minimum(cos, 1.0)))
 
 
 def sample_phase_points(dim, count, box=(-1.5, 1.5), seed=0):

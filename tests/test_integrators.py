@@ -582,6 +582,19 @@ class TestRowByRowSystems:
                         crossing, crossing1)
 
     @pytest.mark.parametrize("name", ROW_BY_ROW)
+    def test_empty_batch(self, name):
+        # no member: no callback call, the grid and empty states
+        for sys in self.both(name):
+            r = sys.dim
+            grid, path, U1, P1, ok, jac = flow_batch(
+                sys, np.empty((0, r)), np.empty((0, r)), IntegratorConfig(step=1e-2),
+                want_jacobian=True, store_path=True)
+            assert len(grid.nodes) == 101
+            assert path[0].shape == path[1].shape == (101, 0, r)
+            assert U1.shape == P1.shape == (0, r) and ok.shape == (0,)
+            assert jac.shape == (0, 2 * r, 2 * r)
+
+    @pytest.mark.parametrize("name", ROW_BY_ROW)
     def test_solve_dirichlet_matches_the_vectorized_run(self, name):
         cfg = ShootingConfig(integrator=IntegratorConfig(step=1e-2), seed_count=6)
         want, got = (solve_dirichlet(sys, *ROW_BY_ROW[name][3], cfg) for sys in self.both(name))

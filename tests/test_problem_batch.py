@@ -46,17 +46,17 @@ def close(a, b):
 
 def _two_phase_newton(evaluate, seeds, cfg):
     """Reference driver: line-search trials are evaluated without their
-    jacobian, and an accepted step is evaluated once more with it.
+    Newton direction, and an accepted step is evaluated once more with it.
     ``evaluate(rows, P, want_jacobian)``; returns as _multistart_newton does."""
     P = seeds.copy()
-    res, rnorm, blocks, ok = evaluate(np.arange(len(P)), P, True)
+    _, rnorm, steps, ok = evaluate(np.arange(len(P)), P, True)
     alive = ok.copy()
     for _ in range(cfg.max_iter):
         work = alive & (rnorm > cfg.newton_tol)
         if not work.any():
             break
         idx = np.flatnonzero(work)
-        delta = -_batch_solve(blocks[idx], res[idx])
+        delta = -steps[idx]
         delta = np.where(np.isfinite(delta), delta, 0.0)
         dead = np.max(np.abs(delta), axis=1) <= 1e-14 * (1.0 + np.max(np.abs(P[idx]), axis=1))
         alive[idx[dead]] = False
@@ -79,8 +79,8 @@ def _two_phase_newton(evaluate, seeds, cfg):
         moved = idx[improved]
         if moved.size:
             P[moved] = cand[improved]
-            nres, nnorm, nblocks, nok = evaluate(moved, P[moved], True)
-            res[moved], rnorm[moved], blocks[moved] = nres, nnorm, nblocks
+            _, nnorm, nsteps, nok = evaluate(moved, P[moved], True)
+            rnorm[moved], steps[moved] = nnorm, nsteps
             alive[moved] &= nok
     conv = np.flatnonzero(alive & (rnorm <= cfg.newton_tol))
     return P[conv], rnorm[conv], conv
@@ -95,8 +95,9 @@ def toy_eval(rows, P):
     Newton overshoots from far seeds, so the line search backtracks.  Members
     beyond |p| = 30 fail (not ok).  Row 1 has an exactly singular block, so
     its direction is the pinv one; rows 3 mod 4 have a zero block, so their
-    direction vanishes and they are retired.  Elementwise arithmetic only,
-    so a member's values do not depend on the batch.
+    direction vanishes and they are retired.  Elementwise arithmetic and
+    _batch_solve only, so a member's values do not depend on the batch.
+    Returns (res, rnorm, direction, ok) as _batch_eval does.
     """
     a = np.arctan(P)
     res = np.stack([a[:, 0] + 0.3 * a[:, 1], a[:, 1] - 0.2 * a[:, 0]], axis=1) + 0.05 * P - TOY_TARGET
@@ -107,7 +108,7 @@ def toy_eval(rows, P):
     blocks[rows % 4 == 3] = 0.0
     ok = np.max(np.abs(P), axis=1) < 30.0
     rnorm = np.where(ok, np.max(np.abs(res), axis=1), np.inf)
-    return res, rnorm, blocks, ok
+    return res, rnorm, _batch_solve(blocks, res), ok
 
 
 class TestNewtonDriver:
@@ -127,20 +128,19 @@ class TestNewtonDriver:
             for i, p in zip(rows, P):
                 assert (int(i), p.tobytes()) not in seen
                 seen.add((int(i), p.tobytes()))
-        # each later point is its row's current iterate plus 2^-k times that
+        # each later point is its row's current iterate minus 2^-k times that
         # iterate's Newton direction; an Armijo decrease makes it the iterate
-        rows0, P0, (res0, norm0, blocks0, _) = calls[0]
-        current = {int(i): (P0[k], res0[k], norm0[k], blocks0[k]) for k, i in enumerate(rows0)}
+        rows0, P0, (_, norm0, dirs0, _) = calls[0]
+        current = {int(i): (P0[k], norm0[k], dirs0[k]) for k, i in enumerate(rows0)}
         halvings = set()
-        for rows, P, (res, norm, blocks, ok) in calls[1:]:
+        for rows, P, (_, norm, dirs, ok) in calls[1:]:
             for k, i in enumerate(rows):
-                p, r, n, b = current[int(i)]
-                d = -shooting._batch_solve(b[None], r[None])[0]
-                steps = [j for j in range(14) if np.array_equal(P[k], p + 0.5 ** j * d)]
+                p, n, d = current[int(i)]
+                steps = [j for j in range(14) if np.array_equal(P[k], p - 0.5 ** j * d)]
                 assert steps
                 halvings.add(steps[0])
                 if ok[k] and norm[k] < (1.0 - 1e-4) * n:
-                    current[int(i)] = (P[k], res[k], norm[k], blocks[k])
+                    current[int(i)] = (P[k], norm[k], dirs[k])
         assert max(halvings) >= 1  # the line search backtracked
 
     @settings(max_examples=60, deadline=None)
@@ -165,7 +165,8 @@ class TestNewtonDirectionFallback:
         def linear_eval(rows, P):
             blocks = np.where(np.abs(P[:, :1, None]) > 50.0, 0.0, regular)
             res = np.einsum("bij,bj->bi", blocks, P) - target
-            return res, np.max(np.abs(res), axis=1), blocks, np.ones(len(P), dtype=bool)
+            return (res, np.max(np.abs(res), axis=1), _batch_solve(blocks, res),
+                    np.ones(len(P), dtype=bool))
 
         c = ShootingConfig()
         alone, _, rows_alone = shooting._multistart_newton(
@@ -205,7 +206,8 @@ class TestBatchComposition:
         grad_F = lambda u0, u1: (u0.copy(), u1 - 0.7)
 
         def evaluate(rows, X):
-            return shooting._graph_eval(pen.system, grad_F, X, c.integrator, 1e-6)
+            boundary = shooting._graph_boundary(grad_F, 1e-6)
+            return shooting._batch_eval(pen.system, None, X, boundary, c.integrator, True)
 
         X = np.array(seeds)
         together, norms, rows = shooting._multistart_newton(evaluate, X, c)

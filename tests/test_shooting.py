@@ -61,41 +61,45 @@ class TestShootingConfig:
 
 
 def single_shot(sys, u0, p0, u1, cfg):
-    """Single-shooting residual u(1) - u1 (wrapped) and du1/dp0 of one member,
-    with whether its flow completed and the residual's sup norm (inf if not)."""
-    res, rnorm, blocks, ok = shooting._batch_eval(sys, np.atleast_2d(u0), np.atleast_2d(p0),
-                                                  u1, cfg.integrator, True)
-    r = len(u0)
-    return res[0], blocks[0, 0, :r, r:], bool(ok[0]), float(rnorm[0])
+    """Single-shooting residual u(1) - u1 (wrapped) of one member, its Newton
+    direction, du1/dp0 of its branch (None if its flow failed), whether its
+    flow completed and the residual's sup norm (inf if not)."""
+    U0, P, end = np.atleast_2d(u0), np.atleast_2d(p0), shooting._fixed_end(sys.config, u1)
+    res, rnorm, step, ok = shooting._batch_eval(sys, U0, P, end, cfg.integrator, True)
+    branch, = shooting._branches(sys, U0, P, end, cfg.integrator)
+    jac = None if branch is None else branch.jacobian
+    return res[0], step[0], jac, bool(ok[0]), float(rnorm[0])
 
 
 class TestShootResidual:
     # single shooting is _batch_eval at M = 1 (unknowns p0 alone)
     def test_free_particle_on_target(self):
         free = make_free_particle()
-        res, jac, _, _ = single_shot(free.system, [0.0], [2.0], [2.0], fast_cfg())
+        res, step, jac, _, _ = single_shot(free.system, [0.0], [2.0], [2.0], fast_cfg())
         np.testing.assert_allclose(res, [0.0], atol=1e-12)
+        np.testing.assert_allclose(step, [0.0], atol=1e-12)
         np.testing.assert_allclose(jac, [[1.0]], atol=1e-12)
 
     def test_free_particle_miss(self):
         free = make_free_particle()
-        res, jac, _, _ = single_shot(free.system, [0.0], [0.0], [2.0], fast_cfg())
+        res, step, jac, _, _ = single_shot(free.system, [0.0], [0.0], [2.0], fast_cfg())
         np.testing.assert_allclose(res, [-2.0], atol=1e-12)
+        np.testing.assert_allclose(step, [-2.0], atol=1e-12)  # du1/dp0 = 1 under Newton too
         np.testing.assert_allclose(jac, [[1.0]], atol=1e-12)
 
     def test_pendulum_self_consistency(self):
         pen = make_pendulum()
         fwd = integrate_flow(pen.system, [0.3], [1.1], IntegratorConfig())
         u1 = fwd.trajectory.positions[-1]
-        res, _, _, _ = single_shot(pen.system, [0.3], [1.1], u1, fast_cfg())
+        res, _, _, _, _ = single_shot(pen.system, [0.3], [1.1], u1, fast_cfg())
         np.testing.assert_allclose(res, [0.0], atol=1e-12)
 
     def test_blowup_is_not_ok(self):
         from phasebound.systems import make_quartic
 
         quart = make_quartic()
-        _, _, ok, rnorm = single_shot(quart.system, [4.0], [8.0], [0.0], fast_cfg())
-        assert not ok and rnorm == float("inf")
+        _, _, jac, ok, rnorm = single_shot(quart.system, [4.0], [8.0], [0.0], fast_cfg())
+        assert not ok and rnorm == float("inf") and jac is None
 
 
 class TestSolveDirichlet:
@@ -415,28 +419,39 @@ class TestLagrangianBoundary:
         assert sorted(b.trajectory.positions[0][0] for b in sols.solutions) == [-1.0, 0.0, 0.8]
 
 
-def assembled_jacobian(tangents):
+def assembled_jacobian(tangents, boundary_rows=None):
     """One member's block-bidiagonal multiple-shooting jacobian in the
-    unknowns (p0, z_1 ... z_{M-1}) and residuals (defects, landing)."""
+    unknowns (lead, z_1 ... z_{M-1}) and residuals (defects, boundary).
+
+    With ``boundary_rows`` None the boundary residual is the landing
+    u(1) - u1 and lead is p0 (z_0 = (u0, p0), u0 fixed); with (B0, B1) it is
+    B0 z_0 + B1 z(1) to first order and lead is z_0 = (u0, p0).
+    """
     m, two_r = tangents.shape[:2]
     r = two_r // 2
-    n = r + two_r * (m - 1)
+    if boundary_rows is None:
+        k, (b0, b1) = r, (np.zeros((r, two_r)), np.eye(r, two_r))
+    else:
+        k, (b0, b1) = two_r, boundary_rows
+    n = k + two_r * (m - 1)
     jac = np.zeros((n, n))
 
-    def z(k):
-        return slice(r + two_r * (k - 1), r + two_r * k)
+    def z(j):
+        return slice(k + two_r * (j - 1), k + two_r * j)
 
-    for k in range(m - 1):  # the defect z_{k+1} - phi(z_k)
-        rows = slice(two_r * k, two_r * (k + 1))
-        if k == 0:
-            jac[rows, :r] = -tangents[0][:, r:]
+    for j in range(m - 1):  # the defect z_{j+1} - phi(z_j)
+        rows = slice(two_r * j, two_r * (j + 1))
+        if j == 0:
+            jac[rows, :k] = -tangents[0][:, two_r - k:]
         else:
-            jac[rows, z(k)] = -tangents[k]
-        jac[rows, z(k + 1)] = np.eye(two_r)
+            jac[rows, z(j)] = -tangents[j]
+        jac[rows, z(j + 1)] = np.eye(two_r)
+    # the boundary rows: B0 on z_0 (its last k entries vary), B1 on z(1) = phi(z_{M-1})
+    jac[n - k:, :k] = b0[:, two_r - k:]
     if m == 1:
-        jac[n - r:, :r] = tangents[0][:r, r:]
+        jac[n - k:, :k] += b1 @ tangents[0][:, two_r - k:]
     else:
-        jac[n - r:, z(m - 1)] = tangents[m - 1][:r]
+        jac[n - k:, z(m - 1)] = b1 @ tangents[m - 1]
     return jac
 
 
@@ -457,6 +472,29 @@ def constant_entry(u, residual):
     grid = TimeGrid([0.0, 1.0])
     return SimpleNamespace(trajectory=Trajectory(grid, [[u], [u]], [[0.0], [0.0]]),
                            residual=residual)
+
+
+class TestEmptySeedBatch:
+    """No seed at all gives NoSolution for every problem, as one empty seed
+    set among non-empty ones does for its pair."""
+
+    @pytest.mark.parametrize("system, pairs", [
+        (lambda: make_pendulum().system, [(0, 1)]),
+        (lambda: make_pendulum().system, [(0, 1), (0.5, -1.0)]),
+        (lambda: dataclasses.replace(make_pendulum().system, vectorized=False), [(0, 1)]),
+        (lambda: make_sphere_geodesics().system, [([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])]),
+    ], ids=["pendulum", "pendulum-two-pairs", "pendulum-row-by-row", "sphere"])
+    def test_dirichlet_pairs_without_seeds(self, system, pairs):
+        sets = shooting.solve_dirichlet_many(system(), pairs, ShootingConfig(),
+                                             seeds=[[] for _ in pairs])
+        assert [s.classification.kind for s in sets] == ["NoSolution"] * len(pairs)
+        assert all(s.solutions == () for s in sets)
+
+    def test_graph_without_state_seeds(self):
+        sols = solve_with_lagrangian_boundary(
+            make_pendulum().system, lambda u0, u1: (np.array([u0[0]]), np.array([u1[0] - 0.7])),
+            ShootingConfig(), state_seeds=[])
+        assert sols.classification.kind == "NoSolution" and sols.solutions == ()
 
 
 class TestDedupe:
@@ -486,29 +524,43 @@ class TestMultipleShooting:
 
     @settings(max_examples=80, deadline=None)
     @given(r=st.sampled_from([1, 2, 3]), m=st.sampled_from([1, 2, 4, 8]),
-           bsz=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-    def test_condensed_solve_is_the_block_solve(self, r, m, bsz, seed):
+           bsz=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), graph=st.booleans())
+    def test_condensed_solve_is_the_block_solve(self, r, m, bsz, seed, graph):
+        # Dirichlet rows (None: the landing u(1) - u1, unknowns p0 first) or
+        # graph-type rows (B0, B1) of 2r conditions, unknowns (u0, p0) first
         rng = np.random.default_rng(seed)
+        k = 2 * r if graph else r
         tangents = np.eye(2 * r) + 0.4 * rng.standard_normal((bsz, m, 2 * r, 2 * r))
-        res = rng.standard_normal((bsz, r + 2 * r * (m - 1)))
-        got = shooting._condensed_solve(tangents, res)
+        rows = tuple(rng.standard_normal((2, bsz, k, 2 * r))) if graph else None
+        res = rng.standard_normal((bsz, k + 2 * r * (m - 1)))
+
+        def member(b):
+            return None if rows is None else (rows[0][b], rows[1][b])
+
+        got = shooting._condensed_solve(tangents, res, rows)
         for b in range(bsz):
-            jac = assembled_jacobian(tangents[b])
+            jac = assembled_jacobian(tangents[b], member(b))
             if np.linalg.cond(jac) > 1e8:
                 continue
             want = np.linalg.solve(jac, res[b])
             np.testing.assert_allclose(got[b], want, rtol=0,
                                        atol=1e-7 * (1.0 + np.max(np.abs(want))))
         if m == 1:
-            assert np.array_equal(got, _batch_solve(tangents[:, 0, :r, r:], res))
-        # identity tangents make du1/dp0 = 0: the pinv direction leaves p0 and
-        # carries the defects forward; the other members are solved as alone
+            mats = tangents[:, 0, :r, r:] if rows is None else rows[0] + rows[1] @ tangents[:, 0]
+            assert np.array_equal(got, _batch_solve(mats, res))
+        # identity tangents, and B1 = -B0 for graph rows, make the condensed
+        # matrix 0 (du1/dp0 = 0 for Dirichlet rows): the pinv direction leaves
+        # the leading unknowns and carries the defects forward; the other
+        # members are solved as alone
         tangents[0] = np.eye(2 * r)
-        got = shooting._condensed_solve(tangents, res)
-        assert np.array_equal(got[0, :r], np.zeros(r))
-        carried = np.cumsum(res[0, :-r].reshape(m - 1, 2 * r), axis=0).ravel()
-        np.testing.assert_allclose(got[0, r:], carried, rtol=0, atol=1e-12)
-        assert np.array_equal(got[1:], shooting._condensed_solve(tangents[1:], res[1:]))
+        if graph:
+            rows[1][0] = -rows[0][0]
+        got = shooting._condensed_solve(tangents, res, rows)
+        assert np.array_equal(got[0, :k], np.zeros(k))
+        carried = np.cumsum(res[0, :-k].reshape(m - 1, 2 * r), axis=0).ravel()
+        np.testing.assert_allclose(got[0, k:], carried, rtol=0, atol=1e-12)
+        rest = None if rows is None else (rows[0][1:], rows[1][1:])
+        assert np.array_equal(got[1:], shooting._condensed_solve(tangents[1:], res[1:], rest))
 
     @pytest.mark.parametrize("step", [1e-3, 2e-3, 1e-2])
     @pytest.mark.parametrize("name, u0, u1", [
@@ -522,18 +574,42 @@ class TestMultipleShooting:
         unknowns = shooting._shooting_unknowns(sys, U0, seeds, icfg)
         m = shooting._segment_count(sys, icfg)
         assert m > 1 and unknowns.shape == (len(seeds), 1 + 2 * (m - 1))
-        res, rnorm, tangents, ok = shooting._batch_eval(sys, U0, unknowns, [u1], icfg, True)
-        res1, rnorm1, tangents1, ok1 = shooting._batch_eval(sys, U0, seeds, [u1], icfg, True)
+        end = shooting._fixed_end(sys.config, [u1])
+        res, rnorm, step, ok = shooting._batch_eval(sys, U0, unknowns, end, icfg, True)
+        res1, rnorm1, step1, ok1 = shooting._batch_eval(sys, U0, seeds, end, icfg, True)
         assert np.array_equal(ok, ok1) and np.array_equal(rnorm, rnorm1)
         assert not np.any(res[ok, :-1])  # every continuity defect is exactly 0
         assert np.array_equal(res[ok, -1:], res1[ok])
-        chain = tangents[:, 0]
-        for k in range(1, m):
-            chain = tangents[:, k] @ chain
-        np.testing.assert_allclose(chain[ok, :1, 1:], tangents1[ok, 0, :1, 1:],
-                                   rtol=1e-12, atol=1e-14)
+        # with no defects, the condensed direction's p0 part is the landing
+        # miss over the segments' du1/dp0, single shooting's
+        np.testing.assert_allclose(step[ok, :1], step1[ok], rtol=1e-12, atol=1e-14)
+        # and du1/dp0 of the segment chain is the full flow's (exact tangents)
+        multi = shooting._branches(sys, U0, unknowns, end, icfg)
+        single = shooting._branches(sys, U0, seeds, end, icfg)
+        assert [b is None for b in multi] == [b is None for b in single] == list(~ok)
+        for a, b in zip(multi, single):
+            if a is not None:
+                np.testing.assert_allclose(a.jacobian, b.jacobian, rtol=1e-12, atol=1e-14)
         if name == "quartic":
             assert not ok.all()  # escaping seeds fail at once, as under single shooting
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-2])
+    def test_first_graph_evaluation_is_single_shootings(self, h):
+        # F = u0^2/2 + (u1 - 0.7)^2/2 on the pendulum, from state seeds (u0, p0)
+        sys, icfg = make_pendulum().system, IntegratorConfig(step=h)
+        grad_F = lambda u0, u1: (np.array([u0[0]]), np.array([u1[0] - 0.7]))
+        boundary = shooting._graph_boundary(grad_F, 1e-6)
+        X = np.array([[u, p] for u in (-0.5, 0.3) for p in (-2.0, 0.4, 3.0)])
+        unknowns = shooting._shooting_unknowns(sys, None, X, icfg)
+        m = shooting._segment_count(sys, icfg)
+        assert m > 1 and unknowns.shape == (len(X), 2 * m)
+        assert np.array_equal(unknowns[:, :2], X)
+        res, rnorm, step, ok = shooting._batch_eval(sys, None, unknowns, boundary, icfg, True)
+        res1, rnorm1, step1, ok1 = shooting._batch_eval(sys, None, X, boundary, icfg, True)
+        assert ok.all() and ok1.all() and np.array_equal(rnorm, rnorm1)
+        assert not np.any(res[:, :-2])  # every continuity defect is exactly 0
+        assert np.array_equal(res[:, -2:], res1)
+        np.testing.assert_allclose(step[:, :2], step1, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("name, u0, u1", [
         ("pendulum", [0.0], [np.pi / 2]),
@@ -564,6 +640,39 @@ class TestMultipleShooting:
         assert multi.classification.count == single.classification.count
         for a, b in zip(multi.solutions, single.solutions):
             np.testing.assert_allclose(a.p0, b.p0, rtol=0, atol=1e-9)
+            assert a.residual <= c.newton_tol
+
+    @pytest.mark.parametrize("case", ["pendulum", "free-particle-family"])
+    def test_graph_segments_match_single_shooting(self, monkeypatch, case):
+        if case == "pendulum":  # F = u0^2/2 + (u1 - 0.7)^2/2: one solution
+            sys, c, seeds = make_pendulum().system, ShootingConfig(seed_count=16), None
+            grad_F = lambda u0, u1: (np.array([u0[0]]), np.array([u1[0] - 0.7]))
+        else:  # F = 0: every static curve, a rank-deficient family
+            sys, c = make_free_particle().system, fast_cfg(step=1e-2)
+            seeds = [([u], [p]) for u in (-1.0, 0.0, 0.8) for p in (0.5, -0.3)]
+            grad_F = lambda u0, u1: (np.zeros(1), np.zeros(1))
+        m = shooting._segment_count(sys, c.integrator)
+        assert m > 1
+        widths = []
+        evaluate = shooting._batch_eval
+
+        def counting(*args, **kwargs):
+            widths.append(args[2].shape[1])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "_batch_eval", counting)
+        multi = solve_with_lagrangian_boundary(sys, grad_F, c, state_seeds=seeds)
+        assert set(widths) == {2 * m}
+        monkeypatch.setattr(shooting, "_MAX_SEGMENTS", 1)
+        single = solve_with_lagrangian_boundary(sys, grad_F, c, state_seeds=seeds)
+        assert widths[-1] == 2
+        assert multi.classification.kind == single.classification.kind
+        assert multi.classification.count == single.classification.count > 0
+        for a, b in zip(multi.solutions, single.solutions):
+            np.testing.assert_allclose(a.p0, b.p0, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(a.trajectory.positions[0], b.trajectory.positions[0],
+                                       rtol=0, atol=1e-9)
+            np.testing.assert_allclose(a.jacobian, b.jacobian, rtol=0, atol=1e-8)
             assert a.residual <= c.newton_tol
 
     def test_non_autonomous_system_takes_single_shooting(self):

@@ -1,6 +1,7 @@
 """Isotropy and rank certification of projected solution sets."""
 
 import numpy as np
+import pytest
 
 from phasebound.integrators import IntegratorConfig, flow_batch, integrate_flow
 from phasebound.shooting import ShootingConfig, solve_dirichlet
@@ -82,6 +83,49 @@ class TestBvpRoute:
         rep = isotropy_defect_bvp(lift.system, [([0.5], [1.0])], shooting_cfg())
         assert rep.samples == 0
         assert len(rep.inapplicable) == 1
+
+
+def tilted_frames(angles, seed=0):
+    """Frames in R^(2k) whose spans meet at the given principal angles: the
+    unit vectors e_0 .. e_{k-1}, and e_j cos a_j + e_{k+j} sin a_j, the
+    latter mixed by a random invertible k x k matrix (the same span)."""
+    k = len(angles)
+    eye = np.eye(2 * k)
+    tilted = np.cos(angles) * eye[:, :k] + np.sin(angles) * eye[:, k:]
+    mix = np.random.default_rng(seed).standard_normal((k, k)) + 3.0 * np.eye(k)
+    return eye[:, :k], tilted @ mix
+
+
+class TestSubspaceAngles:
+    # arccos(cos(1e-9)) is 0 in double precision; the sine form keeps 1e-9
+    @pytest.mark.parametrize("angles", [[1e-9], [1e-9, 0.3, 1.2], [0.0, 1e-12, np.pi / 2]])
+    def test_closed_form_angles(self, angles):
+        frame_a, frame_b = tilted_frames(np.array(angles))
+        want = np.sort(angles)[::-1]
+        np.testing.assert_allclose(frame_subspace_angles(frame_a, frame_b), want,
+                                   rtol=1e-6, atol=1e-15)
+        np.testing.assert_allclose(frame_subspace_angles(frame_b, frame_a), want,
+                                   rtol=1e-6, atol=1e-15)
+
+    def test_frames_of_different_widths(self):
+        frame_a, frame_b = tilted_frames(np.array([1e-9, 0.7]))
+        angles = frame_subspace_angles(frame_a[:, :1], frame_b)  # e_0 lies 1e-9 from span b
+        np.testing.assert_allclose(angles, [1e-9], rtol=1e-6, atol=0)
+        assert frame_subspace_angles(frame_b, frame_a[:, :1]).shape == (1,)
+
+    def test_rank_deficient_frame_counts_its_span_once(self):
+        eye = np.eye(4)
+        v = np.cos(0.3) * eye[:, 0] + np.sin(0.3) * eye[:, 2]
+        angles = frame_subspace_angles(eye[:, :2], np.stack([v, 2.0 * v], axis=1))
+        np.testing.assert_allclose(angles, [0.3], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scipy(self, seed):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        frame_a, frame_b = rng.standard_normal((6, 3)), rng.standard_normal((6, 2 + seed % 2))
+        np.testing.assert_allclose(frame_subspace_angles(frame_a, frame_b),
+                                   linalg.subspace_angles(frame_a, frame_b), rtol=0, atol=1e-12)
 
 
 class TestFrameAgreement:
