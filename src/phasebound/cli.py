@@ -352,10 +352,8 @@ def _task_generating_function(ex, params, scfg, seed):
 
 
 def _task_lambda_study(ex, params, scfg, seed):
-    X, dX, d2X, x_flow = ex.facts["field"]
     u0, u1 = _points(params["endpoints"], (ex.system.dim,) * 2, "parameters.endpoints")
-    out = asdict(topological_limit_study(params["lambdas"], u0, u1, scfg, X=X, dX=dX, d2X=d2X,
-                                         dim=ex.system.dim, x_flow=x_flow))
+    out = asdict(topological_limit_study(params["lambdas"], u0, u1, scfg, ex.facts["field"]))
     out["rows"] = [{"lambda": row.pop("lam"), **row} for row in out["rows"]]
     return out, None
 

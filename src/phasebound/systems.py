@@ -398,6 +398,18 @@ def make_sphere_geodesics():
 # Vector fields for the drift systems
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class VectorField:
+    """X on R^dim: X(u), its derivative dX(u) (..., dim, dim), optionally d2X(u) and the
+    flow (t, u0) -> u(t) of X, the oracle of the self-checks and of the lam study."""
+
+    dim: int
+    X: Callable
+    dX: Callable
+    d2X: Optional[Callable] = None
+    flow: Optional[Callable] = None
+
+
 def linear_vector_field(dim=1, scale=1.0):
     """X(u) = scale * u, with flow u0 * exp(scale * t)."""
     eye = np.eye(dim)
@@ -411,10 +423,10 @@ def linear_vector_field(dim=1, scale=1.0):
     def d2X(u):
         return np.zeros(np.shape(u) + (dim, dim))
 
-    def x_flow(t, u0):
+    def flow(t, u0):
         return np.asarray(u0, dtype=float) * math.exp(scale * t)
 
-    return X, dX, d2X, x_flow
+    return VectorField(dim, X, dX, d2X, flow)
 
 
 def constant_vector_field(c):
@@ -431,19 +443,20 @@ def constant_vector_field(c):
     def d2X(u):
         return np.zeros(np.shape(u) + (r, r))
 
-    def x_flow(t, u0):
+    def flow(t, u0):
         return np.asarray(u0, dtype=float) + c * t
 
-    return X, dX, d2X, x_flow
+    return VectorField(r, X, dX, d2X, flow)
 
 
-def _drift_system(lam, X, dX, d2X, r, name):
-    """H = lam |p|^2 / 2 + p . X(u) on R^r.
+def _drift_system(lam, field, name):
+    """H = lam |p|^2 / 2 + p . X(u) on R^dim, for the field's X and dim.
 
-    ``lam`` is one weight, or one weight per row of a (B, r) batch; a row's
+    ``lam`` is one weight, or one weight per row of a (B, dim) batch; a row's
     values are then those of the system with that row's weight, bit for bit
     (0 p + X(u) is X(u)).
     """
+    r, X, dX, d2X = field.dim, field.X, field.dX, field.d2X
     lam = np.asarray(lam, dtype=float)
     lam_rows, lam_eye = lam[..., None], lam[..., None, None] * np.eye(r)
 
@@ -482,16 +495,14 @@ def _drift_system(lam, X, dX, d2X, r, name):
     )
 
 
-def make_cotangent_lift(X=None, dX=None, d2X=None, dim=1, x_flow=None):
+def make_cotangent_lift(field=None):
     """H = p . X(u): the flow is the cotangent lift of the flow of X.
 
-    Defaults to X(u) = u on the line.  ``x_flow`` is the base-flow oracle
-    (t, u0) -> u(t) used by the self-checks and graph diagnostics.
+    Defaults to X(u) = u on the line.  The field's flow, when given, is the
+    base-flow oracle of the self-checks.
     """
-    if X is None:
-        X, dX, d2X, x_flow = linear_vector_field(dim)
-    sys = _drift_system(0.0, X, dX, d2X, dim, "cotangent-lift")
-    facts = {"x_flow": x_flow, "field": (X, dX, d2X, x_flow)}
+    field = field or linear_vector_field()
+    sys, dim, x_flow = _drift_system(0.0, field, "cotangent-lift"), field.dim, field.flow
 
     checks = [
         _gradient_check(sys, [(0.0, np.full(dim, 0.9), np.full(dim, -1.4))]),
@@ -518,30 +529,30 @@ def make_cotangent_lift(X=None, dX=None, d2X=None, dim=1, x_flow=None):
             check_unreachable))
 
     checks.append(_energy_check(sys, np.full(dim, 1.0), np.full(dim, 1.0)))
-    return ExampleSystem("cotangent-lift", sys, facts, tuple(checks))
+    return ExampleSystem("cotangent-lift", sys, {"field": field}, tuple(checks))
 
 
-def make_lambda_family(lam, X=None, dX=None, d2X=None, dim=1, x_flow=None):
-    """H = lam |p|^2 / 2 + p . X(u); lam = 0 recovers the cotangent lift."""
+def make_lambda_family(lam, field=None):
+    """H = lam |p|^2 / 2 + p . X(u); lam = 0 recovers the cotangent lift.
+
+    Defaults to the constant field X = 1 on the line.
+    """
     if lam < 0:
         raise NegativeLambdaError(f"kinetic weight must be nonnegative, got {lam}")
-    if X is None:
-        X, dX, d2X, x_flow = constant_vector_field(np.ones(dim))
-    sys = _drift_system(lam, X, dX, d2X, dim, f"lambda-family(lam={lam})")
-    facts = {"x_flow": x_flow, "field": (X, dX, d2X, x_flow)}
-
+    field = field or constant_vector_field(1.0)
+    sys, dim = _drift_system(lam, field, f"lambda-family(lam={lam})"), field.dim
     checks = (
         _gradient_check(sys, [(0.0, np.full(dim, 0.2), np.full(dim, 0.7))]),
         _energy_check(sys, np.full(dim, 0.2), np.full(dim, 0.7)),
     )
-    return ExampleSystem("lambda-family", sys, facts, checks)
+    return ExampleSystem("lambda-family", sys, {"field": field}, checks)
 
 
 # ---------------------------------------------------------------------------
 # The small-kinetic-term limit study
 # ---------------------------------------------------------------------------
 
-def second_order_residual(X, dX, traj: Trajectory):
+def second_order_residual(field, traj: Trajectory):
     """Residual of the second-order base equation satisfied by drift solutions.
 
     Eliminating the momentum from Hamilton's equations of the lam-family
@@ -555,8 +566,8 @@ def second_order_residual(X, dX, traj: Trajectory):
     t = traj.grid.nodes
     du = grid_derivative(traj.positions, t)
     ddu = grid_derivative(du, t)
-    xs = np.asarray(X(traj.positions), dtype=float)
-    dxs = np.asarray(dX(traj.positions), dtype=float)
+    xs = np.asarray(field.X(traj.positions), dtype=float)
+    dxs = np.asarray(field.dX(traj.positions), dtype=float)
     drive = np.einsum("nb,nba->na", xs, dxs)
     skew = dxs - np.swapaxes(dxs, -1, -2)
     res = ddu - drive - np.einsum("nab,nb->na", skew, du)
@@ -580,57 +591,49 @@ class LambdaStudyReport:
     notes: str
 
 
-def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, X=None, dX=None,
-                            d2X=None, dim=1, x_flow=None):
+def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, field=None):
     """Tabulate the boundary-value momentum and action across a lam sweep.
 
     For each lam in the (decreasing) list the two-point problem (u0, u1) is
-    solved for H = lam |p|^2/2 + p . X(u); the report records p0(lam), the
-    action, the residual of the lam-independent second-order base equation,
-    and (when the base-flow oracle is available) the distance of the
-    trajectory to the flow line of X.  Every lam's seeds go through one
-    solve_dirichlet_many batch, its rows flowed with their own lam; a row's
-    result is that of its lam solved alone, bit for bit.  The momentum
-    divergence rate is the fitted log-log slope of |p0| against lam over the
-    rows with lam > 0 and a nonzero p0.
+    solved for H = lam |p|^2/2 + p . X(u), X the field (make_lambda_family's
+    default when None); the report records p0(lam), the action, the residual
+    of the lam-independent second-order base equation, and (when the field
+    has a flow) the distance of the trajectory to the flow line of X.  Every
+    lam's seeds go through one solve_dirichlet_many batch, its rows flowed
+    with their own lam; a row's result is that of its lam solved alone, bit
+    for bit.  An error that stops the batch is every row's note.  The
+    momentum divergence rate is the fitted log-log slope of |p0| against lam
+    over the rows with lam > 0 and a nonzero p0.
     """
     cfg = shooting_cfg or shooting.ShootingConfig()
-    examples = [make_lambda_family(lam, X, dX, d2X, dim=dim, x_flow=x_flow) for lam in lambdas]
-    if examples:  # the family's own default field when X is None
-        X, dX, d2X, x_flow = examples[0].facts["field"]
+    field = field or constant_vector_field(1.0)
     weights = np.array(lambdas, dtype=float)
-    family = lambda k: _drift_system(weights[k], X, dX, d2X, dim, "lambda-family")
+    if (weights < 0).any():
+        raise NegativeLambdaError(f"kinetic weight must be nonnegative, got {min(lambdas)}")
+    family = lambda k: _drift_system(weights[k], field, "lambda-family")
+    status = "NoSolution"
     try:
         solved = shooting.solve_dirichlet_many(family, [(u0, u1)] * len(lambdas), cfg)
-    except PhaseboundError:
-        # the batch raises whatever the weights, and so does each lam alone: its row
-        # note comes from its own solve, which names its own system
-        solved = None
+    except PhaseboundError as exc:
+        solved, status = [None] * len(lambdas), f"solver error: {exc}"
     rows = []
-    for k, (lam, ex) in enumerate(zip(lambdas, examples)):
-        try:
-            sols = solved[k] if solved is not None else shooting.solve_dirichlet(
-                ex.system, u0, u1, cfg)
-        except PhaseboundError as exc:
-            rows.append(LambdaStudyRow(lam, None, None, None, None, f"solver error: {exc}"))
-            continue
-        if not sols.solutions:
-            rows.append(LambdaStudyRow(lam, None, None, None, None, "NoSolution"))
+    for k, (lam, sols) in enumerate(zip(lambdas, solved)):
+        if sols is None or not sols.solutions:
+            rows.append(LambdaStudyRow(lam, None, None, None, None, status))
             continue
         branch = sols.solutions[0]
-        res, res_norm = second_order_residual(X, dX, branch.trajectory)
         dist = None
-        if x_flow is not None:
+        if field.flow is not None:
             line = np.stack([
-                np.atleast_1d(x_flow(t, as_point(u0, ex.system.dim)))
+                np.atleast_1d(field.flow(t, as_point(u0, field.dim)))
                 for t in branch.trajectory.grid.nodes
             ])
             dist = float(np.abs(branch.trajectory.positions - line).max())
         rows.append(LambdaStudyRow(
             lam=lam,
             p0=branch.p0,
-            action=action_functional(ex.system, branch.trajectory),
-            second_order_residual=res_norm,
+            action=action_functional(family(k), branch.trajectory),
+            second_order_residual=second_order_residual(field, branch.trajectory)[1],
             flowline_distance=dist,
             status="ok",
         ))
@@ -647,32 +650,23 @@ def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, X=None, dX=None,
 # Registry
 # ---------------------------------------------------------------------------
 
-_linear_field = lambda dim=1, scale=1.0: (linear_vector_field(dim, scale=float(scale)), dim)
-
-
 def _constant_field(c=1.0, dim=None):
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if dim not in (None, c.size):
+    """(c, ..., c) in dim coordinates (one by default) for a number c; a list c is the field."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim and dim not in (None, c.size):
         raise ValueError(f"a constant field's dim is len(c) = {c.size}, got {dim!r}")
-    return constant_vector_field(c), c.size if dim is None else dim
+    return constant_vector_field(np.full(c.size if dim is None else dim, c))
 
 
-def _vector_field(field="linear", **params):
-    """The drift systems' vector field named by their scenario parameters, and its dimension;
-    each field takes only its own parameters."""
-    if field not in ("linear", "constant"):
+# The drift systems' vector fields by scenario name; each takes only its own parameters.
+_FIELDS = {"linear": lambda dim=1, scale=1.0: linear_vector_field(dim, scale=float(scale)),
+          "constant": _constant_field}
+
+
+def _vector_field(field, **params):
+    if field not in _FIELDS:
         raise ValueError(f"unknown vector-field kind {field!r} (use 'linear' or 'constant')")
-    return (_linear_field if field == "linear" else _constant_field)(**params)
-
-
-def _make_cotangent_named(**params):
-    (X, dX, d2X, x_flow), dim = _vector_field(**params)
-    return make_cotangent_lift(X, dX, d2X, dim=dim, x_flow=x_flow)
-
-
-def _make_lambda_named(lam=1.0, **params):
-    (X, dX, d2X, x_flow), dim = _vector_field(**params)
-    return make_lambda_family(float(lam), X, dX, d2X, dim=dim, x_flow=x_flow)
+    return _FIELDS[field](**params)
 
 
 REGISTRY = {
@@ -680,8 +674,9 @@ REGISTRY = {
     "quartic": make_quartic,
     "pendulum": make_pendulum,
     "sphere": make_sphere_geodesics,
-    "cotangent-lift": _make_cotangent_named,
-    "lambda-family": _make_lambda_named,
+    "cotangent-lift": lambda field="linear", **kw: make_cotangent_lift(_vector_field(field, **kw)),
+    "lambda-family": lambda lam=1.0, field="constant", **kw: make_lambda_family(
+        float(lam), _vector_field(field, **kw)),
 }
 
 

@@ -65,8 +65,9 @@ def frame_defect_and_rank(frame):
 def tangent_frame_flow(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig):
     """Tangent frame (I; DPhi_1) to the graph of the time-1 flow at (u0, p0).
 
-    Returns a (4r, 2r) matrix in (du0, dp0, du1, dp1) row layout, or None if
-    the flow does not complete; the one-point case of isotropy_defect_flow.
+    Returns (frame, None), the frame a (4r, 2r) matrix in (du0, dp0, du1, dp1)
+    row layout, or (None, status) with the flow's status if the flow does not
+    complete; the one-point case of isotropy_defect_flow.
     """
     r = sys.dim
     try:

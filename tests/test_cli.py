@@ -390,6 +390,25 @@ class TestRunScenarios:
         assert code == 0
         assert abs(report["results"]["momentum_slope"] + 1.0) <= 0.05
 
+    def test_lambda_family_defaults_to_the_constant_field_of_its_dim(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "system": {"name": "lambda-family", "params": {"dim": 2}},
+            "task": "flow",
+            "parameters": {"u0": [0.0, 0.0], "p0": [0.0, 0.0]},
+        })
+        report, _, code = run_scenario(path, out_dir=str(tmp_path / "out"))
+        assert code == 0
+        # X = (1, 1) and p = 0, so u(1) = u0 + X
+        np.testing.assert_allclose(report["results"]["u_end"], [1.0, 1.0], atol=1e-12)
+
+    def test_lambda_family_scale_needs_the_linear_field(self, tmp_path, capsys):
+        for params, code in (({"scale": 2}, 2), ({"field": "linear", "scale": 2}, 0)):
+            path = write_scenario(tmp_path, {
+                "system": {"name": "lambda-family", "params": params},
+                "task": "flow", "parameters": {"u0": 1.0, "p0": 0.0}})
+            assert main(["run", path, "--out", str(tmp_path / "out")]) == code
+        assert "scenario error" in capsys.readouterr().err
+
     def test_lambda_study_with_a_zero_lambda_fits_the_positive_ones(self, tmp_path):
         path = write_scenario(tmp_path, {
             "system": {"name": "lambda-family", "params": {"field": "linear"}},

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phasebound import shooting
+from phasebound import shooting, systems
 from phasebound.core import _eval_along, action_functional, check_gradients
 from phasebound.errors import NegativeLambdaError, NewtonConvergenceError, NonPositiveMassError
 from phasebound.integrators import IntegratorConfig, energy_drift, integrate_flow
@@ -122,8 +122,7 @@ class TestSphere:
 
 class TestCotangentLift:
     def test_constant_field_translation(self):
-        X, dX, d2X, x_flow = constant_vector_field([0.7])
-        lift = make_cotangent_lift(X, dX, d2X, dim=1, x_flow=x_flow)
+        lift = make_cotangent_lift(constant_vector_field([0.7]))
         res = integrate_flow(lift.system, [0.2], [1.4], cfg())
         np.testing.assert_allclose(res.trajectory.positions[-1], [0.9], atol=1e-10)
         np.testing.assert_allclose(res.trajectory.momenta[-1], [1.4], atol=1e-10)
@@ -135,8 +134,7 @@ class TestCotangentLift:
         np.testing.assert_allclose(res.trajectory.momenta[-1], [1 / np.e], atol=1e-8)
 
     def test_off_graph_unreachable(self):
-        X, dX, d2X, x_flow = constant_vector_field([1.0])
-        lift = make_cotangent_lift(X, dX, d2X, dim=1, x_flow=x_flow)
+        lift = make_cotangent_lift(constant_vector_field([1.0]))
         sols = solve_dirichlet(lift.system, [0.0], [0.5],
                                ShootingConfig(integrator=cfg(), seed_count=8))
         assert sols.classification.kind == "NoSolution"
@@ -146,25 +144,24 @@ class TestLambdaFamily:
     def test_zero_lambda_matches_cotangent_lift(self):
         rng = np.random.default_rng(8)
         for r in (1, 2):
-            X, dX, d2X, x_flow = linear_vector_field(r)
-            fam = make_lambda_family(0.0, X, dX, d2X, dim=r, x_flow=x_flow)
-            lift = make_cotangent_lift(X, dX, d2X, dim=r, x_flow=x_flow)
+            field = linear_vector_field(r)
+            fam = make_lambda_family(0.0, field)
+            lift = make_cotangent_lift(field)
             u, p = rng.uniform(-1, 1, (2, 8, r))
             for name in ("hamiltonian", "grad_u", "grad_p", "hess_uu", "hess_up", "hess_pp"):
                 assert np.array_equal(getattr(fam.system, name)(0.0, u, p),
                                       getattr(lift.system, name)(0.0, u, p)), (r, name)
 
     def test_constant_field_momentum_formula(self):
-        X, dX, d2X, x_flow = constant_vector_field([1.0])
         lam = 0.25
-        fam = make_lambda_family(lam, X, dX, d2X, dim=1, x_flow=x_flow)
+        fam = make_lambda_family(lam, constant_vector_field([1.0]))
         sols = solve_dirichlet(fam.system, [0.0], [2.0],
                                ShootingConfig(integrator=cfg(), seed_count=8))
         assert sols.classification.kind == "Unique"
         np.testing.assert_allclose(sols.solutions[0].p0, [(2.0 - 1.0) / lam], atol=1e-8)
 
     def test_unit_lambda_zero_field_is_free(self):
-        fam = make_lambda_family(1.0, *constant_vector_field([0.0])[:3], dim=1)
+        fam = make_lambda_family(1.0, constant_vector_field([0.0]))
         free = make_free_particle()
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -172,6 +169,12 @@ class TestLambdaFamily:
             p = rng.uniform(-1, 1, 1)
             assert fam.system.hamiltonian(0.0, u, p) == pytest.approx(
                 free.system.hamiltonian(0.0, u, p))
+
+    def test_registry_default_field_is_the_factorys(self):
+        # X = 1 on the line for both: grad_p at (u, p) = (3, 0) is X(3) = 1, not u = 3
+        named = make_example("lambda-family").system.grad_p(0.0, [3.0], [0.0])
+        assert np.array_equal(named, make_lambda_family(1.0).system.grad_p(0.0, [3.0], [0.0]))
+        assert np.array_equal(named, [1.0])
 
 
 class TestTopologicalLimit:
@@ -217,12 +220,11 @@ class TestTopologicalLimit:
     def test_batched_study_equals_one_solve_per_lambda(self, field, u0, u1, newton_tol):
         lambdas = [1.0, 0.5, 0.25, 0.0]
         scfg = ShootingConfig(seed_count=8, newton_tol=newton_tol)
-        kw = dict(zip(("X", "dX", "d2X", "x_flow"), field)) if field else {}
-        report = topological_limit_study(lambdas, u0, u1, scfg, **kw)
+        report = topological_limit_study(lambdas, u0, u1, scfg, field)
         assert [row.lam for row in report.rows] == lambdas
         for row, lam in zip(report.rows, lambdas):
-            ex = make_lambda_family(lam, **kw)
-            X, dX, _, x_flow = ex.facts["field"]
+            ex = make_lambda_family(lam, field)
+            x_flow = ex.facts["field"].flow
             sols = solve_dirichlet(ex.system, u0, u1, scfg)
             if not sols.solutions:
                 assert (row.p0, row.action, row.status) == (None, None, "NoSolution")
@@ -232,20 +234,22 @@ class TestTopologicalLimit:
             assert row.status == "ok"
             assert np.array_equal(row.p0, sols.solutions[0].p0)
             assert row.action == action_functional(ex.system, traj)
-            assert row.second_order_residual == second_order_residual(X, dX, traj)[1]
+            residual = second_order_residual(ex.facts["field"], traj)[1]
+            assert row.second_order_residual == residual
             assert row.flowline_distance == float(np.abs(traj.positions - line).max())
         if field:  # the lam = 0 row joins the pair too, with a nonzero p0
             assert report.rows[-1].status == "ok" and report.rows[-1].p0[0] != 0.0
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_drift_rows_equal_the_scalar_systems(self, dim):
-        X, dX, d2X, _ = linear_vector_field(dim, scale=-0.7)
+        field = linear_vector_field(dim, scale=-0.7)
+        X = field.X
         lambdas = [1.0, 0.5, 0.0]
         rng = np.random.default_rng(5)
         U, P = rng.uniform(-2, 2, (2, len(lambdas), dim))
-        rows = _drift_system(np.array(lambdas), X, dX, d2X, dim, "rows")
+        rows = _drift_system(np.array(lambdas), field, "rows")
         for k, lam in enumerate(lambdas):
-            one = _drift_system(lam, X, dX, d2X, dim, "one")
+            one = _drift_system(lam, field, "one")
             for fn in ("grad_p", "hamiltonian", "hess_pp", "grad_u", "hess_uu", "hess_up"):
                 assert np.array_equal(getattr(rows, fn)(0.0, U, P)[k],
                                       getattr(one, fn)(0.0, U[k], P[k])), fn
@@ -254,21 +258,71 @@ class TestTopologicalLimit:
         assert np.array_equal(rows.hamiltonian(0.0, U, P)[-1], np.sum(P[-1] * X(U[-1])))
         assert not rows.hess_pp(0.0, U, P)[-1].any()
 
-    def test_verlet_study_notes_each_row_with_its_own_system(self):
+    def test_verlet_study_notes_every_row_with_the_batch_error(self):
         scfg = ShootingConfig(integrator=IntegratorConfig(scheme="stormer-verlet"))
         report = topological_limit_study([1.0, 0.5, 0.0], [0.0], [2.0], scfg)
         assert [row.status for row in report.rows] == [
-            f"solver error: system 'lambda-family(lam={lam})' is not declared separable"
-            for lam in (1.0, 0.5, 0.0)]
+            "solver error: system 'lambda-family' is not declared separable"] * 3
         assert report.momentum_slope is None
+
+    def test_one_batched_solve_and_no_per_lambda_call(self, monkeypatch):
+        many, calls = shooting.solve_dirichlet_many, []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return many(*args, **kwargs)
+
+        def per_lambda(*args, **kwargs):
+            raise AssertionError("the study solves one batch only")
+
+        monkeypatch.setattr(shooting, "solve_dirichlet_many", counted)
+        monkeypatch.setattr(shooting, "solve_dirichlet", per_lambda)
+        monkeypatch.setattr(systems, "make_lambda_family", per_lambda)
+        solved = topological_limit_study([1.0, 0.5], [0.0], [2.0], ShootingConfig(seed_count=4))
+        assert calls == [2] and [row.status for row in solved.rows] == ["ok"] * 2
+        verlet = ShootingConfig(integrator=IntegratorConfig(scheme="stormer-verlet"))
+        failed = topological_limit_study([1.0, 0.5], [0.0], [2.0], verlet)
+        assert calls == [2, 2]
+        assert all(row.status.startswith("solver error: ") for row in failed.rows)
+
+    def test_negative_lambda_raises_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(shooting, "solve_dirichlet_many", lambda *args, **kw: calls.append(1))
+        with pytest.raises(NegativeLambdaError, match="-0.5"):
+            topological_limit_study([1.0, -0.5], [0.0], [2.0])
+        assert calls == []
+
+    def test_junction_jumps_are_far_below_what_the_residual_bound_tolerates(self):
+        """Tripwire for acceptance criterion 8's bound of 1e-6 on second_order_residual.
+
+        The residual differentiates the stitched multiple-shooting path twice, so
+        it reads a jump d at a segment junction as about 4.5e5 d and breaks the
+        bound from d of about 2e-12.  Each segment is flown again from its start
+        node over [0, 1/M]; its end must meet the next segment's start.
+        """
+        icfg = IntegratorConfig(step=1e-3)
+        scfg = ShootingConfig(integrator=icfg, seed_count=8)
+        worst = 0.0
+        for lam in (1.0, 0.5, 0.25, 0.125):
+            sys = make_lambda_family(lam).system
+            m = shooting._segment_count(sys, icfg)
+            assert m == 8
+            traj = solve_dirichlet(sys, [0.0], [2.0], scfg).solutions[0].trajectory
+            n = (len(traj.grid.nodes) - 1) // m
+            for k in range(1, m + 1):
+                start = (k - 1) * n
+                seg = integrate_flow(sys, traj.positions[start], traj.momenta[start], icfg,
+                                     0.0, 1.0 / m).trajectory
+                worst = max(worst, np.abs(seg.positions[-1] - traj.positions[k * n]).max(),
+                            np.abs(seg.momenta[-1] - traj.momenta[k * n]).max())
+        assert worst <= 1e-13
 
     def test_second_order_residual_detects_non_solutions(self):
         from phasebound.core import TimeGrid, Trajectory
 
-        X, dX, _, _ = constant_vector_field([1.0])
         t = np.linspace(0, 1, 400)
         bogus = Trajectory(TimeGrid(t), (t ** 3)[:, None], np.ones((400, 1)))
-        _, norm = second_order_residual(X, dX, bogus)
+        _, norm = second_order_residual(constant_vector_field([1.0]), bogus)
         assert norm > 1.0
 
 

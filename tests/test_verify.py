@@ -159,7 +159,7 @@ class TestFrameAgreement:
 class TestCotangentLiftGraph:
     def test_projected_solutions_lie_on_the_base_flow_graph(self):
         lift = make_cotangent_lift()
-        x_flow = lift.facts["x_flow"]
+        x_flow = lift.facts["field"].flow
         rng = np.random.default_rng(9)
         # six (u0, p0) draws flowed as one batch, whose members equal solo flows
         U0, P0 = rng.uniform(-1, 1, (6, 2)).T[:, :, None]
