@@ -73,8 +73,8 @@ class IntegratorConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0.0 < self.step <= 1.0):
             raise ValueError("step must lie in (0, 1]")
-        if not (self.newton_tol > 0 and self.blowup_threshold > 0):
-            raise ValueError("tolerances and thresholds must be positive")
+        if not (0 < self.newton_tol < np.inf and self.blowup_threshold > 0):
+            raise ValueError("newton_tol must be positive and finite, blowup_threshold positive")
         if self.newton_max_iter < 1 or self.max_step_halvings < 0:
             raise ValueError("need newton_max_iter >= 1 and max_step_halvings >= 0")
 

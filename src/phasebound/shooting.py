@@ -73,17 +73,17 @@ class ShootingConfig:
 
     def __post_init__(self):
         _check_field_kinds(self)
-        if self.distinctness_radius <= 0:
-            raise ValueError("distinctness radius must be positive")
+        if not (np.isfinite(self.distinctness_radius) and self.distinctness_radius > 0):
+            raise ValueError("distinctness radius must be positive and finite")
         if (self.seed_count if self.seeds is None else len(self.seeds)) < 1:
             raise ValueError("need at least one seed")
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError("newton_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        lo_hi = self.seed_box
-        if len(lo_hi) != 2 or bool in map(type, lo_hi) or not lo_hi[0] < lo_hi[1]:
-            raise ValueError("seed_box must be numbers (lo, hi), not booleans, with lo < hi")
+        box = self.seed_box
+        if len(box) != 2 or bool in map(type, box) or not -np.inf < box[0] < box[1] < np.inf:
+            raise ValueError("seed_box must be finite numbers (lo, hi), not booleans, lo < hi")
 
     def resolve_seeds(self, r):
         if self.seeds is not None:
@@ -159,7 +159,8 @@ def _segment_count(sys, icfg):
 
 
 def _segment_states(u0, P, r):
-    """Segment start states z_0 ... z_{M-1} of rows ``P`` as (B M, 2r), M and k (_batch_eval)."""
+    """Segment start states z_0 ... z_{M-1} of rows ``P`` as (B M, 2r), M and k (_batch_eval);
+    rows of leading unknowns alone give their z_0 and M = 1."""
     k = 2 * r if u0 is None else r
     m = 1 + (P.shape[1] - k) // (2 * r)
     Z = P if u0 is None else np.concatenate([np.broadcast_to(u0, (len(P), r)), P], axis=1)
@@ -170,19 +171,18 @@ def _shooting_unknowns(sys, u0, lead, icfg):
     """Multiple-shooting unknowns (lead, z_1 ... z_{M-1}) for rows of leading
     unknowns ``lead``: seed momenta after ``u0``, or (u0, p0) for ``u0`` None.
 
-    The interior states z_k are read at the segment nodes of one stored-path
-    flow from each seed (without its tangent), so the first evaluation's
-    continuity defects vanish and its residual is single shooting's.
+    The interior states z_k are the ends of M - 1 chained flights over
+    [0, 1/M] from each seed (no path, no tangent), each from the previous
+    end, so the first evaluation's continuity defects vanish and its
+    residual is single shooting's.
     """
-    m = _segment_count(sys, icfg)
-    if m == 1:
-        return lead
-    r = sys.dim
-    U0, P0 = (lead[:, :r], lead[:, r:]) if u0 is None else (u0, lead)
-    _, (path_u, path_p), _, _, _, _ = flow_batch(sys, U0, P0, icfg, store_path=True)
-    nodes = np.arange(1, m) * ((path_u.shape[0] - 1) // m)
-    states = np.concatenate([path_u[nodes], path_p[nodes]], axis=2).transpose(1, 0, 2)
-    return np.concatenate([lead, states.reshape(len(lead), 2 * r * (m - 1))], axis=1)
+    m, r = _segment_count(sys, icfg), sys.dim
+    z, unknowns = _segment_states(u0, lead, r)[0], [lead]
+    for _ in range(m - 1):
+        _, _, U1, P1, _, _ = flow_batch(sys, z[:, :r], z[:, r:], icfg, t1=1.0 / m)
+        z = np.concatenate([U1, P1], axis=1)
+        unknowns.append(z)
+    return np.concatenate(unknowns, axis=1)
 
 
 def _fixed_end(config, u1):
@@ -380,23 +380,26 @@ def _dedupe(config: ConfigSpace, entries, radius):
     return reps
 
 
-def _classify(config, entries, cfg):
+def _solution_set(config, branches, cfg, endpoints=None):
+    """The BvpSolutionSet of ``branches`` (None where a flow failed): the others
+    sorted by p0, lexicographically, for a deterministic merge order, then
+    deduplicated and classified."""
+    entries = sorted((b for b in branches if b is not None), key=lambda e: tuple(e.p0))
     if not entries:
-        return Classification("NoSolution", 0, "no seed converged"), []
+        return BvpSolutionSet(endpoints, (), Classification("NoSolution", 0, "no seed converged"))
     reps = _dedupe(config, entries, cfg.distinctness_radius)
-    reps_half = _dedupe(config, entries, 0.5 * cfg.distinctness_radius)
-    stable = len(reps_half) == len(reps)
+    stable = len(_dedupe(config, entries, 0.5 * cfg.distinctness_radius)) == len(reps)
     n_singular = sum(1 for e in reps if e.cond > SINGULAR_COND)
     if len(reps) >= 2 and (n_singular >= 2 or not stable):
-        note = (f"{len(reps)} representatives, {n_singular} with shooting matrix "
-                f"condition > {SINGULAR_COND:.0e}; dedup "
-                + ("stable" if stable else "unstable") + " under radius halving")
-        return Classification("Continuum", len(reps), note), reps
-    if len(reps) == 1:
-        return Classification("Unique", 1, f"condition {reps[0].cond:.3e}"), reps
-    return Classification(
-        "MultipleIsolated", len(reps),
-        f"{len(reps)} isolated representatives, dedup stable"), reps
+        kind, note = "Continuum", (
+            f"{len(reps)} representatives, {n_singular} with shooting matrix "
+            f"condition > {SINGULAR_COND:.0e}; dedup "
+            + ("stable" if stable else "unstable") + " under radius halving")
+    elif len(reps) == 1:
+        kind, note = "Unique", f"condition {reps[0].cond:.3e}"
+    else:
+        kind, note = "MultipleIsolated", f"{len(reps)} isolated representatives, dedup stable"
+    return BvpSolutionSet(endpoints, tuple(reps), Classification(kind, len(reps), note))
 
 
 def _system_of(sys, pair_of_row):
@@ -443,15 +446,8 @@ def solve_dirichlet_many(sys: HamiltonianSystem | Callable, pairs, cfg: Shooting
         found, m = found[:, :r], 1
     branches = _branches(_system_of(sys, np.repeat(owner[rows], m)), U0[rows], found,
                          _fixed_end(base.config, U1[rows]), icfg)
-    sets = []
-    for k, (u0, u1) in enumerate(pairs):
-        entries = [b for b, i in zip(branches, rows) if owner[i] == k and b is not None]
-        # sorted by momentum, lexicographically, for a deterministic merge order
-        entries.sort(key=lambda e: tuple(e.p0))
-        classification, reps = _classify(base.config, entries, cfg)
-        sets.append(BvpSolutionSet(endpoints=(u0, u1), solutions=tuple(reps),
-                                   classification=classification))
-    return sets
+    return [_solution_set(base.config, [b for b, i in zip(branches, rows) if owner[i] == k],
+                          cfg, pair) for k, pair in enumerate(pairs)]
 
 
 def solve_dirichlet(sys: HamiltonianSystem, u0, u1, cfg: ShootingConfig):
@@ -465,11 +461,14 @@ def hamilton_principal_function(sys: HamiltonianSystem, u0, u1, cfg: ShootingCon
     For theories with several isolated branches this is the per-branch value
     of the (locally defined, multivalued) principal function.
     """
-    sols = solve_dirichlet(sys, u0, u1, cfg)
-    if branch >= len(sols.solutions):
-        raise NoSuchBranchError(
-            f"requested branch {branch}, found {len(sols.solutions)} solutions")
-    return action_functional(sys, sols.solutions[branch].trajectory)
+    return action_functional(sys, _branch(solve_dirichlet(sys, u0, u1, cfg), branch).trajectory)
+
+
+def _branch(sols, branch):
+    """Solution ``branch`` of the set ``sols``; NoSuchBranchError unless 0 <= branch < count."""
+    if not 0 <= branch < len(sols.solutions):
+        raise NoSuchBranchError(f"requested branch {branch} of {len(sols.solutions)} solutions")
+    return sols.solutions[branch]
 
 
 def _continue_branch(sys, branches, cfg, fd_step):
@@ -534,11 +533,7 @@ def generating_function_check(sys: HamiltonianSystem, u0, u1, cfg: ShootingConfi
     r = sys.dim
     u0 = as_point(u0, r)
     u1 = as_point(u1, r)
-    sols = solve_dirichlet(sys, u0, u1, cfg)
-    if branch >= len(sols.solutions):
-        raise NoSuchBranchError(
-            f"requested branch {branch}, found {len(sols.solutions)} solutions")
-    center = sols.solutions[branch]
+    center = _branch(solve_dirichlet(sys, u0, u1, cfg), branch)
     p0c = center.p0
     p1c = center.p1
     cont = _continued(_continue_branch(sys, [(u0, u1, p0c)], cfg, fd_step)[0])  # [end, a, sign]
@@ -637,7 +632,4 @@ def solve_with_lagrangian_boundary(sys: HamiltonianSystem, grad_F: Callable,
     found, _, _ = _multistart_newton(
         lambda rows, P: _batch_eval(sys, None, P, boundary, icfg, want_jacobian=True),
         _shooting_unknowns(sys, None, X, icfg), cfg)
-    branches = _branches(sys, None, found, boundary, icfg)
-    entries = sorted((b for b in branches if b is not None), key=lambda e: tuple(e.p0))
-    classification, reps = _classify(sys.config, entries, cfg)
-    return BvpSolutionSet(endpoints=None, solutions=tuple(reps), classification=classification)
+    return _solution_set(sys.config, _branches(sys, None, found, boundary, icfg), cfg)

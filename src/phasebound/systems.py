@@ -114,7 +114,7 @@ def make_free_particle(m=1.0, dim=1):
         raise NonPositiveMassError(f"mass must be positive, got {m}")
     r = dim
     cfgspace = ConfigSpace(r)
-    eye = np.eye(r)
+    inv_mass = np.eye(r) / m
 
     sys = HamiltonianSystem(
         config=cfgspace,
@@ -123,7 +123,7 @@ def make_free_particle(m=1.0, dim=1):
         grad_p=lambda t, u, p: np.asarray(p, dtype=float) / m,
         hess_uu=lambda t, u, p: np.zeros(np.shape(u) + (r,)),
         hess_up=lambda t, u, p: np.zeros(np.shape(u) + (r,)),
-        hess_pp=lambda t, u, p: np.broadcast_to(eye / m, np.shape(u) + (r,)),
+        hess_pp=lambda t, u, p: np.zeros(np.shape(u) + (r,)) + inv_mass,
         analytic_flow=lambda t, u0, p0: (np.asarray(u0) + np.asarray(p0) * t / m, np.asarray(p0)),
         separable=True,
         vectorized=True,
@@ -412,13 +412,13 @@ class VectorField:
 
 def linear_vector_field(dim=1, scale=1.0):
     """X(u) = scale * u, with flow u0 * exp(scale * t)."""
-    eye = np.eye(dim)
+    scaled_eye = scale * np.eye(dim)
 
     def X(u):
         return scale * np.asarray(u, dtype=float)
 
     def dX(u):
-        return np.broadcast_to(scale * eye, np.shape(u) + (dim,))
+        return np.zeros(np.shape(u) + (dim,)) + scaled_eye
 
     def d2X(u):
         return np.zeros(np.shape(u) + (dim, dim))
@@ -435,7 +435,7 @@ def constant_vector_field(c):
     r = c.size
 
     def X(u):
-        return np.broadcast_to(c, np.shape(u))
+        return np.zeros(np.shape(u)) + c
 
     def dX(u):
         return np.zeros(np.shape(u) + (r,))

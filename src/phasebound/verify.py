@@ -25,7 +25,7 @@ from .core import (
     boundary_omega_matrix,
     central_quotient,
 )
-from .errors import BranchLostError, FlowIncompleteError
+from .errors import BranchLostError, FlowIncompleteError, NoSuchBranchError
 from .integrators import Completed, IntegratorConfig, flow_batch, flow_with_jacobian
 # solve_dirichlet stays bound here: perfbench/tracer.py hooks it under this module
 from .shooting import ShootingConfig, _continue_branch, _continued, solve_dirichlet_many
@@ -146,8 +146,11 @@ def isotropy_defect_bvp(sys: HamiltonianSystem, endpoint_samples, cfg: ShootingC
     available, as long as local solutions exist near the sampled endpoints.
     All pairs are solved in one batch, and all their continuations in one
     more; a pair without the branch, or whose branch is lost, is reported
-    as inapplicable with its own reason.
+    as inapplicable with its own reason; a negative branch is no pair's and
+    raises NoSuchBranchError before any solve.
     """
+    if branch < 0:
+        raise NoSuchBranchError(f"requested branch {branch}; branches are numbered from 0")
     sets = solve_dirichlet_many(sys, endpoint_samples, cfg)
     conts = iter(_continue_branch(sys, [(*s.endpoints, s.solutions[branch].p0) for s in sets
                                         if branch < len(s.solutions)], cfg, fd_step))

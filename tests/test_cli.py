@@ -101,6 +101,23 @@ class TestSchema:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert "bad shooting configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, setting", [
+        ("shooting", {"distinctness_radius": float("nan")}),
+        ("shooting", {"distinctness_radius": float("inf")}),
+        ("shooting", {"seed_box": [-float("inf"), 6.0]}),
+        ("integrator", {"newton_tol": float("inf")}),
+    ], ids=["radius-nan", "radius-infinite", "seed-box-infinite", "integrator-tol-infinite"])
+    def test_non_finite_settings_are_exit_2_with_nothing_written(self, tmp_path, capsys,
+                                                                  section, setting):
+        # written as JSON NaN and Infinity, which json.load reads as floats
+        payload = {"system": "pendulum", "task": "bvp", "integrator": {"step": 1e-2},
+                   "shooting": {"seed_count": 8}, "parameters": {"endpoints": [0.0, np.pi / 2]}}
+        payload[section] = {**payload[section], **setting}
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
+        assert f"bad {section} configuration" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     @pytest.mark.parametrize("payload", [
         {"system": "free-particle", "task": "bvp", "shooting": {"seed_box": [1.0]},
          "parameters": {"endpoints": [0.0, 1.0]}},

@@ -108,6 +108,8 @@ class TestIntegratorConfig:
         {"step": True},
         {"newton_tol": "1e-12"},
         {"blowup_threshold": True},
+        {"newton_tol": float("inf")},
+        {"newton_tol": float("nan")},
     ])
     def test_rejects_invalid_settings(self, kw):
         with pytest.raises(ValueError):

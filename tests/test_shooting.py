@@ -24,6 +24,8 @@ from phasebound.shooting import (
     solve_with_lagrangian_boundary,
 )
 from phasebound.systems import (
+    _drift_system,
+    linear_vector_field,
     make_cotangent_lift,
     make_example,
     make_free_particle,
@@ -51,6 +53,11 @@ class TestShootingConfig:
         {"seed_count": True},
         {"max_iter": 2.5},
         {"distinctness_radius": True},
+        {"distinctness_radius": float("nan")},
+        {"distinctness_radius": float("inf")},
+        {"seed_box": (-float("inf"), 6.0)},
+        {"seed_box": (-6.0, float("inf"))},
+        {"seed_box": (float("nan"), 6.0)},
     ])
     def test_rejects_invalid_settings(self, kw):
         with pytest.raises(ValueError):
@@ -195,6 +202,13 @@ class TestPrincipalFunction:
         free = make_free_particle()
         with pytest.raises(NoSuchBranchError):
             hamilton_principal_function(free.system, [0.0], [2.0], fast_cfg(), branch=5)
+
+    @pytest.mark.parametrize("branch", [-1, -7])
+    @pytest.mark.parametrize("check", [hamilton_principal_function, generating_function_check])
+    def test_negative_branch(self, check, branch):
+        # the pendulum 0 -> pi/2 has several branches; a negative index names none
+        with pytest.raises(NoSuchBranchError, match=f"requested branch {branch} of"):
+            check(make_pendulum().system, [0.0], [np.pi / 2], fast_cfg(), branch=branch)
 
 
 class TestGeneratingFunction:
@@ -610,6 +624,48 @@ class TestMultipleShooting:
         assert not np.any(res[:, :-2])  # every continuity defect is exactly 0
         assert np.array_equal(res[:, -2:], res1)
         np.testing.assert_allclose(step[:, :2], step1, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["pendulum", "pendulum-verlet", "lambda-family-pair",
+                                      "pendulum-graph", "quartic-escaping"])
+    def test_lift_is_the_full_flow_at_the_segment_nodes(self, monkeypatch, case):
+        # the chained segment flights reach the nodes k n / M of one stored-path
+        # flow over [0, 1] bit for bit, for every member whose flow completes
+        seeds, icfg = fast_cfg().resolve_seeds(1), IntegratorConfig()
+        sys, u0, lead = make_pendulum().system, np.full_like(seeds, 0.3), seeds
+        if case == "pendulum-verlet":
+            icfg = IntegratorConfig(scheme="stormer-verlet")
+        elif case == "lambda-family-pair":  # each row flown with its own weight
+            sys = _drift_system(np.repeat([1.0, 0.5], len(seeds) // 2), linear_vector_field(),
+                                "lambda-family")
+        elif case == "pendulum-graph":
+            u0, lead = None, np.array([[u, p] for u in (-0.5, 0.3) for p in (-2.0, 0.4, 3.0)])
+        elif case == "quartic-escaping":
+            sys, u0 = make_example("quartic").system, np.ones_like(seeds)
+        flights = []
+        flow = shooting.flow_batch
+
+        def recording(*args, **kwargs):
+            flights.append(kwargs)
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "flow_batch", recording)
+        unknowns = shooting._shooting_unknowns(sys, u0, lead, icfg)
+        m, r = shooting._segment_count(sys, icfg), sys.dim
+        assert m == 8 and len(flights) == m - 1
+        assert not any(f.get("store_path") or f.get("want_jacobian") for f in flights)
+        Z = lead if u0 is None else np.hstack([u0, lead])
+        _, (path_u, path_p), _, _, ok, _ = flow(sys, Z[:, :r], Z[:, r:], icfg, store_path=True)
+        assert ok.any() and ok.all() != (case == "quartic-escaping")
+        assert np.array_equal(unknowns[:, :lead.shape[1]], lead)
+        n = path_u.shape[0] - 1
+        nodes = np.concatenate([path_u, path_p], axis=2)[np.arange(1, m) * (n // m)]
+        interior = unknowns[:, lead.shape[1]:].reshape(len(lead), m - 1, 2 * r)
+        assert np.array_equal(interior[ok], nodes.transpose(1, 0, 2)[ok])
+        # one segment: the lift is the leading unknowns, with no flight
+        single = IntegratorConfig(step=8e-3, scheme=icfg.scheme)
+        assert shooting._segment_count(sys, single) == 1
+        assert np.array_equal(shooting._shooting_unknowns(sys, u0, lead, single), lead)
+        assert len(flights) == m - 1
 
     @pytest.mark.parametrize("name, u0, u1", [
         ("pendulum", [0.0], [np.pi / 2]),

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from phasebound import verify
+from phasebound.errors import NoSuchBranchError
 from phasebound.integrators import IntegratorConfig, flow_batch, integrate_flow
 from phasebound.shooting import ShootingConfig, solve_dirichlet
 from phasebound.systems import (
@@ -77,6 +79,19 @@ class TestBvpRoute:
             assert rep.samples == 1
             assert rep.max_defect <= 1e-6
             assert rep.rank_estimate == 2
+
+    @pytest.mark.parametrize("branch", [-1, -7])
+    def test_negative_branch_raises_before_any_solve(self, monkeypatch, branch):
+        monkeypatch.setattr(verify, "solve_dirichlet_many", lambda *a, **k: pytest.fail("solved"))
+        with pytest.raises(NoSuchBranchError):
+            isotropy_defect_bvp(make_pendulum().system, [([0.0], [np.pi / 2])],
+                                shooting_cfg(), branch=branch)
+
+    def test_too_large_branch_is_inapplicable_per_pair(self):
+        rep = isotropy_defect_bvp(make_pendulum().system, [([0.0], [np.pi / 2])],
+                                  shooting_cfg(), branch=7)
+        assert rep.samples == 0
+        assert [reason for _, _, reason in rep.inapplicable] == ["only 3 branches"]
 
     def test_unreachable_endpoints_inapplicable(self):
         lift = make_cotangent_lift()
