@@ -99,8 +99,10 @@ class HamiltonianSystem:
 
     ``analytic_flow`` is an oracle map (t, u0, p0) -> (u(t), p(t)) used for
     cross-checks.  Systems flagged ``analytic_only`` are integrated by
-    sampling that oracle instead of stepping the vector field (then
-    ``analytic_flow_jacobian`` supplies the tangent flow).
+    sampling that oracle instead of stepping the vector field, and
+    ``analytic_flow_jacobian`` (t, u0, p0) -> (2r, 2r) supplies their tangent
+    flow; such a system must bring both (ValueError otherwise), and its
+    Hessian blocks go unused.
 
     ``vectorized`` declares that the callbacks broadcast over a leading batch
     axis of u and p, enabling batched integration.  ``autonomous`` declares
@@ -122,6 +124,10 @@ class HamiltonianSystem:
     vectorized: bool = False
     autonomous: bool = False
     name: str = "custom"
+
+    def __post_init__(self):
+        if self.analytic_only and None in (self.analytic_flow, self.analytic_flow_jacobian):
+            raise ValueError(f"{self.name}: analytic_only needs analytic_flow and its jacobian")
 
     @property
     def dim(self):

@@ -36,7 +36,6 @@ from .core import (
     _eval_along,
     as_point,
     canonical_skew,
-    central_difference,
     hessian_block,
     linearized_field_matrix,
 )
@@ -73,8 +72,8 @@ class IntegratorConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0.0 < self.step <= 1.0):
             raise ValueError("step must lie in (0, 1]")
-        if not (0 < self.newton_tol < np.inf and self.blowup_threshold > 0):
-            raise ValueError("newton_tol must be positive and finite, blowup_threshold positive")
+        if not (0 < self.newton_tol < np.inf and 0 < self.blowup_threshold < np.inf):
+            raise ValueError("newton_tol and blowup_threshold must be positive and finite")
         if self.newton_max_iter < 1 or self.max_step_halvings < 0:
             raise ValueError("need newton_max_iter >= 1 and max_step_halvings >= 0")
 
@@ -161,16 +160,6 @@ def integrate_flow(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig, t0=0.0
     """March Hamilton's equations to t1 or stop at the blow-up threshold."""
     res, _ = flow_with_jacobian(sys, u0, p0, cfg, t0, t1, want_jacobian=False)
     return res
-
-
-def _fd_flow_jacobian(sys, u0, p0, span, delta=1e-6):
-    """Central-difference flow jacobian for analytic-flow systems."""
-    r = u0.size
-
-    def flow(z):
-        return np.concatenate([np.atleast_1d(x) for x in sys.analytic_flow(span, z[:r], z[r:])])
-
-    return central_difference(flow, np.concatenate([u0, p0]), delta)
 
 
 def flow_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig, t0=0.0, t1=1.0):
@@ -397,10 +386,7 @@ def _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path):
     if want_jacobian:
         jac = np.empty((bsz, 2 * r, 2 * r))
         for b in range(bsz):
-            if sys.analytic_flow_jacobian is not None:
-                jac[b] = sys.analytic_flow_jacobian(t1 - t0, U0[b], P0[b])
-            else:
-                jac[b] = _fd_flow_jacobian(sys, U0[b], P0[b], t1 - t0)
+            jac[b] = sys.analytic_flow_jacobian(t1 - t0, U0[b], P0[b])
     path = (path_u, path_p) if store_path else None
     return grid, path, path_u[-1], path_p[-1], ok, jac
 

@@ -77,6 +77,8 @@ class ShootingConfig:
             raise ValueError("distinctness radius must be positive and finite")
         if (self.seed_count if self.seeds is None else len(self.seeds)) < 1:
             raise ValueError("need at least one seed")
+        if self.seeds is not None and not np.isfinite(np.asarray(self.seeds, dtype=float)).all():
+            raise ValueError("explicit seeds must be finite")
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError("newton_tol must be positive and finite")
         if self.max_iter < 1:

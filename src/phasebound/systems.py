@@ -105,34 +105,47 @@ def _analytic_flow_residual_check(sys, u0, p0, n_nodes=2000, tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
+# Kinetic-plus-potential systems
+# ---------------------------------------------------------------------------
+
+def _kinetic_system(config, m, V, dV, d2V, name, analytic_flow=None):
+    """H = |p|^2 / 2m + V(u) on ``config``, separable; dV and d2V, V's gradient
+    (..., dim) and Hessian (..., dim, dim), are called with u as a float array."""
+    if m <= 0:
+        raise NonPositiveMassError(f"mass must be positive, got {m}")
+    r = config.dim
+    inv_mass = np.eye(r) / m
+    return HamiltonianSystem(
+        config=config,
+        hamiltonian=lambda t, u, p: np.sum(p * p, axis=-1) / (2.0 * m) + V(u),
+        grad_u=lambda t, u, p: dV(np.asarray(u, dtype=float)),
+        grad_p=lambda t, u, p: np.asarray(p, dtype=float) / m,
+        hess_uu=lambda t, u, p: d2V(np.asarray(u, dtype=float)),
+        hess_up=lambda t, u, p: np.zeros(np.shape(u) + (r,)),
+        hess_pp=lambda t, u, p: np.zeros(np.shape(u) + (r,)) + inv_mass,
+        analytic_flow=analytic_flow,
+        separable=True,
+        vectorized=True,
+        autonomous=True,
+        name=name,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Free particle
 # ---------------------------------------------------------------------------
 
 def make_free_particle(m=1.0, dim=1):
     """Kinetic Hamiltonian |p|^2 / 2m on R^dim."""
-    if m <= 0:
-        raise NonPositiveMassError(f"mass must be positive, got {m}")
     r = dim
-    cfgspace = ConfigSpace(r)
-    inv_mass = np.eye(r) / m
-
-    sys = HamiltonianSystem(
-        config=cfgspace,
-        hamiltonian=lambda t, u, p: np.sum(p * p, axis=-1) / (2.0 * m),
-        grad_u=lambda t, u, p: np.zeros_like(np.asarray(u, dtype=float)),
-        grad_p=lambda t, u, p: np.asarray(p, dtype=float) / m,
-        hess_uu=lambda t, u, p: np.zeros(np.shape(u) + (r,)),
-        hess_up=lambda t, u, p: np.zeros(np.shape(u) + (r,)),
-        hess_pp=lambda t, u, p: np.zeros(np.shape(u) + (r,)) + inv_mass,
+    sys = _kinetic_system(
+        ConfigSpace(r), m, lambda u: 0.0, np.zeros_like, lambda u: np.zeros(u.shape + (r,)),
+        f"free-particle(m={m})",
         analytic_flow=lambda t, u0, p0: (np.asarray(u0) + np.asarray(p0) * t / m, np.asarray(p0)),
-        separable=True,
-        vectorized=True,
-        autonomous=True,
-        name=f"free-particle(m={m})",
     )
 
     facts = {
-        "flow": lambda t, u0, p0: (np.asarray(u0) + np.asarray(p0) * t / m, np.asarray(p0)),
+        "flow": sys.analytic_flow,
         "principal_function": lambda u0, u1: 0.5 * m * float(
             np.sum((as_point(u1, r) - as_point(u0, r)) ** 2)
         ),
@@ -176,24 +189,9 @@ def make_quartic(m=1.0):
     form u(t) = 2 u0 / (2 -+ u0 t); the growing branch (+) escapes at
     t = 2/u0 when u0 > 2.
     """
-    if m <= 0:
-        raise NonPositiveMassError(f"mass must be positive, got {m}")
-    cfgspace = ConfigSpace(1)
-
-    sys = HamiltonianSystem(
-        config=cfgspace,
-        hamiltonian=lambda t, u, p: np.sum(p * p, axis=-1) / (2.0 * m)
-        - m * np.sum(u ** 4, axis=-1) / 8.0,
-        grad_u=lambda t, u, p: -0.5 * m * np.asarray(u, dtype=float) ** 3,
-        grad_p=lambda t, u, p: np.asarray(p, dtype=float) / m,
-        hess_uu=lambda t, u, p: (-1.5 * m * np.asarray(u, dtype=float) ** 2)[..., None],
-        hess_up=lambda t, u, p: np.zeros(np.shape(u) + (1,)),
-        hess_pp=lambda t, u, p: np.full(np.shape(u) + (1,), 1.0 / m),
-        separable=True,
-        vectorized=True,
-        autonomous=True,
-        name=f"quartic(m={m})",
-    )
+    sys = _kinetic_system(
+        ConfigSpace(1), m, lambda u: -(m * np.sum(u ** 4, axis=-1) / 8.0),
+        lambda u: -0.5 * m * u ** 3, lambda u: (-1.5 * m * u ** 2)[..., None], f"quartic(m={m})")
 
     def growing_curve(t, u0):
         return 2.0 * u0 / (2.0 - u0 * t)
@@ -240,24 +238,11 @@ def make_quartic(m=1.0):
 
 def make_pendulum(m=1.0, k=1.0):
     """H = p^2/2m - k cos(theta) on the cylinder (theta angular)."""
-    if m <= 0 or k <= 0:
-        raise NonPositiveMassError(f"mass and stiffness must be positive, got m={m}, k={k}")
-    cfgspace = ConfigSpace(1, kinds=("angular",))
-
-    sys = HamiltonianSystem(
-        config=cfgspace,
-        hamiltonian=lambda t, u, p: np.sum(p * p, axis=-1) / (2.0 * m)
-        - k * np.sum(np.cos(u), axis=-1),
-        grad_u=lambda t, u, p: k * np.sin(np.asarray(u, dtype=float)),
-        grad_p=lambda t, u, p: np.asarray(p, dtype=float) / m,
-        hess_uu=lambda t, u, p: (k * np.cos(np.asarray(u, dtype=float)))[..., None],
-        hess_up=lambda t, u, p: np.zeros(np.shape(u) + (1,)),
-        hess_pp=lambda t, u, p: np.full(np.shape(u) + (1,), 1.0 / m),
-        separable=True,
-        vectorized=True,
-        autonomous=True,
-        name=f"pendulum(m={m},k={k})",
-    )
+    if k <= 0:
+        raise NonPositiveMassError(f"stiffness must be positive, got k={k}")
+    sys = _kinetic_system(
+        ConfigSpace(1, kinds=("angular",)), m, lambda u: -(k * np.sum(np.cos(u), axis=-1)),
+        lambda u: k * np.sin(u), lambda u: (k * np.cos(u))[..., None], f"pendulum(m={m},k={k})")
 
     facts = {"small_angle_frequency": math.sqrt(k / m)}
 
@@ -347,22 +332,11 @@ def make_sphere_geodesics():
     is the closed-form great-circle motion used for integration.  Antipodal
     endpoint pairs are joined by a circle's worth of unit-speed solutions.
     """
-    cfgspace = ConfigSpace(3)
-
-    def hess_up(t, u, p):
-        u = np.asarray(u, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return 2.0 * u[..., :, None] * p[..., None, :]
-
-    eye = np.eye(3)
     sys = HamiltonianSystem(
-        config=cfgspace,
+        config=ConfigSpace(3),
         hamiltonian=lambda t, u, p: 0.5 * np.sum(u * u, axis=-1) * np.sum(p * p, axis=-1),
         grad_u=lambda t, u, p: np.sum(p * p, axis=-1)[..., None] * np.asarray(u, dtype=float),
         grad_p=lambda t, u, p: np.sum(u * u, axis=-1)[..., None] * np.asarray(p, dtype=float),
-        hess_uu=lambda t, u, p: np.sum(p * p, axis=-1)[..., None, None] * eye,
-        hess_pp=lambda t, u, p: np.sum(u * u, axis=-1)[..., None, None] * eye,
-        hess_up=hess_up,
         analytic_flow=_sphere_flow,
         analytic_flow_jacobian=_sphere_flow_jacobian,
         analytic_only=True,

@@ -25,10 +25,11 @@ from .core import (
     boundary_omega_matrix,
     central_quotient,
 )
-from .errors import BranchLostError, FlowIncompleteError, NoSuchBranchError
-from .integrators import Completed, IntegratorConfig, flow_batch, flow_with_jacobian
-# solve_dirichlet stays bound here: perfbench/tracer.py hooks it under this module
+from .errors import BranchLostError, NoSuchBranchError
+from .integrators import Completed, IntegratorConfig, flow_batch
 from .shooting import ShootingConfig, _continue_branch, _continued, solve_dirichlet_many
+# flow_with_jacobian and solve_dirichlet stay bound here: perfbench/tracer.py hooks them
+from .integrators import flow_with_jacobian  # noqa: F401
 from .shooting import solve_dirichlet  # noqa: F401
 
 HYPOTHESIS_CAVEAT = (
@@ -60,23 +61,6 @@ def frame_defect_and_rank(frame):
     sv = np.linalg.svd(frame, compute_uv=False)
     rank = int(np.sum(sv > RANK_CUTOFF * sv[0]))
     return defect, rank
-
-
-def tangent_frame_flow(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig):
-    """Tangent frame (I; DPhi_1) to the graph of the time-1 flow at (u0, p0).
-
-    Returns (frame, None), the frame a (4r, 2r) matrix in (du0, dp0, du1, dp1)
-    row layout, or (None, status) with the flow's status if the flow does not
-    complete; the one-point case of isotropy_defect_flow.
-    """
-    r = sys.dim
-    try:
-        result, jac = flow_with_jacobian(sys, as_point(u0, r), as_point(p0, r), cfg)
-    except FlowIncompleteError as exc:
-        return None, exc.status
-    if not result.completed:
-        return None, result.status
-    return np.vstack([np.eye(2 * r), jac]), None
 
 
 def isotropy_defect_flow(sys: HamiltonianSystem, initial_points, cfg: IntegratorConfig,

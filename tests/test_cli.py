@@ -106,7 +106,10 @@ class TestSchema:
         ("shooting", {"distinctness_radius": float("inf")}),
         ("shooting", {"seed_box": [-float("inf"), 6.0]}),
         ("integrator", {"newton_tol": float("inf")}),
-    ], ids=["radius-nan", "radius-infinite", "seed-box-infinite", "integrator-tol-infinite"])
+        ("integrator", {"blowup_threshold": float("inf")}),
+        ("shooting", {"seeds": [float("nan"), 1.0]}),
+    ], ids=["radius-nan", "radius-infinite", "seed-box-infinite", "integrator-tol-infinite",
+            "blowup-threshold-infinite", "seed-nan"])
     def test_non_finite_settings_are_exit_2_with_nothing_written(self, tmp_path, capsys,
                                                                   section, setting):
         # written as JSON NaN and Infinity, which json.load reads as floats

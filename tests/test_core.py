@@ -9,6 +9,7 @@ from phasebound.core import (
     BoundaryPoint,
     BoundaryTangent,
     ConfigSpace,
+    HamiltonianSystem,
     TimeGrid,
     Trajectory,
     action_functional,
@@ -297,6 +298,16 @@ class TestTypes:
             Trajectory(grid, np.zeros((3, 1)), np.zeros((3, 1)))
         with pytest.raises(NonFiniteError):
             Trajectory(grid, np.full((5, 1), np.nan), np.zeros((5, 1)))
+
+    @pytest.mark.parametrize("missing", ["analytic_flow", "analytic_flow_jacobian"])
+    def test_analytic_only_needs_its_flow_and_jacobian(self, missing):
+        closed_form = dict(analytic_flow=lambda t, u0, p0: (u0 + t * p0, p0),
+                           analytic_flow_jacobian=lambda t, u0, p0: np.eye(2))
+        closed_form[missing] = None
+        with pytest.raises(ValueError, match="analytic_only"):
+            HamiltonianSystem(ConfigSpace(1), lambda t, u, p: 0.5 * p @ p,
+                              lambda t, u, p: 0.0 * u, lambda t, u, p: p,
+                              analytic_only=True, **closed_form)
 
     def test_boundary_point_validation(self):
         with pytest.raises(NonFiniteError):

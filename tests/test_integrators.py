@@ -110,6 +110,7 @@ class TestIntegratorConfig:
         {"blowup_threshold": True},
         {"newton_tol": float("inf")},
         {"newton_tol": float("nan")},
+        {"blowup_threshold": float("inf")},
     ])
     def test_rejects_invalid_settings(self, kw):
         with pytest.raises(ValueError):

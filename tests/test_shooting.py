@@ -58,6 +58,9 @@ class TestShootingConfig:
         {"seed_box": (-float("inf"), 6.0)},
         {"seed_box": (-6.0, float("inf"))},
         {"seed_box": (float("nan"), 6.0)},
+        {"seeds": (float("nan"),)},
+        {"seeds": (float("nan"), 1.0)},
+        {"seeds": (float("inf"),)},
     ])
     def test_rejects_invalid_settings(self, kw):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phasebound import shooting, systems
-from phasebound.core import _eval_along, action_functional, check_gradients
+from phasebound.core import _eval_along, action_functional, central_difference, check_gradients
 from phasebound.errors import NegativeLambdaError, NewtonConvergenceError, NonPositiveMassError
 from phasebound.integrators import IntegratorConfig, energy_drift, integrate_flow
 from phasebound.shooting import ShootingConfig, solve_dirichlet
@@ -53,6 +53,49 @@ class TestConstructors:
             r = ex.system.dim
             probes = [(0.0, np.full(r, 0.4), np.full(r, 0.8))]
             assert check_gradients(ex.system, probes) <= 1e-6
+
+
+def _written_out_callbacks(name, m, k, r):
+    """A mechanical system's six callbacks, each formula written out in full."""
+    kinetic = lambda p: np.sum(p * p, axis=-1) / (2.0 * m)  # noqa: E731
+    shared = dict(grad_p=lambda t, u, p: np.asarray(p, dtype=float) / m,
+                  hess_up=lambda t, u, p: np.zeros(np.shape(u) + (r,)))
+    if name == "free-particle":
+        return dict(shared,
+                    hamiltonian=lambda t, u, p: kinetic(p),
+                    grad_u=lambda t, u, p: np.zeros_like(np.asarray(u, dtype=float)),
+                    hess_uu=lambda t, u, p: np.zeros(np.shape(u) + (r,)),
+                    hess_pp=lambda t, u, p: np.zeros(np.shape(u) + (r,)) + np.eye(r) / m)
+    if name == "quartic":
+        return dict(shared,
+                    hamiltonian=lambda t, u, p: kinetic(p) - m * np.sum(u ** 4, axis=-1) / 8.0,
+                    grad_u=lambda t, u, p: -0.5 * m * np.asarray(u, dtype=float) ** 3,
+                    hess_uu=lambda t, u, p: (-1.5 * m * np.asarray(u, dtype=float) ** 2)[..., None],
+                    hess_pp=lambda t, u, p: np.full(np.shape(u) + (1,), 1.0 / m))
+    return dict(shared,
+                hamiltonian=lambda t, u, p: kinetic(p) - k * np.sum(np.cos(u), axis=-1),
+                grad_u=lambda t, u, p: k * np.sin(np.asarray(u, dtype=float)),
+                hess_uu=lambda t, u, p: (k * np.cos(np.asarray(u, dtype=float)))[..., None],
+                hess_pp=lambda t, u, p: np.full(np.shape(u) + (1,), 1.0 / m))
+
+
+class TestKineticCallbacks:
+    @pytest.mark.parametrize("name, params, r", [
+        ("free-particle", {"m": 1.7}, 1),
+        ("free-particle", {"m": 1.7, "dim": 2}, 2),
+        ("quartic", {"m": 1.7}, 1),
+        ("pendulum", {"m": 1.7, "k": 2.3}, 1),
+    ], ids=["free-particle-dim-1", "free-particle-dim-2", "quartic", "pendulum"])
+    def test_callbacks_match_the_written_out_formulas_bit_for_bit(self, name, params, r):
+        sys = make_example(name, **params).system
+        expected = _written_out_callbacks(name, params["m"], params.get("k"), r)
+        rng = np.random.default_rng(20)
+        batch = (3.0 * rng.standard_normal((8, r)), 3.0 * rng.standard_normal((8, r)))
+        for u, p in (batch, (batch[0][0], batch[1][0]), (np.zeros(r), np.zeros(r))):
+            for callback, formula in expected.items():
+                got = getattr(sys, callback)(0.4, u, p)
+                assert np.array_equal(got, formula(0.4, u, p)), (callback, np.shape(u))
+        assert (sys.separable, sys.vectorized, sys.autonomous) == (True, True, True)
 
 
 class TestFreeParticle:
@@ -104,13 +147,13 @@ class TestSphere:
         np.testing.assert_allclose(p1, np.zeros(3))
 
     def test_flow_jacobian_matches_differences(self):
-        from phasebound.integrators import _fd_flow_jacobian
-
         sph = make_sphere_geodesics()
         u0 = np.array([0.0, 0.0, 1.0])
         p0 = np.array([0.8, 0.4, 0.0])
         exact = sph.system.analytic_flow_jacobian(1.0, u0, p0)
-        fd = _fd_flow_jacobian(sph.system, u0, p0, 1.0)
+        fd = central_difference(
+            lambda z: np.concatenate(sph.system.analytic_flow(1.0, z[:3], z[3:])),
+            np.concatenate([u0, p0]), 1e-6)
         np.testing.assert_allclose(exact, fd, atol=1e-7)
 
     def test_stays_on_sphere_for_tangent_data(self):
