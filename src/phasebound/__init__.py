@@ -33,8 +33,6 @@ from .integrators import (
     energy_drift,
     flow_jacobian,
     integrate_flow,
-    step_implicit_midpoint,
-    step_stormer_verlet,
     symplecticity_defect,
 )
 from .shooting import (

@@ -21,10 +21,6 @@ class DimensionMismatchError(PhaseboundError):
     """Array dimensions are inconsistent with the configuration space."""
 
 
-class NewtonConvergenceError(PhaseboundError):
-    """An implicit solve did not converge within the iteration budget."""
-
-
 class NotSeparableError(PhaseboundError):
     """A scheme requiring H = T(p) + V(u) was applied to a non-separable system."""
 

@@ -8,10 +8,11 @@ symplectic (Hairer, Lubich & Wanner, Geometric Numerical Integration,
 VI.3).  Tangent flows are accumulated from the exact derivative of each
 discrete step (for the midpoint rule, the Cayley transform obtained by
 differentiating the Newton fixed point), so the computed monodromy
-matrices are symplectic to solver tolerance.  Single flows
+matrices are symplectic to solver tolerance.  Every flow enters through
+``flow_batch`` or its step loop ``_march``: single flows
 (``flow_with_jacobian``, ``integrate_flow``, ``flow_jacobian``) are
-batches of one; the constrained integrator runs its own step on the same
-step loop, and the public one-step maps call the step directly.
+batches of one, closed-form flows are evaluated in ``flow_batch``, and the
+constrained integrator runs its own step on the same step loop.
 
 Finite-time escape is a legitimate outcome, reported as a BlowUp status
 with the threshold-crossing time rather than raised as an error.  The
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .core import (
 from .errors import (
     DimensionMismatchError,
     FlowIncompleteError,
-    NewtonConvergenceError,
     NonFiniteError,
     NotSeparableError,
 )
@@ -106,31 +105,6 @@ class FlowResult:
     @property
     def completed(self):
         return isinstance(self.status, Completed)
-
-
-# ---------------------------------------------------------------------------
-# One-step maps
-# ---------------------------------------------------------------------------
-
-def _one_step(sys, scheme, t, u, p, h, cfg):
-    cfg = cfg or IntegratorConfig(scheme=scheme, step=min(h, 1.0))
-    r = sys.dim
-    z = np.concatenate([as_point(u, r), as_point(p, r)])[None]
-    with np.errstate(all="ignore"):
-        z2, ok, _ = _stepper(sys, scheme, cfg, False)(t, z, h)
-    if not ok[0]:
-        raise NewtonConvergenceError(f"{scheme} step failed at t={t}")
-    return z2[0, :r], z2[0, r:]
-
-
-def step_implicit_midpoint(sys: HamiltonianSystem, t, u, p, h, cfg: Optional[IntegratorConfig] = None):
-    """Public one-step implicit midpoint map; returns (u', p')."""
-    return _one_step(sys, "implicit-midpoint", t, u, p, h, cfg)
-
-
-def step_stormer_verlet(sys: HamiltonianSystem, t, u, p, h, cfg: Optional[IntegratorConfig] = None):
-    """Public one-step Stormer-Verlet map for separable systems."""
-    return _one_step(sys, "stormer-verlet", t, u, p, h, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +395,13 @@ def _stop_status(z, r, t, cfg):
     return NewtonFailure(t=t)
 
 
+def _start_report(Z, ok, r, t0, n_steps, cfg):
+    """Each member's (status, stop, crossing) before a step: Completed at node ``n_steps``
+    if ok, otherwise stopped at t0 and node 0, as after a failed first step."""
+    return [(Completed(), n_steps, None) if ok[b]
+            else (_stop_status(Z[b:b + 1], r, t0, cfg), 0, None) for b in range(len(ok))]
+
+
 def _halves(step, t, z, h, r, depth, cfg):
     """Redo the failed step [t, t + h] of the one-row batch z as two steps of h/2.
 
@@ -467,9 +448,7 @@ def _march(step, Z, r, cfg, t0, t1, want_jacobian=False, store_path=False, statu
     grid = TimeGrid.uniform(n_steps, t0, t1)
     ok = np.isfinite(Z).all(axis=1)
     live = None if ok.all() else ok  # the members worth iterating, None for all
-    report = [(Completed(), n_steps, None) if ok[b]
-              else (_stop_status(Z[b:b + 1], r, t0, cfg), 0, None)
-              for b in range(bsz)] if statuses else None
+    report = _start_report(Z, ok, r, t0, n_steps, cfg) if statuses else None
     jac = np.tile(np.eye(width), (bsz, 1, 1)) if want_jacobian else None
     path = np.empty((n_steps + 1, bsz, width)) if store_path else None
     if store_path:
@@ -549,10 +528,8 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
             out = _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
         if not statuses:
             return out
-        Z0 = np.concatenate([U0, P0], axis=1)
-        return out + ([(Completed(), len(out[0]) - 1, None) if ok else
-                       (_stop_status(Z0[b:b + 1], r, t0, cfg), 0, None)
-                       for b, ok in enumerate(out[4])],)
+        return out + (_start_report(np.concatenate([U0, P0], axis=1), out[4], r, t0,
+                                    len(out[0]) - 1, cfg),)
     step = _stepper(sys, cfg.scheme, cfg, want_jacobian, tangent_exact, np.eye(2 * r))
     grid, path, Z, ok, jac, report = _march(step, np.concatenate([U0, P0], axis=1), r, cfg,
                                             t0, t1, want_jacobian, store_path, statuses)

@@ -111,7 +111,7 @@ def _analytic_flow_residual_check(sys, u0, p0, n_nodes=2000, tol=1e-8):
 def _kinetic_system(config, m, V, dV, d2V, name, analytic_flow=None):
     """H = |p|^2 / 2m + V(u) on ``config``, separable; dV and d2V, V's gradient
     (..., dim) and Hessian (..., dim, dim), are called with u as a float array."""
-    if m <= 0:
+    if not m > 0:
         raise NonPositiveMassError(f"mass must be positive, got {m}")
     r = config.dim
     inv_mass = np.eye(r) / m
@@ -238,7 +238,7 @@ def make_quartic(m=1.0):
 
 def make_pendulum(m=1.0, k=1.0):
     """H = p^2/2m - k cos(theta) on the cylinder (theta angular)."""
-    if k <= 0:
+    if not k > 0:
         raise NonPositiveMassError(f"stiffness must be positive, got k={k}")
     sys = _kinetic_system(
         ConfigSpace(1, kinds=("angular",)), m, lambda u: -(k * np.sum(np.cos(u), axis=-1)),
@@ -385,7 +385,9 @@ class VectorField:
 
 
 def linear_vector_field(dim=1, scale=1.0):
-    """X(u) = scale * u, with flow u0 * exp(scale * t)."""
+    """X(u) = scale * u, with flow u0 * exp(scale * t); ValueError unless scale is finite."""
+    if not np.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     scaled_eye = scale * np.eye(dim)
 
     def X(u):
@@ -404,8 +406,10 @@ def linear_vector_field(dim=1, scale=1.0):
 
 
 def constant_vector_field(c):
-    """X(u) = c, with flow u0 + c t."""
+    """X(u) = c, with flow u0 + c t; ValueError unless every entry of c is finite."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
+    if not np.isfinite(c).all():
+        raise ValueError(f"a constant field must be finite, got c={c}")
     r = c.size
 
     def X(u):
@@ -511,7 +515,7 @@ def make_lambda_family(lam, field=None):
 
     Defaults to the constant field X = 1 on the line.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise NegativeLambdaError(f"kinetic weight must be nonnegative, got {lam}")
     field = field or constant_vector_field(1.0)
     sys, dim = _drift_system(lam, field, f"lambda-family(lam={lam})"), field.dim
@@ -582,8 +586,8 @@ def topological_limit_study(lambdas, u0, u1, shooting_cfg=None, field=None):
     cfg = shooting_cfg or shooting.ShootingConfig()
     field = field or constant_vector_field(1.0)
     weights = np.array(lambdas, dtype=float)
-    if (weights < 0).any():
-        raise NegativeLambdaError(f"kinetic weight must be nonnegative, got {min(lambdas)}")
+    if not (weights >= 0).all():
+        raise NegativeLambdaError(f"kinetic weight must be nonnegative, got {weights.min()}")
     family = lambda k: _drift_system(weights[k], field, "lambda-family")
     status = "NoSolution"
     try:

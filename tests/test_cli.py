@@ -121,6 +121,23 @@ class TestSchema:
         assert f"bad {section} configuration" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize("name, params", [
+        ("pendulum", {"k": float("nan")}), ("pendulum", {"m": float("nan")}),
+        ("free-particle", {"m": float("nan")}), ("lambda-family", {"lam": float("nan")}),
+        ("cotangent-lift", {"scale": float("nan")}), ("lambda-family", {"c": float("nan")}),
+    ], ids=["pendulum-k", "pendulum-m", "free-particle-m", "lambda-family-lam",
+            "cotangent-lift-scale", "lambda-family-c"])
+    def test_nan_system_parameters_are_exit_2_with_nothing_written(self, tmp_path, capsys,
+                                                                   name, params):
+        # written as JSON NaN, which json.load reads as a float
+        payload = {"system": {"name": name, "params": params}, "task": "bvp",
+                   "integrator": {"step": 1e-2}, "shooting": {"seed_count": 4},
+                   "parameters": {"endpoints": [0.0, 1.0]}}
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
+        assert "bad system parameters" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     @pytest.mark.parametrize("payload", [
         {"system": "free-particle", "task": "bvp", "shooting": {"seed_box": [1.0]},
          "parameters": {"endpoints": [0.0, 1.0]}},

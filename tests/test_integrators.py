@@ -1,4 +1,4 @@
-"""One-step maps, flows, tangent flows, blow-up handling."""
+"""The step maps that flows call, flows, tangent flows, blow-up handling."""
 
 import dataclasses
 import warnings
@@ -12,7 +12,6 @@ from phasebound import integrators
 from phasebound.errors import (
     DimensionMismatchError,
     FlowIncompleteError,
-    NewtonConvergenceError,
     NotSeparableError,
 )
 from phasebound.integrators import (
@@ -25,8 +24,6 @@ from phasebound.integrators import (
     flow_jacobian,
     flow_with_jacobian,
     integrate_flow,
-    step_implicit_midpoint,
-    step_stormer_verlet,
     symplecticity_defect,
 )
 from phasebound.shooting import ShootingConfig, solve_dirichlet
@@ -40,16 +37,26 @@ from phasebound.systems import (
 )
 
 
+def one_step(sys, scheme, t, u, p, h, cfg=None):
+    """(u', p') after one step of ``scheme`` from (u, p) at t, by the step map that _march calls."""
+    z = np.concatenate([np.asarray(u, dtype=float), np.asarray(p, dtype=float)])
+    step = integrators._stepper(sys, scheme, cfg or IntegratorConfig(), False)
+    with np.errstate(all="ignore"):
+        z2, ok, _ = step(t, z[None], h)
+    assert ok[0]
+    return z2[0, :sys.dim], z2[0, sys.dim:]
+
+
 class TestImplicitMidpointStep:
     def test_free_particle_exact(self):
         free = make_free_particle()
-        u, p = step_implicit_midpoint(free.system, 0.0, [0.0], [1.0], 0.5)
+        u, p = one_step(free.system, "implicit-midpoint", 0.0, [0.0], [1.0], 0.5)
         np.testing.assert_allclose(u, [0.5], atol=1e-14)
         np.testing.assert_allclose(p, [1.0], atol=1e-14)
 
     def test_vanishing_step_is_identity(self):
         pen = make_pendulum()
-        u, p = step_implicit_midpoint(pen.system, 0.0, [0.7], [0.4], 1e-12)
+        u, p = one_step(pen.system, "implicit-midpoint", 0.0, [0.7], [0.4], 1e-12)
         np.testing.assert_allclose(u, [0.7], atol=1e-10)
         np.testing.assert_allclose(p, [0.4], atol=1e-10)
 
@@ -63,20 +70,20 @@ class TestImplicitMidpointStep:
             m = 0.5 * (z + z2)
             x = np.array([m[1], -np.sin(m[0])])
             z2 = z + h * x
-        u, p = step_implicit_midpoint(pen.system, 0.0, [0.0], [1.0], h)
+        u, p = one_step(pen.system, "implicit-midpoint", 0.0, [0.0], [1.0], h)
         np.testing.assert_allclose([u[0], p[0]], z2, atol=1e-12)
 
 
 class TestStormerVerlet:
     def test_pendulum_hand_computed(self):
         pen = make_pendulum()
-        u, p = step_stormer_verlet(pen.system, 0.0, [0.0], [1.0], 0.1)
+        u, p = one_step(pen.system, "stormer-verlet", 0.0, [0.0], [1.0], 0.1)
         np.testing.assert_allclose(u, [0.1], atol=1e-14)
         np.testing.assert_allclose(p, [1.0 - 0.05 * np.sin(0.1)], atol=1e-14)
 
     def test_free_particle_exact_any_step(self):
         free = make_free_particle()
-        u, p = step_stormer_verlet(free.system, 0.0, [0.3], [2.0], 0.7)
+        u, p = one_step(free.system, "stormer-verlet", 0.0, [0.3], [2.0], 0.7)
         np.testing.assert_allclose(u, [0.3 + 0.7 * 2.0], atol=1e-14)
         np.testing.assert_allclose(p, [2.0], atol=1e-14)
 
@@ -86,8 +93,8 @@ class TestStormerVerlet:
         diffs = []
         steps = (0.01, 0.005)
         for h in steps:
-            uv, pv = step_stormer_verlet(quart.system, 0.0, [1.0], [0.5], h)
-            um, pm = step_implicit_midpoint(quart.system, 0.0, [1.0], [0.5], h)
+            uv, pv = one_step(quart.system, "stormer-verlet", 0.0, [1.0], [0.5], h)
+            um, pm = one_step(quart.system, "implicit-midpoint", 0.0, [1.0], [0.5], h)
             diffs.append(max(abs(uv[0] - um[0]), abs(pv[0] - pm[0])))
         assert diffs[0] <= 1e-5
         ratio = diffs[0] / diffs[1]
@@ -96,7 +103,7 @@ class TestStormerVerlet:
     def test_requires_separable(self):
         lift = make_cotangent_lift()
         with pytest.raises(NotSeparableError):
-            step_stormer_verlet(lift.system, 0.0, [1.0], [1.0], 0.1)
+            one_step(lift.system, "stormer-verlet", 0.0, [1.0], [1.0], 0.1)
 
 
 class TestIntegratorConfig:
@@ -439,6 +446,21 @@ class TestMaskedMembers:
                         assert np.array_equal(path[0][:, b], path1[0][:, 0])
                         assert np.array_equal(path[1][:, b], path1[1][:, 0])
 
+    def test_non_finite_member_gets_a_first_step_status(self):
+        # a stepped batch: the NaN member stops at t0 and node 0 before any
+        # step, and the others complete as they do alone
+        pendulum = make_pendulum().system
+        cfg = IntegratorConfig(step=1e-2)
+        U0, P0 = np.array([[0.1], [np.nan], [0.3]]), np.array([[0.5], [0.2], [-0.4]])
+        _, path, _, _, ok, _, report = flow_batch(pendulum, U0, P0, cfg, store_path=True,
+                                                  statuses=True)
+        assert ok.tolist() == [True, False, True]
+        assert report[1] == (NewtonFailure(0.0), 0, None)
+        for b in (0, 2):
+            assert report[b] == (Completed(), 100, None)
+            _, solo, *_ = flow_batch(pendulum, U0[b:b + 1], P0[b:b + 1], cfg, store_path=True)
+            assert np.array_equal(path[0][:, b], solo[0][:, 0])
+            assert np.array_equal(path[1][:, b], solo[1][:, 0])
 
     def test_halving_is_per_member(self):
         # (6, 18) escapes at t = 0.33329; at h = 1e-4 its Newton solve fails on
@@ -466,12 +488,12 @@ class TestMaskedMembers:
                     assert np.array_equal(jac[b], solo_jac)
             if fate is Completed:
                 # an account of the halved step apart from flow_batch's own:
-                # two public half steps from node 3331, and the tangent of a
+                # two half steps of the step map from node 3331, and the tangent of a
                 # two-step flow over [0.3331, 0.3332] after the flow up to 0.3331
                 h = t1 / 3332
                 u, p = path_u[3331, 0], path_p[3331, 0]
-                u, p = step_implicit_midpoint(quartic, 3331 * h, u, p, 0.5 * h, cfg)
-                u, p = step_implicit_midpoint(quartic, 3331 * h + 0.5 * h, u, p, 0.5 * h, cfg)
+                for t in (3331 * h, 3331 * h + 0.5 * h):
+                    u, p = one_step(quartic, "implicit-midpoint", t, u, p, 0.5 * h, cfg)
                 assert np.array_equal([u, p], [path_u[-1, 0], path_p[-1, 0]])
                 before = flow_batch(quartic, U0[:1], P0[:1], cfg, t1=3331 * h,
                                     want_jacobian=True)[5]
@@ -505,8 +527,6 @@ class TestErrstateContract:
             ok = flow_batch(quartic, [[4.0], [1e200], [0.3]], [[8.0], [1e200], [0.2]], cfg,
                             want_jacobian=True, store_path=True)[4]
             assert ok.tolist() == [False, False, True]
-            with pytest.raises(NewtonConvergenceError):
-                step_stormer_verlet(quartic, 0.0, [1e200], [0.0], 0.1)
         assert np.geterr() == before
 
     def test_settings_restored_when_flow_raises(self):

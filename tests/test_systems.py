@@ -5,7 +5,7 @@ import pytest
 
 from phasebound import shooting, systems
 from phasebound.core import _eval_along, action_functional, central_difference, check_gradients
-from phasebound.errors import NegativeLambdaError, NewtonConvergenceError, NonPositiveMassError
+from phasebound.errors import NegativeLambdaError, NonPositiveMassError, PhaseboundError
 from phasebound.integrators import IntegratorConfig, energy_drift, integrate_flow
 from phasebound.shooting import ShootingConfig, solve_dirichlet
 from phasebound.systems import (
@@ -40,6 +40,22 @@ class TestConstructors:
     def test_negative_lambda_rejected(self):
         with pytest.raises(NegativeLambdaError):
             make_lambda_family(-0.5)
+
+    @pytest.mark.parametrize("name, params, error", [
+        ("pendulum", {"k": np.nan}, NonPositiveMassError),
+        ("free-particle", {"m": np.nan}, NonPositiveMassError),
+        ("quartic", {"m": np.nan}, NonPositiveMassError),
+        ("pendulum", {"m": np.nan}, NonPositiveMassError),
+        ("lambda-family", {"lam": np.nan}, NegativeLambdaError),
+        ("cotangent-lift", {"scale": np.nan}, ValueError),
+        ("lambda-family", {"c": np.nan}, ValueError),
+        ("cotangent-lift", {"field": "linear", "scale": np.inf}, ValueError),
+    ], ids=["pendulum-k", "free-particle-m", "quartic-m", "pendulum-m", "lambda-family-lam",
+            "cotangent-lift-scale-nan", "lambda-family-c-nan", "linear-scale-inf"])
+    def test_non_finite_parameters_rejected(self, name, params, error):
+        # NaN fails every comparison, so each check must be written to fail on it
+        with pytest.raises(error):
+            make_example(name, **params)
 
     def test_registry_round_trip(self):
         ex = make_example("pendulum", m=2.0, k=3.0)
@@ -156,6 +172,16 @@ class TestSphere:
             np.concatenate([u0, p0]), 1e-6)
         np.testing.assert_allclose(exact, fd, atol=1e-7)
 
+    def test_flow_jacobian_at_rest_matches_differences(self):
+        # zero momentum takes the jacobian's closed-form branch for s = 0
+        sph = make_sphere_geodesics()
+        u0 = np.array([0.0, 0.0, 1.0])
+        exact = sph.system.analytic_flow_jacobian(1.0, u0, np.zeros(3))
+        fd = central_difference(
+            lambda z: np.concatenate(sph.system.analytic_flow(1.0, z[:3], z[3:])),
+            np.concatenate([u0, np.zeros(3)]), 1e-6)
+        np.testing.assert_allclose(exact, fd, atol=1e-8)
+
     def test_stays_on_sphere_for_tangent_data(self):
         sph = make_sphere_geodesics()
         res = integrate_flow(sph.system, [0.0, 0.0, 1.0], [1.3, 0.0, 0.0], cfg())
@@ -239,7 +265,7 @@ class TestTopologicalLimit:
 
     def test_solver_error_becomes_the_row_note(self, monkeypatch):
         def failing(*args, **kwargs):
-            raise NewtonConvergenceError("midpoint Newton stalled at t=0.5")
+            raise PhaseboundError("midpoint Newton stalled at t=0.5")
 
         monkeypatch.setattr(shooting, "solve_dirichlet_many", failing)
         report = topological_limit_study([1.0, 0.5], [0.0], [2.0])
@@ -331,8 +357,9 @@ class TestTopologicalLimit:
     def test_negative_lambda_raises_before_any_solve(self, monkeypatch):
         calls = []
         monkeypatch.setattr(shooting, "solve_dirichlet_many", lambda *args, **kw: calls.append(1))
-        with pytest.raises(NegativeLambdaError, match="-0.5"):
-            topological_limit_study([1.0, -0.5], [0.0], [2.0])
+        for lambdas, shown in (([1.0, -0.5], "-0.5"), ([np.nan, 0.5], "nan")):
+            with pytest.raises(NegativeLambdaError, match=shown):
+                topological_limit_study(lambdas, [0.0], [2.0])
         assert calls == []
 
     def test_junction_jumps_are_far_below_what_the_residual_bound_tolerates(self):
