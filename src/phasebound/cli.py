@@ -252,9 +252,12 @@ def _shooting_config(scenario, icfg, dim):
 
 
 def _points(values, dims, where):
-    """One point per dimension in dims from a scenario's list of values."""
+    """One finite point per dimension in dims from a scenario's list of values."""
     try:
-        return tuple(as_point(v, d) for v, d in zip(values, dims, strict=True))
+        points = tuple(as_point(v, d) for v, d in zip(values, dims, strict=True))
+        if not np.isfinite(np.concatenate(points)).all():
+            raise ValueError("an entry is not finite")
+        return points
     except (TypeError, ValueError, DimensionMismatchError) as exc:
         raise ScenarioError(f"{where} must be {len(dims)} points of dimensions "
                             f"{list(dims)}: {exc}") from exc

@@ -334,15 +334,6 @@ class Trajectory:
         return self.positions[k], self.momenta[k]
 
 
-def trajectory_distance(config: ConfigSpace, a: Trajectory, b: Trajectory):
-    """Sup-distance between two trajectories on the same grid (angular-aware)."""
-    if len(a.grid) != len(b.grid) or not np.allclose(a.grid.nodes, b.grid.nodes):
-        raise GridTooCoarseError("trajectory distance requires a common grid")
-    dq = config.wrap_diff(a.positions, b.positions)
-    dp = a.momenta - b.momenta
-    return float(max(np.abs(dq).max(), np.abs(dp).max()))
-
-
 @dataclass(frozen=True)
 class BoundaryPoint:
     """An element (u0, p0; u1, p1) of T*Q x T*Q - boundary data of a curve."""

@@ -35,7 +35,6 @@ from .core import (
     central_difference,
     central_points,
     central_quotient,
-    trajectory_distance,
 )
 from .errors import (
     BranchLostError,
@@ -129,13 +128,6 @@ class BvpSolutionSet:
     endpoints: Optional[tuple]
     solutions: tuple
     classification: Classification
-
-
-def _cond(mat):
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] <= 0 or not np.isfinite(sv[-1]):
-        return float("inf")
-    return float(sv[0] / sv[-1])
 
 
 # Most segments a shooting problem is split into (see _segment_count).
@@ -361,24 +353,29 @@ def _branches(sys, u0, P, boundary, icfg):
     with np.errstate(all="ignore"):
         residuals = np.max(np.abs(b), axis=1)
     mats = _condensed_matrix(jac.reshape(bsz, m, 2 * r, 2 * r), rows, k)
+    sv = np.linalg.svd(np.where(ok[:, None, None], mats, 0.0), compute_uv=False)
+    with np.errstate(all="ignore"):  # rows not ok are zeros: 0 / 0
+        cond = np.where((sv[:, -1] > 0) & np.isfinite(sv[:, -1]), sv[:, 0] / sv[:, -1], np.inf)
     grid = TimeGrid.uniform(n * m)  # a flow's over [0, 1]
     return [BvpBranch(Z[i * m, r:].copy(), Trajectory(grid, *(stitch(s, i) for s in path)),
-                      float(residuals[i]), mats[i], _cond(mats[i])) if ok[i] else None
+                      float(residuals[i]), mats[i], float(cond[i])) if ok[i] else None
             for i in range(bsz)]
 
 
 def _dedupe(config: ConfigSpace, entries, radius):
+    """Representatives of ``entries``, which share one grid (one _branches call builds it):
+    each joins the first within sup-distance ``radius``, replacing it if its residual is lower."""
     reps = []
     for e in entries:
-        matched = None
+        u, p = e.trajectory.positions, e.trajectory.momenta
         for i, rep in enumerate(reps):
-            if trajectory_distance(config, e.trajectory, rep.trajectory) < radius:
-                matched = i
+            if max(np.abs(config.wrap_diff(u, rep.trajectory.positions)).max(),
+                   np.abs(p - rep.trajectory.momenta).max()) < radius:
+                if e.residual < rep.residual:
+                    reps[i] = e
                 break
-        if matched is None:
+        else:
             reps.append(e)
-        elif e.residual < reps[matched].residual:
-            reps[matched] = e
     return reps
 
 
@@ -504,6 +501,15 @@ def _continue_branch(sys, branches, cfg, fd_step):
     return [out[k:k + 4 * r] for k in range(0, len(out), 4 * r)]
 
 
+def _frame_from_branches(cont, r, fd_step):
+    """The (4r, 2r) tangent frame, rows (du0, dp0, du1, dp1), by central differences
+    of a branch's 4r continuations in _continue_branch's order [end, a, sign]."""
+    dp0, dp1 = (central_quotient(np.array(p).reshape(2 * r, 2, r), fd_step)
+                for p in ([b.p0 for b in cont], [b.p1 for b in cont]))
+    shift = np.eye(2 * r)
+    return np.concatenate([shift[:, :r], dp0, shift[:, r:], dp1], axis=1).T
+
+
 def _continued(outcomes):
     """The continued branches, or the first loss among them raised."""
     for o in outcomes:
@@ -544,12 +550,9 @@ def generating_function_check(sys: HamiltonianSystem, u0, u1, cfg: ShootingConfi
     defect_u0 = float(np.max(np.abs(grad_w_u0 + p0c)))
     defect_u1 = float(np.max(np.abs(grad_w_u1 - p1c)))
 
-    # d2W/du0^a du1^b via p1 displacements in u0, and via p0 displacements in u1
-    p1_of_u0 = np.array([b.p1 for b in cont[:2 * r]]).reshape(r, 2, r)
-    p0_of_u1 = np.array([b.p0 for b in cont[2 * r:]]).reshape(r, 2, r)
-    mixed_1 = central_quotient(p1_of_u0, fd_step)  # [a, b]
-    mixed_2 = -central_quotient(p0_of_u1, fd_step)  # [b, a]
-    symmetry_defect = float(np.max(np.abs(mixed_1 - mixed_2.T)))
+    # d2W/du0^a du1^b as dp1_b/du0^a, and as -dp0_a/du1^b
+    frame = _frame_from_branches(cont, r, fd_step)
+    symmetry_defect = float(np.max(np.abs(frame[3 * r:, :r].T + frame[r:2 * r, r:])))
     return GeneratingFunctionReport(
         defect_u1=defect_u1,
         defect_u0=defect_u0,

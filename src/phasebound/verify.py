@@ -23,11 +23,11 @@ from .core import (
     HamiltonianSystem,
     as_point,
     boundary_omega_matrix,
-    central_quotient,
 )
 from .errors import BranchLostError, NoSuchBranchError
 from .integrators import Completed, IntegratorConfig, flow_batch
-from .shooting import ShootingConfig, _continue_branch, _continued, solve_dirichlet_many
+from .shooting import (ShootingConfig, _continue_branch, _continued, _frame_from_branches,
+                       solve_dirichlet_many)
 # flow_with_jacobian and solve_dirichlet stay bound here: perfbench/tracer.py hooks them
 from .integrators import flow_with_jacobian  # noqa: F401
 from .shooting import solve_dirichlet  # noqa: F401
@@ -97,14 +97,6 @@ def _isotropy_report(frames, inapplicable, tangent_source, seed):
         rank_estimate=min((rk for _, rk in measured), default=0),
         seed=seed,
     )
-
-
-def _frame_from_branches(cont, r, fd_step):
-    """Frame columns by central differences of a branch's 4r continuations."""
-    dp0, dp1 = (central_quotient(np.array(p).reshape(2 * r, 2, r), fd_step)
-                for p in ([b.p0 for b in cont], [b.p1 for b in cont]))
-    shift = np.eye(2 * r)
-    return np.concatenate([shift[:, :r], dp0, shift[:, r:], dp1], axis=1).T
 
 
 def tangent_frame_bvp(sys: HamiltonianSystem, u0, u1, p0_branch, cfg: ShootingConfig,

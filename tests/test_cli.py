@@ -35,6 +35,7 @@ def strip_timing(report):
 
 
 PLANAR = {"system": {"name": "free-particle", "params": {"dim": 2}}}
+NAN, INF = float("nan"), float("inf")
 
 
 def gotay_state(**changed):
@@ -136,6 +137,41 @@ class TestSchema:
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
         assert "bad system parameters" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("payload", [
+        {"system": "free-particle", "task": "bvp", "parameters": {"endpoints": [NAN, 1.0]}},
+        {"system": "free-particle", "task": "classify",
+         "parameters": {"endpoint_pairs": [[0.0, 1.0], [0.0, NAN]]}},
+        {"system": "free-particle", "task": "isotropy",
+         "parameters": {"route": "flow", "points": [[0.1, 0.2], [NAN, 0.2]]}},
+        {"system": "free-particle", "task": "isotropy",
+         "parameters": {"route": "flow", "points": [[0.1, INF]]}},
+        {"system": "free-particle", "task": "isotropy",
+         "parameters": {"route": "bvp", "endpoint_pairs": [[NAN, 1.0]]}},
+        {"system": {"name": "lambda-family", "params": {"field": "constant", "c": 1.0}},
+         "task": "lambda-study", "parameters": {"lambdas": [1.0], "endpoints": [0.0, NAN]}},
+        {"system": "free-particle", "task": "flow", "parameters": {"u0": NAN, "p0": 1.0}},
+        {"system": "free-particle", "task": "flow", "parameters": {"u0": 0.0, "p0": INF}},
+        {"system": "free-particle", "task": "generating-function",
+         "parameters": {"endpoints": [0.0, NAN]}},
+        {**PLANAR, "task": "constrained",
+         "parameters": {"constraint": {"name": "circle"}, "u0": [NAN, 0.0], "e0": [0.0]}},
+        {**PLANAR, "task": "constrained",
+         "parameters": {"constraint": {"name": "circle"}, "u0": [0.0, 0.0], "e0": [INF]}},
+        gotay_state(p=[1.0, NAN]),
+    ], ids=["bvp-endpoint", "classify-pair", "isotropy-flow-point-nan",
+            "isotropy-flow-point-infinite", "isotropy-bvp-pair", "lambda-study-endpoint",
+            "flow-u0-nan", "flow-p0-infinite", "generating-function-endpoint",
+            "constrained-u0-nan", "constrained-e0-infinite", "gotay-state"])
+    def test_non_finite_points_are_exit_2_with_nothing_written(self, tmp_path, capsys,
+                                                                payload):
+        # written as JSON NaN and Infinity, which json.load reads as floats
+        payload = {"integrator": {"step": 1e-2}, "shooting": {"seed_count": 4}, **payload}
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error" in err and "not finite" in err
         assert not out.exists() or not list(out.iterdir())
 
     @pytest.mark.parametrize("payload", [

@@ -242,6 +242,24 @@ class TestGeneratingFunction:
         with pytest.raises(BranchLostError, match="u0 - e_0"):
             generating_function_check(make_free_particle().system, [0.0], [2.0], fast_cfg())
 
+    @pytest.mark.parametrize("system, u0, u1", [
+        (lambda: make_pendulum().system, [0.2], [1.1]),
+        (lambda: make_free_particle(dim=2).system, [0.1, -0.2], [1.0, 0.5]),
+    ], ids=["pendulum", "free-particle-2d"])
+    def test_symmetry_defect_compares_the_two_mixed_derivative_routes(self, system, u0, u1):
+        sys, cfg, fd_step = system(), fast_cfg(step=1e-2), 1e-5
+        r = sys.dim
+        rep = generating_function_check(sys, u0, u1, cfg, fd_step=fd_step)
+        center = solve_dirichlet(sys, u0, u1, cfg).solutions[0]
+        rows = shooting._continue_branch(sys, [(np.array(u0), np.array(u1), center.p0)], cfg,
+                                         fd_step)[0]
+        # rows [end, a, sign]: p1 displaced in u0, and p0 displaced in u1
+        p1_of_u0 = np.array([b.p1 for b in rows[:2 * r]]).reshape(r, 2, r)
+        p0_of_u1 = np.array([b.p0 for b in rows[2 * r:]]).reshape(r, 2, r)
+        mixed_1 = (p1_of_u0[:, 0] - p1_of_u0[:, 1]) / (2 * fd_step)
+        mixed_2 = -(p0_of_u1[:, 0] - p0_of_u1[:, 1]) / (2 * fd_step)
+        assert rep.symmetry_defect == float(np.max(np.abs(mixed_1 - mixed_2.T)))
+
     def test_defects_refine_with_probe_step(self):
         pen = make_pendulum()
         coarse = generating_function_check(pen.system, [0.2], [1.1], fast_cfg(), fd_step=1e-3)
@@ -491,6 +509,27 @@ def constant_entry(u, residual):
                            residual=residual)
 
 
+def reference_dedupe(config, entries, radius):
+    """The deduplication rule written out: each entry joins the first representative
+    within sup-distance ``radius`` (angular coordinates wrapped), replacing it when
+    its residual is lower, or becomes a representative itself."""
+    reps = []
+    for e in entries:
+        matched = None
+        for i, rep in enumerate(reps):
+            a, b = e.trajectory, rep.trajectory
+            dq = config.wrap_diff(a.positions, b.positions)
+            dp = a.momenta - b.momenta
+            if float(max(np.abs(dq).max(), np.abs(dp).max())) < radius:
+                matched = i
+                break
+        if matched is None:
+            reps.append(e)
+        elif e.residual < reps[matched].residual:
+            reps[matched] = e
+    return reps
+
+
 class TestEmptySeedBatch:
     """No seed at all gives NoSolution for every problem, as one empty seed
     set among non-empty ones does for its pair."""
@@ -528,6 +567,29 @@ class TestDedupe:
         config = ConfigSpace(1)
         once = shooting._dedupe(config, [constant_entry(u, res) for u, res in entries], 1.0)
         assert shooting._dedupe(config, once, 1.0) == once
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kinds=st.sampled_from([("angular",), ("linear", "linear")]),
+           entries=st.lists(st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+                                      st.floats(0.0, 1.0)), max_size=8))
+    @example(kinds=("angular",),  # 0 and 0.9 match 6.5 only once 2 pi is wrapped
+             entries=[([0.0, 0.0] + [0.0] * 6, 0.5), ([6.5 / 7, 6.2 / 7] + [0.1] * 6, 0.2),
+                      ([0.9 / 7, 0.4 / 7] + [-0.2] * 6, 0.1)])
+    @example(kinds=("linear", "linear"),  # the third replaces the first, then sits by both
+             entries=[([0.0] * 8, 1.0), ([1.0, 0.0, 0.0, 0.0] + [0.0] * 4, 1.0),
+                      ([0.5, 0.1, -0.2, 0.1] + [0.3] * 4, 0.5)])
+    def test_matches_the_reference_sup_distance_rule(self, kinds, entries):
+        config = ConfigSpace(len(kinds), kinds)
+        r = config.dim
+        span = 7.0 if kinds == ("angular",) else 1.5  # angular paths wrap past 2 pi
+        made = [SimpleNamespace(
+                    trajectory=Trajectory(TimeGrid([0.0, 1.0]),
+                                          span * np.reshape(v[:2 * r], (2, r)),
+                                          0.5 * np.reshape(v[4:4 + 2 * r], (2, r))),
+                    residual=res)
+                for v, res in entries]
+        got = shooting._dedupe(config, made, 1.0)
+        assert [id(e) for e in got] == [id(e) for e in reference_dedupe(config, made, 1.0)]
 
 
 class TestMultipleShooting:
@@ -771,6 +833,21 @@ class TestStitchedBranches:
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(b.jacobian, jac[:r, r:], rtol=1e-12, atol=0)
             assert b.residual == np.max(np.abs(sys.config.wrap_diff(b.u1, u1)))
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_dirichlet(make_pendulum().system, [0.0], [np.pi / 2], fast_cfg(step=1e-2)),
+        lambda: solve_dirichlet(make_sphere_geodesics().system, [0.0, 0.0, 1.0],
+                                [np.sin(1.0), 0.0, np.cos(1.0)], fast_cfg(step=1e-2)),
+        lambda: solve_with_lagrangian_boundary(
+            make_pendulum().system, lambda u0, u1: (np.array([u0[0]]), np.array([u1[0] - 0.7])),
+            fast_cfg(step=1e-2)),
+    ], ids=["pendulum-segments", "sphere", "pendulum-graph"])
+    def test_cond_is_the_jacobian_singular_value_ratio(self, solve):
+        sols = solve()
+        assert sols.solutions
+        for b in sols.solutions:
+            sv = np.linalg.svd(b.jacobian, compute_uv=False)
+            assert b.cond == sv[0] / sv[-1]
 
     def test_continuation_rows_are_full_interval_flows(self):
         pen = make_pendulum()

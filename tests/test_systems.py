@@ -6,7 +6,8 @@ import pytest
 from phasebound import shooting, systems
 from phasebound.core import _eval_along, action_functional, central_difference, check_gradients
 from phasebound.errors import NegativeLambdaError, NonPositiveMassError, PhaseboundError
-from phasebound.integrators import IntegratorConfig, energy_drift, integrate_flow
+from phasebound.integrators import (IntegratorConfig, energy_drift, flow_jacobian, integrate_flow,
+                                    symplecticity_defect)
 from phasebound.shooting import ShootingConfig, solve_dirichlet
 from phasebound.systems import (
     _drift_system,
@@ -181,6 +182,15 @@ class TestSphere:
             lambda z: np.concatenate(sph.system.analytic_flow(1.0, z[:3], z[3:])),
             np.concatenate([u0, np.zeros(3)]), 1e-6)
         np.testing.assert_allclose(exact, fd, atol=1e-8)
+
+    # The closed-form jacobian differentiates the great-circle formula in R^6,
+    # which off T*S^2 is not the flow of |u|^2 |p|^2 / 2; the defect reads 1.50.
+    @pytest.mark.xfail(strict=True, reason="the sphere's closed-form tangent flow is not "
+                                           "symplectic (see CHANGES.md)")
+    def test_tangent_flow_is_symplectic(self):
+        jac = flow_jacobian(make_sphere_geodesics().system, [0.0, 0.0, 1.0], [1.2, 0.3, 0.0],
+                            IntegratorConfig())
+        assert symplecticity_defect(jac) <= 1e-10
 
     def test_stays_on_sphere_for_tangent_data(self):
         sph = make_sphere_geodesics()
