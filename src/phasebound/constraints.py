@@ -40,6 +40,7 @@ from .core import (
     hamiltonian_vector_field,
 )
 from .errors import (
+    DimensionMismatchError,
     GridMismatchError,
     NonFiniteError,
     OffConstraintError,
@@ -158,6 +159,15 @@ def presymplectic_form_matrix(r, k):
     return m
 
 
+def _check_dimensions(sys, spec, e, *vectors):
+    """DimensionMismatchError unless e has length spec.k_dim, and sigma(e) and each of
+    ``vectors`` (u, p, Lambda) length r = sys.dim."""
+    if (np.shape(e) != (spec.k_dim,)
+            or any(np.shape(v) != (sys.dim,) for v in (spec.sigma_at(e), *vectors))):
+        raise DimensionMismatchError(f"constraint {spec.name!r} needs e of length {spec.k_dim}, "
+                                     f"and sigma(e), u, p and Lambda of length {sys.dim}")
+
+
 def _tangency_solve(sys, spec, t, u, e):
     """Minimal-norm D with dsigma(e) D = -dH/du at p = sigma(e), the unmatched residual,
     dH/du, dsigma(e) and p."""
@@ -203,9 +213,8 @@ def gotay_step(sys: HamiltonianSystem, spec: ConstraintSpec, state: ExtendedStat
     terminates, or the unmatched gradient direction is reported as a
     secondary constraint.
     """
-    r = sys.dim
-    k = spec.k_dim
-    omega0 = presymplectic_form_matrix(r, k)
+    _check_dimensions(sys, spec, state.e, state.u, state.p, state.lam)
+    omega0 = presymplectic_form_matrix(sys.dim, spec.k_dim)
     kernel = _null_space(omega0, rcond=RANK_TOL)
 
     phi = momentum_constraint_residual(spec, state.p, state.e)
@@ -312,9 +321,13 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     a callable t -> Lambda).  It is marched by the implicit midpoint rule
     (another scheme is a ValueError) on flow_batch's step loop, without step
     halving, and escapes when max|u| + max|e| crosses the blow-up threshold.
-    Raises UnstableConstraintError as soon as a state fails the tangency
-    verdict: the dynamics then requires a secondary constraint and leaves
-    the primary set.  Raises FlowIncompleteError if the first step fails.
+    Newton steers by a central-difference jacobian of the field that later
+    steps reuse until one takes more than two iterations; a step that fails
+    on a reused jacobian is rerun once on a fresh one.  Raises
+    DimensionMismatchError unless u0 and sigma(e0) have length sys.dim and
+    e0 length spec.k_dim, UnstableConstraintError as soon as a state fails the
+    tangency verdict (the dynamics then requires a secondary constraint and
+    leaves the primary set), and FlowIncompleteError if the first step fails.
     """
     if cfg.scheme != "implicit-midpoint":
         raise ValueError(f"the constrained integrator steps with the implicit midpoint rule, "
@@ -328,9 +341,10 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
         lam_of_t = lambda t: as_point(gauge(t), r)
     else:
         raise ValueError("gauge must be 'lambda-zero' or a callable t -> Lambda")
+    _check_dimensions(sys, spec, e0)  # u0 and the gauge are checked by as_point
     ExtendedState(u0, spec.sigma_at(e0), lam_of_t(0.0), e0)  # raises on non-finite start data
 
-    tangency_worst = 0.0
+    tangency_worst, lagged, calls = 0.0, [], 0  # lagged: the jacobian the steps share
 
     def rhs(t, y):
         """The field at y = (u, e), with the tangency residual and dH/du there."""
@@ -342,7 +356,8 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     # field and linearize act on a batch of one state, as the midpoint step asks
     def field(t, Y):
         # checked: the step's predictor and Newton iterates must keep tangency
-        nonlocal tangency_worst
+        nonlocal tangency_worst, calls
+        calls += 1
         value, tan_res, grad_u = rhs(t, Y[0])
         tan_norm, tangent = _tangency_verdict(tan_res, grad_u)
         if not tangent:
@@ -351,14 +366,24 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
         return value[None]
 
     def linearize(t, Y):
-        # central differences of the field with step 1e-7; unchecked, since
-        # the displaced states are off the path
-        return central_difference(lambda y: rhs(t, y)[0], Y[0], 1e-7)[None]
+        # central differences of the field with step 1e-7, unless a step left one;
+        # unchecked, since the displaced states are off the path
+        if not lagged:
+            lagged.append(central_difference(lambda y: rhs(t, y)[0], Y[0], 1e-7)[None])
+        return lagged[0]
 
     march_cfg = replace(cfg, max_step_halvings=0)
 
     def step(t, Y, h, live=None):
-        return _midpoint_step_batch(field, linearize, t, Y, h, march_cfg, False, live=live)
+        nonlocal calls, tangency_worst
+        reused, worst, calls = bool(lagged), tangency_worst, 0
+        out = _midpoint_step_batch(field, linearize, t, Y, h, march_cfg, False, live=live)
+        if calls > 3 or not out[1][0]:  # the predictor and over two Newton iterations
+            lagged.clear()
+        if reused and not out[1][0]:
+            tangency_worst = worst
+            return step(t, Y, h, live)
+        return out
 
     grid, path, *_, (stopped,) = _march(step, np.concatenate([u0, e0])[None], r, march_cfg,
                                         0.0, 1.0, store_path=True, statuses=True)

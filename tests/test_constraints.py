@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phasebound import constraints
 from phasebound.constraints import (
     ConstraintSpec,
     ExtendedState,
@@ -33,6 +36,7 @@ from phasebound.core import (
     hamiltonian_vector_field,
 )
 from phasebound.errors import (
+    DimensionMismatchError,
     FlowIncompleteError,
     GridMismatchError,
     OffConstraintError,
@@ -392,8 +396,92 @@ class TestConstrainedIntegration:
         assert norm <= integrated_el_tol(h)
 
 
+class TestDimensionChecks:
+    """u, p and Lambda of length sys.dim, e of length k_dim and sigma(e) of length
+    sys.dim are checked before the first step or probe."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: integrate_constrained(make_free_particle(dim=2).system, make_circle_constraint(),
+                                      [0, 0], [0.3, 0.5], IntegratorConfig()),
+        lambda: integrate_constrained(make_free_particle(dim=2).system, make_circle_constraint(),
+                                      [0, 0], [], IntegratorConfig()),
+        lambda: integrate_constrained(make_pendulum().system, make_identity_constraint(2),
+                                      [0.1], [0.2, 0.3], IntegratorConfig()),
+        lambda: gotay_step(make_free_particle(dim=2).system, make_circle_constraint(),
+                           ExtendedState([0, 0], [1, 0], [0, 0], [0.1, 0.2])),
+        lambda: gotay_step(make_free_particle(dim=2).system, make_circle_constraint(),
+                           ExtendedState([0, 0], [1, 0], [0], [0.1])),
+        lambda: gotay_step(make_free_particle(dim=2).system, make_circle_constraint(),
+                           ExtendedState([0], [1, 0], [0, 0], [0.1])),
+    ], ids=["e-too-long", "e-empty", "sigma-too-long", "gotay-e-too-long", "gotay-short-lam",
+            "gotay-short-u"])
+    def test_mismatch_raises_before_stepping(self, call):
+        with pytest.raises(DimensionMismatchError):
+            call()
+
+
+def kink_system(w=0.01):
+    """H = p^2/2 + u^2/2 + w log cosh((u - 0.5)/w): dH/du = u + tanh((u - 0.5)/w) turns
+    by 2 within a few w of u = 0.5, where a jacobian from before the kink is stale."""
+    return HamiltonianSystem(
+        config=ConfigSpace(1),
+        hamiltonian=lambda t, u, p: 0.5 * p[0] ** 2 + 0.5 * u[0] ** 2
+        + w * (np.logaddexp((u[0] - 0.5) / w, (0.5 - u[0]) / w) - np.log(2.0)),
+        grad_u=lambda t, u, p: np.asarray(u, dtype=float)
+        + np.tanh((np.asarray(u, dtype=float) - 0.5) / w),
+        grad_p=lambda t, u, p: np.asarray(p, dtype=float),
+        name="kink",
+    )
+
+
+class TestLaggedJacobian:
+    """The difference jacobian is built once and reused across steps (simplified Newton)."""
+
+    @pytest.mark.parametrize("case, bound", [
+        (lambda: (make_pendulum().system, make_identity_constraint(1), [0.4], [1.2]), 3500),
+        (lambda: (make_free_particle(dim=2).system, make_circle_constraint(), [0.1, -0.2],
+                  [0.3]), 2500),
+    ], ids=["identity-pendulum", "circle-free-particle"])
+    def test_tangency_solves_per_flow(self, monkeypatch, case, bound):
+        # a jacobian rebuilt on every step makes 7000 and 8000 solves over 1000 steps
+        solves = []
+        solve = constraints._tangency_solve
+        monkeypatch.setattr(constraints, "_tangency_solve",
+                            lambda *args: solves.append(None) or solve(*args))
+        res = integrate_constrained(*case(), IntegratorConfig(step=1e-3))
+        assert res.completed
+        assert len(solves) <= bound
+
+    def test_failed_step_is_rerun_on_a_fresh_jacobian(self):
+        # the jacobian reused from before the kink lets Newton run past its
+        # budget of 4 at t = 0.2; the rerun on a fresh jacobian converges
+        sys_ = kink_system()
+        cfg = IntegratorConfig(step=0.05, newton_max_iter=4)
+        con = integrate_constrained(sys_, make_identity_constraint(1), [0.0], [2.0], cfg)
+        unc = integrate_flow(sys_, [0.0], [2.0], cfg)
+        assert con.completed and unc.completed
+        assert np.abs(con.trajectory.positions - unc.trajectory.positions).max() <= 1e-12
+        assert np.abs(con.trajectory.momenta - unc.trajectory.momenta).max() <= 1e-12
+        assert con.trajectory.positions[-1, 0] == 1.6055978165552036
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(u0=st.floats(-3.0, 3.0), e0=st.floats(-3.0, 3.0),
+           step=st.sampled_from([1e-2, 2e-2, 5e-2]))
+    def test_identity_constraint_matches_the_plain_flow(self, u0, e0, step):
+        pen = make_pendulum().system
+        cfg = IntegratorConfig(step=step)
+        con = integrate_constrained(pen, make_identity_constraint(1), [u0], [e0], cfg)
+        unc = integrate_flow(pen, [u0], [e0], cfg)
+        assert con.completed
+        assert np.abs(con.trajectory.positions - unc.trajectory.positions).max() <= 1e-12
+        assert np.abs(con.trajectory.momenta - unc.trajectory.momenta).max() <= 1e-12
+
+
 # Written by the constrained integrator's own finite-difference Newton loop,
-# which the shared scalar midpoint step replaced; results must not move by a bit.
+# which the shared scalar midpoint step replaced. The identity-pendulum entry
+# was rewritten when the difference jacobian came to be reused across steps:
+# its positions and energy drift moved by one ulp. Otherwise results must not
+# move by a bit.
 CONSTRAINED_REF = json.loads(
     (Path(__file__).parent / "data" / "constrained_reference.json").read_text())
 
