@@ -450,7 +450,6 @@ def run_scenario(path, out_dir=None, seed=None, step=None):
     if seed < 0:
         raise ScenarioError(f"seed must be >= 0, got {seed}")
     out_dir = out_dir or os.environ.get(ENV_OUT_DIR) or "."
-    os.makedirs(out_dir, exist_ok=True)
     icfg = _integrator_config(scenario, step_override=step)
     ex = _build_example(scenario)
     scfg = _shooting_config(scenario, icfg, ex.system.dim)
@@ -476,6 +475,7 @@ def run_scenario(path, out_dir=None, seed=None, step=None):
     output = scenario.get("output", {})
     report_path = os.path.join(out_dir, output.get("report", "report.json"))
     written = [report_path]
+    os.makedirs(out_dir, exist_ok=True)  # only now: a scenario error leaves no directory
     atomic_write(report_path, dump_full_precision(report) + "\n")
     if traj is not None:
         traj_path = os.path.join(out_dir, output.get("trajectory", "trajectory.csv"))

@@ -47,7 +47,7 @@ from .errors import (
     UnstableConstraintError,
 )
 from .integrators import (FlowResult, IntegratorConfig, _march, _midpoint_step_batch,
-                          _stopped_path, energy_drift)
+                          _stopped_path, energy_drift, step_count)
 
 ON_CONSTRAINT_TOL = 1e-8
 RANK_TOL = 1e-10  # singular-value cutoff of the two-form's kernel; scale of tangency
@@ -385,8 +385,10 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
             return step(t, Y, h, live)
         return out
 
-    grid, path, *_, (stopped,) = _march(step, np.concatenate([u0, e0])[None], r, march_cfg,
-                                        0.0, 1.0, store_path=True, statuses=True)
+    n_steps = step_count(1.0, march_cfg.step)
+    grid, h = TimeGrid.uniform(n_steps), 1.0 / n_steps
+    path, *_, (stopped,) = _march(step, np.concatenate([u0, e0])[None], r, march_cfg,
+                                  0.0, h, n_steps, store_path=True)
     nodes, ys = _stopped_path(grid, path, stopped)
     e_path = ys[:, r:]
     lam_path = np.stack([lam_of_t(t) for t in nodes])

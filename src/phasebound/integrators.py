@@ -17,14 +17,16 @@ constrained integrator runs its own step on the same step loop.
 Finite-time escape is a legitimate outcome, reported as a BlowUp status
 with the threshold-crossing time rather than raised as an error.  The
 sup-norm threshold is a numerical proxy for "the flow fails to exist";
-it is surfaced in results, never hidden.  A flow that reports statuses
-retries a failed step on halved substeps to localize where it stops; a
-flow that does not (shooting) drops a member at its first failed step.
+it is surfaced in results, never hidden.  Every flow reports how each
+member ended.  A failed step is redone by the step loop on halved
+substeps, down to ``max_step_halvings`` halvings, to localize where the
+flow stops; shooting and the constrained flow set it to 0, so a member
+leaves at its first failed step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -56,6 +58,12 @@ def _check_field_kinds(cfg):
             raise ValueError(f"{f.name}: {v!r} is not {'an integer' if integer else 'a number'}")
 
 
+# Deepest step halving: 64 halvings take even a step of 1 below 2^-64 = 5.4e-20,
+# under the float spacing of any t >= 2^-10, where a deeper substep could not
+# advance time.
+MAX_STEP_HALVINGS = 64
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     scheme: str = "implicit-midpoint"
@@ -73,8 +81,9 @@ class IntegratorConfig:
             raise ValueError("step must lie in (0, 1]")
         if not (0 < self.newton_tol < np.inf and 0 < self.blowup_threshold < np.inf):
             raise ValueError("newton_tol and blowup_threshold must be positive and finite")
-        if self.newton_max_iter < 1 or self.max_step_halvings < 0:
-            raise ValueError("need newton_max_iter >= 1 and max_step_halvings >= 0")
+        if self.newton_max_iter < 1 or not 0 <= self.max_step_halvings <= MAX_STEP_HALVINGS:
+            raise ValueError(f"need newton_max_iter >= 1 and "
+                             f"0 <= max_step_halvings <= {MAX_STEP_HALVINGS}")
 
 
 def step_count(span, step):
@@ -115,16 +124,14 @@ def flow_with_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig,
                        t0=0.0, t1=1.0, want_jacobian=True):
     """Integrate from (u0, p0) over [t0, t1], optionally with the tangent flow.
 
-    A batch of one of ``flow_batch`` with statuses: a failed step is retried
-    on halved substeps, and an escape ends the trajectory at the state that
-    crossed the blow-up threshold.  Returns (FlowResult, jacobian or None).
-    The jacobian is None whenever the flow does not complete; if its first
-    step fails, FlowIncompleteError.
+    A batch of one of ``flow_batch``: the trajectory ends at the member's
+    stop, and an escape at the state that crossed the blow-up threshold.
+    Returns (FlowResult, jacobian or None).  The jacobian is None whenever
+    the flow does not complete; if its first step fails, FlowIncompleteError.
     """
     r = sys.dim
     grid, path, _, _, _, jac, (stopped,) = flow_batch(
-        sys, as_point(u0, r), as_point(p0, r), cfg, t0, t1, want_jacobian,
-        store_path=True, statuses=True)
+        sys, as_point(u0, r), as_point(p0, r), cfg, t0, t1, want_jacobian, store_path=True)
     times, states = _stopped_path(grid, np.concatenate(path, axis=2), stopped)
     result = FlowResult(Trajectory(TimeGrid(times), states[:, :r], states[:, r:]), stopped[0])
     return result, (jac[0] if want_jacobian and result.completed else None)
@@ -299,7 +306,7 @@ def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, tangent_e
     return Z2, ok, tangents
 
 
-def _verlet_step_batch(sys, t, Z, h, want_tangent, eye=None):
+def _verlet_step_batch(sys, t, Z, h, want_tangent, eye):
     """Stormer-Verlet (kick-drift-kick) over a batch; returns (Z', ok, tangents).
 
     The step is explicit, so there is no Newton solve: ``ok`` flags members
@@ -326,7 +333,7 @@ def _verlet_step_batch(sys, t, Z, h, want_tangent, eye=None):
     def hess(block, tt, UU, PP):
         return _eval_batch(sys, lambda t_, u, p: hessian_block(sys, block, t_, u, p), tt, UU, PP)
 
-    kick0 = np.tile(np.eye(two_r) if eye is None else eye, (bsz, 1, 1))
+    kick0 = np.tile(eye, (bsz, 1, 1))
     drift, kick1 = kick0.copy(), kick0.copy()
     kick0[:, r:, :r] = -0.5 * h * hess("uu", t, U, P)
     drift[:, :r, r:] = h * hess("pp", t + 0.5 * h, U, P_half)
@@ -334,17 +341,16 @@ def _verlet_step_batch(sys, t, Z, h, want_tangent, eye=None):
     return Z2, ok, kick1 @ drift @ kick0
 
 
-def _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path):
-    """Closed-form flow of a batch over [t0, t1]; returns as flow_batch does.
+def _analytic_batch(sys, U0, P0, t0, t1, grid, want_jacobian, store_path):
+    """Closed-form flow of a batch over [t0, t1] on ``grid``; returns (path or None,
+    U1, P1, ok, jacobians or None) as flow_batch does.
 
     The closed form is evaluated at the elapsed time t - t0.  With
-    ``store_path`` it is sampled at every node of the uniform grid and ``ok``
+    ``store_path`` it is sampled at every node of the grid and ``ok``
     requires every node to be finite; otherwise it is evaluated once, at
     t1 - t0, and ``ok`` requires finite start and end states.
     """
     bsz, r = U0.shape
-    n_steps = step_count(t1 - t0, cfg.step)
-    grid = TimeGrid.uniform(n_steps, t0, t1)
     elapsed = grid.nodes - t0 if store_path else (t1 - t0,)
     path_u = np.empty((len(elapsed), bsz, r))
     path_p = np.empty_like(path_u)
@@ -362,16 +368,17 @@ def _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path):
         for b in range(bsz):
             jac[b] = sys.analytic_flow_jacobian(t1 - t0, U0[b], P0[b])
     path = (path_u, path_p) if store_path else None
-    return grid, path, path_u[-1], path_p[-1], ok, jac
+    return path, path_u[-1], path_p[-1], ok, jac
 
 
-def _stepper(sys, scheme, cfg, want_tangent, tangent_exact=True, eye=None):
-    """step(t, Z, h, live=None) -> (Z', ok, tangents) of ``scheme`` for Hamilton's equations.
+def _stepper(sys, cfg, want_tangent, tangent_exact=True):
+    """step(t, Z, h, live=None) -> (Z', ok, tangents) of ``cfg.scheme`` for Hamilton's equations.
 
     Members outside ``live`` are stepped but not Newton-iterated (the
     Verlet step has no iteration to skip).
     """
-    if scheme == "stormer-verlet":
+    eye = np.eye(2 * sys.dim)
+    if cfg.scheme == "stormer-verlet":
         return lambda t, Z, h, live=None: _verlet_step_batch(sys, t, Z, h, want_tangent, eye)
     field, linearize = partial(_field_batch, sys), partial(_linearized_batch, sys)
     return lambda t, Z, h, live=None: _midpoint_step_batch(
@@ -402,53 +409,25 @@ def _start_report(Z, ok, r, t0, n_steps, cfg):
             else (_stop_status(Z[b:b + 1], r, t0, cfg), 0, None) for b in range(len(ok))]
 
 
-def _halves(step, t, z, h, r, depth, cfg):
-    """Redo the failed step [t, t + h] of the one-row batch z as two steps of h/2.
-
-    A half that fails is split in turn, down to ``cfg.max_step_halvings``
-    halvings (``depth`` counts those already made).  Returns (z', tangent,
-    t_cross): the state at t + h with the tangent over the step (None
-    without tangents) and t_cross None; or the first substep state over the
-    blow-up threshold, with the end t_cross of its substep; or z' None if a
-    substep still fails at the deepest halving.
-    """
-    if depth == cfg.max_step_halvings:
-        return None, None, None
-    tangent = None
-    for t_sub in (t, t + 0.5 * h):
-        z2, ok, m = step(t_sub, z, 0.5 * h)
-        t_cross = t_sub + 0.5 * h
-        if not ok[0]:
-            z2, m, t_cross = _halves(step, t_sub, z, 0.5 * h, r, depth + 1, cfg)
-            if z2 is None or t_cross is not None:
-                return z2, None, t_cross
-        elif not _sup_norms(z2, r)[0] <= cfg.blowup_threshold:
-            return z2, None, t_cross
-        z = z2
-        tangent = m if tangent is None else m @ tangent
-    return z, tangent, None
-
-
-def _march(step, Z, r, cfg, t0, t1, want_jacobian=False, store_path=False, statuses=False):
-    """The step loop of every flow: advance the states Z (one per row) over [t0, t1].
+def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=False):
+    """The step loop of every flow: advance the states Z (one per row) n_steps steps of h from t0.
 
     ``step(t, Z, h, live)`` gives (Z', ok, tangents) for states of any width;
     ``r`` splits a state z for the blow-up test max|z[:r]| + max|z[r:]|.  A
-    member whose step fails (after halving, with ``statuses``) or that
-    crosses the threshold leaves ``ok`` and is held; the loop ends when none
-    is ok.  Returns (grid, (n_nodes, batch, width) path or None, Z1, ok,
-    jacobians or None, report or None); the report gives each member's
-    (status, stop, crossing): Completed, BlowUp(t_escape) or NewtonFailure(t),
-    the node up to which its path is its own, and the state that crossed the
-    threshold at t_escape or None.
+    member whose step fails is redone from t by this loop as 2 steps of
+    h / 2, with one halving fewer to spend, while ``cfg.max_step_halvings``
+    allows; a member whose step still fails, or that crosses the threshold,
+    leaves ``ok`` and is held.  The loop ends when none is ok.  Returns
+    ((n_steps + 1, batch, width) path or None, Z1, ok, jacobians or None,
+    report); the report gives each member's (status, stop, crossing):
+    Completed, BlowUp(t_escape) or NewtonFailure(t), the node up to which
+    its path is its own, and the state that crossed the threshold at
+    t_escape or None.
     """
     bsz, width = Z.shape
-    n_steps = step_count(t1 - t0, cfg.step)
-    h = (t1 - t0) / n_steps
-    grid = TimeGrid.uniform(n_steps, t0, t1)
     ok = np.isfinite(Z).all(axis=1)
     live = None if ok.all() else ok  # the members worth iterating, None for all
-    report = _start_report(Z, ok, r, t0, n_steps, cfg) if statuses else None
+    report = _start_report(Z, ok, r, t0, n_steps, cfg)
     jac = np.tile(np.eye(width), (bsz, 1, 1)) if want_jacobian else None
     path = np.empty((n_steps + 1, bsz, width)) if store_path else None
     if store_path:
@@ -463,19 +442,22 @@ def _march(step, Z, r, cfg, t0, t1, want_jacobian=False, store_path=False, statu
                 if want_jacobian:
                     jac = np.einsum("bij,bjk->bik", tangents, jac)
             else:
-                if statuses:
-                    for b in np.flatnonzero(was_ok & ~ok):
-                        z, m, t_cross = Znew[b:b + 1], None, t + h
-                        if not step_ok[b]:
-                            z, m, t_cross = _halves(step, t, Z[b:b + 1], h, r, 0, cfg)
-                        if z is None:
-                            report[b] = (_stop_status(Z[b:b + 1], r, t, cfg), k, None)
-                        elif t_cross is not None:
-                            report[b] = (BlowUp(t_escape=t_cross), k, z[0])
-                        else:
-                            ok[b], Znew[b] = True, z[0]
-                            if want_jacobian:
-                                tangents[b] = m[0]
+                for b in np.flatnonzero(was_ok & ~ok):
+                    stopped = (BlowUp(t_escape=t + h), k, Znew[b])
+                    if not step_ok[b]:
+                        stopped = (_stop_status(Z[b:b + 1], r, t, cfg), k, None)
+                        if cfg.max_step_halvings:
+                            halved = replace(cfg, max_step_halvings=cfg.max_step_halvings - 1)
+                            _, z, sub_ok, m, ((status, _, crossing),) = _march(
+                                step, Z[b:b + 1], r, halved, t, 0.5 * h, 2, want_jacobian)
+                            if sub_ok[0]:
+                                ok[b], Znew[b] = True, z[0]
+                                if want_jacobian:
+                                    tangents[b] = m[0]
+                                continue
+                            if crossing is not None:
+                                stopped = (status, k, crossing)
+                    report[b] = stopped
                 if not ok.any():
                     if store_path:
                         path[k + 1:] = Z
@@ -487,7 +469,7 @@ def _march(step, Z, r, cfg, t0, t1, want_jacobian=False, store_path=False, statu
                     jac = np.where(ok[:, None, None], upd, jac)
             if store_path:
                 path[k + 1] = Z
-    return grid, path, Z, ok, jac, report
+    return path, Z, ok, jac, report
 
 
 def _stopped_path(grid, path, stopped):
@@ -505,8 +487,7 @@ def _stopped_path(grid, path, stopped):
 
 
 def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
-               t0=0.0, t1=1.0, want_jacobian=False, store_path=False,
-               tangent_exact=True, statuses=False):
+               t0=0.0, t1=1.0, want_jacobian=False, store_path=False, tangent_exact=True):
     """Integrate a batch of initial states over [t0, t1] simultaneously.
 
     Steps with ``cfg.scheme`` on the step loop _march: the implicit midpoint
@@ -514,25 +495,26 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
     not declared separable).  Closed-form (``analytic_only``) systems are
     evaluated, not stepped, and their grid is sampled only when
     ``store_path`` asks for the path.  Returns (grid, path or None, U1, P1,
-    ok, jacobians or None), path being a pair of (n_nodes, batch, r)
-    arrays, and with ``statuses`` a 7th element, the report of _march
-    (which also describes ``ok`` and step halving); a closed-form member
-    that is not ok stops at t0, as after a failed first step.  ``tangent_exact``
-    applies to the midpoint rule only (see _midpoint_step_batch).
+    ok, jacobians or None, report), path being a pair of (n_nodes, batch, r)
+    arrays and report that of _march, which also describes ``ok`` and step
+    halving (``cfg.max_step_halvings`` alone decides it); a closed-form
+    member that is not ok stops at t0, as after a failed first step.
+    ``tangent_exact`` applies to the midpoint rule only (see
+    _midpoint_step_batch).
     """
     U0 = np.atleast_2d(np.asarray(U0, dtype=float))
     P0 = np.atleast_2d(np.asarray(P0, dtype=float))
-    bsz, r = U0.shape
+    r = U0.shape[1]
+    n_steps = step_count(t1 - t0, cfg.step)
+    grid, h = TimeGrid.uniform(n_steps, t0, t1), (t1 - t0) / n_steps
+    Z0 = np.concatenate([U0, P0], axis=1)
     if sys.analytic_only:
         with np.errstate(all="ignore"):
-            out = _analytic_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
-        if not statuses:
-            return out
-        return out + (_start_report(np.concatenate([U0, P0], axis=1), out[4], r, t0,
-                                    len(out[0]) - 1, cfg),)
-    step = _stepper(sys, cfg.scheme, cfg, want_jacobian, tangent_exact, np.eye(2 * r))
-    grid, path, Z, ok, jac, report = _march(step, np.concatenate([U0, P0], axis=1), r, cfg,
-                                            t0, t1, want_jacobian, store_path, statuses)
-    out = (grid, (path[..., :r], path[..., r:]) if store_path else None,
-           Z[:, :r], Z[:, r:], ok, jac)
-    return out + (report,) if statuses else out
+            path, U1, P1, ok, jac = _analytic_batch(sys, U0, P0, t0, t1, grid, want_jacobian,
+                                                    store_path)
+        return grid, path, U1, P1, ok, jac, _start_report(Z0, ok, r, t0, n_steps, cfg)
+    step = _stepper(sys, cfg, want_jacobian, tangent_exact)
+    path, Z, ok, jac, report = _march(step, Z0, r, cfg, t0, h, n_steps, want_jacobian,
+                                      store_path)
+    return (grid, (path[..., :r], path[..., r:]) if store_path else None,
+            Z[:, :r], Z[:, r:], ok, jac, report)

@@ -20,7 +20,7 @@ branch-tracked finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -173,7 +173,7 @@ def _shooting_unknowns(sys, u0, lead, icfg):
     m, r = _segment_count(sys, icfg), sys.dim
     z, unknowns = _segment_states(u0, lead, r)[0], [lead]
     for _ in range(m - 1):
-        _, _, U1, P1, _, _ = flow_batch(sys, z[:, :r], z[:, r:], icfg, t1=1.0 / m)
+        _, _, U1, P1, *_ = flow_batch(sys, z[:, :r], z[:, r:], icfg, t1=1.0 / m)
         z = np.concatenate([U1, P1], axis=1)
         unknowns.append(z)
     return np.concatenate(unknowns, axis=1)
@@ -182,7 +182,7 @@ def _shooting_unknowns(sys, u0, lead, icfg):
 def _fixed_end(config, u1):
     """The Dirichlet boundary condition u(1) = u1 for _batch_eval: b is the
     wrapped u(1) - u1, and its rows are None, selecting u(1)."""
-    return lambda z0, z1, ok, want_jacobian: (config.wrap_diff(z1[:, :config.dim], u1), None)
+    return lambda z0, z1, ok: (config.wrap_diff(z1[:, :config.dim], u1), None)
 
 
 def _graph_boundary(grad_F, fd_step):
@@ -192,7 +192,7 @@ def _graph_boundary(grad_F, fd_step):
     def grad(u):
         return np.hstack(grad_F(u[:len(u) // 2], u[len(u) // 2:]))
 
-    def boundary(z0, z1, ok, want_jacobian):
+    def boundary(z0, z1, ok):
         r = z0.shape[1] // 2
         sign = np.repeat([1.0, -1.0], r)
         b = np.full(z0.shape, np.nan)
@@ -201,10 +201,9 @@ def _graph_boundary(grad_F, fd_step):
         for i in np.flatnonzero(ok):
             u = np.concatenate([z0[i, :r], z1[i, :r]])
             b[i] = np.concatenate([z0[i, r:], z1[i, r:]]) + sign * grad(u)
-            if want_jacobian:
-                B0[i, :, :r], B1[i, :, :r] = np.hsplit(
-                    sign[:, None] * central_difference(grad, u, fd_step), 2)
-        return b, (B0, B1) if want_jacobian else None
+            B0[i, :, :r], B1[i, :, :r] = np.hsplit(
+                sign[:, None] * central_difference(grad, u, fd_step), 2)
+        return b, (B0, B1)
 
     return boundary
 
@@ -216,17 +215,17 @@ def _batch_eval(sys, u0, P, boundary, icfg, want_jacobian):
     or one row per member) or (u0, p0) for ``u0`` None, then the states
     z_1 ... z_{M-1} at the interior segment nodes.  All M segments of all
     rows are flown over [0, 1/M] in one flow_batch; the residual is the
-    defects z_k - phi(z_{k-1}), then b of ``boundary(z0, z1, ok,
-    want_jacobian) -> (b, rows)`` (_fixed_end, _graph_boundary).  With
-    ``want_jacobian`` each completed member's Newton direction follows.
+    defects z_k - phi(z_{k-1}), then b of ``boundary(z0, z1, ok) -> (b,
+    rows)`` (_fixed_end, _graph_boundary).  With ``want_jacobian`` each
+    completed member's Newton direction follows.
     """
     bsz, r = P.shape[0], sys.dim
     Z, m, k = _segment_states(u0, P, r)
-    _, _, U1, P1, ok, jac = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
-                                       want_jacobian=want_jacobian, tangent_exact=False)
+    _, _, U1, P1, ok, jac, _ = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
+                                          want_jacobian=want_jacobian, tangent_exact=False)
     ends = np.concatenate([U1, P1], axis=1).reshape(bsz, m, 2 * r)
     ok = ok.reshape(bsz, m).all(axis=1)
-    b, rows = boundary(Z[::m], ends[:, -1], ok, want_jacobian)
+    b, rows = boundary(Z[::m], ends[:, -1], ok)
     res = np.concatenate([P[:, k:] - ends[:, :-1].reshape(bsz, P.shape[1] - k), b], axis=1)
     with np.errstate(all="ignore"):
         rnorm = np.max(np.abs(res), axis=1)
@@ -336,8 +335,8 @@ def _branches(sys, u0, P, boundary, icfg):
         return []
     bsz, r = P.shape[0], sys.dim
     Z, m, k = _segment_states(u0, P, r)
-    _, path, U1, P1, ok, jac = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
-                                          want_jacobian=True, store_path=True)
+    _, path, U1, P1, ok, jac, _ = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
+                                             want_jacobian=True, store_path=True)
     n = path[0].shape[0] - 1
 
     def stitch(seg, i):  # member i's (n m + 1, r) path from (n + 1, bsz m, r) segment paths
@@ -349,7 +348,7 @@ def _branches(sys, u0, P, boundary, icfg):
         return out
 
     ok = ok.reshape(bsz, m).all(axis=1)
-    b, rows = boundary(Z[::m], np.concatenate([U1, P1], axis=1)[m - 1::m], ok, True)
+    b, rows = boundary(Z[::m], np.concatenate([U1, P1], axis=1)[m - 1::m], ok)
     with np.errstate(all="ignore"):
         residuals = np.max(np.abs(b), axis=1)
     mats = _condensed_matrix(jac.reshape(bsz, m, 2 * r, 2 * r), rows, k)
@@ -434,7 +433,7 @@ def solve_dirichlet_many(sys: HamiltonianSystem | Callable, pairs, cfg: Shooting
     seeds = [np.asarray(s, dtype=float).reshape(-1, r) for s in seeds]
     owner = np.repeat(np.arange(len(pairs)), [len(s) for s in seeds])
     U0, U1 = np.array(pairs)[owner].transpose(1, 0, 2)
-    icfg = cfg.integrator
+    icfg = replace(cfg.integrator, max_step_halvings=0)  # a failed member leaves the batch
     m = _segment_count(base, icfg)
     # multistart multiple shooting of u(1; U0[i], p) = U1[i] from seed row i
     found, _, rows = _multistart_newton(
@@ -633,7 +632,8 @@ def solve_with_lagrangian_boundary(sys: HamiltonianSystem, grad_F: Callable,
         state_seeds = [(np.zeros(r), p) for p in cfg.resolve_seeds(r)]
     X = np.array([np.concatenate([as_point(u0, r), as_point(p0, r)])
                   for u0, p0 in state_seeds]).reshape(-1, 2 * r)
-    icfg, boundary = cfg.integrator, _graph_boundary(grad_F, fd_step)
+    icfg = replace(cfg.integrator, max_step_halvings=0)  # a failed member leaves the batch
+    boundary = _graph_boundary(grad_F, fd_step)
     found, _, _ = _multistart_newton(
         lambda rows, P: _batch_eval(sys, None, P, boundary, icfg, want_jacobian=True),
         _shooting_unknowns(sys, None, X, icfg), cfg)

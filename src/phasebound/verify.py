@@ -75,7 +75,7 @@ def isotropy_defect_flow(sys: HamiltonianSystem, initial_points, cfg: Integrator
     points = list(initial_points)
     U0 = np.array([as_point(u0, r) for u0, _ in points]).reshape(-1, r)
     P0 = np.array([as_point(p0, r) for _, p0 in points]).reshape(-1, r)
-    *_, jacs, statuses = flow_batch(sys, U0, P0, cfg, want_jacobian=True, statuses=True)
+    *_, jacs, statuses = flow_batch(sys, U0, P0, cfg, want_jacobian=True)
     frames, inapplicable = [], []
     for (u0, p0), jac, (status, _, _) in zip(points, jacs, statuses):
         if isinstance(status, Completed):

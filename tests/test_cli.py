@@ -93,7 +93,7 @@ class TestSchema:
         out = tmp_path / "out"
         code = main(["run", path, "--out", str(out)])
         assert code == 2
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_bad_shooting_configuration_is_exit_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"system": "free-particle", "task": "bvp",
@@ -120,7 +120,7 @@ class TestSchema:
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
         assert f"bad {section} configuration" in capsys.readouterr().err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, params", [
         ("pendulum", {"k": float("nan")}), ("pendulum", {"m": float("nan")}),
@@ -137,7 +137,7 @@ class TestSchema:
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
         assert "bad system parameters" in capsys.readouterr().err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload", [
         {"system": "free-particle", "task": "bvp", "parameters": {"endpoints": [NAN, 1.0]}},
@@ -172,7 +172,7 @@ class TestSchema:
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "scenario error" in err and "not finite" in err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload", [
         {"system": "free-particle", "task": "bvp", "shooting": {"seed_box": [1.0]},
@@ -325,9 +325,8 @@ class TestSchema:
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
         assert "scenario error" in capsys.readouterr().err
-        assert not out.exists() or not list(out.iterdir())
-        assert sorted(p.name for p in tmp_path.iterdir()) in (["scenario.json"],
-                                                               ["out", "scenario.json"])
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
     @pytest.mark.parametrize("task, parameters", [
         ("flow", {"u0": 0.0, "p0": 1.0}),
@@ -352,7 +351,7 @@ class TestSchema:
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
         assert "gives momenta of shape (2,); the system's dimension is 1" in capsys.readouterr().err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload", [
         {"system": "free-particle", "task": "flow", "parameters": {"u0": 0.0}},

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasebound import integrators
+from phasebound.core import ConfigSpace, HamiltonianSystem
 from phasebound.errors import (
     DimensionMismatchError,
     FlowIncompleteError,
     NotSeparableError,
 )
 from phasebound.integrators import (
+    MAX_STEP_HALVINGS,
     BlowUp,
     Completed,
     IntegratorConfig,
@@ -40,7 +42,8 @@ from phasebound.systems import (
 def one_step(sys, scheme, t, u, p, h, cfg=None):
     """(u', p') after one step of ``scheme`` from (u, p) at t, by the step map that _march calls."""
     z = np.concatenate([np.asarray(u, dtype=float), np.asarray(p, dtype=float)])
-    step = integrators._stepper(sys, scheme, cfg or IntegratorConfig(), False)
+    cfg = dataclasses.replace(cfg or IntegratorConfig(), scheme=scheme)
+    step = integrators._stepper(sys, cfg, False)
     with np.errstate(all="ignore"):
         z2, ok, _ = step(t, z[None], h)
     assert ok[0]
@@ -110,6 +113,7 @@ class TestIntegratorConfig:
     @pytest.mark.parametrize("kw", [
         {"newton_max_iter": 0},
         {"max_step_halvings": -1},
+        {"max_step_halvings": MAX_STEP_HALVINGS + 1},
         {"newton_max_iter": 2.5},
         {"max_step_halvings": True},
         {"step": True},
@@ -299,8 +303,8 @@ class TestClosedFormFlows:
         np.testing.assert_allclose(res.trajectory.positions, whole.trajectory.positions,
                                    atol=1e-15)
 
-        _, _, U1, P1, ok, jac = flow_batch(sph.system, self.north, self.east, cfg,
-                                           t0=0.5, t1=1.0, want_jacobian=True)
+        _, _, U1, P1, ok, jac, _ = flow_batch(sph.system, self.north, self.east, cfg,
+                                              t0=0.5, t1=1.0, want_jacobian=True)
         assert ok.all()
         np.testing.assert_allclose(U1[0], u_half, atol=1e-15)
         np.testing.assert_allclose(P1[0], p_half, atol=1e-15)
@@ -313,10 +317,10 @@ class TestClosedFormFlows:
         U0 = np.tile(self.north, (5, 1))
         P0 = rng.uniform(-4.0, 4.0, (5, 3))
         cfg = IntegratorConfig(step=1e-2)
-        grid, path, U1, P1, ok, _ = flow_batch(sph, U0, P0, cfg, want_jacobian=True)
+        grid, path, U1, P1, ok, *_ = flow_batch(sph, U0, P0, cfg, want_jacobian=True)
         assert path is None and calls == [1.0]
         calls.clear()
-        _, (path_u, path_p), U1s, P1s, oks, _ = flow_batch(sph, U0, P0, cfg, store_path=True)
+        _, (path_u, path_p), U1s, P1s, oks, *_ = flow_batch(sph, U0, P0, cfg, store_path=True)
         assert len(calls) == len(grid) == path_u.shape[0]
         np.testing.assert_array_equal(U1, U1s)
         np.testing.assert_array_equal(P1, P1s)
@@ -337,7 +341,7 @@ class TestClosedFormFlows:
             warnings.simplefilter("error")
             *_, ok, _, report = flow_batch(sph, np.tile(self.north, (2, 1)),
                                            np.stack([self.east, huge]), IntegratorConfig(),
-                                           want_jacobian=True, statuses=True)
+                                           want_jacobian=True)
         assert ok.tolist() == [True, False]
         assert isinstance(report[0][0], Completed) and report[0][1] == 1000
         assert report[1] == (BlowUp(t_escape=0.0), 0, None)
@@ -354,7 +358,8 @@ class TestBatchedVerlet:
         rng = np.random.default_rng(width)
         U0 = rng.uniform(-2.0, 2.0, (width, 1))
         P0 = rng.uniform(-3.0, 3.0, (width, 1))
-        _, _, U1, P1, ok, jac = flow_batch(pen.system, U0, P0, self.verlet, want_jacobian=True)
+        _, _, U1, P1, ok, jac, _ = flow_batch(pen.system, U0, P0, self.verlet,
+                                              want_jacobian=True)
         assert ok.all()
         for b in range(width):
             res, scalar_jac = flow_with_jacobian(pen.system, U0[b], P0[b], self.verlet)
@@ -376,8 +381,8 @@ class TestBatchedVerlet:
 
     def test_non_finite_member_is_flagged(self):
         free = make_free_particle()
-        _, _, U1, _, ok, jac = flow_batch(free.system, [[0.0], [0.0]], [[2.0], [np.inf]],
-                                          self.verlet, want_jacobian=True)
+        _, _, U1, _, ok, jac, _ = flow_batch(free.system, [[0.0], [0.0]], [[2.0], [np.inf]],
+                                             self.verlet, want_jacobian=True)
         assert ok.tolist() == [True, False]
         np.testing.assert_allclose(U1[0], [2.0], atol=1e-12)
         np.testing.assert_allclose(jac[0], [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
@@ -427,7 +432,7 @@ class TestMaskedMembers:
         expected_ok = [False] + [True] * len(self.ordinary_u) + ([False] if with_nan else [])
         for want_jacobian in (False, True):
             for store_path in (False, True):
-                _, path, U1, P1, ok, jac = flow_batch(
+                _, path, U1, P1, ok, jac, _ = flow_batch(
                     quartic, U0, P0, cfg, want_jacobian=want_jacobian, store_path=store_path)
                 assert ok.tolist() == expected_ok
                 # the escaping member is held at its last state under the threshold
@@ -435,7 +440,7 @@ class TestMaskedMembers:
                 if store_path:
                     assert np.isfinite(path[0][:, 0]).all() and np.isfinite(path[1][:, 0]).all()
                 for b in range(1, len(self.ordinary_u) + 1):
-                    _, path1, U1s, P1s, ok1, jac1 = flow_batch(
+                    _, path1, U1s, P1s, ok1, jac1, _ = flow_batch(
                         quartic, U0[b:b + 1], P0[b:b + 1], cfg,
                         want_jacobian=want_jacobian, store_path=store_path)
                     assert ok1[0]
@@ -452,8 +457,7 @@ class TestMaskedMembers:
         pendulum = make_pendulum().system
         cfg = IntegratorConfig(step=1e-2)
         U0, P0 = np.array([[0.1], [np.nan], [0.3]]), np.array([[0.5], [0.2], [-0.4]])
-        _, path, _, _, ok, _, report = flow_batch(pendulum, U0, P0, cfg, store_path=True,
-                                                  statuses=True)
+        _, path, _, _, ok, _, report = flow_batch(pendulum, U0, P0, cfg, store_path=True)
         assert ok.tolist() == [True, False, True]
         assert report[1] == (NewtonFailure(0.0), 0, None)
         for b in (0, 2):
@@ -472,7 +476,7 @@ class TestMaskedMembers:
         P0 = np.vstack([[[18.0]], self.ordinary_p[:2]])
         for t1, fate in ((0.3332, Completed), (0.4, BlowUp)):
             _, (path_u, path_p), _, _, ok, jac, report = flow_batch(
-                quartic, U0, P0, cfg, t1=t1, want_jacobian=True, store_path=True, statuses=True)
+                quartic, U0, P0, cfg, t1=t1, want_jacobian=True, store_path=True)
             assert ok.tolist() == [fate is Completed, True, True]
             assert isinstance(report[0][0], fate)
             for b, (status, stop, crossing) in enumerate(report):
@@ -501,20 +505,125 @@ class TestMaskedMembers:
                                   t1=t1, want_jacobian=True)[5]
                 np.testing.assert_allclose(jac[0], over[0] @ before[0], rtol=1e-9)
 
-        # without halving, the escaping member's first failed step is a NewtonFailure
+        # without halving, the escaping member's first failed step is a NewtonFailure,
+        # and the member is dropped at that step
         no_halving = dataclasses.replace(cfg, max_step_halvings=0)
-        _, stopped_path, _, _, _, _, report = flow_batch(
-            quartic, U0, P0, no_halving, t1=0.4, store_path=True, statuses=True)
+        _, stopped_path, _, _, ok, _, report = flow_batch(
+            quartic, U0, P0, no_halving, t1=0.4, store_path=True)
         status, stop, crossing = report[0]
         assert isinstance(status, NewtonFailure) and crossing is None
         assert status.t == pytest.approx(stop * cfg.step)
-
-        # without statuses there is no halving: the member is dropped at that step
-        _, dropped_path, _, _, ok, _ = flow_batch(quartic, U0, P0, cfg, t1=0.4, store_path=True)
         assert ok.tolist() == [False, True, True]
-        assert np.array_equal(dropped_path[0], stopped_path[0])
-        assert np.array_equal(dropped_path[1], stopped_path[1])
-        assert (dropped_path[0][stop:, 0] == dropped_path[0][stop, 0]).all()
+        assert (stopped_path[0][stop:, 0] == stopped_path[0][stop, 0]).all()
+        assert (stopped_path[1][stop:, 0] == stopped_path[1][stop, 0]).all()
+
+
+def nan_beyond_half():
+    """H = p^2/2 whose dH/du is NaN for u > 1/2: from (0, 1) every step fails from t = 1/2 on."""
+    return HamiltonianSystem(
+        config=ConfigSpace(1),
+        hamiltonian=lambda t, u, p: 0.5 * np.sum(p * p, axis=-1),
+        grad_u=lambda t, u, p: np.where(np.asarray(u, dtype=float) > 0.5, np.nan, 0.0),
+        grad_p=lambda t, u, p: np.asarray(p, dtype=float),
+        vectorized=True,
+        name="nan-beyond-half",
+    )
+
+
+def counting_march(monkeypatch):
+    """Count the calls of the step loop, the redone (halved) steps included."""
+    calls = []
+    march = integrators._march
+
+    def counted(*args, **kwargs):
+        calls.append(args[5])  # h
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(integrators, "_march", counted)
+    return calls
+
+
+class TestStepHalving:
+    # Halved flows pinned bit for bit: the failed step is redone by the step
+    # loop itself as 2 steps of h / 2, and these values (computed before it
+    # did, by a separate recursive halving routine) must not move.
+    @pytest.mark.parametrize("h, stop, last, crossing, t_escape, halvings", [
+        (1e-3, 500, ("-0x1.69273d1be84f6p+13", "-0x1.017cf3f2c8720p+25"),
+         ("0x1.5395ac76ede77p+15", "0x1.c3fbdd55cd99bp+28"), "0x1.0020c49ba5e35p-1", 3),
+        (5e-4, 999, ("0x1.7fb33143bd3d1p+12", "0x1.1355ab297fe88p+24"),
+         ("-0x1.6953c223b24e9p+14", "-0x1.01af3af422e72p+27"), "0x1.0000000000000p-1", 1),
+    ], ids=["h=1e-3", "h=5e-4"])
+    def test_quartic_escape_is_pinned(self, monkeypatch, h, stop, last, crossing, t_escape,
+                                      halvings):
+        calls = counting_march(monkeypatch)
+        res, jac = flow_with_jacobian(make_quartic().system, [4.0], [8.0],
+                                      IntegratorConfig(step=h))
+        assert len(calls) - 1 == halvings
+        assert res.status == BlowUp(t_escape=float.fromhex(t_escape)) and jac is None
+        traj = res.trajectory
+        assert len(traj.grid) == stop + 2 and traj.grid.nodes[-1] == res.status.t_escape
+        for k, state in ((-2, last), (-1, crossing)):
+            assert np.concatenate(traj.state(k)).tolist() == [float.fromhex(x) for x in state]
+
+    def test_pendulum_completes_on_halved_steps(self, monkeypatch):
+        # at step 0.25 two Newton iterations are too few: 116 steps are redone, and it completes
+        calls = counting_march(monkeypatch)
+        cfg = IntegratorConfig(step=0.25, newton_max_iter=2)
+        res, jac = flow_with_jacobian(make_pendulum().system, [0.3], [1.0], cfg)
+        assert len(calls) - 1 == 116 and res.completed
+        traj = res.trajectory
+        assert traj.positions[:, 0].tolist() == [float.fromhex(x) for x in (
+            "0x1.3333333333333p-2", "0x1.13a692ed8c496p-1", "0x1.7d6f75f39122bp-1",
+            "0x1.d1abb6aa26743p-1", "0x1.06631515be7b7p+0")]
+        assert traj.momenta[:, 0].tolist() == [float.fromhex(x) for x in (
+            "0x1.0000000000000p+0", "0x1.cbc6d8db44427p-1", "0x1.7efab0b18bffbp-1",
+            "0x1.20893ceb4e0dap-1", "0x1.6dcc4c4a91435p-2")]
+        # the tangents of redone steps are composed in the step loop's own
+        # product, which may round differently in the last bits
+        np.testing.assert_allclose(jac, [[0.6178015434774843, 0.8817518798548686],
+                                         [-0.6508737758749197, 0.6896888314258197]],
+                                   rtol=1e-14, atol=0)
+        # without halving, the first step fails
+        report = flow_batch(make_pendulum().system, [[0.3]], [[1.0]],
+                            dataclasses.replace(cfg, max_step_halvings=0))[6]
+        assert report == [(NewtonFailure(t=0.0), 0, None)]
+
+    @pytest.mark.parametrize("halvings", [0, 26, MAX_STEP_HALVINGS])
+    def test_a_step_that_always_fails_gives_a_status(self, monkeypatch, halvings):
+        # every substep from the state at t = 1/2 fails, down to the deepest
+        # halving allowed; a deeper one could not advance time
+        calls = counting_march(monkeypatch)
+        res = integrate_flow(nan_beyond_half(), [0.0], [1.0],
+                             IntegratorConfig(max_step_halvings=halvings))
+        assert res.status == NewtonFailure(t=0.5)
+        assert len(calls) - 1 == halvings
+        assert calls[-1] == 1e-3 / 2 ** halvings
+
+    @pytest.mark.parametrize("case", ["implicit-midpoint", "stormer-verlet", "no-halving",
+                                      "closed-form"])
+    def test_every_flow_reports_each_member(self, case):
+        cfg = IntegratorConfig(step=1e-2, scheme="stormer-verlet" if case == "stormer-verlet"
+                               else "implicit-midpoint",
+                               max_step_halvings=0 if case == "no-halving" else 26)
+        if case == "closed-form":
+            system, U0 = make_sphere_geodesics().system, np.tile([0.0, 0.0, 1.0], (3, 1))
+            P0 = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        else:
+            # an escaping member, an ordinary one, a NaN one and one over the threshold
+            system = make_quartic().system
+            U0, P0 = np.array([[4.0], [0.3], [np.nan], [1e200]]), np.array(
+                [[8.0], [0.2], [0.5], [1e200]])
+        for want_jacobian in (False, True):
+            for store_path in (False, True):
+                out = flow_batch(system, U0, P0, cfg, want_jacobian=want_jacobian,
+                                 store_path=store_path)
+                assert len(out) == 7
+                grid, ok, report = out[0], out[4], out[6]
+                assert len(report) == len(ok)
+                assert [isinstance(s, Completed) for s, _, _ in report] == ok.tolist()
+                for b, (status, stop, crossing) in enumerate(report):
+                    assert crossing is None or isinstance(status, BlowUp)
+                    assert not ok[b] or (stop == len(grid) - 1 and crossing is None)
 
 
 class TestErrstateContract:
@@ -550,7 +659,7 @@ class TestTangentSymplecticity:
         U0 = rng.uniform(-bound, bound, (width, system.dim))
         P0 = rng.uniform(-bound, bound, (width, system.dim))
         cfg = IntegratorConfig(scheme=scheme, step=step)
-        ok, jac = flow_batch(system, U0, P0, cfg, want_jacobian=True)[4:]
+        ok, jac = flow_batch(system, U0, P0, cfg, want_jacobian=True)[4:6]
         assert ok.all()
         for b in range(width):
             scale = max(1.0, float(np.abs(jac[b]).max()) ** 2)
@@ -593,7 +702,7 @@ class TestRowByRowSystems:
             for tangent_exact in (True, False):
                 cfg = IntegratorConfig(scheme=scheme, step=1e-2)
                 want, got = (flow_batch(sys, U0, P0, cfg, want_jacobian=True, store_path=True,
-                                        tangent_exact=tangent_exact, statuses=True)
+                                        tangent_exact=tangent_exact)
                              for sys in (fast, slow))
                 for a, b in zip(want[1], got[1]):
                     assert np.array_equal(a, b)
@@ -609,7 +718,7 @@ class TestRowByRowSystems:
         # no member: no callback call, the grid and empty states
         for sys in self.both(name):
             r = sys.dim
-            grid, path, U1, P1, ok, jac = flow_batch(
+            grid, path, U1, P1, ok, jac, _ = flow_batch(
                 sys, np.empty((0, r)), np.empty((0, r)), IntegratorConfig(step=1e-2),
                 want_jacobian=True, store_path=True)
             assert len(grid.nodes) == 101

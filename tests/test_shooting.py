@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from phasebound import shooting
 from phasebound.core import ConfigSpace, HamiltonianSystem, TimeGrid, Trajectory, action_functional
 from phasebound.errors import BranchLostError, NoSuchBranchError, NotSeparableError
-from phasebound.integrators import (IntegratorConfig, _batch_solve, flow_with_jacobian,
-                                    integrate_flow)
+from phasebound.integrators import (IntegratorConfig, _batch_solve, flow_batch,
+                                    flow_with_jacobian, integrate_flow)
 from phasebound.shooting import (
     ShootingConfig,
     classify_theory,
@@ -79,6 +79,37 @@ def single_shot(sys, u0, p0, u1, cfg):
     branch, = shooting._branches(sys, U0, P, end, cfg.integrator)
     jac = None if branch is None else branch.jacobian
     return res[0], step[0], jac, bool(ok[0]), float(rnorm[0])
+
+
+class TestNoStepHalving:
+    def test_solution_sets_do_not_depend_on_max_step_halvings(self):
+        # At step 0.125 three Newton iterations are too few for many steps:
+        # halving would rescue the flow from (0.3, 1.0), and would let both
+        # solvers below find other solutions.  Shooting drops a member at its
+        # first failed step whatever cfg.integrator says.
+        pen = make_pendulum().system
+        base = IntegratorConfig(step=0.125, newton_max_iter=3)
+        rescued = [flow_batch(pen, [[0.3]], [[1.0]], dataclasses.replace(
+            base, max_step_halvings=n))[4][0] for n in (26, 0)]
+        assert rescued == [True, False]
+        def grad_F(u0, u1):
+            return u0, u1 - 0.7
+
+        solved = []
+        for halvings in (0, 26):
+            cfg = ShootingConfig(integrator=dataclasses.replace(base, max_step_halvings=halvings),
+                                 seed_count=16, seed_box=(-8.0, 8.0))
+            solved.append((solve_dirichlet(pen, [0.3], [1.2], cfg),
+                           solve_with_lagrangian_boundary(pen, grad_F, cfg)))
+        assert solved[1][1].solutions  # the graph problem is solved without halving
+        for want, got in zip(*solved):
+            assert want.classification == got.classification
+            assert len(want.solutions) == len(got.solutions)
+            for a, b in zip(want.solutions, got.solutions):
+                assert np.array_equal(a.p0, b.p0) and np.array_equal(a.jacobian, b.jacobian)
+                assert np.array_equal(a.trajectory.positions, b.trajectory.positions)
+                assert np.array_equal(a.trajectory.momenta, b.trajectory.momenta)
+                assert (a.residual, a.cond) == (b.residual, b.cond)
 
 
 class TestShootResidual:
@@ -719,7 +750,7 @@ class TestMultipleShooting:
         assert m == 8 and len(flights) == m - 1
         assert not any(f.get("store_path") or f.get("want_jacobian") for f in flights)
         Z = lead if u0 is None else np.hstack([u0, lead])
-        _, (path_u, path_p), _, _, ok, _ = flow(sys, Z[:, :r], Z[:, r:], icfg, store_path=True)
+        _, (path_u, path_p), _, _, ok, *_ = flow(sys, Z[:, :r], Z[:, r:], icfg, store_path=True)
         assert ok.any() and ok.all() != (case == "quartic-escaping")
         assert np.array_equal(unknowns[:, :lead.shape[1]], lead)
         n = path_u.shape[0] - 1

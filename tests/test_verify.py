@@ -176,7 +176,7 @@ class TestCotangentLiftGraph:
         rng = np.random.default_rng(9)
         # six (u0, p0) draws flowed as one batch, whose members equal solo flows
         U0, P0 = rng.uniform(-1, 1, (6, 2)).T[:, :, None]
-        _, _, U1, _, ok, _ = flow_batch(lift.system, U0, P0, IntegratorConfig(step=1e-4))
+        _, _, U1, _, ok, *_ = flow_batch(lift.system, U0, P0, IntegratorConfig(step=1e-4))
         assert ok.all()
         worst = max(float(np.abs(u1 - x_flow(1.0, u0)).max()) for u0, u1 in zip(U0, U1))
         assert worst <= 1e-8
