@@ -37,9 +37,9 @@ from .constraints import (
     integrate_constrained,
     make_constraint,
 )
-from .core import action_functional, as_point
+from .core import TimeGrid, action_functional, as_point
 from .errors import DimensionMismatchError, PhaseboundError, UnstableConstraintError
-from .integrators import IntegratorConfig, energy_drift, integrate_flow
+from .integrators import IntegratorConfig, energy_drift, integrate_flow, step_count
 from .shooting import (
     ShootingConfig,
     classify_theory,
@@ -220,35 +220,23 @@ def load_scenario(path):
     return data
 
 
-def _build_example(scenario):
-    """The scenario's system; a factory's complaint about its parameters is a ScenarioError."""
+def _built(what, build, *args, **kwargs):
+    """build(*args, **kwargs), built from scenario values; the KeyError, TypeError,
+    ValueError or PhaseboundError that rejects them is ScenarioError("bad {what}: ...")."""
     try:
-        return make_example(scenario["system"]["name"], **scenario["system"]["params"])
-    except (TypeError, ValueError, PhaseboundError) as exc:
-        raise ScenarioError(f"bad system parameters: {exc}") from exc
-
-
-def _integrator_config(scenario, step_override=None):
-    kwargs = dict(scenario.get("integrator", {}))
-    if step_override is not None:
-        kwargs["step"] = step_override
-    try:
-        return IntegratorConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad integrator configuration: {exc}") from exc
+        return build(*args, **kwargs)
+    except (KeyError, TypeError, ValueError, PhaseboundError) as exc:
+        raise ScenarioError(f"bad {what}: {exc}") from exc
 
 
 def _shooting_config(scenario, icfg, dim):
     """The scenario's ShootingConfig; each explicit seed is one momentum of dimension dim."""
     kwargs = dict(scenario.get("shooting", {}))
-    try:
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(as_point(s, dim) for s in kwargs["seeds"])
-        if "seed_box" in kwargs:
-            kwargs["seed_box"] = tuple(kwargs["seed_box"])
-        return ShootingConfig(integrator=icfg, **kwargs)
-    except (TypeError, ValueError, DimensionMismatchError) as exc:
-        raise ScenarioError(f"bad shooting configuration: {exc}") from exc
+    if "seeds" in kwargs:
+        kwargs["seeds"] = tuple(as_point(s, dim) for s in kwargs["seeds"])
+    if "seed_box" in kwargs:
+        kwargs["seed_box"] = tuple(kwargs["seed_box"])
+    return ShootingConfig(integrator=icfg, **kwargs)
 
 
 def _points(values, dims, where):
@@ -277,6 +265,9 @@ def _task_flow(ex, params, scfg, seed):
     t0, t1 = params.get("t0", 0.0), params.get("t1", 1.0)
     if not t0 < t1:
         raise ScenarioError(f"flow task needs t0 < t1, got t0={t0!r}, t1={t1!r}")
+    # the flow's grid: t1 may lie too few floats above t0 for its nodes to be distinct
+    _built(f"flow span [{t0!r}, {t1!r}]", TimeGrid.uniform,
+           step_count(t1 - t0, scfg.integrator.step), t0, t1)
     res = integrate_flow(ex.system, u0, p0, scfg.integrator, t0=t0, t1=t1)
     out = {
         "status": _status_dict(res.status),
@@ -367,10 +358,7 @@ def _constraint_from_params(ex, params):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ScenarioError("constrained/gotay tasks need parameters.constraint = {name, ...}")
     extra = {k: v for k, v in spec.items() if k != "name"}
-    try:
-        spec = make_constraint(spec["name"], **extra)
-    except (KeyError, TypeError, ValueError, PhaseboundError) as exc:
-        raise ScenarioError(f"bad constraint parameters: {exc}") from exc
+    spec = _built("constraint parameters", make_constraint, spec["name"], **extra)
     if (shape := spec.sigma_at(np.zeros(spec.k_dim)).shape) != (ex.system.dim,):
         raise ScenarioError(f"constraint {spec.name!r} gives momenta of shape {shape}; "
                             f"the system's dimension is {ex.system.dim}")
@@ -450,9 +438,13 @@ def run_scenario(path, out_dir=None, seed=None, step=None):
     if seed < 0:
         raise ScenarioError(f"seed must be >= 0, got {seed}")
     out_dir = out_dir or os.environ.get(ENV_OUT_DIR) or "."
-    icfg = _integrator_config(scenario, step_override=step)
-    ex = _build_example(scenario)
-    scfg = _shooting_config(scenario, icfg, ex.system.dim)
+    integrator = dict(scenario.get("integrator", {}))
+    if step is not None:
+        integrator["step"] = step
+    icfg = _built("integrator configuration", IntegratorConfig, **integrator)
+    system = scenario["system"]
+    ex = _built("system parameters", lambda: make_example(system["name"], **system["params"]))
+    scfg = _built("shooting configuration", _shooting_config, scenario, icfg, ex.system.dim)
     started = time.perf_counter()
     failure = None
     try:

@@ -168,37 +168,15 @@ def central_quotient(pairs, step):
 def central_difference(f, x, step, directions=None):
     """Central differences of f at x, one column per direction on a new last axis.
 
-    The directions (rows of ``directions``; the unit vectors by default)
-    displace x's last axis, so leading batch axes of x pass through to f.
-    Columns are written into one preallocated array: the constrained
-    integrator calls this once per step.
+    The displacements d, ``step`` times the rows of ``directions`` (the unit
+    vectors by default), are built at once and move x's last axis, so leading
+    batch axes of x pass through to f, called at x + d, then x - d, d by d.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    count = n if directions is None else len(directions)
-    out = None
-    for a in range(count):
-        if directions is None:
-            d = np.zeros(n)
-            d[a] = step
-        else:
-            d = step * np.asarray(directions[a], dtype=float)
-        col = (np.asarray(f(x + d), dtype=float) - np.asarray(f(x - d), dtype=float)) / (2 * step)
-        if out is None:
-            out = np.empty(col.shape + (count,))
-        out[..., a] = col
-    return out
-
-
-def _gradient_differences(grad, t, u, p, wrt_u):
-    """Central differences of grad(t, u, p) in u or in p, with step HESSIAN_FD_STEP.
-
-    A function of its own because the closures it builds would give
-    hessian_block cell variables, which every call of it would pay for.
-    """
-    if wrt_u:
-        return central_difference(lambda v: grad(t, v, p), u, HESSIAN_FD_STEP)
-    return central_difference(lambda v: grad(t, u, v), p, HESSIAN_FD_STEP)
+    shifts = step * (np.eye(x.shape[-1]) if directions is None
+                     else np.asarray(directions, dtype=float))
+    return np.concatenate([(np.asarray(f(x + d), dtype=float) - np.asarray(f(x - d), dtype=float))
+                           [..., None] for d in shifts], axis=-1) / (2 * step)
 
 
 def hessian_block(sys: HamiltonianSystem, block, t, u, p):
@@ -219,8 +197,10 @@ def hessian_block(sys: HamiltonianSystem, block, t, u, p):
         callback, grad, wrt_u = sys.hess_up, sys.grad_u, False
     if callback is not None:
         hess = np.asarray(callback(t, u, p), dtype=float)
+    elif wrt_u:  # default arguments, not closure cells, which every call would pay for
+        hess = central_difference(lambda v, g=grad, t=t, p=p: g(t, v, p), u, HESSIAN_FD_STEP)
     else:
-        hess = _gradient_differences(grad, t, u, p, wrt_u)
+        hess = central_difference(lambda v, g=grad, t=t, u=u: g(t, u, v), p, HESSIAN_FD_STEP)
     if block == "up":
         return hess
     return 0.5 * (hess + hess.swapaxes(-2, -1))
@@ -457,8 +437,6 @@ def _eval_along(sys: HamiltonianSystem, chi: Trajectory, fn):
 
 def action_functional(sys: HamiltonianSystem, chi: Trajectory):
     """Trapezoidal approximation of the action integral of p.du/dt - H."""
-    if len(chi.grid) < 3:
-        raise GridTooCoarseError("action quadrature needs at least 3 nodes")
     t = chi.grid.nodes
     du = grid_derivative(chi.positions, t)
     h_vals = _eval_along(sys, chi, sys.hamiltonian)
@@ -474,8 +452,6 @@ def el_residual(sys: HamiltonianSystem, chi: Trajectory):
     Returns (res_u, res_p, norm) with res_u = du/dt - dH/dp,
     res_p = dp/dt + dH/du, and norm the max over nodes of the sup-norm.
     """
-    if len(chi.grid) < 3:
-        raise GridTooCoarseError("residual stencils need at least 3 nodes")
     t = chi.grid.nodes
     du = grid_derivative(chi.positions, t)
     dp = grid_derivative(chi.momenta, t)

@@ -181,8 +181,14 @@ def _shooting_unknowns(sys, u0, lead, icfg):
 
 def _fixed_end(config, u1):
     """The Dirichlet boundary condition u(1) = u1 for _batch_eval: b is the
-    wrapped u(1) - u1, and its rows are None, selecting u(1)."""
-    return lambda z0, z1, ok: (config.wrap_diff(z1[:, :config.dim], u1), None)
+    wrapped u(1) - u1, and its rows (B0, B1) = (0, [I 0]), each (B, r, 2r),
+    select u(1), as _graph_boundary's rows are the derivatives of its b."""
+    def boundary(z0, z1, ok):
+        rows = np.zeros((2, len(z1), config.dim, 2 * config.dim))
+        rows[1, :, :, :config.dim] = np.eye(config.dim)
+        return config.wrap_diff(z1[:, :config.dim], u1), rows
+
+    return boundary
 
 
 def _graph_boundary(grad_F, fd_step):
@@ -196,14 +202,14 @@ def _graph_boundary(grad_F, fd_step):
         r = z0.shape[1] // 2
         sign = np.repeat([1.0, -1.0], r)
         b = np.full(z0.shape, np.nan)
-        B0, B1 = np.zeros((2, len(z0), 2 * r, 2 * r))
+        B0, B1 = rows = np.zeros((2, len(z0), 2 * r, 2 * r))
         B0[:, :r, r:] = B1[:, r:, r:] = np.eye(r)
         for i in np.flatnonzero(ok):
             u = np.concatenate([z0[i, :r], z1[i, :r]])
             b[i] = np.concatenate([z0[i, r:], z1[i, r:]]) + sign * grad(u)
             B0[i, :, :r], B1[i, :, :r] = np.hsplit(
                 sign[:, None] * central_difference(grad, u, fd_step), 2)
-        return b, (B0, B1)
+        return b, rows
 
     return boundary
 
@@ -216,8 +222,9 @@ def _batch_eval(sys, u0, P, boundary, icfg, want_jacobian):
     z_1 ... z_{M-1} at the interior segment nodes.  All M segments of all
     rows are flown over [0, 1/M] in one flow_batch; the residual is the
     defects z_k - phi(z_{k-1}), then b of ``boundary(z0, z1, ok) -> (b,
-    rows)`` (_fixed_end, _graph_boundary).  With ``want_jacobian`` each
-    completed member's Newton direction follows.
+    rows)`` (_fixed_end, _graph_boundary), whose rows, one (2, B, k, 2r)
+    array (B0, B1), linearize b as B0 dz(0) + B1 dz(1).  With
+    ``want_jacobian`` each completed member's Newton direction follows.
     """
     bsz, r = P.shape[0], sys.dim
     Z, m, k = _segment_states(u0, P, r)
@@ -233,20 +240,20 @@ def _batch_eval(sys, u0, P, boundary, icfg, want_jacobian):
     step = None
     if want_jacobian:
         step = np.full(res.shape, np.nan)
-        step[ok] = _condensed_solve(jac.reshape(bsz, m, 2 * r, 2 * r)[ok], res[ok],
-                                    None if rows is None else (rows[0][ok], rows[1][ok]))
+        step[ok] = _condensed_solve(jac.reshape(bsz, m, 2 * r, 2 * r)[ok], res[ok], rows[:, ok])
     return res, rnorm, step, ok
 
 
-def _condensed_matrix(tangents, rows, k):
+def _condensed_matrix(tangents, rows):
     """The k x k condensed shooting matrix B0 E + B1 (Phi_M ... Phi_1) E from
-    segment tangents ``tangents`` (B, M, 2r, 2r), where z_0 varies in its
-    last k entries (E); boundary ``rows`` None select u(1), giving du1/dp0."""
-    r = tangents.shape[-1] // 2
-    chain = tangents[:, 0, :, 2 * r - k:]
+    segment tangents ``tangents`` (B, M, 2r, 2r) and the k boundary ``rows``
+    (B0, B1), each (B, k, 2r), where z_0 varies in its last k entries (E);
+    _fixed_end's rows give du1/dp0."""
+    k = rows[0].shape[1]
+    chain = tangents[:, 0, :, -k:]
     for j in range(1, tangents.shape[1]):
         chain = tangents[:, j] @ chain
-    return chain[:, :r] if rows is None else rows[0][:, :, 2 * r - k:] + rows[1] @ chain
+    return rows[0][:, :, -k:] + rows[1] @ chain
 
 
 def _condensed_solve(tangents, res, rows):
@@ -261,16 +268,16 @@ def _condensed_solve(tangents, res, rows):
     Nonlinear Problems, 8.1; Ascher, Mattheij & Russell, 4.3).
     """
     bsz, m, two_r, _ = tangents.shape
-    k = res.shape[1] - two_r * (m - 1)
+    k = rows[0].shape[1]
     defects = res[:, :-k].reshape(bsz, m - 1, two_r)
     carried = np.zeros((bsz, two_r))
     for j in range(1, m):
         carried = np.einsum("bij,bj->bi", tangents[:, j], carried + defects[:, j - 1])
-    end = carried[:, :two_r // 2] if rows is None else np.einsum("bij,bj->bi", rows[1], carried)
-    x = _batch_solve(_condensed_matrix(tangents, rows, k), res[:, -k:] - end)
+    end = np.einsum("bij,bj->bi", rows[1], carried)
+    x = _batch_solve(_condensed_matrix(tangents, rows), res[:, -k:] - end)
     parts = [x]
     for j in range(m - 1):
-        phi = tangents[:, j] if j else tangents[:, 0, :, two_r - k:]  # as in _condensed_matrix
+        phi = tangents[:, j] if j else tangents[:, 0, :, -k:]  # as in _condensed_matrix
         x = np.einsum("bij,bj->bi", phi, x) + defects[:, j]
         parts.append(x)
     return np.concatenate(parts, axis=1)
@@ -334,7 +341,7 @@ def _branches(sys, u0, P, boundary, icfg):
     if P.shape[0] == 0:
         return []
     bsz, r = P.shape[0], sys.dim
-    Z, m, k = _segment_states(u0, P, r)
+    Z, m, _ = _segment_states(u0, P, r)
     _, path, U1, P1, ok, jac, _ = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
                                              want_jacobian=True, store_path=True)
     n = path[0].shape[0] - 1
@@ -351,7 +358,7 @@ def _branches(sys, u0, P, boundary, icfg):
     b, rows = boundary(Z[::m], np.concatenate([U1, P1], axis=1)[m - 1::m], ok)
     with np.errstate(all="ignore"):
         residuals = np.max(np.abs(b), axis=1)
-    mats = _condensed_matrix(jac.reshape(bsz, m, 2 * r, 2 * r), rows, k)
+    mats = _condensed_matrix(jac.reshape(bsz, m, 2 * r, 2 * r), rows)
     sv = np.linalg.svd(np.where(ok[:, None, None], mats, 0.0), compute_uv=False)
     with np.errstate(all="ignore"):  # rows not ok are zeros: 0 / 0
         cond = np.where((sv[:, -1] > 0) & np.isfinite(sv[:, -1]), sv[:, 0] / sv[:, -1], np.inf)

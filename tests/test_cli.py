@@ -283,6 +283,13 @@ class TestSchema:
         {"system": "free-particle", "task": "gotay",
          "parameters": {"constraint": {"name": "circle"},
                         "state": {"u": [0.0], "p": [1.0], "lambda": [0.0], "e": [0.0]}}},
+        # grids that floats cannot hold: 1e300 nodes, or distinct nodes between adjacent floats
+        {"system": "free-particle", "task": "flow", "integrator": {"step": 1e-300},
+         "parameters": {"u0": [0.0], "p0": [1.0]}},
+        {"system": "free-particle", "task": "bvp", "integrator": {"step": 1e-300},
+         "parameters": {"endpoints": [0.0, 1.0]}},
+        {"system": "free-particle", "task": "flow",
+         "parameters": {"u0": [0.0], "p0": [1.0], "t0": 0.1, "t1": np.nextafter(0.1, 1.0)}},
     ], ids=["seed-box-of-one", "seed-box-of-three", "sphere-seed-of-two", "one-endpoint",
             "no-classify-pairs", "flow-backwards", "flow-time-not-a-number",
             "flow-state-of-wrong-dimension", "isotropy-point-without-momentum",
@@ -320,7 +327,8 @@ class TestSchema:
             "seed-count-boolean", "free-particle-mass-boolean", "lambda-family-lam-boolean",
             "cotangent-lift-scale-boolean", "constant-field-dim-unlike-c",
             "linear-field-with-c", "constant-field-with-scale", "circle-with-radius",
-            "identity-dim-string", "identity-dim-fraction", "gotay-circle-on-the-line"])
+            "identity-dim-string", "identity-dim-fraction", "gotay-circle-on-the-line",
+            "flow-step-1e-300", "bvp-step-1e-300", "flow-span-of-one-float"])
     def test_malformed_values_are_exit_2_with_nothing_written(self, tmp_path, capsys, payload):
         out = tmp_path / "out"
         assert main(["run", write_scenario(tmp_path, payload), "--out", str(out)]) == 2
@@ -518,6 +526,19 @@ class TestRunScenarios:
         assert res["rank_estimate"] == 2
         assert res["seed"] == 3
         assert "hypothesis" in res["caveat"]
+
+    def test_isotropy_task_by_the_bvp_route(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "system": "pendulum", "task": "isotropy", "integrator": {"step": 0.01},
+            "shooting": {"seed_count": 8}, "parameters": {"route": "bvp", "sample_count": 2},
+        })
+        report, _, code = run_scenario(path, out_dir=str(tmp_path / "out"))
+        assert code == 0
+        res = report["results"]
+        assert res["tangent_source"] == "bvp-continuation"
+        assert res["samples"] == 2 and res["rank_estimate"] == 2
+        assert res["inapplicable"] == []
+        assert res["max_defect"] <= 1e-6
 
     def test_isotropy_lists_an_unflowable_sphere_point_as_inapplicable(self, tmp_path):
         north, huge = [0.0, 0.0, 1.0], [1e200, 1e200, 0.0]

@@ -39,6 +39,7 @@ from phasebound.errors import (
     DimensionMismatchError,
     FlowIncompleteError,
     GridMismatchError,
+    NonFiniteError,
     OffConstraintError,
     UnstableConstraintError,
 )
@@ -173,6 +174,13 @@ class TestPolarConstraint:
 
 
 class TestGotayStep:
+    @pytest.mark.parametrize("nan_at", range(4))
+    def test_non_finite_state_rejected(self, nan_at):
+        parts = [[0.2], [0.9], [0.4], [0.5]]
+        parts[nan_at] = [float("nan")]
+        with pytest.raises(NonFiniteError):
+            ExtendedState(*parts)
+
     def test_identity_constraint_primaries(self):
         pen = make_pendulum()
         ident = make_identity_constraint(dim=1)
@@ -277,6 +285,11 @@ class TestStability:
 
 
 class TestConstrainedIntegration:
+    def test_unknown_gauge_rejected(self):
+        with pytest.raises(ValueError, match="gauge"):
+            integrate_constrained(planar_free(), make_circle_constraint(), [0.0, 0.0], [0.0],
+                                  IntegratorConfig(), gauge="bogus")
+
     def test_circle_free_straight_line(self):
         circ = make_circle_constraint()
         res = integrate_constrained(planar_free(), circ, [0.0, 0.0], [0.0],

@@ -17,6 +17,7 @@ from phasebound.errors import (
 )
 from phasebound.integrators import (
     MAX_STEP_HALVINGS,
+    MAX_STEPS,
     BlowUp,
     Completed,
     IntegratorConfig,
@@ -26,6 +27,7 @@ from phasebound.integrators import (
     flow_jacobian,
     flow_with_jacobian,
     integrate_flow,
+    step_count,
     symplecticity_defect,
 )
 from phasebound.shooting import ShootingConfig, solve_dirichlet
@@ -122,10 +124,22 @@ class TestIntegratorConfig:
         {"newton_tol": float("inf")},
         {"newton_tol": float("nan")},
         {"blowup_threshold": float("inf")},
+        {"scheme": "leapfrog"},
+        {"step": 0},
+        {"step": -1e-3},
+        {"step": 1.5},
+        {"step": float("nan")},
+        {"step": 1e-300},
     ])
     def test_rejects_invalid_settings(self, kw):
         with pytest.raises(ValueError):
             IntegratorConfig(**kw)
+
+    def test_step_count_bound(self):
+        # a step is accepted up to MAX_STEPS steps over [0, 1], not one more
+        assert step_count(1.0, IntegratorConfig(step=1.0 / MAX_STEPS).step) == MAX_STEPS
+        with pytest.raises(ValueError, match="at most"):
+            IntegratorConfig(step=1.0 / (MAX_STEPS + 1))
 
 
 class TestIntegrateFlow:

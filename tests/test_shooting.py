@@ -299,6 +299,10 @@ class TestGeneratingFunction:
 
 
 class TestClassifyTheory:
+    def test_no_pairs_rejected(self):
+        with pytest.raises(ValueError, match="at least one endpoint pair"):
+            classify_theory(make_free_particle().system, [], fast_cfg())
+
     def test_free_particle_dirichlet(self):
         free = make_free_particle()
         rng = np.random.default_rng(0)
@@ -485,20 +489,18 @@ class TestLagrangianBoundary:
         assert sorted(b.trajectory.positions[0][0] for b in sols.solutions) == [-1.0, 0.0, 0.8]
 
 
-def assembled_jacobian(tangents, boundary_rows=None):
+def assembled_jacobian(tangents, boundary_rows):
     """One member's block-bidiagonal multiple-shooting jacobian in the
     unknowns (lead, z_1 ... z_{M-1}) and residuals (defects, boundary).
 
-    With ``boundary_rows`` None the boundary residual is the landing
-    u(1) - u1 and lead is p0 (z_0 = (u0, p0), u0 fixed); with (B0, B1) it is
-    B0 z_0 + B1 z(1) to first order and lead is z_0 = (u0, p0).
+    The k boundary rows (B0, B1) give the boundary residual B0 z_0 + B1 z(1)
+    to first order, and lead is the last k entries of z_0 = (u0, p0): p0
+    for the Dirichlet rows (0, [I 0]), the landing u(1) - u1, and (u0, p0)
+    for 2r graph-type rows.
     """
     m, two_r = tangents.shape[:2]
-    r = two_r // 2
-    if boundary_rows is None:
-        k, (b0, b1) = r, (np.zeros((r, two_r)), np.eye(r, two_r))
-    else:
-        k, (b0, b1) = two_r, boundary_rows
+    b0, b1 = boundary_rows
+    k = len(b0)
     n = k + two_r * (m - 1)
     jac = np.zeros((n, n))
 
@@ -519,6 +521,12 @@ def assembled_jacobian(tangents, boundary_rows=None):
     else:
         jac[n - k:, z(m - 1)] = b1 @ tangents[m - 1]
     return jac
+
+
+def dirichlet_rows(r, bsz):
+    """_fixed_end's boundary rows (B0, B1) for ``bsz`` members in dimension r."""
+    end = shooting._fixed_end(ConfigSpace(r), np.zeros((bsz, r)))
+    return end(np.zeros((bsz, 2 * r)), np.zeros((bsz, 2 * r)), np.ones(bsz, dtype=bool))[1]
 
 
 def non_autonomous_system():
@@ -636,27 +644,25 @@ class TestMultipleShooting:
     @given(r=st.sampled_from([1, 2, 3]), m=st.sampled_from([1, 2, 4, 8]),
            bsz=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), graph=st.booleans())
     def test_condensed_solve_is_the_block_solve(self, r, m, bsz, seed, graph):
-        # Dirichlet rows (None: the landing u(1) - u1, unknowns p0 first) or
-        # graph-type rows (B0, B1) of 2r conditions, unknowns (u0, p0) first
+        # _fixed_end's Dirichlet rows (the landing u(1) - u1, unknowns p0
+        # first) or graph-type rows (B0, B1) of 2r conditions, unknowns (u0, p0) first
         rng = np.random.default_rng(seed)
         k = 2 * r if graph else r
         tangents = np.eye(2 * r) + 0.4 * rng.standard_normal((bsz, m, 2 * r, 2 * r))
-        rows = tuple(rng.standard_normal((2, bsz, k, 2 * r))) if graph else None
+        rows = (tuple(rng.standard_normal((2, bsz, k, 2 * r))) if graph
+                else dirichlet_rows(r, bsz))
         res = rng.standard_normal((bsz, k + 2 * r * (m - 1)))
-
-        def member(b):
-            return None if rows is None else (rows[0][b], rows[1][b])
 
         got = shooting._condensed_solve(tangents, res, rows)
         for b in range(bsz):
-            jac = assembled_jacobian(tangents[b], member(b))
+            jac = assembled_jacobian(tangents[b], (rows[0][b], rows[1][b]))
             if np.linalg.cond(jac) > 1e8:
                 continue
             want = np.linalg.solve(jac, res[b])
             np.testing.assert_allclose(got[b], want, rtol=0,
                                        atol=1e-7 * (1.0 + np.max(np.abs(want))))
         if m == 1:
-            mats = tangents[:, 0, :r, r:] if rows is None else rows[0] + rows[1] @ tangents[:, 0]
+            mats = rows[0][:, :, -k:] + rows[1] @ tangents[:, 0, :, -k:]
             assert np.array_equal(got, _batch_solve(mats, res))
         # identity tangents, and B1 = -B0 for graph rows, make the condensed
         # matrix 0 (du1/dp0 = 0 for Dirichlet rows): the pinv direction leaves
@@ -669,8 +675,23 @@ class TestMultipleShooting:
         assert np.array_equal(got[0, :k], np.zeros(k))
         carried = np.cumsum(res[0, :-k].reshape(m - 1, 2 * r), axis=0).ravel()
         np.testing.assert_allclose(got[0, k:], carried, rtol=0, atol=1e-12)
-        rest = None if rows is None else (rows[0][1:], rows[1][1:])
+        rest = (rows[0][1:], rows[1][1:])
         assert np.array_equal(got[1:], shooting._condensed_solve(tangents[1:], res[1:], rest))
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_dirichlet_rows_give_du1_dp0(self, r, m):
+        # the condensed matrix of _fixed_end's rows is the du1/dp0 block
+        # (Phi_M ... Phi_1)[:r, r:] of the chained segment tangents, bit for
+        # bit: the p0 columns of Phi_1 carried through Phi_2 ... Phi_M
+        tangents = np.eye(2 * r) + 0.4 * np.random.default_rng(m + 10 * r).standard_normal(
+            (5, m, 2 * r, 2 * r))
+        got = shooting._condensed_matrix(tangents, dirichlet_rows(r, 5))
+        for b in range(5):
+            want = tangents[b, 0, :, r:]
+            for phi in tangents[b, 1:]:
+                want = phi @ want
+            assert np.array_equal(got[b], want[:r])
 
     @pytest.mark.parametrize("step", [1e-3, 2e-3, 1e-2])
     @pytest.mark.parametrize("name, u0, u1", [
