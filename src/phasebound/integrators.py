@@ -5,10 +5,11 @@ of two one-step maps: the implicit midpoint rule (general H, solved by
 Newton iteration with its matrix frozen at the predictor) or
 Stormer-Verlet (separable H only, explicit).  Both are second order and
 symplectic (Hairer, Lubich & Wanner, Geometric Numerical Integration,
-VI.3).  Tangent flows are accumulated from the exact derivative of each
-discrete step (for the midpoint rule, the Cayley transform obtained by
-differentiating the Newton fixed point), so the computed monodromy
-matrices are symplectic to solver tolerance.  Every flow enters through
+VI.3).  Tangent flows are accumulated from the derivative of each
+discrete step (for the midpoint rule, the Cayley transform, VI.4, taken
+from the one inverse of the step's Newton matrix that every Newton update
+uses), so the computed monodromy matrices are symplectic to solver
+tolerance.  Every flow enters through
 ``flow_batch`` or its step loop ``_march``: single flows
 (``flow_with_jacobian``, ``integrate_flow``, ``flow_jacobian``) are
 batches of one, closed-form flows are evaluated in ``flow_batch``, and the
@@ -135,8 +136,8 @@ def flow_with_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig,
     r = sys.dim
     grid, path, _, _, _, jac, (stopped,) = flow_batch(
         sys, as_point(u0, r), as_point(p0, r), cfg, t0, t1, want_jacobian, store_path=True)
-    times, states = _stopped_path(grid, np.concatenate(path, axis=2), stopped)
-    result = FlowResult(Trajectory(TimeGrid(times), states[:, :r], states[:, r:]), stopped[0])
+    times, us, ps = _stopped_path(grid, path, stopped)
+    result = FlowResult(Trajectory(TimeGrid(times), us, ps), stopped[0])
     return result, (jac[0] if want_jacobian and result.completed else None)
 
 
@@ -203,25 +204,39 @@ def _linearized_batch(sys, t, Z):
                        t, Z[:, :r], Z[:, r:])
 
 
-def _batch_solve(mats, rhs):
-    """mats[b]^-1 rhs[b] for every member b; rhs holds a vector or a matrix per member.
+def _batch_solve(mats, rhs=None):
+    """mats[b]^-1 rhs[b] for every member b, rhs holding a vector or a matrix per member,
+    or the inverse mats[b]^-1 itself when rhs is None.
 
-    A singular member alone falls back to its least-squares (pinv) solution;
-    the others are solved as in the stacked call, so no member's result
-    depends on what else is in the batch.
+    A singular member alone falls back to its pseudo-inverse (pinv); the
+    others are solved as in the stacked call, so no member's result depends
+    on what else is in the batch.
     """
-    vector = rhs.ndim < mats.ndim
+    vector = rhs is not None and rhs.ndim < mats.ndim
     try:
+        if rhs is None:
+            return np.linalg.inv(mats)
         out = np.linalg.solve(mats, rhs[..., None] if vector else rhs)
         return out[..., 0] if vector else out
     except np.linalg.LinAlgError:
-        out = np.empty_like(rhs)
+        out = np.empty_like(mats if rhs is None else rhs)
         for b in range(mats.shape[0]):
             try:
-                out[b] = np.linalg.solve(mats[b], rhs[b])
+                out[b] = (np.linalg.inv(mats[b]) if rhs is None
+                          else np.linalg.solve(mats[b], rhs[b]))
             except np.linalg.LinAlgError:
-                out[b] = np.linalg.pinv(mats[b]) @ rhs[b]
+                pinv = np.linalg.pinv(mats[b])
+                out[b] = pinv if rhs is None else pinv @ rhs[b]
         return out
+
+
+def _row_max(a):
+    """a.max(axis=1) bit for bit for a 2-d array a, as np.maximum over its columns: on
+    the step's narrow (2r-wide) arrays this skips a reduction's setup per call."""
+    out = a[:, 0]
+    for j in range(1, a.shape[1]):
+        out = np.maximum(out, a[:, j])
+    return out
 
 
 def _finite_or_zero(a_mat):
@@ -236,16 +251,17 @@ def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, tangent_e
 
     ``field(t, Z)`` returns one row of the vector field per row of Z, and
     ``linearize(t, Z)`` one jacobian of it per row.  Returns (Z', ok,
-    tangents).  The Newton matrix is assembled once per step at the
-    predictor midpoint and frozen across iterations (the fixed point is
-    unchanged; convergence stays fast at integration step sizes), and the
-    update of the iteration that passes the residual test is still applied,
-    so Z' sits at the fixed point to roundoff.  Tangent maps are Cayley
-    transforms and therefore symplectic (for a Hamiltonian field) in either
-    mode; ``tangent_exact`` re-evaluates the linearization at the converged
-    midpoint, which makes the tangent the exact derivative of the discrete
-    step.  Members outside the optional mask ``live`` are not iterated and
-    come back not ok.
+    tangents).  The Newton matrix N = I - (h/2) A is assembled at the
+    predictor midpoint, frozen across iterations (the fixed point is
+    unchanged) and inverted once by _batch_solve; every update is N^-1
+    times the residual, and the one that passes the residual test is still
+    applied, so Z' sits at the fixed point to roundoff.  Tangent maps are
+    Cayley transforms (I - H)^-1 (I + H) = 2 (I - H)^-1 - I, H = (h/2) A,
+    so symplectic (for a Hamiltonian field) in either mode: the frozen one
+    is 2 N^-1 - I; ``tangent_exact`` re-evaluates A at the converged
+    midpoint and inverts once more, which makes the tangent the exact
+    derivative of the discrete step.  Members outside the optional mask
+    ``live`` are not iterated and come back not ok.
 
     While every member is ok and none has converged, the iteration runs
     unmasked; the masked updates take over once a member fails or
@@ -266,9 +282,8 @@ def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, tangent_e
     else:
         Z2 = np.where(ok[:, None], Z2, Z)
         m0 = np.where(ok[:, None], 0.5 * (Z + Z2), 0.0)
-    a_mat = _finite_or_zero(linearize(t_mid, m0))
-    newton_mat = eye - 0.5 * h * a_mat
-    z_size = np.abs(Z).max(axis=1)
+    n_inv = _batch_solve(eye - 0.5 * h * _finite_or_zero(linearize(t_mid, m0)))
+    z_size = _row_max(np.abs(Z))
     done = np.zeros(bsz, dtype=bool)
     for _ in range(cfg.newton_max_iter):
         if not lean:
@@ -276,12 +291,12 @@ def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, tangent_e
             if not active.any():
                 break
         g = Z2 - Z - h * field(t_mid, 0.5 * (Z + Z2))
-        gn = np.abs(g).max(axis=1)  # not finite exactly when a row of g is not
-        scale = 1.0 + np.maximum(z_size, np.abs(Z2).max(axis=1))
+        gn = _row_max(np.abs(g))  # not finite exactly when a row of g is not
+        scale = 1.0 + np.maximum(z_size, _row_max(np.abs(Z2)))
         finite = np.isfinite(gn)
         if lean:
             if finite.all():
-                delta = _batch_solve(newton_mat, -g)
+                delta = (n_inv @ -g[..., None])[..., 0]
                 stepped = Z2 + delta
                 usable = np.isfinite(delta)
                 Z2 = stepped if usable.all() else np.where(usable, stepped, Z2)
@@ -293,7 +308,7 @@ def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, tangent_e
         active &= finite
         if not active.any():
             break
-        delta = _batch_solve(newton_mat, np.where(np.isfinite(g), -g, 0.0))
+        delta = (n_inv @ np.where(np.isfinite(g), -g, 0.0)[..., None])[..., 0]
         Z2 = np.where(active[:, None] & np.isfinite(delta), Z2 + delta, Z2)
         done |= active & (gn <= cfg.newton_tol * scale)
     ok &= done
@@ -303,9 +318,8 @@ def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, tangent_e
             m_final = 0.5 * (Z + Z2)
             if not ok.all():
                 m_final = np.where(ok[:, None], m_final, 0.0)
-            a_mat = _finite_or_zero(linearize(t_mid, m_final))
-        half = 0.5 * h * a_mat
-        tangents = _batch_solve(eye - half, eye + half)
+            n_inv = _batch_solve(eye - 0.5 * h * _finite_or_zero(linearize(t_mid, m_final)))
+        tangents = 2.0 * n_inv - eye
     return Z2, ok, tangents
 
 
@@ -391,7 +405,7 @@ def _stepper(sys, cfg, want_tangent, tangent_exact=True):
 def _sup_norms(Z, r):
     """max|z[:r]| + max|z[r:]| of every row z of Z: max|u| + max|p| for a state (u, p)."""
     size = np.abs(Z)
-    return size[:, :r].max(axis=1) + size[:, r:].max(axis=1)
+    return _row_max(size[:, :r]) + _row_max(size[:, r:])
 
 
 def _stop_status(z, r, t, cfg):
@@ -443,7 +457,7 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
             if ok.all():
                 Z = Znew
                 if want_jacobian:
-                    jac = np.einsum("bij,bjk->bik", tangents, jac)
+                    jac = tangents @ jac
             else:
                 for b in np.flatnonzero(was_ok & ~ok):
                     stopped = (BlowUp(t_escape=t + h), k, Znew[b])
@@ -468,25 +482,29 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
                 live = ok
                 Z = np.where(ok[:, None], Znew, Z)
                 if want_jacobian:
-                    upd = np.einsum("bij,bjk->bik", tangents, jac)
-                    jac = np.where(ok[:, None, None], upd, jac)
+                    jac = np.where(ok[:, None, None], tangents @ jac, jac)
             if store_path:
                 path[k + 1] = Z
     return path, Z, ok, jac, report
 
 
 def _stopped_path(grid, path, stopped):
-    """Nodes and states of a batch of one's (n_nodes, 1, width) path up to its stop.
+    """(times, first, second): nodes and states of a batch of one up to its stop.
 
-    ``stopped`` is its (status, stop, crossing); an escape gets its crossing state
-    appended at t_escape.  Raises FlowIncompleteError if the first step failed."""
+    ``path`` is the pair of (n_nodes, 1, width) arrays that split each state,
+    and ``stopped`` its (status, stop, crossing); an escape gets its crossing
+    state, split alike, appended at t_escape.  Raises FlowIncompleteError if
+    the first step failed."""
     status, stop, crossing = stopped
     if stop == 0 and crossing is None:
         raise FlowIncompleteError(status)
-    times, states = grid.nodes[:stop + 1], path[:stop + 1, 0]
+    times = grid.nodes[:stop + 1]
+    first, second = (part[:stop + 1, 0] for part in path)
     if crossing is not None:
-        times, states = np.append(times, status.t_escape), np.vstack([states, crossing])
-    return times, states
+        w = first.shape[1]
+        times = np.append(times, status.t_escape)
+        first, second = np.vstack([first, crossing[:w]]), np.vstack([second, crossing[w:]])
+    return times, first, second
 
 
 def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,

@@ -1,12 +1,14 @@
 """The step maps that flows call, flows, tangent flows, blow-up handling."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phasebound import integrators
 from phasebound.core import ConfigSpace, HamiltonianSystem
@@ -181,6 +183,22 @@ class TestIntegrateFlow:
         traj = res.trajectory
         np.testing.assert_allclose(np.hstack([traj.positions, traj.momenta]), states,
                                    rtol=0, atol=1e-12)
+
+    def test_stored_path_is_not_copied(self):
+        # a 10^4-step flow keeps its (u, p) states and its grid; the peak over
+        # the call may add the scratch of a step, not a second copy of the path
+        # (a copy made it 2.04 times what is kept)
+        free = make_free_particle().system
+        integrate_flow(free, [0.0], [1.0], IntegratorConfig(step=1e-2))  # warm-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = integrate_flow(free, [0.0], [1.0], IntegratorConfig(step=1e-4))
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(res.trajectory.grid) == 10 ** 4 + 1
+        assert peak <= 1.5 * kept
 
     def test_verlet_scheme_flow(self):
         pen = make_pendulum()
@@ -402,6 +420,11 @@ class TestBatchedVerlet:
         np.testing.assert_allclose(jac[0], [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
 
 
+def linear_field(mats):
+    """(field, linearize) of dZ/dt = mats[b] Z[b], one matrix per member."""
+    return (lambda t, Z: (mats @ Z[..., None])[..., 0]), (lambda t, Z: mats)
+
+
 class TestBatchedMidpointFallback:
     def test_singular_member_does_not_change_its_neighbours(self):
         # A frozen linearization that makes I - h/2 A exactly singular for the
@@ -426,6 +449,72 @@ class TestBatchedMidpointFallback:
         assert ok_alone[0] and ok[0]
         assert np.array_equal(Z2[0], Z2_alone[0])
         assert np.array_equal(tangents[0], tangents_alone[0])
+
+    def test_exactly_singular_member_alone_gets_pinv(self):
+        # h = 2^-10 and A = 2^11 I make (h/2) A = I exactly, so member 2's N is
+        # exactly 0: its inverse falls back to pinv, and the others stay as alone
+        h = 2.0 ** -10
+        rng = np.random.default_rng(7)
+        mats = 0.5 * rng.standard_normal((5, 4, 4))
+        mats[2] = 2.0 ** 11 * np.eye(4)
+        Z = rng.standard_normal((5, 4))
+        cfg = IntegratorConfig(step=h)
+        for tangent_exact in (True, False):
+            Z2, ok, tangents = integrators._midpoint_step_batch(
+                *linear_field(mats), 0.0, Z, h, cfg, True, tangent_exact)
+            assert ok.tolist() == [True, True, False, True, True]
+            for b in (0, 1, 3, 4):
+                alone = integrators._midpoint_step_batch(
+                    *linear_field(mats[b:b + 1]), 0.0, Z[b:b + 1], h, cfg, True, tangent_exact)
+                for got, want in zip((Z2, ok, tangents), alone):
+                    assert np.array_equal(got[b], want[0])
+        newton = np.eye(4) - 0.5 * h * mats
+        inverses = integrators._batch_solve(newton)
+        assert not newton[2].any()
+        for b in (0, 1, 3, 4):
+            assert np.array_equal(inverses[b], np.linalg.inv(newton[b]))
+        assert np.array_equal(inverses[2], np.linalg.pinv(newton[2]))
+
+
+class TestInvertedStep:
+    """Each midpoint step inverts its Newton matrix N = I - (h/2) A once."""
+
+    @pytest.mark.parametrize("tangent_exact", [True, False], ids=["exact", "frozen"])
+    @pytest.mark.parametrize("make", [make_pendulum, make_quartic], ids=["pendulum", "quartic"])
+    def test_tangents_are_cayley_maps_and_stay_symplectic(self, make, tangent_exact):
+        # 256 members, 125 steps of 1e-3; the tangent is built from the last
+        # linearization that the step asks for (the predictor's if frozen)
+        system, h, bsz = make().system, 1e-3, 256
+        Z0 = np.random.default_rng(11).uniform(-0.8, 0.8, (bsz, 2))
+        eye = np.eye(2)
+        last = []
+
+        def field(t, Z):
+            return integrators._field_batch(system, t, Z)
+
+        def linearize(t, Z):
+            last[:] = [integrators._linearized_batch(system, t, Z)]
+            return last[0]
+
+        Z, jac = Z0, np.tile(eye, (bsz, 1, 1))
+        for k in range(125):
+            Z, ok, tangents = integrators._midpoint_step_batch(
+                field, linearize, k * h, Z, h, IntegratorConfig(), True, tangent_exact)
+            assert ok.all()
+            half = 0.5 * h * last[0]
+            assert np.abs(tangents - np.linalg.solve(eye - half, eye + half)).max() <= 1e-13
+            jac = tangents @ jac
+        assert max(symplecticity_defect(j) for j in jac) <= 1e-12
+        # the step loop composes the same tangents in the same order
+        flown = flow_batch(system, Z0[:, :1], Z0[:, 1:], IntegratorConfig(), 0.0, 0.125,
+                           want_jacobian=True, tangent_exact=tangent_exact)[5]
+        assert np.array_equal(flown, jac)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 300), st.integers(1, 6)),
+                  elements=st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])))
+    def test_row_max_is_max_over_axis_1(self, a):
+        assert np.array_equal(integrators._row_max(a), a.max(axis=1), equal_nan=True)
 
 
 SCHEMES = (IntegratorConfig(), IntegratorConfig(scheme="stormer-verlet"))
