@@ -389,7 +389,8 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     grid, h = TimeGrid.uniform(n_steps), 1.0 / n_steps
     path, *_, (stopped,) = _march(step, np.concatenate([u0, e0])[None], r, march_cfg,
                                   0.0, h, n_steps, store_path=True)
-    nodes, u_path, e_path = _stopped_path(grid, (path[..., :r], path[..., r:]), stopped)
+    nodes, states = _stopped_path(grid, path, stopped)
+    u_path, e_path = states[:, :r], states[:, r:]
     lam_path = np.stack([lam_of_t(t) for t in nodes])
     traj = Trajectory(TimeGrid(nodes), u_path, np.stack([spec.sigma_at(e) for e in e_path]))
     polar = np.abs([polar_constraint_residual(spec, e, lam) for e, lam in zip(e_path, lam_path)])

@@ -136,8 +136,8 @@ def flow_with_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig,
     r = sys.dim
     grid, path, _, _, _, jac, (stopped,) = flow_batch(
         sys, as_point(u0, r), as_point(p0, r), cfg, t0, t1, want_jacobian, store_path=True)
-    times, us, ps = _stopped_path(grid, path, stopped)
-    result = FlowResult(Trajectory(TimeGrid(times), us, ps), stopped[0])
+    times, states = _stopped_path(grid, path, stopped)
+    result = FlowResult(Trajectory(TimeGrid(times), states[:, :r], states[:, r:]), stopped[0])
     return result, (jac[0] if want_jacobian and result.completed else None)
 
 
@@ -358,34 +358,32 @@ def _verlet_step_batch(sys, t, Z, h, want_tangent, eye):
     return Z2, ok, kick1 @ drift @ kick0
 
 
-def _analytic_batch(sys, U0, P0, t0, t1, grid, want_jacobian, store_path):
-    """Closed-form flow of a batch over [t0, t1] on ``grid``; returns (path or None,
-    U1, P1, ok, jacobians or None) as flow_batch does.
+def _analytic_batch(sys, Z0, t0, t1, grid, want_jacobian, store_path):
+    """Closed-form flow of the states Z0 (one per row) over [t0, t1] on ``grid``;
+    returns (path or None, Z1, ok, jacobians or None) as _march does, without its report.
 
     The closed form is evaluated at the elapsed time t - t0.  With
-    ``store_path`` it is sampled at every node of the grid and ``ok``
-    requires every node to be finite; otherwise it is evaluated once, at
-    t1 - t0, and ``ok`` requires finite start and end states.
+    ``store_path`` it fills the (n_nodes, batch, 2r) path, node by node, and
+    ``ok`` requires every node to be finite; otherwise it is evaluated once,
+    at t1 - t0, and ``ok`` requires finite start and end states.
     """
-    bsz, r = U0.shape
+    bsz, r = Z0.shape[0], Z0.shape[1] // 2
+    U0, P0 = Z0[:, :r], Z0[:, r:]
     elapsed = grid.nodes - t0 if store_path else (t1 - t0,)
-    path_u = np.empty((len(elapsed), bsz, r))
-    path_p = np.empty_like(path_u)
+    path = np.empty((len(elapsed), bsz, 2 * r))
     for i, t in enumerate(elapsed):
         if sys.vectorized:
-            path_u[i], path_p[i] = sys.analytic_flow(t, U0, P0)
+            path[i, :, :r], path[i, :, r:] = sys.analytic_flow(t, U0, P0)
         else:
             for b in range(bsz):
-                path_u[i, b], path_p[i, b] = sys.analytic_flow(t, U0[b], P0[b])
-    ok = (np.all(np.isfinite(U0), axis=1) & np.all(np.isfinite(P0), axis=1)
-          & np.all(np.isfinite(path_u), axis=(0, 2)) & np.all(np.isfinite(path_p), axis=(0, 2)))
+                path[i, b, :r], path[i, b, r:] = sys.analytic_flow(t, U0[b], P0[b])
+    ok = np.isfinite(Z0).all(axis=1) & np.isfinite(path).all(axis=(0, 2))
     jac = None
     if want_jacobian:
         jac = np.empty((bsz, 2 * r, 2 * r))
         for b in range(bsz):
             jac[b] = sys.analytic_flow_jacobian(t1 - t0, U0[b], P0[b])
-    path = (path_u, path_p) if store_path else None
-    return path, path_u[-1], path_p[-1], ok, jac
+    return (path if store_path else None), path[-1], ok, jac
 
 
 def _stepper(sys, cfg, want_tangent, tangent_exact=True):
@@ -489,22 +487,17 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
 
 
 def _stopped_path(grid, path, stopped):
-    """(times, first, second): nodes and states of a batch of one up to its stop.
-
-    ``path`` is the pair of (n_nodes, 1, width) arrays that split each state,
-    and ``stopped`` its (status, stop, crossing); an escape gets its crossing
-    state, split alike, appended at t_escape.  Raises FlowIncompleteError if
-    the first step failed."""
+    """(times, states) of a batch of one up to its stop: views of ``grid`` and of its
+    (n_nodes, 1, width) ``path``, unless ``stopped`` = (status, stop, crossing) is an
+    escape, whose crossing state is appended at t_escape.  Raises FlowIncompleteError
+    if the first step failed."""
     status, stop, crossing = stopped
     if stop == 0 and crossing is None:
         raise FlowIncompleteError(status)
-    times = grid.nodes[:stop + 1]
-    first, second = (part[:stop + 1, 0] for part in path)
+    times, states = grid.nodes[:stop + 1], path[:stop + 1, 0]
     if crossing is not None:
-        w = first.shape[1]
-        times = np.append(times, status.t_escape)
-        first, second = np.vstack([first, crossing[:w]]), np.vstack([second, crossing[w:]])
-    return times, first, second
+        times, states = np.append(times, status.t_escape), np.vstack([states, crossing])
+    return times, states
 
 
 def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
@@ -516,26 +509,23 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
     not declared separable).  Closed-form (``analytic_only``) systems are
     evaluated, not stepped, and their grid is sampled only when
     ``store_path`` asks for the path.  Returns (grid, path or None, U1, P1,
-    ok, jacobians or None, report), path being a pair of (n_nodes, batch, r)
-    arrays and report that of _march, which also describes ``ok`` and step
-    halving (``cfg.max_step_halvings`` alone decides it); a closed-form
-    member that is not ok stops at t0, as after a failed first step.
-    ``tangent_exact`` applies to the midpoint rule only (see
-    _midpoint_step_batch).
+    ok, jacobians or None, report), path being the (n_nodes, batch, 2r)
+    state array of either kind of flow and report that of _march, which
+    also describes ``ok`` and step halving (``cfg.max_step_halvings`` alone
+    decides it); a closed-form member that is not ok stops at t0, as after
+    a failed first step.  ``tangent_exact`` applies to the midpoint rule
+    only (see _midpoint_step_batch).
     """
-    U0 = np.atleast_2d(np.asarray(U0, dtype=float))
-    P0 = np.atleast_2d(np.asarray(P0, dtype=float))
-    r = U0.shape[1]
+    Z0 = np.concatenate([np.atleast_2d(np.asarray(x, dtype=float)) for x in (U0, P0)], axis=1)
+    r = Z0.shape[1] // 2
     n_steps = step_count(t1 - t0, cfg.step)
     grid, h = TimeGrid.uniform(n_steps, t0, t1), (t1 - t0) / n_steps
-    Z0 = np.concatenate([U0, P0], axis=1)
     if sys.analytic_only:
         with np.errstate(all="ignore"):
-            path, U1, P1, ok, jac = _analytic_batch(sys, U0, P0, t0, t1, grid, want_jacobian,
-                                                    store_path)
-        return grid, path, U1, P1, ok, jac, _start_report(Z0, ok, r, t0, n_steps, cfg)
-    step = _stepper(sys, cfg, want_jacobian, tangent_exact)
-    path, Z, ok, jac, report = _march(step, Z0, r, cfg, t0, h, n_steps, want_jacobian,
-                                      store_path)
-    return (grid, (path[..., :r], path[..., r:]) if store_path else None,
-            Z[:, :r], Z[:, r:], ok, jac, report)
+            path, Z, ok, jac = _analytic_batch(sys, Z0, t0, t1, grid, want_jacobian, store_path)
+        report = _start_report(Z0, ok, r, t0, n_steps, cfg)
+    else:
+        step = _stepper(sys, cfg, want_jacobian, tangent_exact)
+        path, Z, ok, jac, report = _march(step, Z0, r, cfg, t0, h, n_steps, want_jacobian,
+                                          store_path)
+    return grid, path, Z[:, :r], Z[:, r:], ok, jac, report

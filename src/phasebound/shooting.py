@@ -342,29 +342,29 @@ def _branches(sys, u0, P, boundary, icfg):
         return []
     bsz, r = P.shape[0], sys.dim
     Z, m, _ = _segment_states(u0, P, r)
-    _, path, U1, P1, ok, jac, _ = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
-                                             want_jacobian=True, store_path=True)
-    n = path[0].shape[0] - 1
+    _, path, _, _, ok, jac, _ = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
+                                           want_jacobian=True, store_path=True)
+    n = path.shape[0] - 1
+    grid = TimeGrid.uniform(n * m)  # a flow's over [0, 1]
 
-    def stitch(seg, i):  # member i's (n m + 1, r) path from (n + 1, bsz m, r) segment paths
-        if m == 1:
-            return seg[:, i]
-        out = np.empty((n * m + 1, r))
-        out[:-1].reshape(m, n, r)[...] = seg[:-1, i * m:(i + 1) * m].transpose(1, 0, 2)
-        out[-1] = seg[-1, (i + 1) * m - 1]
-        return out
+    def trajectory(i):  # member i's, stitched from the (n + 1, bsz m, 2r) segment paths
+        states = path[:, i]
+        if m > 1:
+            states = np.empty((n * m + 1, 2 * r))
+            states[:-1].reshape(m, n, 2 * r)[...] = path[:-1, i * m:(i + 1) * m].swapaxes(0, 1)
+            states[-1] = path[-1, (i + 1) * m - 1]
+        return Trajectory(grid, states[:, :r], states[:, r:])
 
     ok = ok.reshape(bsz, m).all(axis=1)
-    b, rows = boundary(Z[::m], np.concatenate([U1, P1], axis=1)[m - 1::m], ok)
+    b, rows = boundary(Z[::m], path[-1, m - 1::m], ok)
     with np.errstate(all="ignore"):
         residuals = np.max(np.abs(b), axis=1)
     mats = _condensed_matrix(jac.reshape(bsz, m, 2 * r, 2 * r), rows)
     sv = np.linalg.svd(np.where(ok[:, None, None], mats, 0.0), compute_uv=False)
     with np.errstate(all="ignore"):  # rows not ok are zeros: 0 / 0
         cond = np.where((sv[:, -1] > 0) & np.isfinite(sv[:, -1]), sv[:, 0] / sv[:, -1], np.inf)
-    grid = TimeGrid.uniform(n * m)  # a flow's over [0, 1]
-    return [BvpBranch(Z[i * m, r:].copy(), Trajectory(grid, *(stitch(s, i) for s in path)),
-                      float(residuals[i]), mats[i], float(cond[i])) if ok[i] else None
+    return [BvpBranch(Z[i * m, r:].copy(), trajectory(i), float(residuals[i]), mats[i],
+                      float(cond[i])) if ok[i] else None
             for i in range(bsz)]
 
 

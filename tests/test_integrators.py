@@ -352,8 +352,8 @@ class TestClosedFormFlows:
         grid, path, U1, P1, ok, *_ = flow_batch(sph, U0, P0, cfg, want_jacobian=True)
         assert path is None and calls == [1.0]
         calls.clear()
-        _, (path_u, path_p), U1s, P1s, oks, *_ = flow_batch(sph, U0, P0, cfg, store_path=True)
-        assert len(calls) == len(grid) == path_u.shape[0]
+        _, path, U1s, P1s, oks, *_ = flow_batch(sph, U0, P0, cfg, store_path=True)
+        assert len(calls) == len(grid) == path.shape[0]
         np.testing.assert_array_equal(U1, U1s)
         np.testing.assert_array_equal(P1, P1s)
         np.testing.assert_array_equal(ok, oks)
@@ -541,7 +541,7 @@ class TestMaskedMembers:
                 # the escaping member is held at its last state under the threshold
                 assert abs(U1[0, 0]) + abs(P1[0, 0]) <= cfg.blowup_threshold
                 if store_path:
-                    assert np.isfinite(path[0][:, 0]).all() and np.isfinite(path[1][:, 0]).all()
+                    assert np.isfinite(path[:, 0, :1]).all() and np.isfinite(path[:, 0, 1:]).all()
                 for b in range(1, len(self.ordinary_u) + 1):
                     _, path1, U1s, P1s, ok1, jac1, _ = flow_batch(
                         quartic, U0[b:b + 1], P0[b:b + 1], cfg,
@@ -551,8 +551,8 @@ class TestMaskedMembers:
                     if want_jacobian:
                         assert np.array_equal(jac[b], jac1[0])
                     if store_path:
-                        assert np.array_equal(path[0][:, b], path1[0][:, 0])
-                        assert np.array_equal(path[1][:, b], path1[1][:, 0])
+                        assert np.array_equal(path[:, b, :1], path1[:, 0, :1])
+                        assert np.array_equal(path[:, b, 1:], path1[:, 0, 1:])
 
     def test_non_finite_member_gets_a_first_step_status(self):
         # a stepped batch: the NaN member stops at t0 and node 0 before any
@@ -566,8 +566,8 @@ class TestMaskedMembers:
         for b in (0, 2):
             assert report[b] == (Completed(), 100, None)
             _, solo, *_ = flow_batch(pendulum, U0[b:b + 1], P0[b:b + 1], cfg, store_path=True)
-            assert np.array_equal(path[0][:, b], solo[0][:, 0])
-            assert np.array_equal(path[1][:, b], solo[1][:, 0])
+            assert np.array_equal(path[:, b, :1], solo[:, 0, :1])
+            assert np.array_equal(path[:, b, 1:], solo[:, 0, 1:])
 
     def test_halving_is_per_member(self):
         # (6, 18) escapes at t = 0.33329; at h = 1e-4 its Newton solve fails on
@@ -578,8 +578,9 @@ class TestMaskedMembers:
         U0 = np.vstack([[[6.0]], self.ordinary_u[:2]])
         P0 = np.vstack([[[18.0]], self.ordinary_p[:2]])
         for t1, fate in ((0.3332, Completed), (0.4, BlowUp)):
-            _, (path_u, path_p), _, _, ok, jac, report = flow_batch(
+            _, path, _, _, ok, jac, report = flow_batch(
                 quartic, U0, P0, cfg, t1=t1, want_jacobian=True, store_path=True)
+            path_u, path_p = path[..., :1], path[..., 1:]
             assert ok.tolist() == [fate is Completed, True, True]
             assert isinstance(report[0][0], fate)
             for b, (status, stop, crossing) in enumerate(report):
@@ -617,8 +618,8 @@ class TestMaskedMembers:
         assert isinstance(status, NewtonFailure) and crossing is None
         assert status.t == pytest.approx(stop * cfg.step)
         assert ok.tolist() == [False, True, True]
-        assert (stopped_path[0][stop:, 0] == stopped_path[0][stop, 0]).all()
-        assert (stopped_path[1][stop:, 0] == stopped_path[1][stop, 0]).all()
+        assert (stopped_path[stop:, 0, :1] == stopped_path[stop, 0, :1]).all()
+        assert (stopped_path[stop:, 0, 1:] == stopped_path[stop, 0, 1:]).all()
 
 
 def nan_beyond_half():
@@ -807,9 +808,7 @@ class TestRowByRowSystems:
                 want, got = (flow_batch(sys, U0, P0, cfg, want_jacobian=True, store_path=True,
                                         tangent_exact=tangent_exact)
                              for sys in (fast, slow))
-                for a, b in zip(want[1], got[1]):
-                    assert np.array_equal(a, b)
-                for a, b in zip(want[2:6], got[2:6]):
+                for a, b in zip(want[1:6], got[1:6]):
                     assert np.array_equal(a, b)
                 for (status, stop, crossing), (status1, stop1, crossing1) in zip(want[6], got[6]):
                     assert (status, stop) == (status1, stop1)
@@ -825,9 +824,30 @@ class TestRowByRowSystems:
                 sys, np.empty((0, r)), np.empty((0, r)), IntegratorConfig(step=1e-2),
                 want_jacobian=True, store_path=True)
             assert len(grid.nodes) == 101
-            assert path[0].shape == path[1].shape == (101, 0, r)
+            assert path[..., :r].shape == path[..., r:].shape == (101, 0, r)
             assert U1.shape == P1.shape == (0, r) and ok.shape == (0,)
             assert jac.shape == (0, 2 * r, 2 * r)
+
+    @pytest.mark.parametrize("name", ROW_BY_ROW)
+    def test_every_flow_stores_one_state_array(self, name):
+        # stepped and closed-form flows alike: the path is one (n_nodes, B, 2r) array
+        # from the start states to the end states, a NaN member included, and a
+        # single flow's positions and momenta are the two halves of one buffer
+        # (disjoint halves, so np.shares_memory is False: they share their base)
+        U0, P0 = (np.array(x, dtype=float) for x in ROW_BY_ROW[name][1:3])
+        U0, P0 = np.vstack([U0, U0[:1]]), np.vstack([P0, np.full_like(P0[:1], np.nan)])
+        cfg = IntegratorConfig(step=1e-2)
+        for sys in self.both(name):
+            grid, path, U1, P1, ok, *_ = flow_batch(sys, U0, P0, cfg, store_path=True)
+            assert path.shape == (len(grid), len(U0), 2 * sys.dim)
+            # the NaN member's closed-form start is not its start state
+            assert np.array_equal(path[0, :-1], np.concatenate([U0, P0], axis=1)[:-1])
+            assert np.array_equal(path[-1], np.concatenate([U1, P1], axis=1), equal_nan=True)
+            assert not ok[-1]
+            for b in (0, 1):  # quartic-escaping's member 0 ends on its crossing state
+                traj = integrate_flow(sys, U0[b], P0[b], cfg).trajectory
+                assert traj.positions.base is not None
+                assert traj.positions.base is traj.momenta.base
 
     @pytest.mark.parametrize("name", ROW_BY_ROW)
     def test_solve_dirichlet_matches_the_vectorized_run(self, name):

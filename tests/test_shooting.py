@@ -771,11 +771,11 @@ class TestMultipleShooting:
         assert m == 8 and len(flights) == m - 1
         assert not any(f.get("store_path") or f.get("want_jacobian") for f in flights)
         Z = lead if u0 is None else np.hstack([u0, lead])
-        _, (path_u, path_p), _, _, ok, *_ = flow(sys, Z[:, :r], Z[:, r:], icfg, store_path=True)
+        _, path, _, _, ok, *_ = flow(sys, Z[:, :r], Z[:, r:], icfg, store_path=True)
         assert ok.any() and ok.all() != (case == "quartic-escaping")
         assert np.array_equal(unknowns[:, :lead.shape[1]], lead)
-        n = path_u.shape[0] - 1
-        nodes = np.concatenate([path_u, path_p], axis=2)[np.arange(1, m) * (n // m)]
+        n = path.shape[0] - 1
+        nodes = path[np.arange(1, m) * (n // m)]
         interior = unknowns[:, lead.shape[1]:].reshape(len(lead), m - 1, 2 * r)
         assert np.array_equal(interior[ok], nodes.transpose(1, 0, 2)[ok])
         # one segment: the lift is the leading unknowns, with no flight
