@@ -104,8 +104,10 @@ class HamiltonianSystem:
     flow; such a system must bring both (ValueError otherwise), and its
     Hessian blocks go unused.
 
-    ``vectorized`` declares that the callbacks broadcast over a leading batch
-    axis of u and p, enabling batched integration.  ``autonomous`` declares
+    ``vectorized`` declares that every callback, ``analytic_flow_jacobian``
+    included, broadcasts over a leading batch axis of u and p, so a batch of
+    states is one call; otherwise each state is one call.  ``_eval_rows`` is
+    where it is read.  ``autonomous`` declares
     that H does not depend on t, so a flow over [s, s + d] may be computed
     as one over [0, d]; shooting then splits [0, 1] into segments.
     """
@@ -426,12 +428,20 @@ def grid_derivative(values, nodes):
 # Action, residual, boundary forms
 # ---------------------------------------------------------------------------
 
+def _eval_rows(sys: HamiltonianSystem, fn, t, U, P):
+    """fn(t, u, p) at the time t over the rows of (U, P): one call when the system is
+    vectorized, one call per row otherwise (an empty batch then gives an empty array)."""
+    if sys.vectorized:
+        return np.asarray(fn(t, U, P), dtype=float)
+    return np.array([fn(t, U[b], P[b]) for b in range(len(U))], dtype=float)
+
+
 def _eval_along(sys: HamiltonianSystem, chi: Trajectory, fn):
-    """fn(t, u, p) at every node: one call on all nodes when the system is
-    vectorized and autonomous, one call per node otherwise."""
+    """fn(t, u, p) at every node: the nodes as one batch at one time when the
+    system is autonomous, one call per node otherwise."""
     t = chi.grid.nodes
-    if sys.vectorized and sys.autonomous:
-        return np.asarray(fn(t[0], chi.positions, chi.momenta), dtype=float)
+    if sys.autonomous:
+        return _eval_rows(sys, fn, t[0], chi.positions, chi.momenta)
     return np.array([fn(t[k], chi.positions[k], chi.momenta[k]) for k in range(len(t))])
 
 

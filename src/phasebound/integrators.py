@@ -37,6 +37,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     _eval_along,
+    _eval_rows,
     as_point,
     canonical_skew,
     hessian_block,
@@ -183,41 +184,32 @@ def energy_drift(sys: HamiltonianSystem, traj: Trajectory):
 # Batched flows (multistart workhorse)
 # ---------------------------------------------------------------------------
 
-def _eval_batch(sys, fn, t, U, P):
-    """fn(t, u, p) over the rows of (U, P): one call if the system is vectorized."""
-    if sys.vectorized:
-        return np.asarray(fn(t, U, P), dtype=float)
-    return np.stack([np.asarray(fn(t, U[b], P[b]), dtype=float) for b in range(U.shape[0])])
-
-
 def _field_batch(sys, t, Z):
     r = Z.shape[1] // 2
     U, P = Z[:, :r], Z[:, r:]
-    du = _eval_batch(sys, sys.grad_p, t, U, P)
-    dp = -_eval_batch(sys, sys.grad_u, t, U, P)
+    du = _eval_rows(sys, sys.grad_p, t, U, P)
+    dp = -_eval_rows(sys, sys.grad_u, t, U, P)
     return np.concatenate([du, dp], axis=1)
 
 
 def _linearized_batch(sys, t, Z):
     r = Z.shape[1] // 2
-    return _eval_batch(sys, lambda tt, u, p: linearized_field_matrix(sys, tt, u, p),
-                       t, Z[:, :r], Z[:, r:])
+    return _eval_rows(sys, lambda tt, u, p: linearized_field_matrix(sys, tt, u, p),
+                      t, Z[:, :r], Z[:, r:])
 
 
 def _batch_solve(mats, rhs=None):
-    """mats[b]^-1 rhs[b] for every member b, rhs holding a vector or a matrix per member,
+    """mats[b]^-1 rhs[b] for every member b, rhs holding one vector per member,
     or the inverse mats[b]^-1 itself when rhs is None.
 
     A singular member alone falls back to its pseudo-inverse (pinv); the
     others are solved as in the stacked call, so no member's result depends
     on what else is in the batch.
     """
-    vector = rhs is not None and rhs.ndim < mats.ndim
     try:
         if rhs is None:
             return np.linalg.inv(mats)
-        out = np.linalg.solve(mats, rhs[..., None] if vector else rhs)
-        return out[..., 0] if vector else out
+        return np.linalg.solve(mats, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         out = np.empty_like(mats if rhs is None else rhs)
         for b in range(mats.shape[0]):
@@ -339,16 +331,16 @@ def _verlet_step_batch(sys, t, Z, h, want_tangent, eye):
     bsz, two_r = Z.shape
     r = two_r // 2
     U, P = Z[:, :r], Z[:, r:]
-    P_half = P - 0.5 * h * _eval_batch(sys, sys.grad_u, t, U, P)
-    U_new = U + h * _eval_batch(sys, sys.grad_p, t + 0.5 * h, U, P_half)
-    P_new = P_half - 0.5 * h * _eval_batch(sys, sys.grad_u, t + h, U_new, P_half)
+    P_half = P - 0.5 * h * _eval_rows(sys, sys.grad_u, t, U, P)
+    U_new = U + h * _eval_rows(sys, sys.grad_p, t + 0.5 * h, U, P_half)
+    P_new = P_half - 0.5 * h * _eval_rows(sys, sys.grad_u, t + h, U_new, P_half)
     Z2 = np.concatenate([U_new, P_new], axis=1)
     ok = np.isfinite(Z2).all(axis=1)
     if not want_tangent:
         return Z2, ok, None
 
     def hess(block, tt, UU, PP):
-        return _eval_batch(sys, lambda t_, u, p: hessian_block(sys, block, t_, u, p), tt, UU, PP)
+        return _eval_rows(sys, partial(hessian_block, sys, block), tt, UU, PP)
 
     kick0 = np.tile(eye, (bsz, 1, 1))
     drift, kick1 = kick0.copy(), kick0.copy()
@@ -367,22 +359,21 @@ def _analytic_batch(sys, Z0, t0, t1, grid, want_jacobian, store_path):
     ``ok`` requires every node to be finite; otherwise it is evaluated once,
     at t1 - t0, and ``ok`` requires finite start and end states.
     """
-    bsz, r = Z0.shape[0], Z0.shape[1] // 2
-    U0, P0 = Z0[:, :r], Z0[:, r:]
+    bsz, width = Z0.shape
+    U0, P0 = Z0[:, :width // 2], Z0[:, width // 2:]
     elapsed = grid.nodes - t0 if store_path else (t1 - t0,)
-    path = np.empty((len(elapsed), bsz, 2 * r))
+
+    def state(t, u0, p0):
+        return np.concatenate(sys.analytic_flow(t, u0, p0), axis=-1)
+
+    path = np.empty((len(elapsed), bsz, width))
     for i, t in enumerate(elapsed):
-        if sys.vectorized:
-            path[i, :, :r], path[i, :, r:] = sys.analytic_flow(t, U0, P0)
-        else:
-            for b in range(bsz):
-                path[i, b, :r], path[i, b, r:] = sys.analytic_flow(t, U0[b], P0[b])
+        path[i] = _eval_rows(sys, state, t, U0, P0).reshape(bsz, width)
     ok = np.isfinite(Z0).all(axis=1) & np.isfinite(path).all(axis=(0, 2))
     jac = None
     if want_jacobian:
-        jac = np.empty((bsz, 2 * r, 2 * r))
-        for b in range(bsz):
-            jac[b] = sys.analytic_flow_jacobian(t1 - t0, U0[b], P0[b])
+        jac = _eval_rows(sys, sys.analytic_flow_jacobian, t1 - t0, U0, P0).reshape(
+            bsz, width, width)
     return (path if store_path else None), path[-1], ok, jac
 
 

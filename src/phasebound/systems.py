@@ -291,37 +291,23 @@ def _sphere_flow(t, u0, p0):
 
 
 def _sphere_flow_jacobian(t, u0, p0):
+    """d(u(t), p(t)) / d(u0, p0) of _sphere_flow over any leading batch axes, each member's
+    to the bit: |p0| is the dot product and s^2 is C pow, as for one member's Python float."""
     u0 = np.asarray(u0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
-    r = u0.size
-    s = float(np.linalg.norm(p0))
-    jac = np.zeros((2 * r, 2 * r))
-    if s < 1e-12:
-        jac[:r, :r] = np.eye(r)
-        jac[:r, r:] = t * np.eye(r)
-        jac[r:, r:] = np.eye(r)
-        return jac
+    eye = np.eye(u0.shape[-1])
+    s = np.sqrt(p0[..., None, :] @ p0[..., :, None])  # (..., 1, 1)
+    rest = s < 1e-12  # the free flight u0 + t p0; s = 1 there, so that nothing divides by 0
+    s = np.where(rest, 1.0, s)
     st = s * t
     c, si = np.cos(st), np.sin(st)
-    phat = p0 / s
-    eye = np.eye(r)
-    du_du0 = c * eye
-    dp_du0 = -s * si * eye
-    du_dp0 = (
-        -t * si * np.outer(u0, phat)
-        + (si / s) * eye
-        + ((t * c * s - si) / s ** 2) * np.outer(p0, phat)
-    )
-    dp_dp0 = (
-        -(si + st * c) * np.outer(u0, phat)
-        + c * eye
-        - t * si * np.outer(p0, phat)
-    )
-    jac[:r, :r] = du_du0
-    jac[:r, r:] = du_dp0
-    jac[r:, :r] = dp_du0
-    jac[r:, r:] = dp_dp0
-    return jac
+    phat = (p0 / s[..., 0])[..., None, :]
+    u_phat, p_phat = u0[..., :, None] * phat, p0[..., :, None] * phat
+    du_dp0 = (-t * si * u_phat + (si / s) * eye
+              + ((t * c * s - si) / np.float_power(s, 2)) * p_phat)
+    dp_dp0 = -(si + st * c) * u_phat + c * eye - t * si * p_phat
+    free = np.block([[eye, t * eye], [0.0 * eye, eye]])
+    return np.where(rest, free, np.block([[c * eye, du_dp0], [-s * si * eye, dp_dp0]]))
 
 
 def make_sphere_geodesics():

@@ -358,6 +358,27 @@ class TestClosedFormFlows:
         np.testing.assert_array_equal(P1, P1s)
         np.testing.assert_array_equal(ok, oks)
 
+    def test_one_jacobian_call_per_flow(self):
+        # vectorized: one closed-form jacobian call for all five members; row by row, one each
+        sph = make_sphere_geodesics().system
+        U0 = np.tile(self.north, (5, 1))
+        P0 = np.random.default_rng(4).uniform(-4.0, 4.0, (5, 3))
+        jacobians = []
+        for vectorized, expected in ((True, 1), (False, 5)):
+            calls = []
+
+            def counted(t, u0, p0):
+                calls.append(t)
+                return sph.analytic_flow_jacobian(t, u0, p0)
+
+            system = dataclasses.replace(sph, analytic_flow_jacobian=counted,
+                                         vectorized=vectorized)
+            jacobians.append(flow_batch(system, U0, P0, IntegratorConfig(step=1e-2),
+                                        want_jacobian=True)[5])
+            assert calls == [1.0] * expected
+        assert jacobians[0].shape == (5, 6, 6)
+        assert np.array_equal(*jacobians)
+
     def test_non_finite_member_is_flagged(self):
         sph = make_sphere_geodesics().system
         P0 = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])

@@ -1,10 +1,15 @@
 """Bundled systems: closed-form facts and the small-kinetic-term limit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasebound import shooting, systems
-from phasebound.core import _eval_along, action_functional, central_difference, check_gradients
+from phasebound.core import (ConfigSpace, HamiltonianSystem, _eval_along, action_functional,
+                             central_difference, check_gradients)
 from phasebound.errors import NegativeLambdaError, NonPositiveMassError, PhaseboundError
 from phasebound.integrators import (IntegratorConfig, energy_drift, flow_jacobian, integrate_flow,
                                     symplecticity_defect)
@@ -27,6 +32,18 @@ from phasebound.systems import (
 
 def cfg(step=1e-3):
     return IntegratorConfig(step=step)
+
+
+def forced_particle():
+    """H = p^2/2 - t u, vectorized and time-dependent."""
+    return HamiltonianSystem(
+        config=ConfigSpace(1),
+        hamiltonian=lambda t, u, p: 0.5 * np.sum(p * p, axis=-1) - t * np.sum(u, axis=-1),
+        grad_u=lambda t, u, p: np.full(np.shape(u), -float(t)),
+        grad_p=lambda t, u, p: np.asarray(p, dtype=float),
+        vectorized=True,
+        name="forced-particle",
+    )
 
 
 class TestConstructors:
@@ -163,25 +180,50 @@ class TestSphere:
         np.testing.assert_allclose(u1, north)
         np.testing.assert_allclose(p1, np.zeros(3))
 
+    @staticmethod
+    def assert_jacobian_matches_differences(u0, p0, atol):
+        # each member's jacobian against the central differences of its own flow
+        sph = make_sphere_geodesics().system
+        flow, exact = sph.analytic_flow, sph.analytic_flow_jacobian(1.0, u0, p0)
+        assert exact.shape == u0.shape[:-1] + (6, 6)
+        for b in np.ndindex(u0.shape[:-1]):
+            fd = central_difference(lambda z: np.concatenate(flow(1.0, z[:3], z[3:])),
+                                    np.concatenate([u0[b], p0[b]]), 1e-6)
+            np.testing.assert_allclose(exact[b], fd, atol=atol)
+
     def test_flow_jacobian_matches_differences(self):
-        sph = make_sphere_geodesics()
         u0 = np.array([0.0, 0.0, 1.0])
         p0 = np.array([0.8, 0.4, 0.0])
-        exact = sph.system.analytic_flow_jacobian(1.0, u0, p0)
-        fd = central_difference(
-            lambda z: np.concatenate(sph.system.analytic_flow(1.0, z[:3], z[3:])),
-            np.concatenate([u0, p0]), 1e-6)
-        np.testing.assert_allclose(exact, fd, atol=1e-7)
+        self.assert_jacobian_matches_differences(u0, p0, 1e-7)
+        # a mixed batch: this member, one at rest, one below the rest threshold, two faster
+        U0 = np.array([u0, u0, [1.0, 0.0, 0.0], [0.6, 0.0, 0.8], [0.3, -0.5, 0.2]])
+        P0 = np.array([p0, np.zeros(3), [0.0, 1e-13, 0.0], [0.0, 2.5, -1.0], [-3.1, 0.7, 1.9]])
+        self.assert_jacobian_matches_differences(U0, P0, 1e-7)
 
     def test_flow_jacobian_at_rest_matches_differences(self):
         # zero momentum takes the jacobian's closed-form branch for s = 0
-        sph = make_sphere_geodesics()
         u0 = np.array([0.0, 0.0, 1.0])
-        exact = sph.system.analytic_flow_jacobian(1.0, u0, np.zeros(3))
-        fd = central_difference(
-            lambda z: np.concatenate(sph.system.analytic_flow(1.0, z[:3], z[3:])),
-            np.concatenate([u0, np.zeros(3)]), 1e-6)
-        np.testing.assert_allclose(exact, fd, atol=1e-8)
+        self.assert_jacobian_matches_differences(u0, np.zeros(3), 1e-8)
+        # a mixed batch: members at rest and below the rest threshold beside a moving one
+        U0 = np.array([u0, [1.0, 0.0, 0.0], u0, [0.6, 0.0, 0.8]])
+        P0 = np.array([np.zeros(3), np.zeros(3), [0.8, 0.4, 0.0], [0.0, -1e-13, 1e-13]])
+        self.assert_jacobian_matches_differences(U0, P0, 1e-8)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(t=st.floats(0.0, 1.0), members=st.lists(st.tuples(
+        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        # log10 of the momentum's scale: |p0| from 0 (-inf) and about 1e-13 up to 4e3
+        st.one_of(st.just(-np.inf), st.floats(-13.2, -12.8), st.floats(-13.0, 3.36)),
+    ), min_size=1, max_size=8))
+    def test_batched_jacobian_equals_the_member_calls(self, t, members):
+        jacobian = make_sphere_geodesics().system.analytic_flow_jacobian
+        U0 = np.array([u for u, _, _ in members])
+        P0 = np.array([np.array(d) * 10.0 ** scale for _, d, scale in members])
+        batched = jacobian(t, U0, P0)
+        assert batched.shape == (len(members), 6, 6)
+        for b in range(len(members)):
+            assert np.array_equal(batched[b], jacobian(t, U0[b], P0[b]))
 
     # The closed-form jacobian differentiates the great-circle formula in R^6,
     # which off T*S^2 is not the flow of |u|^2 |p|^2 / 2; the defect reads 1.50.
@@ -424,11 +466,27 @@ class TestEnergyConservation:
         ("pendulum", ([0.4], [1.2])),
         ("cotangent-lift", ([1.0], [1.0])),
         ("sphere", ([0.0, 0.0, 1.0], [0.5, 0.0, 0.0])),
+        ("forced-particle", ([0.2], [0.5])),
     ])
     def test_one_call_along_the_trajectory_equals_the_node_loop(self, name, state):
-        sys = make_example(name).system
-        traj = integrate_flow(sys, state[0], state[1], cfg()).trajectory
+        # each system as declared, row by row and time-dependent: one call at t[0] on
+        # all nodes only when vectorized and autonomous, else one call per node
+        system = forced_particle() if name == "forced-particle" else make_example(name).system
+        traj = integrate_flow(system, state[0], state[1], cfg()).trajectory
         t = traj.grid.nodes
-        for fn in (sys.hamiltonian, sys.grad_u, sys.grad_p):
-            loop = np.array([fn(t[k], traj.positions[k], traj.momenta[k]) for k in range(len(t))])
-            assert np.array_equal(_eval_along(sys, traj, fn), loop)
+        for sys in (system, dataclasses.replace(system, vectorized=False),
+                    dataclasses.replace(system, autonomous=False)):
+            for fn in (sys.hamiltonian, sys.grad_u, sys.grad_p):
+                loop = np.array([fn(t[k], traj.positions[k], traj.momenta[k])
+                                 for k in range(len(t))])
+                calls = []
+
+                def counted(tt, u, p, fn=fn):
+                    calls.append(tt)
+                    return fn(tt, u, p)
+
+                assert np.array_equal(_eval_along(sys, traj, counted), loop)
+                if sys.autonomous:
+                    assert len(calls) == (1 if sys.vectorized else len(t))
+                else:
+                    assert calls == list(t)
