@@ -5,11 +5,17 @@ of two one-step maps: the implicit midpoint rule (general H, solved by
 Newton iteration with its matrix frozen at the predictor) or
 Stormer-Verlet (separable H only, explicit).  Both are second order and
 symplectic (Hairer, Lubich & Wanner, Geometric Numerical Integration,
-VI.3).  Tangent flows are accumulated from the derivative of each
-discrete step (for the midpoint rule, the Cayley transform, VI.4, taken
-from the one inverse of the step's Newton matrix that every Newton update
-uses), so the computed monodromy matrices are symplectic to solver
-tolerance.  Every flow enters through
+VI.3).  The step maps only step: the midpoint step's one tangent is its
+frozen one, 2 N^-1 - I from the inverse of its Newton matrix N that every
+Newton update uses, which shooting's Newton directions compose.  Exact
+tangent flows compose the derivative of each discrete step (for the
+midpoint rule the Cayley transform at the converged midpoint, VI.4; for
+Stormer-Verlet the kick-drift-kick product).  They are built off the step
+loop from the states of a block of steps (for the midpoint rule, one
+linearization and one batched inverse per block) and composed in step
+order, so the computed monodromy matrices are symplectic to solver
+tolerance, and a stored path is enough to build them again
+(_path_jacobian).  Every flow enters through
 ``flow_batch`` or its step loop ``_march``: single flows
 (``flow_with_jacobian``, ``integrate_flow``, ``flow_jacobian``) are
 batches of one, closed-form flows are evaluated in ``flow_batch``, and the
@@ -237,23 +243,31 @@ def _finite_or_zero(a_mat):
     return a_mat if finite.all() else np.where(finite, a_mat, 0.0)
 
 
-def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, tangent_exact=True,
-                         eye=None, live=None):
+def _row_finite(a):
+    """np.isfinite(a).all(axis=1) bit for bit for a 2-d array a, column by column as
+    _row_max takes maxima: on the step's narrow (2r-wide) arrays this skips a
+    reduction's setup per call."""
+    out = np.isfinite(a[:, 0])
+    for j in range(1, a.shape[1]):
+        out &= np.isfinite(a[:, j])
+    return out
+
+
+def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, eye=None, live=None):
     """Implicit midpoint for dZ/dt = field(t, Z) over a batch of states Z.
 
     ``field(t, Z)`` returns one row of the vector field per row of Z, and
     ``linearize(t, Z)`` one jacobian of it per row.  Returns (Z', ok,
-    tangents).  The Newton matrix N = I - (h/2) A is assembled at the
-    predictor midpoint, frozen across iterations (the fixed point is
+    tangents or None).  The Newton matrix N = I - (h/2) A is assembled at
+    the predictor midpoint, frozen across iterations (the fixed point is
     unchanged) and inverted once by _batch_solve; every update is N^-1
     times the residual, and the one that passes the residual test is still
-    applied, so Z' sits at the fixed point to roundoff.  Tangent maps are
-    Cayley transforms (I - H)^-1 (I + H) = 2 (I - H)^-1 - I, H = (h/2) A,
-    so symplectic (for a Hamiltonian field) in either mode: the frozen one
-    is 2 N^-1 - I; ``tangent_exact`` re-evaluates A at the converged
-    midpoint and inverts once more, which makes the tangent the exact
-    derivative of the discrete step.  Members outside the optional mask
-    ``live`` are not iterated and come back not ok.
+    applied, so Z' sits at the fixed point to roundoff.  ``want_tangent``
+    asks for the frozen tangent 2 N^-1 - I, the Cayley transform
+    (I - H)^-1 (I + H) of H = (h/2) A from the same inverse, symplectic for
+    a Hamiltonian field; the exact tangent, the step's derivative, is built
+    off the step from its states (_midpoint_tangents).  Members outside the
+    optional mask ``live`` are not iterated and come back not ok.
 
     While every member is ok and none has converged, the iteration runs
     unmasked; the masked updates take over once a member fails or
@@ -265,7 +279,7 @@ def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, tangent_e
     eye = np.eye(two_r) if eye is None else eye
     t_mid = t + 0.5 * h
     Z2 = Z + h * field(t, Z)
-    ok = np.isfinite(Z2).all(axis=1)
+    ok = _row_finite(Z2)
     if live is not None:
         ok &= live
     lean = bool(ok.all())
@@ -304,50 +318,82 @@ def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, tangent_e
         Z2 = np.where(active[:, None] & np.isfinite(delta), Z2 + delta, Z2)
         done |= active & (gn <= cfg.newton_tol * scale)
     ok &= done
-    tangents = None
-    if want_tangent:
-        if tangent_exact:
-            m_final = 0.5 * (Z + Z2)
-            if not ok.all():
-                m_final = np.where(ok[:, None], m_final, 0.0)
-            n_inv = _batch_solve(eye - 0.5 * h * _finite_or_zero(linearize(t_mid, m_final)))
-        tangents = 2.0 * n_inv - eye
-    return Z2, ok, tangents
+    return Z2, ok, (2.0 * n_inv - eye if want_tangent else None)
 
 
-def _verlet_step_batch(sys, t, Z, h, want_tangent, eye):
-    """Stormer-Verlet (kick-drift-kick) over a batch; returns (Z', ok, tangents).
+def _verlet_step_batch(sys, t, Z, h):
+    """Stormer-Verlet (kick-drift-kick) over a batch; returns (Z', ok, None).
 
     The step is explicit, so there is no Newton solve: ``ok`` flags members
-    whose new state is finite.  The tangent is the exact derivative of the
-    step, the product of the two kick matrices [[I, 0], [-h/2 Huu, I]] and
-    the drift matrix [[I, h Hpp], [0, I]] (Hairer, Lubich & Wanner,
-    Geometric Numerical Integration, VI.3); only Huu at the kicks and Hpp at
-    the drift are evaluated.  Like the midpoint step, it runs under the
+    whose new state is finite.  Its tangent is built off the step from its
+    states (_verlet_tangents).  Like the midpoint step, it runs under the
     caller's ``np.errstate(all="ignore")``.
     """
     if not sys.separable:
         raise NotSeparableError(f"system {sys.name!r} is not declared separable")
-    bsz, two_r = Z.shape
-    r = two_r // 2
+    r = Z.shape[1] // 2
     U, P = Z[:, :r], Z[:, r:]
     P_half = P - 0.5 * h * _eval_rows(sys, sys.grad_u, t, U, P)
     U_new = U + h * _eval_rows(sys, sys.grad_p, t + 0.5 * h, U, P_half)
     P_new = P_half - 0.5 * h * _eval_rows(sys, sys.grad_u, t + h, U_new, P_half)
     Z2 = np.concatenate([U_new, P_new], axis=1)
-    ok = np.isfinite(Z2).all(axis=1)
-    if not want_tangent:
-        return Z2, ok, None
+    return Z2, _row_finite(Z2), None
 
-    def hess(block, tt, UU, PP):
-        return _eval_rows(sys, partial(hessian_block, sys, block), tt, UU, PP)
 
-    kick0 = np.tile(eye, (bsz, 1, 1))
+# Steps whose exact tangents are built in one pass: a flow keeps the states of
+# this many steps, so its memory stays O(block x batch) whatever it stores.
+TANGENT_BLOCK = 16
+
+
+def _eval_block(sys, fn, ts, U, P):
+    """fn(t, u, p) over a block of steps' (K, B, r) states (U, P), step k at the time
+    ts[k]: one call at ts[0] for a vectorized autonomous system, which broadcasts
+    over both leading axes (so a system with one row per batch member keeps its rows),
+    otherwise one _eval_rows per step."""
+    if sys.vectorized and sys.autonomous:
+        return _eval_rows(sys, fn, ts[0], U, P)
+    return np.stack([_eval_rows(sys, fn, t, U[k], P[k]) for k, t in enumerate(ts)])
+
+
+def _midpoint_tangents(sys, ts, Z, Z1, h, moved, eye):
+    """Exact tangents of implicit-midpoint steps of h from the states Z[k] at ts[k]
+    to Z1[k], for a (K, B, 2r) block: the Cayley transforms 2 (I - (h/2) A)^-1 - I
+    with A linearized at the converged midpoints, 0 for members not ``moved``; one
+    linearization and one _batch_solve for the block."""
+    mid = 0.5 * (Z + Z1)
+    if not moved.all():
+        mid = np.where(moved[..., None], mid, 0.0)
+    r = Z.shape[-1] // 2
+    a_mat = _eval_block(sys, partial(linearized_field_matrix, sys),
+                        [t + 0.5 * h for t in ts], mid[..., :r], mid[..., r:])
+    mats = _finite_or_zero(a_mat)  # in place below: eye - 0.5 * h * mats, bit for bit
+    mats *= -0.5 * h
+    mats += eye
+    tangents = _batch_solve(mats.reshape(-1, 2 * r, 2 * r)).reshape(mats.shape)
+    tangents *= 2.0
+    tangents -= eye
+    return tangents
+
+
+def _verlet_tangents(sys, ts, Z, Z1, h, moved, eye):
+    """Exact tangents of Stormer-Verlet steps of h from the states Z[k] at ts[k] to
+    Z1[k], for a (K, B, 2r) block: the product of the two kick matrices
+    [[I, 0], [-h/2 Huu, I]] and the drift matrix [[I, h Hpp], [0, I]] (Hairer,
+    Lubich & Wanner, Geometric Numerical Integration, VI.3), Huu at the kicks and
+    Hpp at the drift, with the half-kicked momenta recomputed as the step made them."""
+    r = Z.shape[-1] // 2
+    U, P, U_new = Z[..., :r], Z[..., r:], Z1[..., :r]
+    P_half = P - 0.5 * h * _eval_block(sys, sys.grad_u, ts, U, P)
+
+    def hess(block, times, UU, PP):
+        return _eval_block(sys, partial(hessian_block, sys, block), times, UU, PP)
+
+    kick0 = np.tile(eye, Z.shape[:-1] + (1, 1))
     drift, kick1 = kick0.copy(), kick0.copy()
-    kick0[:, r:, :r] = -0.5 * h * hess("uu", t, U, P)
-    drift[:, :r, r:] = h * hess("pp", t + 0.5 * h, U, P_half)
-    kick1[:, r:, :r] = -0.5 * h * hess("uu", t + h, U_new, P_half)
-    return Z2, ok, kick1 @ drift @ kick0
+    kick0[..., r:, :r] = -0.5 * h * hess("uu", ts, U, P)
+    drift[..., :r, r:] = h * hess("pp", [t + 0.5 * h for t in ts], U, P_half)
+    kick1[..., r:, :r] = -0.5 * h * hess("uu", [t + h for t in ts], U_new, P_half)
+    return kick1 @ drift @ kick0
 
 
 def _analytic_batch(sys, Z0, t0, t1, grid, want_jacobian, store_path):
@@ -377,18 +423,93 @@ def _analytic_batch(sys, Z0, t0, t1, grid, want_jacobian, store_path):
     return (path if store_path else None), path[-1], ok, jac
 
 
-def _stepper(sys, cfg, want_tangent, tangent_exact=True):
+def _stepper(sys, cfg, want_tangent):
     """step(t, Z, h, live=None) -> (Z', ok, tangents) of ``cfg.scheme`` for Hamilton's equations.
 
     Members outside ``live`` are stepped but not Newton-iterated (the
-    Verlet step has no iteration to skip).
+    Verlet step has no iteration to skip).  ``tangents`` are the frozen
+    midpoint tangents when ``want_tangent`` asks for them, else None.
     """
-    eye = np.eye(2 * sys.dim)
     if cfg.scheme == "stormer-verlet":
-        return lambda t, Z, h, live=None: _verlet_step_batch(sys, t, Z, h, want_tangent, eye)
+        return lambda t, Z, h, live=None: _verlet_step_batch(sys, t, Z, h)
+    eye = np.eye(2 * sys.dim)
     field, linearize = partial(_field_batch, sys), partial(_linearized_batch, sys)
     return lambda t, Z, h, live=None: _midpoint_step_batch(
-        field, linearize, t, Z, h, cfg, want_tangent, tangent_exact, eye, live)
+        field, linearize, t, Z, h, cfg, want_tangent, eye, live)
+
+
+def _exact_tangents(sys, cfg):
+    """tangents(ts, Z, Z1, h, moved) -> the exact tangents of a block of ``cfg.scheme``'s
+    steps, for _march's ``exact``."""
+    tangents = _verlet_tangents if cfg.scheme == "stormer-verlet" else _midpoint_tangents
+    return partial(tangents, sys, eye=np.eye(2 * sys.dim))
+
+
+class _TangentChain:
+    """The tangent flow of a batch of states Z, composed in step order.
+
+    ``add(t, Z, moved, tangents)`` records a step from t: the states after
+    it and the mask of members it moved, None for all (the others keep
+    their tangent).  The step's own ``tangents`` are composed at once,
+    unless ``exact(ts, Z, Z1, h, moved)`` builds the tangents from the
+    states: then every TANGENT_BLOCK steps, and at ``finish``, one call
+    makes the block's, and they are composed as a loop composing each
+    step's would.  ``redo`` replaces a member's tangent of the step being
+    added by the product of the substeps it was redone on.  Call under
+    ``np.errstate(all="ignore")``: held and stopped members' states are
+    linearized too.
+    """
+
+    def __init__(self, Z, h, exact=None):
+        bsz, width = Z.shape
+        self.h, self.exact, self.times, self.lean, self.redone = h, exact, [], [], []
+        self.jac = np.tile(np.eye(width), (bsz, 1, 1))
+        if exact is not None:
+            self.moved = np.empty((TANGENT_BLOCK, bsz), dtype=bool)
+            self.states = np.empty((TANGENT_BLOCK + 1, bsz, width))
+            self.states[0] = Z
+
+    def redo(self, b, tangent):
+        self.redone.append((len(self.times), b, tangent))
+
+    def add(self, t, Z, moved=None, tangents=None):
+        if self.exact is None:
+            if self.redone:
+                self._redo([tangents])
+            self._compose(tangents, moved)
+            return
+        k = len(self.times)
+        self.times.append(t)
+        self.lean.append(moved is None)
+        self.moved[k] = True if moved is None else moved
+        self.states[k + 1] = Z
+        if k + 1 == TANGENT_BLOCK:
+            self.finish()
+
+    def finish(self):
+        """Compose the steps added since the last block; returns the jacobians."""
+        n = len(self.times)
+        if n:
+            tangents = self.exact(self.times, self.states[:n], self.states[1:n + 1], self.h,
+                                  self.moved[:n])
+            self.states[0] = self.states[n]
+            if self.redone:
+                self._redo(tangents)
+            for k, lean in enumerate(self.lean):
+                self._compose(tangents[k], None if lean else self.moved[k])
+            self.times, self.lean = [], []
+        return self.jac
+
+    def _redo(self, tangents):
+        for k, b, tangent in self.redone:
+            tangents[k][b] = tangent
+        self.redone = []
+
+    def _compose(self, tangents, moved):
+        if moved is None:
+            self.jac = tangents @ self.jac
+        else:
+            self.jac = np.where(moved[:, None, None], tangents @ self.jac, self.jac)
 
 
 def _sup_norms(Z, r):
@@ -415,7 +536,7 @@ def _start_report(Z, ok, r, t0, n_steps, cfg):
             else (_stop_status(Z[b:b + 1], r, t0, cfg), 0, None) for b in range(len(ok))]
 
 
-def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=False):
+def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=False, exact=None):
     """The step loop of every flow: advance the states Z (one per row) n_steps steps of h from t0.
 
     ``step(t, Z, h, live)`` gives (Z', ok, tangents) for states of any width;
@@ -423,7 +544,10 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
     member whose step fails is redone from t by this loop as 2 steps of
     h / 2, with one halving fewer to spend, while ``cfg.max_step_halvings``
     allows; a member whose step still fails, or that crosses the threshold,
-    leaves ``ok`` and is held.  The loop ends when none is ok.  Returns
+    leaves ``ok`` and is held.  The loop ends when none is ok.  With
+    ``want_jacobian`` the step tangents are composed by a _TangentChain: the
+    step's own, or those that ``exact`` builds from the states of each block
+    of steps (a redone step keeps the product of its substeps').  Returns
     ((n_steps + 1, batch, width) path or None, Z1, ok, jacobians or None,
     report); the report gives each member's (status, stop, crossing):
     Completed, BlowUp(t_escape) or NewtonFailure(t), the node up to which
@@ -434,7 +558,7 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
     ok = np.isfinite(Z).all(axis=1)
     live = None if ok.all() else ok  # the members worth iterating, None for all
     report = _start_report(Z, ok, r, t0, n_steps, cfg)
-    jac = np.tile(np.eye(width), (bsz, 1, 1)) if want_jacobian else None
+    chain = _TangentChain(Z, h, exact) if want_jacobian else None
     path = np.empty((n_steps + 1, bsz, width)) if store_path else None
     if store_path:
         path[0] = Z
@@ -444,9 +568,7 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
             Znew, step_ok, tangents = step(t, Z, h, live)
             was_ok, ok = ok, ok & step_ok & (_sup_norms(Znew, r) <= cfg.blowup_threshold)
             if ok.all():
-                Z = Znew
-                if want_jacobian:
-                    jac = tangents @ jac
+                Z, moved = Znew, None
             else:
                 for b in np.flatnonzero(was_ok & ~ok):
                     stopped = (BlowUp(t_escape=t + h), k, Znew[b])
@@ -455,11 +577,12 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
                         if cfg.max_step_halvings:
                             halved = replace(cfg, max_step_halvings=cfg.max_step_halvings - 1)
                             _, z, sub_ok, m, ((status, _, crossing),) = _march(
-                                step, Z[b:b + 1], r, halved, t, 0.5 * h, 2, want_jacobian)
+                                step, Z[b:b + 1], r, halved, t, 0.5 * h, 2, want_jacobian,
+                                exact=exact)
                             if sub_ok[0]:
                                 ok[b], Znew[b] = True, z[0]
                                 if want_jacobian:
-                                    tangents[b] = m[0]
+                                    chain.redo(b, m[0])
                                 continue
                             if crossing is not None:
                                 stopped = (status, k, crossing)
@@ -468,13 +591,28 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
                     if store_path:
                         path[k + 1:] = Z
                     break
-                live = ok
+                live = moved = ok
                 Z = np.where(ok[:, None], Znew, Z)
-                if want_jacobian:
-                    jac = np.where(ok[:, None, None], tangents @ jac, jac)
+            if want_jacobian:
+                chain.add(t, Z, moved, tangents)
             if store_path:
                 path[k + 1] = Z
+        jac = chain.finish() if want_jacobian else None
     return path, Z, ok, jac, report
+
+
+def _path_jacobian(sys, path, cfg, t0=0.0, t1=1.0):
+    """The jacobians of a flow of ``cfg.scheme`` over [t0, t1] from its stored
+    (n_nodes, batch, 2r) ``path``, every member of which completed with no step
+    redone: the exact tangents of its steps, built and composed as _march does, so
+    they equal flow_batch's with ``want_jacobian``; nothing is stepped."""
+    n_steps = len(path) - 1
+    h = (t1 - t0) / n_steps
+    chain = _TangentChain(path[0], h, _exact_tangents(sys, cfg))
+    with np.errstate(all="ignore"):
+        for k in range(n_steps):
+            chain.add(t0 + k * h, path[k + 1])
+        return chain.finish()
 
 
 def _stopped_path(grid, path, stopped):
@@ -504,8 +642,10 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
     state array of either kind of flow and report that of _march, which
     also describes ``ok`` and step halving (``cfg.max_step_halvings`` alone
     decides it); a closed-form member that is not ok stops at t0, as after
-    a failed first step.  ``tangent_exact`` applies to the midpoint rule
-    only (see _midpoint_step_batch).
+    a failed first step.  The jacobians compose exact step tangents, built
+    off the step loop a block of steps at a time (_TangentChain), unless
+    ``tangent_exact`` is False under the midpoint rule: then each step's
+    frozen tangent (see _midpoint_step_batch) is composed.
     """
     Z0 = np.concatenate([np.atleast_2d(np.asarray(x, dtype=float)) for x in (U0, P0)], axis=1)
     r = Z0.shape[1] // 2
@@ -516,7 +656,8 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
             path, Z, ok, jac = _analytic_batch(sys, Z0, t0, t1, grid, want_jacobian, store_path)
         report = _start_report(Z0, ok, r, t0, n_steps, cfg)
     else:
-        step = _stepper(sys, cfg, want_jacobian, tangent_exact)
-        path, Z, ok, jac, report = _march(step, Z0, r, cfg, t0, h, n_steps, want_jacobian,
-                                          store_path)
+        frozen = want_jacobian and not tangent_exact and cfg.scheme == "implicit-midpoint"
+        exact = _exact_tangents(sys, cfg) if want_jacobian and not frozen else None
+        path, Z, ok, jac, report = _march(_stepper(sys, cfg, frozen), Z0, r, cfg, t0, h, n_steps,
+                                          want_jacobian, store_path, exact)
     return grid, path, Z[:, :r], Z[:, r:], ok, jac, report

@@ -44,6 +44,7 @@ from .integrators import (
     IntegratorConfig,
     _batch_solve,
     _check_field_kinds,
+    _path_jacobian,
     flow_batch,
     step_count,
 )
@@ -214,7 +215,7 @@ def _graph_boundary(grad_F, fd_step):
     return boundary
 
 
-def _batch_eval(sys, u0, P, boundary, icfg, want_jacobian):
+def _batch_eval(sys, u0, P, boundary, icfg, want_jacobian, keep=None):
     """Multiple-shooting residuals (and Newton directions) for a batch of unknowns.
 
     A row of ``P`` holds the k leading unknowns, p0 after ``u0`` (one point,
@@ -225,11 +226,14 @@ def _batch_eval(sys, u0, P, boundary, icfg, want_jacobian):
     rows)`` (_fixed_end, _graph_boundary), whose rows, one (2, B, k, 2r)
     array (B0, B1), linearize b as B0 dz(0) + B1 dz(1).  With
     ``want_jacobian`` each completed member's Newton direction follows.
+    With ``keep`` the flow stores its path, and ``keep(path, rnorm)`` is
+    given it as (n + 1, B, M, 2r) segment paths with the residual norms.
     """
     bsz, r = P.shape[0], sys.dim
     Z, m, k = _segment_states(u0, P, r)
-    _, _, U1, P1, ok, jac, _ = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
-                                          want_jacobian=want_jacobian, tangent_exact=False)
+    _, path, U1, P1, ok, jac, _ = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
+                                             want_jacobian=want_jacobian,
+                                             store_path=keep is not None, tangent_exact=False)
     ends = np.concatenate([U1, P1], axis=1).reshape(bsz, m, 2 * r)
     ok = ok.reshape(bsz, m).all(axis=1)
     b, rows = boundary(Z[::m], ends[:, -1], ok)
@@ -237,11 +241,43 @@ def _batch_eval(sys, u0, P, boundary, icfg, want_jacobian):
     with np.errstate(all="ignore"):
         rnorm = np.max(np.abs(res), axis=1)
     rnorm = np.where(ok & np.isfinite(rnorm), rnorm, np.inf)
+    if keep is not None:
+        keep(path.reshape(len(path), bsz, m, 2 * r), rnorm)
     step = None
     if want_jacobian:
         step = np.full(res.shape, np.nan)
         step[ok] = _condensed_solve(jac.reshape(bsz, m, 2 * r, 2 * r)[ok], res[ok], rows[:, ok])
     return res, rnorm, step, ok
+
+
+class _ConvergedPaths:
+    """The segment paths of members whose residual reached the Newton tolerance.
+
+    ``keep(rows)`` is the ``keep`` of an evaluation of seed rows ``rows``
+    (_batch_eval): it copies each such member's (n + 1, M, 2r) path under
+    its seed row, replacing the row's earlier one.  A row whose residual
+    reaches the tolerance on an accepted evaluation has converged and is
+    never evaluated again, so a converged row's path is the one of its
+    accepted unknowns, as a flight of them would give it bit for bit.
+    ``of(rows)`` stacks the paths of converged rows in _branches' layout,
+    dropping their copies.
+    With ``tol`` None nothing is kept: ``keep`` and ``of`` give None.
+    """
+
+    def __init__(self, tol):
+        self.tol, self.paths = tol, {}
+
+    def keep(self, rows):
+        def keep(path, rnorm):
+            for i in np.flatnonzero(rnorm <= self.tol):
+                self.paths[rows[i]] = path[:, i].copy()
+        return None if self.tol is None else keep
+
+    def of(self, rows):
+        if self.tol is None or not len(rows):
+            return None
+        path = np.stack([self.paths.pop(i) for i in rows], axis=1)
+        return path.reshape(len(path), -1, path.shape[-1])
 
 
 def _condensed_matrix(tangents, rows):
@@ -327,23 +363,31 @@ def _multistart_newton(evaluate, seeds, cfg):
     return P[conv], rnorm[conv], conv
 
 
-def _branches(sys, u0, P, boundary, icfg):
-    """Branches of converged unknowns ``P`` (rows as in _batch_eval) from one
-    stored-path flow of their M segments over [0, 1/M] with the exact
-    tangent; a branch per member, or None where a segment flow fails.
+def _branches(sys, u0, P, boundary, icfg, path=None):
+    """Branches of converged unknowns ``P`` (rows as in _batch_eval) from the
+    stored paths of their M segments over [0, 1/M] and the exact tangents
+    along them; a branch per member, or None where a segment flow fails.
 
-    A path is nodes 0 .. n-1 of each segment in turn, then the last end, on
-    the grid of a flow over [0, 1]: the batch's path at M = 1, else the
-    member's own copy, so the segment paths (and those of the branches that
-    deduplication drops) are freed.  The jacobian is the condensed matrix
-    (du1/dp0 for _fixed_end), and the residual max|b| at the end.
+    ``path`` is the members' (n + 1, B M, 2r) segment paths as their
+    accepted evaluation flew them (_ConvergedPaths), every member's
+    complete, and their exact tangents are built from it (_path_jacobian);
+    without it the segments are flown once, with their path and exact
+    tangent, which gives the same bits.  A branch's path is nodes 0 .. n-1
+    of each segment in turn, then the last end, on the grid of a flow over
+    [0, 1]: the batch's path at M = 1, else the member's own copy, so the
+    segment paths (and those of the branches that deduplication drops) are
+    freed.  The jacobian is the condensed matrix (du1/dp0 for _fixed_end),
+    and the residual max|b| at the end.
     """
     if P.shape[0] == 0:
         return []
     bsz, r = P.shape[0], sys.dim
     Z, m, _ = _segment_states(u0, P, r)
-    _, path, _, _, ok, jac, _ = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
-                                           want_jacobian=True, store_path=True)
+    if path is None:
+        _, path, _, _, ok, jac, _ = flow_batch(sys, Z[:, :r], Z[:, r:], icfg, t1=1.0 / m,
+                                               want_jacobian=True, store_path=True)
+    else:
+        ok, jac = np.ones(len(Z), dtype=bool), _path_jacobian(sys, path, icfg, t1=1.0 / m)
     n = path.shape[0] - 1
     grid = TimeGrid.uniform(n * m)  # a flow's over [0, 1]
 
@@ -418,12 +462,15 @@ def solve_dirichlet_many(sys: HamiltonianSystem | Callable, pairs, cfg: Shooting
     """All boundary-value solutions for each of several endpoint pairs.
 
     Every pair's seeds (``cfg``'s seed set, or ``seeds[k]`` for pair k) go
-    through one multistart Newton batch and one stored-path flow of the
-    converged segments (_branches), or with ``full_interval`` of
-    the converged p0 over [0, 1], free of the segments' junction jumps at
-    the Newton tolerance; branches are then sorted, deduplicated and
-    classified pair by pair.  Members of the batch do not interact, so a
-    pair's result does not depend on which other pairs share the batch.
+    through one multistart Newton batch.  Branches are built from the
+    converged segments' paths that the accepted evaluations flew
+    (_branches), with no further flight; a closed-form system, whose
+    evaluations sample only the end, flies its converged segments once
+    with their paths, and ``full_interval`` flies the converged p0 over
+    [0, 1], free of the segments' junction jumps at the Newton tolerance.
+    Branches are then sorted, deduplicated and classified pair by pair.
+    Members of the batch do not interact, so a pair's result does not
+    depend on which other pairs share the batch.
     ``sys`` is one system for every pair, or a family of one system per pair
     on one configuration space: a function that maps the pair index of each
     batch row to one system, whose row i is pair index[i]'s system.  Returns
@@ -442,15 +489,17 @@ def solve_dirichlet_many(sys: HamiltonianSystem | Callable, pairs, cfg: Shooting
     U0, U1 = np.array(pairs)[owner].transpose(1, 0, 2)
     icfg = replace(cfg.integrator, max_step_halvings=0)  # a failed member leaves the batch
     m = _segment_count(base, icfg)
+    kept = _ConvergedPaths(None if full_interval or base.analytic_only else cfg.newton_tol)
     # multistart multiple shooting of u(1; U0[i], p) = U1[i] from seed row i
     found, _, rows = _multistart_newton(
         lambda idx, P: _batch_eval(_system_of(sys, np.repeat(owner[idx], m)), U0[idx], P,
-                                   _fixed_end(base.config, U1[idx]), icfg, want_jacobian=True),
+                                   _fixed_end(base.config, U1[idx]), icfg, want_jacobian=True,
+                                   keep=kept.keep(idx)),
         _shooting_unknowns(_system_of(sys, owner), U0, np.concatenate(seeds), icfg), cfg)
     if full_interval:
         found, m = found[:, :r], 1
     branches = _branches(_system_of(sys, np.repeat(owner[rows], m)), U0[rows], found,
-                         _fixed_end(base.config, U1[rows]), icfg)
+                         _fixed_end(base.config, U1[rows]), icfg, kept.of(rows))
     return [_solution_set(base.config, [b for b, i in zip(branches, rows) if owner[i] == k],
                           cfg, pair) for k, pair in enumerate(pairs)]
 
@@ -632,7 +681,8 @@ def solve_with_lagrangian_boundary(sys: HamiltonianSystem, grad_F: Callable,
     boundary-condition jacobian gets the minimum-norm (pinv) step, so
     families of solutions (rank-deficient boundary conditions) converge to
     the member nearest the seed.  A branch's jacobian is the 2r x 2r
-    boundary-condition jacobian in (u0, p0).
+    boundary-condition jacobian in (u0, p0).  Branches are built from the
+    converged segments' evaluation paths, as solve_dirichlet_many's are.
     """
     r = sys.dim
     if state_seeds is None:
@@ -641,7 +691,10 @@ def solve_with_lagrangian_boundary(sys: HamiltonianSystem, grad_F: Callable,
                   for u0, p0 in state_seeds]).reshape(-1, 2 * r)
     icfg = replace(cfg.integrator, max_step_halvings=0)  # a failed member leaves the batch
     boundary = _graph_boundary(grad_F, fd_step)
-    found, _, _ = _multistart_newton(
-        lambda rows, P: _batch_eval(sys, None, P, boundary, icfg, want_jacobian=True),
+    kept = _ConvergedPaths(None if sys.analytic_only else cfg.newton_tol)
+    found, _, rows = _multistart_newton(
+        lambda idx, P: _batch_eval(sys, None, P, boundary, icfg, want_jacobian=True,
+                                   keep=kept.keep(idx)),
         _shooting_unknowns(sys, None, X, icfg), cfg)
-    return _solution_set(sys.config, _branches(sys, None, found, boundary, icfg), cfg)
+    branches = _branches(sys, None, found, boundary, icfg, kept.of(rows))
+    return _solution_set(sys.config, branches, cfg)

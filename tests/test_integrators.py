@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phasebound import integrators
-from phasebound.core import ConfigSpace, HamiltonianSystem
+from phasebound.core import ConfigSpace, HamiltonianSystem, hessian_block, linearized_field_matrix
 from phasebound.errors import (
     DimensionMismatchError,
     FlowIncompleteError,
@@ -34,6 +34,8 @@ from phasebound.integrators import (
 )
 from phasebound.shooting import ShootingConfig, solve_dirichlet
 from phasebound.systems import (
+    _drift_system,
+    linear_vector_field,
     make_cotangent_lift,
     make_free_particle,
     make_lambda_family,
@@ -480,15 +482,14 @@ class TestBatchedMidpointFallback:
         mats[2] = 2.0 ** 11 * np.eye(4)
         Z = rng.standard_normal((5, 4))
         cfg = IntegratorConfig(step=h)
-        for tangent_exact in (True, False):
-            Z2, ok, tangents = integrators._midpoint_step_batch(
-                *linear_field(mats), 0.0, Z, h, cfg, True, tangent_exact)
-            assert ok.tolist() == [True, True, False, True, True]
-            for b in (0, 1, 3, 4):
-                alone = integrators._midpoint_step_batch(
-                    *linear_field(mats[b:b + 1]), 0.0, Z[b:b + 1], h, cfg, True, tangent_exact)
-                for got, want in zip((Z2, ok, tangents), alone):
-                    assert np.array_equal(got[b], want[0])
+        Z2, ok, tangents = integrators._midpoint_step_batch(
+            *linear_field(mats), 0.0, Z, h, cfg, True)
+        assert ok.tolist() == [True, True, False, True, True]
+        for b in (0, 1, 3, 4):
+            alone = integrators._midpoint_step_batch(
+                *linear_field(mats[b:b + 1]), 0.0, Z[b:b + 1], h, cfg, True)
+            for got, want in zip((Z2, ok, tangents), alone):
+                assert np.array_equal(got[b], want[0])
         newton = np.eye(4) - 0.5 * h * mats
         inverses = integrators._batch_solve(newton)
         assert not newton[2].any()
@@ -503,8 +504,9 @@ class TestInvertedStep:
     @pytest.mark.parametrize("tangent_exact", [True, False], ids=["exact", "frozen"])
     @pytest.mark.parametrize("make", [make_pendulum, make_quartic], ids=["pendulum", "quartic"])
     def test_tangents_are_cayley_maps_and_stay_symplectic(self, make, tangent_exact):
-        # 256 members, 125 steps of 1e-3; the tangent is built from the last
-        # linearization that the step asks for (the predictor's if frozen)
+        # 256 members, 125 steps of 1e-3; the step makes one linearization, the
+        # predictor's, and its frozen tangent from it; the exact tangent is the
+        # Cayley map at the converged midpoint, built here step by step
         system, h, bsz = make().system, 1e-3, 256
         Z0 = np.random.default_rng(11).uniform(-0.8, 0.8, (bsz, 2))
         eye = np.eye(2)
@@ -514,17 +516,21 @@ class TestInvertedStep:
             return integrators._field_batch(system, t, Z)
 
         def linearize(t, Z):
-            last[:] = [integrators._linearized_batch(system, t, Z)]
-            return last[0]
+            last.append(integrators._linearized_batch(system, t, Z))
+            return last[-1]
 
         Z, jac = Z0, np.tile(eye, (bsz, 1, 1))
         for k in range(125):
-            Z, ok, tangents = integrators._midpoint_step_batch(
-                field, linearize, k * h, Z, h, IntegratorConfig(), True, tangent_exact)
-            assert ok.all()
+            last.clear()
+            Z2, ok, tangents = integrators._midpoint_step_batch(
+                field, linearize, k * h, Z, h, IntegratorConfig(), True)
+            assert ok.all() and len(last) == 1
+            if tangent_exact:
+                last[0] = integrators._linearized_batch(system, k * h + 0.5 * h, 0.5 * (Z + Z2))
+                tangents = 2.0 * np.linalg.inv(eye - 0.5 * h * last[0]) - eye
             half = 0.5 * h * last[0]
             assert np.abs(tangents - np.linalg.solve(eye - half, eye + half)).max() <= 1e-13
-            jac = tangents @ jac
+            Z, jac = Z2, tangents @ jac
         assert max(symplecticity_defect(j) for j in jac) <= 1e-12
         # the step loop composes the same tangents in the same order
         flown = flow_batch(system, Z0[:, :1], Z0[:, 1:], IntegratorConfig(), 0.0, 0.125,
@@ -536,6 +542,12 @@ class TestInvertedStep:
                   elements=st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])))
     def test_row_max_is_max_over_axis_1(self, a):
         assert np.array_equal(integrators._row_max(a), a.max(axis=1), equal_nan=True)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 300), st.integers(1, 6)),
+                  elements=st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])))
+    def test_row_finite_is_all_finite_over_axis_1(self, a):
+        assert np.array_equal(integrators._row_finite(a), np.isfinite(a).all(axis=1))
 
 
 SCHEMES = (IntegratorConfig(), IntegratorConfig(scheme="stormer-verlet"))
@@ -749,6 +761,171 @@ class TestStepHalving:
                 for b, (status, stop, crossing) in enumerate(report):
                     assert crossing is None or isinstance(status, BlowUp)
                     assert not ok[b] or (stop == len(grid) - 1 and crossing is None)
+
+
+def forced_pendulum():
+    """H = p^2/2 - (1 + t) cos u: separable, vectorized and time-dependent, with a
+    Hessian that moves with t, so every step's tangent needs its own time."""
+    return HamiltonianSystem(
+        config=ConfigSpace(1),
+        hamiltonian=lambda t, u, p: 0.5 * np.sum(p * p, axis=-1) - (1.0 + t) * np.cos(u[..., 0]),
+        grad_u=lambda t, u, p: (1.0 + t) * np.sin(np.asarray(u, dtype=float)),
+        grad_p=lambda t, u, p: np.asarray(p, dtype=float),
+        hess_uu=lambda t, u, p: ((1.0 + t) * np.cos(np.asarray(u, dtype=float)))[..., None],
+        hess_pp=lambda t, u, p: np.ones(np.shape(u) + (1,)),
+        separable=True,
+        vectorized=True,
+        name="forced-pendulum",
+    )
+
+
+def stepwise_jacobians(system_of, cfg, path, report, t0, h, frozen=False):
+    """Each member's tangent flow along a stored flow, step by step and member by
+    member, and the number of steps redone: the exact tangent of each step up to
+    the member's stop, from the states the path holds, composed in step order.
+    The tangent is the Cayley map 2 (I - (h/2) A)^-1 - I at the converged
+    midpoint, or the kick-drift-kick product, or with ``frozen`` the midpoint
+    step's own; a step that the step map cannot take in one is redone here
+    too, on two steps of h / 2, and gets their product.  ``system_of(b)`` is
+    member b's system, called on its state alone."""
+    eye = np.eye(path.shape[2])
+    jacobians, redone = [], []
+    for b, (_, stop, _) in enumerate(report):
+        sys = system_of(b)
+        r = sys.dim
+        step = integrators._stepper(sys, cfg, frozen)
+
+        def tangent(t, z, z1, dt):
+            if cfg.scheme == "stormer-verlet":
+                u, p = z[:r], z[r:]
+                p_half = p - 0.5 * dt * np.asarray(sys.grad_u(t, u, p), dtype=float)
+                kick0, drift, kick1 = eye.copy(), eye.copy(), eye.copy()
+                kick0[r:, :r] = -0.5 * dt * hessian_block(sys, "uu", t, u, p)
+                drift[:r, r:] = dt * hessian_block(sys, "pp", t + 0.5 * dt, u, p_half)
+                kick1[r:, :r] = -0.5 * dt * hessian_block(sys, "uu", t + dt, z1[:r], p_half)
+                return kick1 @ drift @ kick0
+            m = 0.5 * (z + z1)
+            a_mat = linearized_field_matrix(sys, t + 0.5 * dt, m[:r], m[r:])
+            return 2.0 * np.linalg.inv(eye - 0.5 * dt * a_mat) - eye
+
+        def taken(t, z, dt):  # (z', tangent) of a step of dt from z as the step loop takes it
+            z1, ok, own = step(t, z[None], dt)
+            if ok[0]:
+                return z1[0], own[0] if frozen else tangent(t, z, z1[0], dt)
+            redone.append(t)  # as _march redoes it: steps from t0 + k * h, composed from I
+            za, ta = taken(t + 0 * (0.5 * dt), z, 0.5 * dt)
+            zb, tb = taken(t + 1 * (0.5 * dt), za, 0.5 * dt)
+            return zb, tb @ (ta @ eye)
+
+        jac = eye
+        with np.errstate(all="ignore"):
+            for k in range(stop):
+                z1, step_tangent = taken(t0 + k * h, path[k, b], h)
+                assert np.array_equal(z1, path[k + 1, b])
+                jac = step_tangent @ jac
+        jacobians.append(jac)
+    return np.array(jacobians), len(redone)
+
+
+LAMBDAS = np.array([1.0, 0.5, 0.0])
+# (system, U0, P0, t1 and the step, integrator settings, member 0's fate under the midpoint rule)
+# with 5, 16 and 37 steps for short flows, on both sides of one block of TANGENT_BLOCK steps
+SHORT = ((5e-3, 1e-3), (1.6e-2, 1e-3), (3.7e-2, 1e-3))
+OFF_LOOP = {
+    "pendulum": (lambda: make_pendulum().system, [[0.3], [-1.0], [2.0]],
+                 [[0.5], [1.2], [-0.4]], SHORT, {}, Completed),
+    "pendulum-row-by-row": (
+        lambda: dataclasses.replace(make_pendulum().system, vectorized=False),
+        [[0.3], [-1.0]], [[0.5], [1.2]], SHORT, {}, Completed),
+    "forced-pendulum": (forced_pendulum, [[0.3], [-1.0]], [[0.5], [1.2]], SHORT, {},
+                        Completed),
+    # one weight per row, as the lambda study's family systems
+    "lambda-family-rows": (lambda: _drift_system(LAMBDAS, linear_vector_field(), "rows"),
+                           [[0.3], [-1.0], [2.0]], [[0.5], [1.2], [-0.4]], SHORT, {},
+                           Completed),
+    # (4, 8) escapes at t = 1/2, after 3 halved steps under the midpoint rule
+    "quartic-escaping": (lambda: make_quartic().system, [[4.0], [0.3]], [[8.0], [0.2]],
+                         ((1.0, 1e-3),), {}, BlowUp),
+    # (6, 18) fails its Newton solve on the step from t = 0.3331, which halved steps get through
+    "quartic-newton-failure": (lambda: make_quartic().system, [[6.0], [0.3]], [[18.0], [0.2]],
+                               ((0.3332, 1e-4),),
+                               {"blowup_threshold": 1e10, "max_step_halvings": 0},
+                               NewtonFailure),
+    "quartic-halved": (lambda: make_quartic().system, [[6.0], [0.3]], [[18.0], [0.2]],
+                       ((0.3332, 1e-4),), {"blowup_threshold": 1e10}, Completed),
+}
+
+
+class TestOffLoopTangents:
+    """Exact tangents are built off the step loop, a block of steps at a time,
+    and equal a loop of per-step exact derivatives bit for bit."""
+
+    @pytest.mark.parametrize("name, scheme", [
+        (name, scheme) for name in OFF_LOOP for scheme in ("implicit-midpoint", "stormer-verlet")
+        if scheme == "implicit-midpoint" or name != "lambda-family-rows"])  # not separable
+    def test_block_tangents_equal_a_stepwise_loop(self, name, scheme):
+        make, U0, P0, spans, settings_, fate = OFF_LOOP[name]
+        system = make()
+        U0, P0 = np.array(U0, dtype=float), np.array(P0, dtype=float)
+        member = ((lambda b: _drift_system(LAMBDAS[b], linear_vector_field(), "row"))
+                  if name == "lambda-family-rows" else (lambda b: system))
+        for t1, step in spans:
+            cfg = IntegratorConfig(scheme=scheme, step=step, **settings_)
+            _, path, _, _, ok, jac, report = flow_batch(system, U0, P0, cfg, t1=t1,
+                                                        want_jacobian=True, store_path=True)
+            assert ok[1:].all()
+            if scheme == "implicit-midpoint":
+                assert isinstance(report[0][0], fate)
+            want, redone = stepwise_jacobians(member, cfg, path, report, 0.0,
+                                              t1 / (len(path) - 1))
+            assert (redone > 0) == (name in ("quartic-escaping", "quartic-halved")
+                                    and scheme == "implicit-midpoint")
+            assert np.array_equal(jac, want)
+            # the stored path takes no part in them
+            assert np.array_equal(flow_batch(system, U0, P0, cfg, t1=t1, want_jacobian=True)[5],
+                                  jac)
+
+    def test_frozen_tangents_compose_as_stepwise(self):
+        # the midpoint step's own tangents, a redone step's included, are
+        # composed at once in step order
+        make, U0, P0, ((t1, step),), settings_, _ = OFF_LOOP["quartic-halved"]
+        system, cfg = make(), IntegratorConfig(step=step, **settings_)
+        _, path, _, _, ok, jac, report = flow_batch(system, U0, P0, cfg, t1=t1, store_path=True,
+                                                    want_jacobian=True, tangent_exact=False)
+        assert ok.all()
+        want, redone = stepwise_jacobians(lambda b: system, cfg, path, report, 0.0,
+                                          t1 / (len(path) - 1), frozen=True)
+        assert redone > 0 and np.array_equal(jac, want)
+
+    def test_path_jacobian_is_the_flows(self):
+        # built from a stored path alone, as branches are from their evaluation paths
+        for scheme in ("implicit-midpoint", "stormer-verlet"):
+            cfg = IntegratorConfig(scheme=scheme, step=1e-3)
+            _, path, _, _, ok, jac, _ = flow_batch(make_pendulum().system, [[0.3], [-1.0]],
+                                                   [[0.5], [1.2]], cfg, t1=0.125,
+                                                   want_jacobian=True, store_path=True)
+            assert ok.all()
+            got = integrators._path_jacobian(make_pendulum().system, path, cfg, t1=0.125)
+            assert np.array_equal(got, jac)
+
+    def test_memory_stays_one_block(self):
+        # 80 members over 2500 steps with the tangent and no stored path: the
+        # states and tangents of one block are kept, not the flow's (its path
+        # would take 3.2 MB, its step tangents 6.4 MB); the peak is mostly the
+        # block's temporaries and the returned grid
+        free, n, bsz = make_free_particle().system, 2500, 80
+        U0, P0 = np.linspace(-1.0, 1.0, bsz)[:, None], np.ones((bsz, 1))
+        tracemalloc.start()
+        try:
+            ok, jac = flow_batch(free, U0, P0, IntegratorConfig(step=1.0 / n),
+                                 want_jacobian=True)[4:6]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok.all()
+        np.testing.assert_allclose(jac, np.tile([[1.0, 1.0], [0.0, 1.0]], (bsz, 1, 1)),
+                                   rtol=0, atol=1e-12)
+        assert peak < 1e6
 
 
 class TestErrstateContract:

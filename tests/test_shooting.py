@@ -31,6 +31,7 @@ from phasebound.systems import (
     make_free_particle,
     make_pendulum,
     make_sphere_geodesics,
+    topological_limit_study,
 )
 
 
@@ -928,3 +929,97 @@ class TestStitchedBranches:
             full = integrate_flow(pen.system, [0.3], b.p0, verlet)
             assert np.max(np.abs(pen.system.config.wrap_diff(
                 full.trajectory.positions[-1], [-1.2]))) <= 10 * cfg.newton_tol
+
+
+def grad_F_pendulum(u0, u1):  # F = u0^2/2 + (u1 - 0.7)^2/2
+    return np.array([u0[0]]), np.array([u1[0] - 0.7])
+
+
+class TestBranchesFromEvaluationPaths:
+    """A converged member's last Newton evaluation flew its segments as a flight
+    of its unknowns would, so its branch is built from that path, unflown."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Patch _branches to record each call's arguments and result."""
+        calls, branches = [], shooting._branches
+
+        def recorded(*args):
+            calls.append((args, branches(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(shooting, "_branches", recorded)
+        return calls, branches
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_dirichlet(make_pendulum().system, [0.0], [np.pi / 2], ShootingConfig()),
+        lambda: solve_dirichlet(make_pendulum().system, [0.3], [-1.2], ShootingConfig(
+            integrator=IntegratorConfig(scheme="stormer-verlet"), seed_count=12)),
+        # escaping seeds fail their first evaluation
+        lambda: solve_dirichlet(make_example("quartic").system, [1.0], [2.0 / 3.0],
+                                fast_cfg(step=1e-2)),
+        lambda: solve_with_lagrangian_boundary(make_pendulum().system, grad_F_pendulum,
+                                               fast_cfg(step=1e-2)),
+        # one system per row, each with its own weight
+        lambda: topological_limit_study([1.0, 0.5, 0.25], [0.0], [2.0], fast_cfg(seed_count=8)),
+    ], ids=["pendulum", "pendulum-verlet", "quartic", "pendulum-graph", "lambda-study"])
+    def test_kept_paths_give_the_flown_branches(self, monkeypatch, solve):
+        calls, branches = self.recording(monkeypatch)
+        solve()
+        (args, kept), = calls
+        sys, u0, P, boundary, icfg, path = args
+        assert path is not None and path.shape[1] == P.shape[0] * shooting._segment_count(
+            sys, icfg) > P.shape[0]
+        flown = branches(sys, u0, P, boundary, icfg)
+        assert len(kept) == len(flown) > 0
+        for a, b in zip(kept, flown):
+            assert np.array_equal(a.p0, b.p0)
+            assert np.array_equal(a.trajectory.grid.nodes, b.trajectory.grid.nodes)
+            assert np.array_equal(a.trajectory.positions, b.trajectory.positions)
+            assert np.array_equal(a.trajectory.momenta, b.trajectory.momenta)
+            assert np.array_equal(a.jacobian, b.jacobian)
+            assert (a.residual, a.cond) == (b.residual, b.cond)
+
+    def test_each_rows_latest_converged_path_is_kept(self):
+        # a row's path is kept when its residual reaches the tolerance, replacing
+        # the row's earlier one; of() stacks the rows' paths in _branches' layout
+        kept = shooting._ConvergedPaths(1e-10)
+        path = np.arange(3 * 2 * 2 * 2, dtype=float).reshape(3, 2, 2, 2)  # (n + 1, B, M, 2r)
+        kept.keep(np.array([4, 7]))(path, np.array([1e-11, 1e-9]))
+        assert sorted(kept.paths) == [4]
+        kept.keep(np.array([9, 4]))(path + 100.0, np.array([np.inf, 1e-10]))
+        assert np.array_equal(kept.of(np.array([4])), (path[:, 1] + 100.0).reshape(3, 2, 2))
+        assert kept.paths == {} and kept.of(np.array([], dtype=int)) is None
+        off = shooting._ConvergedPaths(None)
+        assert off.keep(np.array([0])) is None and off.of(np.array([0])) is None
+
+    @pytest.mark.parametrize("solve, flights", [
+        (lambda: solve_dirichlet(make_pendulum().system, [0.0], [np.pi / 2],
+                                 fast_cfg(step=1e-2)), 0),
+        (lambda: solve_with_lagrangian_boundary(make_pendulum().system, grad_F_pendulum,
+                                                fast_cfg(step=1e-2)), 0),
+        (lambda: solve_dirichlet(make_sphere_geodesics().system, [0.0, 0.0, 1.0],
+                                 [np.sin(1.0), 0.0, np.cos(1.0)], fast_cfg(step=1e-2)), 1),
+        (lambda: shooting._continue_branch(make_pendulum().system,
+                                           [([0.0], [np.pi / 2], [1.8])], fast_cfg(step=1e-2),
+                                           1e-5), 1),
+    ], ids=["segments", "graph-segments", "sphere", "continuation"])
+    def test_flights_after_newton(self, monkeypatch, solve, flights):
+        # a segmented solve flies nothing after Newton; a closed-form system, whose
+        # evaluations sample only the end, and full-interval continuation rows fly once
+        after, flow, newton = [], shooting.flow_batch, shooting._multistart_newton
+
+        def converged(*args):
+            out = newton(*args)
+            after.append(0)
+            return out
+
+        def flight(*args, **kwargs):
+            if after:
+                after.append(1)
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "_multistart_newton", converged)
+        monkeypatch.setattr(shooting, "flow_batch", flight)
+        solve()
+        assert after == [0] + [1] * flights
