@@ -105,11 +105,9 @@ class HamiltonianSystem:
     Hessian blocks go unused.
 
     ``vectorized`` declares that every callback, ``analytic_flow_jacobian``
-    included, broadcasts over leading batch axes of u and p, so a batch of
-    states is one call (and, for an autonomous system, a block of steps'
-    states with axes (step, member) is one call when exact tangents are
-    built); otherwise each state is one call.  ``_eval_rows`` is where it is
-    read.  ``autonomous`` declares
+    included, broadcasts over a leading batch axis of u and p, so a batch of
+    states is one call; otherwise each state is one call.  ``_eval_rows`` is
+    where it is read.  ``autonomous`` declares
     that H does not depend on t, so a flow over [s, s + d] may be computed
     as one over [0, d]; shooting then splits [0, 1] into segments.
     """

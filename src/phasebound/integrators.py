@@ -11,11 +11,10 @@ Newton update uses, which shooting's Newton directions compose.  Exact
 tangent flows compose the derivative of each discrete step (for the
 midpoint rule the Cayley transform at the converged midpoint, VI.4; for
 Stormer-Verlet the kick-drift-kick product).  They are built off the step
-loop from the states of a block of steps (for the midpoint rule, one
-linearization and one batched inverse per block) and composed in step
-order, so the computed monodromy matrices are symplectic to solver
-tolerance, and a stored path is enough to build them again
-(_path_jacobian).  Every flow enters through
+loop from the states of a block of steps (for the midpoint rule, with one
+batched inverse per block) and composed in step order, so the computed
+monodromy matrices are symplectic to solver tolerance, and a stored path
+is enough to build them again (_path_jacobian).  Every flow enters through
 ``flow_batch`` or its step loop ``_march``: single flows
 (``flow_with_jacobian``, ``integrate_flow``, ``flow_jacobian``) are
 batches of one, closed-form flows are evaluated in ``flow_batch``, and the
@@ -347,11 +346,7 @@ TANGENT_BLOCK = 16
 
 def _eval_block(sys, fn, ts, U, P):
     """fn(t, u, p) over a block of steps' (K, B, r) states (U, P), step k at the time
-    ts[k]: one call at ts[0] for a vectorized autonomous system, which broadcasts
-    over both leading axes (so a system with one row per batch member keeps its rows),
-    otherwise one _eval_rows per step."""
-    if sys.vectorized and sys.autonomous:
-        return _eval_rows(sys, fn, ts[0], U, P)
+    ts[k]: one _eval_rows per step, so every callback sees the (B, r) arrays of a batch."""
     return np.stack([_eval_rows(sys, fn, t, U[k], P[k]) for k, t in enumerate(ts)])
 
 
@@ -359,7 +354,7 @@ def _midpoint_tangents(sys, ts, Z, Z1, h, moved, eye):
     """Exact tangents of implicit-midpoint steps of h from the states Z[k] at ts[k]
     to Z1[k], for a (K, B, 2r) block: the Cayley transforms 2 (I - (h/2) A)^-1 - I
     with A linearized at the converged midpoints, 0 for members not ``moved``; one
-    linearization and one _batch_solve for the block."""
+    linearization per step and one _batch_solve for the block."""
     mid = 0.5 * (Z + Z1)
     if not moved.all():
         mid = np.where(moved[..., None], mid, 0.0)
@@ -601,17 +596,17 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
     return path, Z, ok, jac, report
 
 
-def _path_jacobian(sys, path, cfg, t0=0.0, t1=1.0):
-    """The jacobians of a flow of ``cfg.scheme`` over [t0, t1] from its stored
+def _path_jacobian(sys, path, cfg, t1):
+    """The jacobians of a flow of ``cfg.scheme`` over [0, t1] from its stored
     (n_nodes, batch, 2r) ``path``, every member of which completed with no step
     redone: the exact tangents of its steps, built and composed as _march does, so
     they equal flow_batch's with ``want_jacobian``; nothing is stepped."""
     n_steps = len(path) - 1
-    h = (t1 - t0) / n_steps
+    h = t1 / n_steps
     chain = _TangentChain(path[0], h, _exact_tangents(sys, cfg))
     with np.errstate(all="ignore"):
         for k in range(n_steps):
-            chain.add(t0 + k * h, path[k + 1])
+            chain.add(k * h, path[k + 1])
         return chain.finish()
 
 

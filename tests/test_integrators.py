@@ -498,6 +498,50 @@ class TestBatchedMidpointFallback:
         assert np.array_equal(inverses[2], np.linalg.pinv(newton[2]))
 
 
+def bilinear_rows(mats):
+    """H = u . mats[b] p for the member in row b: vectorized, with hess_up = mats[b],
+    so its field's linearization is [[mats[b]^T, 0], [0, -mats[b]]] at every state."""
+    def zeros(t, u, p):
+        return np.zeros(np.shape(u) + (np.shape(u)[-1],))
+
+    return HamiltonianSystem(
+        config=ConfigSpace(mats.shape[-1]),
+        hamiltonian=lambda t, u, p: np.einsum("bi,bij,bj->b", u, mats, p),
+        grad_u=lambda t, u, p: (mats @ p[..., None])[..., 0],
+        grad_p=lambda t, u, p: (mats.swapaxes(-1, -2) @ u[..., None])[..., 0],
+        hess_uu=zeros, hess_up=lambda t, u, p: mats, hess_pp=zeros,
+        vectorized=True, autonomous=True, name="bilinear-rows")
+
+
+class TestBlockTangentFallback:
+    def test_exactly_singular_member_alone_gets_pinv(self):
+        # h = 2^-10 and mats[2] = 2^11 I make (h/2) A = diag(I, -I) exactly, so
+        # member 2's N = I - (h/2) A is singular at every step of the block: its
+        # inverses fall back to pinv, and every other member's exact tangents are
+        # those of its block alone; member 3 is held at the middle step
+        h, steps = 2.0 ** -10, 3
+        rng = np.random.default_rng(7)
+        mats = 0.5 * rng.standard_normal((5, 2, 2))
+        mats[2] = 2.0 ** 11 * np.eye(2)
+        Z, Z1 = rng.standard_normal((2, steps, 5, 4))
+        moved = np.ones((steps, 5), dtype=bool)
+        moved[1, 3] = False
+        ts, eye = [k * h for k in range(steps)], np.eye(4)
+        with np.errstate(all="ignore"):
+            tangents = integrators._midpoint_tangents(bilinear_rows(mats), ts, Z, Z1, h,
+                                                      moved, eye)
+            for b in (0, 1, 3, 4):
+                alone = integrators._midpoint_tangents(
+                    bilinear_rows(mats[b:b + 1]), ts, Z[:, b:b + 1], Z1[:, b:b + 1], h,
+                    moved[:, b:b + 1], eye)
+                assert np.array_equal(tangents[:, b], alone[:, 0])
+        newton = eye - 0.5 * h * linearized_field_matrix(bilinear_rows(mats[2:3]), 0.0,
+                                                          Z[0, 2:3, :2], Z[0, 2:3, 2:])[0]
+        assert np.array_equal(newton, np.diag([0.0, 0.0, 2.0, 2.0]))
+        for k in range(steps):
+            assert np.array_equal(tangents[k, 2], 2.0 * np.linalg.pinv(newton) - eye)
+
+
 class TestInvertedStep:
     """Each midpoint step inverts its Newton matrix N = I - (h/2) A once."""
 
@@ -779,6 +823,21 @@ def forced_pendulum():
     )
 
 
+def batch_callbacks_only(system):
+    """``system`` with every callback wrapped to raise unless u and p are the 2-d
+    (batch, r) arrays that a vectorized callback is promised."""
+    def only_2d(fn):
+        def call(t, u, p):
+            if np.ndim(u) != 2 or np.ndim(p) != 2:
+                raise ValueError(f"callback got u of shape {np.shape(u)}, p of {np.shape(p)}")
+            return fn(t, u, p)
+        return call
+
+    names = ("hamiltonian", "grad_u", "grad_p", "hess_uu", "hess_up", "hess_pp")
+    return dataclasses.replace(system, name=system.name + "-batch-callbacks",
+                               **{n: only_2d(getattr(system, n)) for n in names})
+
+
 def stepwise_jacobians(system_of, cfg, path, report, t0, h, frozen=False):
     """Each member's tangent flow along a stored flow, step by step and member by
     member, and the number of steps redone: the exact tangent of each step up to
@@ -839,6 +898,10 @@ OFF_LOOP = {
         [[0.3], [-1.0]], [[0.5], [1.2]], SHORT, {}, Completed),
     "forced-pendulum": (forced_pendulum, [[0.3], [-1.0]], [[0.5], [1.2]], SHORT, {},
                         Completed),
+    # callbacks that refuse anything but the (batch, r) arrays of one batch
+    "pendulum-batch-callbacks": (lambda: batch_callbacks_only(make_pendulum().system),
+                                 [[0.3], [-1.0], [2.0]], [[0.5], [1.2], [-0.4]], SHORT, {},
+                                 Completed),
     # one weight per row, as the lambda study's family systems
     "lambda-family-rows": (lambda: _drift_system(LAMBDAS, linear_vector_field(), "rows"),
                            [[0.3], [-1.0], [2.0]], [[0.5], [1.2], [-0.4]], SHORT, {},
@@ -867,8 +930,10 @@ class TestOffLoopTangents:
         make, U0, P0, spans, settings_, fate = OFF_LOOP[name]
         system = make()
         U0, P0 = np.array(U0, dtype=float), np.array(P0, dtype=float)
-        member = ((lambda b: _drift_system(LAMBDAS[b], linear_vector_field(), "row"))
-                  if name == "lambda-family-rows" else (lambda b: system))
+        member = {"lambda-family-rows": lambda b: _drift_system(LAMBDAS[b],
+                                                                linear_vector_field(), "row"),
+                  "pendulum-batch-callbacks": lambda b: make_pendulum().system,
+                  }.get(name, lambda b: system)
         for t1, step in spans:
             cfg = IntegratorConfig(scheme=scheme, step=step, **settings_)
             _, path, _, _, ok, jac, report = flow_batch(system, U0, P0, cfg, t1=t1,
