@@ -323,7 +323,8 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     halving, and escapes when max|u| + max|e| crosses the blow-up threshold.
     Newton steers by a central-difference jacobian of the field that later
     steps reuse until one takes more than two iterations; a step that fails
-    on a reused jacobian is rerun once on a fresh one.  Raises
+    on a reused jacobian, or one of whose iterates fails the tangency verdict
+    there, is rerun once on a fresh one.  Raises
     DimensionMismatchError unless u0 and sigma(e0) have length sys.dim and
     e0 length spec.k_dim, UnstableConstraintError as soon as a state fails the
     tangency verdict (the dynamics then requires a secondary constraint and
@@ -372,15 +373,21 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
             lagged.append(central_difference(lambda y: rhs(t, y)[0], Y[0], 1e-7)[None])
         return lagged[0]
 
-    march_cfg = replace(cfg, max_step_halvings=0)
+    march_cfg, eye = replace(cfg, max_step_halvings=0), np.eye(r + spec.k_dim)
 
     def step(t, Y, h, live=None):
         nonlocal calls, tangency_worst
         reused, worst, calls = bool(lagged), tangency_worst, 0
-        out = _midpoint_step_batch(field, linearize, t, Y, h, march_cfg, False, live=live)
-        if calls > 3 or not out[1][0]:  # the predictor and over two Newton iterations
+        try:
+            out = _midpoint_step_batch(field, linearize, t, Y, h, march_cfg, eye, live)
+        except UnstableConstraintError:  # an iterate the lagged jacobian steered off tangency
+            if not reused:
+                raise
+            out = None
+        failed = out is None or not out[1][0]
+        if calls > 3 or failed:  # the predictor and over two Newton iterations
             lagged.clear()
-        if reused and not out[1][0]:
+        if reused and failed:
             tangency_worst = worst
             return step(t, Y, h, live)
         return out

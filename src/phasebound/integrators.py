@@ -5,16 +5,16 @@ of two one-step maps: the implicit midpoint rule (general H, solved by
 Newton iteration with its matrix frozen at the predictor) or
 Stormer-Verlet (separable H only, explicit).  Both are second order and
 symplectic (Hairer, Lubich & Wanner, Geometric Numerical Integration,
-VI.3).  The step maps only step: the midpoint step's one tangent is its
-frozen one, 2 N^-1 - I from the inverse of its Newton matrix N that every
-Newton update uses, which shooting's Newton directions compose.  Exact
-tangent flows compose the derivative of each discrete step (for the
+VI.3).  The step maps only step: the midpoint step returns the inverse of
+its Newton matrix N, which every Newton update uses.  Tangent flows are
+built off the step loop, a block of steps at a time (_TangentChain), and
+composed in step order: the frozen midpoint tangent 2 N^-1 - I, which
+shooting's Newton directions compose, from the steps' inverses, or the
+exact tangent, each discrete step's derivative, from their states (for the
 midpoint rule the Cayley transform at the converged midpoint, VI.4; for
-Stormer-Verlet the kick-drift-kick product).  They are built off the step
-loop from the states of a block of steps (for the midpoint rule, with one
-batched inverse per block) and composed in step order, so the computed
-monodromy matrices are symplectic to solver tolerance, and a stored path
-is enough to build them again (_path_jacobian).  Every flow enters through
+Stormer-Verlet the kick-drift-kick product).  So the computed monodromy
+matrices are symplectic to solver tolerance, and a stored path is enough
+to build the exact ones again (_path_jacobian).  Every flow enters through
 ``flow_batch`` or its step loop ``_march``: single flows
 (``flow_with_jacobian``, ``integrate_flow``, ``flow_jacobian``) are
 batches of one, closed-form flows are evaluated in ``flow_batch``, and the
@@ -252,20 +252,20 @@ def _row_finite(a):
     return out
 
 
-def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, eye=None, live=None):
+def _midpoint_step_batch(field, linearize, t, Z, h, cfg, eye, live=None):
     """Implicit midpoint for dZ/dt = field(t, Z) over a batch of states Z.
 
     ``field(t, Z)`` returns one row of the vector field per row of Z, and
-    ``linearize(t, Z)`` one jacobian of it per row.  Returns (Z', ok,
-    tangents or None).  The Newton matrix N = I - (h/2) A is assembled at
-    the predictor midpoint, frozen across iterations (the fixed point is
-    unchanged) and inverted once by _batch_solve; every update is N^-1
-    times the residual, and the one that passes the residual test is still
-    applied, so Z' sits at the fixed point to roundoff.  ``want_tangent``
-    asks for the frozen tangent 2 N^-1 - I, the Cayley transform
-    (I - H)^-1 (I + H) of H = (h/2) A from the same inverse, symplectic for
-    a Hamiltonian field; the exact tangent, the step's derivative, is built
-    off the step from its states (_midpoint_tangents).  Members outside the
+    ``linearize(t, Z)`` one jacobian of it per row; ``eye`` is the identity
+    of a state's width.  Returns (Z', ok, N^-1).  The Newton matrix N = I -
+    (h/2) A is assembled at the predictor midpoint, frozen across iterations
+    (the fixed point is unchanged) and inverted once by _batch_solve; every
+    update is N^-1 times the residual, and the one that passes the residual
+    test is still applied, so Z' sits at the fixed point to roundoff.  The
+    step builds no tangent: the frozen one, 2 N^-1 - I, the Cayley transform
+    (I - H)^-1 (I + H) of H = (h/2) A, symplectic for a Hamiltonian field,
+    is built from the returned inverses, and the exact one, the step's
+    derivative, from the states (_scheme's builders).  Members outside the
     optional mask ``live`` are not iterated and come back not ok.
 
     While every member is ok and none has converged, the iteration runs
@@ -274,8 +274,7 @@ def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, eye=None,
     arithmetic is expected here: the caller runs this under
     ``np.errstate(all="ignore")``.
     """
-    bsz, two_r = Z.shape
-    eye = np.eye(two_r) if eye is None else eye
+    bsz = Z.shape[0]
     t_mid = t + 0.5 * h
     Z2 = Z + h * field(t, Z)
     ok = _row_finite(Z2)
@@ -317,16 +316,16 @@ def _midpoint_step_batch(field, linearize, t, Z, h, cfg, want_tangent, eye=None,
         Z2 = np.where(active[:, None] & np.isfinite(delta), Z2 + delta, Z2)
         done |= active & (gn <= cfg.newton_tol * scale)
     ok &= done
-    return Z2, ok, (2.0 * n_inv - eye if want_tangent else None)
+    return Z2, ok, n_inv
 
 
-def _verlet_step_batch(sys, t, Z, h):
+def _verlet_step_batch(sys, t, Z, h, live=None):
     """Stormer-Verlet (kick-drift-kick) over a batch; returns (Z', ok, None).
 
-    The step is explicit, so there is no Newton solve: ``ok`` flags members
-    whose new state is finite.  Its tangent is built off the step from its
-    states (_verlet_tangents).  Like the midpoint step, it runs under the
-    caller's ``np.errstate(all="ignore")``.
+    The step is explicit, so there is no Newton solve (and no iteration for
+    ``live`` to skip): ``ok`` flags members whose new state is finite.  Its
+    tangent is built off the step from its states (_verlet_tangents).  Like
+    the midpoint step, it runs under the caller's ``np.errstate(all="ignore")``.
     """
     if not sys.separable:
         raise NotSeparableError(f"system {sys.name!r} is not declared separable")
@@ -339,8 +338,8 @@ def _verlet_step_batch(sys, t, Z, h):
     return Z2, _row_finite(Z2), None
 
 
-# Steps whose exact tangents are built in one pass: a flow keeps the states of
-# this many steps, so its memory stays O(block x batch) whatever it stores.
+# Steps whose tangents are built in one pass: a flow keeps the states and Newton
+# inverses of this many steps, so its memory stays O(block x batch) whatever it stores.
 TANGENT_BLOCK = 16
 
 
@@ -418,64 +417,63 @@ def _analytic_batch(sys, Z0, t0, t1, grid, want_jacobian, store_path):
     return (path if store_path else None), path[-1], ok, jac
 
 
-def _stepper(sys, cfg, want_tangent):
-    """step(t, Z, h, live=None) -> (Z', ok, tangents) of ``cfg.scheme`` for Hamilton's equations.
+def _scheme(sys, cfg, exact=True):
+    """(step, tangents) of the configured scheme for Hamilton's equations; the one
+    place, config validation apart, that reads the scheme.
 
-    Members outside ``live`` are stepped but not Newton-iterated (the
-    Verlet step has no iteration to skip).  ``tangents`` are the frozen
-    midpoint tangents when ``want_tangent`` asks for them, else None.
+    ``step(t, Z, h, live=None)`` gives (Z', ok, N^-1 or None); members outside
+    ``live`` are not Newton-iterated.  ``tangents(ts, Z, Z1, h, moved, inverses)``
+    builds a block of steps' tangents for _TangentChain: the exact ones from the
+    states (_midpoint_tangents, _verlet_tangents), or with ``exact`` False under
+    the midpoint rule the frozen ones, 2 N^-1 - I, from the inverses.
     """
-    if cfg.scheme == "stormer-verlet":
-        return lambda t, Z, h, live=None: _verlet_step_batch(sys, t, Z, h)
     eye = np.eye(2 * sys.dim)
-    field, linearize = partial(_field_batch, sys), partial(_linearized_batch, sys)
-    return lambda t, Z, h, live=None: _midpoint_step_batch(
-        field, linearize, t, Z, h, cfg, want_tangent, eye, live)
+    if cfg.scheme == "stormer-verlet":
+        step, built = partial(_verlet_step_batch, sys), _verlet_tangents
+    else:
+        field, linearize = partial(_field_batch, sys), partial(_linearized_batch, sys)
 
+        def step(t, Z, h, live=None):
+            return _midpoint_step_batch(field, linearize, t, Z, h, cfg, eye, live)
 
-def _exact_tangents(sys, cfg):
-    """tangents(ts, Z, Z1, h, moved) -> the exact tangents of a block of ``cfg.scheme``'s
-    steps, for _march's ``exact``."""
-    tangents = _verlet_tangents if cfg.scheme == "stormer-verlet" else _midpoint_tangents
-    return partial(tangents, sys, eye=np.eye(2 * sys.dim))
+        if not exact:
+            return step, lambda ts, Z, Z1, h, moved, inverses: 2.0 * np.stack(inverses) - eye
+        built = _midpoint_tangents
+    return step, lambda ts, Z, Z1, h, moved, inverses: built(sys, ts, Z, Z1, h, moved, eye)
 
 
 class _TangentChain:
     """The tangent flow of a batch of states Z, composed in step order.
 
-    ``add(t, Z, moved, tangents)`` records a step from t: the states after
-    it and the mask of members it moved, None for all (the others keep
-    their tangent).  The step's own ``tangents`` are composed at once,
-    unless ``exact(ts, Z, Z1, h, moved)`` builds the tangents from the
-    states: then every TANGENT_BLOCK steps, and at ``finish``, one call
-    makes the block's, and they are composed as a loop composing each
+    ``add(t, Z, moved, inverse)`` records a step from t: the states after
+    it, the mask of members it moved, None for all (the others keep their
+    tangent), and the step's Newton inverse or None.  Every TANGENT_BLOCK
+    steps, and at ``finish``, one call ``tangents(ts, Z, Z1, h, moved,
+    inverses)`` (a builder of _scheme's) makes the block's tangents from its
+    states or inverses, and they are composed as a loop composing each
     step's would.  ``redo`` replaces a member's tangent of the step being
     added by the product of the substeps it was redone on.  Call under
     ``np.errstate(all="ignore")``: held and stopped members' states are
     linearized too.
     """
 
-    def __init__(self, Z, h, exact=None):
+    def __init__(self, Z, h, tangents):
         bsz, width = Z.shape
-        self.h, self.exact, self.times, self.lean, self.redone = h, exact, [], [], []
+        self.h, self.tangents = h, tangents
+        self.times, self.lean, self.inverses, self.redone = [], [], [], []
         self.jac = np.tile(np.eye(width), (bsz, 1, 1))
-        if exact is not None:
-            self.moved = np.empty((TANGENT_BLOCK, bsz), dtype=bool)
-            self.states = np.empty((TANGENT_BLOCK + 1, bsz, width))
-            self.states[0] = Z
+        self.moved = np.empty((TANGENT_BLOCK, bsz), dtype=bool)
+        self.states = np.empty((TANGENT_BLOCK + 1, bsz, width))
+        self.states[0] = Z
 
     def redo(self, b, tangent):
         self.redone.append((len(self.times), b, tangent))
 
-    def add(self, t, Z, moved=None, tangents=None):
-        if self.exact is None:
-            if self.redone:
-                self._redo([tangents])
-            self._compose(tangents, moved)
-            return
+    def add(self, t, Z, moved=None, inverse=None):
         k = len(self.times)
         self.times.append(t)
         self.lean.append(moved is None)
+        self.inverses.append(inverse)
         self.moved[k] = True if moved is None else moved
         self.states[k + 1] = Z
         if k + 1 == TANGENT_BLOCK:
@@ -485,26 +483,17 @@ class _TangentChain:
         """Compose the steps added since the last block; returns the jacobians."""
         n = len(self.times)
         if n:
-            tangents = self.exact(self.times, self.states[:n], self.states[1:n + 1], self.h,
-                                  self.moved[:n])
+            tangents = self.tangents(self.times, self.states[:n], self.states[1:n + 1], self.h,
+                                     self.moved[:n], self.inverses)
             self.states[0] = self.states[n]
-            if self.redone:
-                self._redo(tangents)
+            for k, b, tangent in self.redone:
+                tangents[k][b] = tangent
             for k, lean in enumerate(self.lean):
-                self._compose(tangents[k], None if lean else self.moved[k])
-            self.times, self.lean = [], []
+                stepped = tangents[k] @ self.jac
+                self.jac = stepped if lean else np.where(self.moved[k][:, None, None], stepped,
+                                                         self.jac)
+            self.times, self.lean, self.inverses, self.redone = [], [], [], []
         return self.jac
-
-    def _redo(self, tangents):
-        for k, b, tangent in self.redone:
-            tangents[k][b] = tangent
-        self.redone = []
-
-    def _compose(self, tangents, moved):
-        if moved is None:
-            self.jac = tangents @ self.jac
-        else:
-            self.jac = np.where(moved[:, None, None], tangents @ self.jac, self.jac)
 
 
 def _sup_norms(Z, r):
@@ -531,18 +520,18 @@ def _start_report(Z, ok, r, t0, n_steps, cfg):
             else (_stop_status(Z[b:b + 1], r, t0, cfg), 0, None) for b in range(len(ok))]
 
 
-def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=False, exact=None):
+def _march(step, Z, r, cfg, t0, h, n_steps, store_path=False, tangents=None):
     """The step loop of every flow: advance the states Z (one per row) n_steps steps of h from t0.
 
-    ``step(t, Z, h, live)`` gives (Z', ok, tangents) for states of any width;
+    ``step(t, Z, h, live)`` gives (Z', ok, N^-1 or None) for states of any width;
     ``r`` splits a state z for the blow-up test max|z[:r]| + max|z[r:]|.  A
     member whose step fails is redone from t by this loop as 2 steps of
     h / 2, with one halving fewer to spend, while ``cfg.max_step_halvings``
     allows; a member whose step still fails, or that crosses the threshold,
     leaves ``ok`` and is held.  The loop ends when none is ok.  With
-    ``want_jacobian`` the step tangents are composed by a _TangentChain: the
-    step's own, or those that ``exact`` builds from the states of each block
-    of steps (a redone step keeps the product of its substeps').  Returns
+    ``tangents``, a block builder of _scheme's, a _TangentChain composes the
+    step tangents that it builds from each block of steps' states and
+    inverses (a redone step keeps the product of its substeps').  Returns
     ((n_steps + 1, batch, width) path or None, Z1, ok, jacobians or None,
     report); the report gives each member's (status, stop, crossing):
     Completed, BlowUp(t_escape) or NewtonFailure(t), the node up to which
@@ -553,14 +542,14 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
     ok = np.isfinite(Z).all(axis=1)
     live = None if ok.all() else ok  # the members worth iterating, None for all
     report = _start_report(Z, ok, r, t0, n_steps, cfg)
-    chain = _TangentChain(Z, h, exact) if want_jacobian else None
+    chain = None if tangents is None else _TangentChain(Z, h, tangents)
     path = np.empty((n_steps + 1, bsz, width)) if store_path else None
     if store_path:
         path[0] = Z
     with np.errstate(all="ignore"):
         for k in range(n_steps if bsz else 0):  # no row to evaluate in an empty batch
             t = t0 + k * h
-            Znew, step_ok, tangents = step(t, Z, h, live)
+            Znew, step_ok, inverse = step(t, Z, h, live)
             was_ok, ok = ok, ok & step_ok & (_sup_norms(Znew, r) <= cfg.blowup_threshold)
             if ok.all():
                 Z, moved = Znew, None
@@ -572,11 +561,10 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
                         if cfg.max_step_halvings:
                             halved = replace(cfg, max_step_halvings=cfg.max_step_halvings - 1)
                             _, z, sub_ok, m, ((status, _, crossing),) = _march(
-                                step, Z[b:b + 1], r, halved, t, 0.5 * h, 2, want_jacobian,
-                                exact=exact)
+                                step, Z[b:b + 1], r, halved, t, 0.5 * h, 2, tangents=tangents)
                             if sub_ok[0]:
                                 ok[b], Znew[b] = True, z[0]
-                                if want_jacobian:
+                                if chain is not None:
                                     chain.redo(b, m[0])
                                 continue
                             if crossing is not None:
@@ -588,22 +576,23 @@ def _march(step, Z, r, cfg, t0, h, n_steps, want_jacobian=False, store_path=Fals
                     break
                 live = moved = ok
                 Z = np.where(ok[:, None], Znew, Z)
-            if want_jacobian:
-                chain.add(t, Z, moved, tangents)
+            if chain is not None:
+                chain.add(t, Z, moved, inverse)
             if store_path:
                 path[k + 1] = Z
-        jac = chain.finish() if want_jacobian else None
+        jac = None if chain is None else chain.finish()
     return path, Z, ok, jac, report
 
 
 def _path_jacobian(sys, path, cfg, t1):
-    """The jacobians of a flow of ``cfg.scheme`` over [0, t1] from its stored
+    """The jacobians of a flow with ``cfg``'s scheme over [0, t1] from its stored
     (n_nodes, batch, 2r) ``path``, every member of which completed with no step
-    redone: the exact tangents of its steps, built and composed as _march does, so
-    they equal flow_batch's with ``want_jacobian``; nothing is stepped."""
+    redone: the exact tangents of its steps, built by _scheme's builder and
+    composed as _march does, so they equal flow_batch's with ``want_jacobian``;
+    nothing is stepped."""
     n_steps = len(path) - 1
     h = t1 / n_steps
-    chain = _TangentChain(path[0], h, _exact_tangents(sys, cfg))
+    chain = _TangentChain(path[0], h, _scheme(sys, cfg)[1])
     with np.errstate(all="ignore"):
         for k in range(n_steps):
             chain.add(k * h, path[k + 1])
@@ -628,7 +617,7 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
                t0=0.0, t1=1.0, want_jacobian=False, store_path=False, tangent_exact=True):
     """Integrate a batch of initial states over [t0, t1] simultaneously.
 
-    Steps with ``cfg.scheme`` on the step loop _march: the implicit midpoint
+    Steps with ``cfg``'s scheme on the step loop _march: the implicit midpoint
     rule, or Stormer-Verlet (which raises NotSeparableError for a system
     not declared separable).  Closed-form (``analytic_only``) systems are
     evaluated, not stepped, and their grid is sampled only when
@@ -637,10 +626,10 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
     state array of either kind of flow and report that of _march, which
     also describes ``ok`` and step halving (``cfg.max_step_halvings`` alone
     decides it); a closed-form member that is not ok stops at t0, as after
-    a failed first step.  The jacobians compose exact step tangents, built
-    off the step loop a block of steps at a time (_TangentChain), unless
-    ``tangent_exact`` is False under the midpoint rule: then each step's
-    frozen tangent (see _midpoint_step_batch) is composed.
+    a failed first step.  The jacobians compose step tangents built off the
+    step loop a block of steps at a time (_TangentChain): exact ones, or
+    with ``tangent_exact`` False under the midpoint rule the frozen ones
+    2 N^-1 - I from each step's Newton inverse (see _midpoint_step_batch).
     """
     Z0 = np.concatenate([np.atleast_2d(np.asarray(x, dtype=float)) for x in (U0, P0)], axis=1)
     r = Z0.shape[1] // 2
@@ -651,8 +640,7 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
             path, Z, ok, jac = _analytic_batch(sys, Z0, t0, t1, grid, want_jacobian, store_path)
         report = _start_report(Z0, ok, r, t0, n_steps, cfg)
     else:
-        frozen = want_jacobian and not tangent_exact and cfg.scheme == "implicit-midpoint"
-        exact = _exact_tangents(sys, cfg) if want_jacobian and not frozen else None
-        path, Z, ok, jac, report = _march(_stepper(sys, cfg, frozen), Z0, r, cfg, t0, h, n_steps,
-                                          want_jacobian, store_path, exact)
+        step, tangents = _scheme(sys, cfg, tangent_exact)
+        path, Z, ok, jac, report = _march(step, Z0, r, cfg, t0, h, n_steps, store_path,
+                                          tangents if want_jacobian else None)
     return grid, path, Z[:, :r], Z[:, r:], ok, jac, report

@@ -250,36 +250,6 @@ def _batch_eval(sys, u0, P, boundary, icfg, want_jacobian, keep=None):
     return res, rnorm, step, ok
 
 
-class _ConvergedPaths:
-    """The segment paths of members whose residual reached the Newton tolerance.
-
-    ``keep(rows)`` is the ``keep`` of an evaluation of seed rows ``rows``
-    (_batch_eval): it copies each such member's (n + 1, M, 2r) path under
-    its seed row, replacing the row's earlier one.  A row whose residual
-    reaches the tolerance on an accepted evaluation has converged and is
-    never evaluated again, so a converged row's path is the one of its
-    accepted unknowns, as a flight of them would give it bit for bit.
-    ``of(rows)`` stacks the paths of converged rows in _branches' layout,
-    dropping their copies.
-    With ``tol`` None nothing is kept: ``keep`` and ``of`` give None.
-    """
-
-    def __init__(self, tol):
-        self.tol, self.paths = tol, {}
-
-    def keep(self, rows):
-        def keep(path, rnorm):
-            for i in np.flatnonzero(rnorm <= self.tol):
-                self.paths[rows[i]] = path[:, i].copy()
-        return None if self.tol is None else keep
-
-    def of(self, rows):
-        if self.tol is None or not len(rows):
-            return None
-        path = np.stack([self.paths.pop(i) for i in rows], axis=1)
-        return path.reshape(len(path), -1, path.shape[-1])
-
-
 def _condensed_matrix(tangents, rows):
     """The k x k condensed shooting matrix B0 E + B1 (Phi_M ... Phi_1) E from
     segment tangents ``tangents`` (B, M, 2r, 2r) and the k boundary ``rows``
@@ -369,7 +339,7 @@ def _branches(sys, u0, P, boundary, icfg, path=None):
     along them; a branch per member, or None where a segment flow fails.
 
     ``path`` is the members' (n + 1, B M, 2r) segment paths as their
-    accepted evaluation flew them (_ConvergedPaths), every member's
+    accepted evaluation flew them (kept by _solve), every member's
     complete, and their exact tangents are built from it (_path_jacobian);
     without it the segments are flown once, with their path and exact
     tangent, which gives the same bits.  A branch's path is nodes 0 .. n-1
@@ -457,18 +427,56 @@ def _system_of(sys, pair_of_row):
     return sys if isinstance(sys, HamiltonianSystem) else sys(pair_of_row)
 
 
+def _solve(system_of, U0, lead, boundary_of, cfg, full_interval=False):
+    """(branches, seed rows) of multistart multiple shooting from the seed rows
+    ``lead`` of leading unknowns (_batch_eval): p0 after the fixed ``U0`` row,
+    or (u0, p0) for ``U0`` None.  ``system_of(rows)`` flows the batch rows of
+    seed rows ``rows``, and ``boundary_of(rows)`` is their condition.
+
+    A copy of each evaluation's segment path is kept per row whose residual
+    reached the Newton tolerance, replacing the row's earlier one: a converged
+    row is never evaluated again, so its kept path is the one its accepted
+    unknowns flew, bit for bit, and _branches builds its branch from it.
+    Nothing is kept for a closed-form system, whose evaluations sample only
+    the end, nor with ``full_interval``, which flies the converged leading
+    unknowns over [0, 1].
+    """
+    icfg = replace(cfg.integrator, max_step_halvings=0)  # a failed member leaves the batch
+    sys = system_of(np.arange(len(lead)))
+    m, keep, kept = _segment_count(sys, icfg), not (full_interval or sys.analytic_only), {}
+
+    def evaluate(rows, P):
+        def keep_converged(path, rnorm):
+            for i in np.flatnonzero(rnorm <= cfg.newton_tol):
+                kept[rows[i]] = path[:, i].copy()
+
+        return _batch_eval(system_of(np.repeat(rows, m)), None if U0 is None else U0[rows], P,
+                           boundary_of(rows), icfg, want_jacobian=True,
+                           keep=keep_converged if keep else None)
+
+    found, _, rows = _multistart_newton(evaluate, _shooting_unknowns(sys, U0, lead, icfg), cfg)
+    if full_interval:
+        found, m = found[:, :lead.shape[1]], 1
+    path = None
+    if keep and len(rows):  # the kept paths in _branches' layout, their copies dropped
+        path = np.stack([kept.pop(i) for i in rows], axis=1)
+        path = path.reshape(len(path), -1, path.shape[-1])
+    return _branches(system_of(np.repeat(rows, m)), None if U0 is None else U0[rows], found,
+                     boundary_of(rows), icfg, path), rows
+
+
 def solve_dirichlet_many(sys: HamiltonianSystem | Callable, pairs, cfg: ShootingConfig,
                          seeds=None, *, full_interval=False):
     """All boundary-value solutions for each of several endpoint pairs.
 
     Every pair's seeds (``cfg``'s seed set, or ``seeds[k]`` for pair k) go
-    through one multistart Newton batch.  Branches are built from the
-    converged segments' paths that the accepted evaluations flew
-    (_branches), with no further flight; a closed-form system, whose
-    evaluations sample only the end, flies its converged segments once
-    with their paths, and ``full_interval`` flies the converged p0 over
-    [0, 1], free of the segments' junction jumps at the Newton tolerance.
-    Branches are then sorted, deduplicated and classified pair by pair.
+    through one multistart Newton batch of _solve, which builds the
+    branches from the paths of the converged segments' accepted evaluations
+    with no further flight; a closed-form system flies its converged
+    segments once with their paths, and ``full_interval`` flies the
+    converged p0 over [0, 1], free of the segments' junction jumps at the
+    Newton tolerance.  Branches are then sorted, deduplicated and
+    classified pair by pair.
     Members of the batch do not interact, so a pair's result does not
     depend on which other pairs share the batch.
     ``sys`` is one system for every pair, or a family of one system per pair
@@ -487,19 +495,9 @@ def solve_dirichlet_many(sys: HamiltonianSystem | Callable, pairs, cfg: Shooting
     seeds = [np.asarray(s, dtype=float).reshape(-1, r) for s in seeds]
     owner = np.repeat(np.arange(len(pairs)), [len(s) for s in seeds])
     U0, U1 = np.array(pairs)[owner].transpose(1, 0, 2)
-    icfg = replace(cfg.integrator, max_step_halvings=0)  # a failed member leaves the batch
-    m = _segment_count(base, icfg)
-    kept = _ConvergedPaths(None if full_interval or base.analytic_only else cfg.newton_tol)
     # multistart multiple shooting of u(1; U0[i], p) = U1[i] from seed row i
-    found, _, rows = _multistart_newton(
-        lambda idx, P: _batch_eval(_system_of(sys, np.repeat(owner[idx], m)), U0[idx], P,
-                                   _fixed_end(base.config, U1[idx]), icfg, want_jacobian=True,
-                                   keep=kept.keep(idx)),
-        _shooting_unknowns(_system_of(sys, owner), U0, np.concatenate(seeds), icfg), cfg)
-    if full_interval:
-        found, m = found[:, :r], 1
-    branches = _branches(_system_of(sys, np.repeat(owner[rows], m)), U0[rows], found,
-                         _fixed_end(base.config, U1[rows]), icfg, kept.of(rows))
+    branches, rows = _solve(lambda rows: _system_of(sys, owner[rows]), U0, np.concatenate(seeds),
+                            lambda rows: _fixed_end(base.config, U1[rows]), cfg, full_interval)
     return [_solution_set(base.config, [b for b, i in zip(branches, rows) if owner[i] == k],
                           cfg, pair) for k, pair in enumerate(pairs)]
 
@@ -681,20 +679,15 @@ def solve_with_lagrangian_boundary(sys: HamiltonianSystem, grad_F: Callable,
     boundary-condition jacobian gets the minimum-norm (pinv) step, so
     families of solutions (rank-deficient boundary conditions) converge to
     the member nearest the seed.  A branch's jacobian is the 2r x 2r
-    boundary-condition jacobian in (u0, p0).  Branches are built from the
-    converged segments' evaluation paths, as solve_dirichlet_many's are.
+    boundary-condition jacobian in (u0, p0).  The solve is _solve's, as
+    solve_dirichlet_many's is, so branches are built from the converged
+    segments' evaluation paths.
     """
     r = sys.dim
     if state_seeds is None:
         state_seeds = [(np.zeros(r), p) for p in cfg.resolve_seeds(r)]
     X = np.array([np.concatenate([as_point(u0, r), as_point(p0, r)])
                   for u0, p0 in state_seeds]).reshape(-1, 2 * r)
-    icfg = replace(cfg.integrator, max_step_halvings=0)  # a failed member leaves the batch
     boundary = _graph_boundary(grad_F, fd_step)
-    kept = _ConvergedPaths(None if sys.analytic_only else cfg.newton_tol)
-    found, _, rows = _multistart_newton(
-        lambda idx, P: _batch_eval(sys, None, P, boundary, icfg, want_jacobian=True,
-                                   keep=kept.keep(idx)),
-        _shooting_unknowns(sys, None, X, icfg), cfg)
-    branches = _branches(sys, None, found, boundary, icfg, kept.of(rows))
+    branches, _ = _solve(lambda rows: sys, None, X, lambda rows: boundary, cfg)
     return _solution_set(sys.config, branches, cfg)

@@ -477,6 +477,46 @@ class TestLaggedJacobian:
         assert np.abs(con.trajectory.momenta - unc.trajectory.momenta).max() <= 1e-12
         assert con.trajectory.positions[-1, 0] == 1.6055978165552036
 
+    def test_iterate_off_tangency_is_rerun_on_a_fresh_jacobian(self, monkeypatch):
+        # the verdict rejects the sixth state it checks: the second Newton iterate
+        # of the step from t = 0.01, the first made by an update on the jacobian
+        # reused from step 1; that step is rerun once on a fresh jacobian, as a
+        # failed step is, and the flow completes as it does unpatched
+        def flow():
+            return integrate_constrained(make_pendulum().system, make_identity_constraint(1),
+                                         [0.4], [1.2], IntegratorConfig(step=1e-2))
+
+        jacobians, times, checked = [], [], []
+        difference, solve = constraints.central_difference, constraints._tangency_solve
+        verdict = constraints._tangency_verdict
+        monkeypatch.setattr(constraints, "central_difference",
+                            lambda *args: jacobians.append(None) or difference(*args))
+
+        def timed_solve(sys_, spec, t, u, e):
+            times.append(t)
+            return solve(sys_, spec, t, u, e)
+
+        monkeypatch.setattr(constraints, "_tangency_solve", timed_solve)
+        unpatched, built = flow(), len(jacobians)
+        jacobians.clear()
+
+        def rejecting(residual, grad_u):
+            checked.append((times[-1], len(jacobians)))  # the field's time, jacobians so far
+            norm, tangent = verdict(residual, grad_u)
+            return norm, tangent and len(checked) != 6
+
+        monkeypatch.setattr(constraints, "_tangency_verdict", rejecting)
+        con = flow()
+        (t_pred, n_pred), (t_mid, _), (t_rejected, n_rejected) = checked[3:6]
+        assert (t_pred, t_mid) == (pytest.approx(0.01), pytest.approx(0.015))
+        assert t_rejected == t_mid
+        assert n_pred == n_rejected == 1  # step 1's jacobian, reused
+        assert con.completed and len(jacobians) == built + 1
+        for got, want in ((con.trajectory.positions, unpatched.trajectory.positions),
+                          (con.trajectory.momenta, unpatched.trajectory.momenta),
+                          (con.e_path, unpatched.e_path)):
+            assert np.abs(got - want).max() <= 1e-12
+
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(u0=st.floats(-3.0, 3.0), e0=st.floats(-3.0, 3.0),
            step=st.sampled_from([1e-2, 2e-2, 5e-2]))

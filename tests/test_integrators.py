@@ -49,7 +49,7 @@ def one_step(sys, scheme, t, u, p, h, cfg=None):
     """(u', p') after one step of ``scheme`` from (u, p) at t, by the step map that _march calls."""
     z = np.concatenate([np.asarray(u, dtype=float), np.asarray(p, dtype=float)])
     cfg = dataclasses.replace(cfg or IntegratorConfig(), scheme=scheme)
-    step = integrators._stepper(sys, cfg, False)
+    step = integrators._scheme(sys, cfg)[0]
     with np.errstate(all="ignore"):
         z2, ok, _ = step(t, z[None], h)
     assert ok[0]
@@ -465,13 +465,13 @@ class TestBatchedMidpointFallback:
             return integrators._field_batch(free, t, Z)
 
         Z = np.array([[0.3, 1.1], [100.0, 1.1]])
-        Z2, ok, tangents = integrators._midpoint_step_batch(
-            field, linearized, 0.0, Z, h, IntegratorConfig(step=h), want_tangent=True)
-        Z2_alone, ok_alone, tangents_alone = integrators._midpoint_step_batch(
-            field, linearized, 0.0, Z[:1], h, IntegratorConfig(step=h), want_tangent=True)
+        Z2, ok, inverses = integrators._midpoint_step_batch(
+            field, linearized, 0.0, Z, h, IntegratorConfig(step=h), np.eye(2))
+        Z2_alone, ok_alone, inverses_alone = integrators._midpoint_step_batch(
+            field, linearized, 0.0, Z[:1], h, IntegratorConfig(step=h), np.eye(2))
         assert ok_alone[0] and ok[0]
         assert np.array_equal(Z2[0], Z2_alone[0])
-        assert np.array_equal(tangents[0], tangents_alone[0])
+        assert np.array_equal(inverses[0], inverses_alone[0])
 
     def test_exactly_singular_member_alone_gets_pinv(self):
         # h = 2^-10 and A = 2^11 I make (h/2) A = I exactly, so member 2's N is
@@ -482,13 +482,13 @@ class TestBatchedMidpointFallback:
         mats[2] = 2.0 ** 11 * np.eye(4)
         Z = rng.standard_normal((5, 4))
         cfg = IntegratorConfig(step=h)
-        Z2, ok, tangents = integrators._midpoint_step_batch(
-            *linear_field(mats), 0.0, Z, h, cfg, True)
+        Z2, ok, inverses = integrators._midpoint_step_batch(
+            *linear_field(mats), 0.0, Z, h, cfg, np.eye(4))
         assert ok.tolist() == [True, True, False, True, True]
         for b in (0, 1, 3, 4):
             alone = integrators._midpoint_step_batch(
-                *linear_field(mats[b:b + 1]), 0.0, Z[b:b + 1], h, cfg, True)
-            for got, want in zip((Z2, ok, tangents), alone):
+                *linear_field(mats[b:b + 1]), 0.0, Z[b:b + 1], h, cfg, np.eye(4))
+            for got, want in zip((Z2, ok, inverses), alone):
                 assert np.array_equal(got[b], want[0])
         newton = np.eye(4) - 0.5 * h * mats
         inverses = integrators._batch_solve(newton)
@@ -566,8 +566,9 @@ class TestInvertedStep:
         Z, jac = Z0, np.tile(eye, (bsz, 1, 1))
         for k in range(125):
             last.clear()
-            Z2, ok, tangents = integrators._midpoint_step_batch(
-                field, linearize, k * h, Z, h, IntegratorConfig(), True)
+            Z2, ok, n_inv = integrators._midpoint_step_batch(
+                field, linearize, k * h, Z, h, IntegratorConfig(), eye)
+            tangents = 2.0 * n_inv - eye
             assert ok.all() and len(last) == 1
             if tangent_exact:
                 last[0] = integrators._linearized_batch(system, k * h + 0.5 * h, 0.5 * (Z + Z2))
@@ -844,15 +845,16 @@ def stepwise_jacobians(system_of, cfg, path, report, t0, h, frozen=False):
     the member's stop, from the states the path holds, composed in step order.
     The tangent is the Cayley map 2 (I - (h/2) A)^-1 - I at the converged
     midpoint, or the kick-drift-kick product, or with ``frozen`` the midpoint
-    step's own; a step that the step map cannot take in one is redone here
-    too, on two steps of h / 2, and gets their product.  ``system_of(b)`` is
-    member b's system, called on its state alone."""
+    step's frozen one, 2 N^-1 - I from its Newton inverse; a step that the
+    step map cannot take in one is redone here too, on two steps of h / 2, and
+    gets their product.  ``system_of(b)`` is member b's system, called on its
+    state alone."""
     eye = np.eye(path.shape[2])
     jacobians, redone = [], []
     for b, (_, stop, _) in enumerate(report):
         sys = system_of(b)
         r = sys.dim
-        step = integrators._stepper(sys, cfg, frozen)
+        step = integrators._scheme(sys, cfg)[0]
 
         def tangent(t, z, z1, dt):
             if cfg.scheme == "stormer-verlet":
@@ -868,9 +870,9 @@ def stepwise_jacobians(system_of, cfg, path, report, t0, h, frozen=False):
             return 2.0 * np.linalg.inv(eye - 0.5 * dt * a_mat) - eye
 
         def taken(t, z, dt):  # (z', tangent) of a step of dt from z as the step loop takes it
-            z1, ok, own = step(t, z[None], dt)
+            z1, ok, n_inv = step(t, z[None], dt)
             if ok[0]:
-                return z1[0], own[0] if frozen else tangent(t, z, z1[0], dt)
+                return z1[0], 2.0 * n_inv[0] - eye if frozen else tangent(t, z, z1[0], dt)
             redone.append(t)  # as _march redoes it: steps from t0 + k * h, composed from I
             za, ta = taken(t + 0 * (0.5 * dt), z, 0.5 * dt)
             zb, tb = taken(t + 1 * (0.5 * dt), za, 0.5 * dt)
@@ -917,6 +919,11 @@ OFF_LOOP = {
     "quartic-halved": (lambda: make_quartic().system, [[6.0], [0.3]], [[18.0], [0.2]],
                        ((0.3332, 1e-4),), {"blowup_threshold": 1e10}, Completed),
 }
+# member b's own system, for the batches whose system is not every member's
+OFF_LOOP_MEMBER = {
+    "lambda-family-rows": lambda b: _drift_system(LAMBDAS[b], linear_vector_field(), "row"),
+    "pendulum-batch-callbacks": lambda b: make_pendulum().system,
+}
 
 
 class TestOffLoopTangents:
@@ -930,10 +937,7 @@ class TestOffLoopTangents:
         make, U0, P0, spans, settings_, fate = OFF_LOOP[name]
         system = make()
         U0, P0 = np.array(U0, dtype=float), np.array(P0, dtype=float)
-        member = {"lambda-family-rows": lambda b: _drift_system(LAMBDAS[b],
-                                                                linear_vector_field(), "row"),
-                  "pendulum-batch-callbacks": lambda b: make_pendulum().system,
-                  }.get(name, lambda b: system)
+        member = OFF_LOOP_MEMBER.get(name, lambda b: system)
         for t1, step in spans:
             cfg = IntegratorConfig(scheme=scheme, step=step, **settings_)
             _, path, _, _, ok, jac, report = flow_batch(system, U0, P0, cfg, t1=t1,
@@ -950,17 +954,25 @@ class TestOffLoopTangents:
             assert np.array_equal(flow_batch(system, U0, P0, cfg, t1=t1, want_jacobian=True)[5],
                                   jac)
 
-    def test_frozen_tangents_compose_as_stepwise(self):
-        # the midpoint step's own tangents, a redone step's included, are
-        # composed at once in step order
-        make, U0, P0, ((t1, step),), settings_, _ = OFF_LOOP["quartic-halved"]
-        system, cfg = make(), IntegratorConfig(step=step, **settings_)
-        _, path, _, _, ok, jac, report = flow_batch(system, U0, P0, cfg, t1=t1, store_path=True,
-                                                    want_jacobian=True, tangent_exact=False)
-        assert ok.all()
-        want, redone = stepwise_jacobians(lambda b: system, cfg, path, report, 0.0,
-                                          t1 / (len(path) - 1), frozen=True)
-        assert redone > 0 and np.array_equal(jac, want)
+    @pytest.mark.parametrize("name", list(OFF_LOOP))
+    def test_frozen_tangents_compose_as_stepwise(self, name):
+        # the midpoint step's own tangents 2 N^-1 - I, a redone step's included,
+        # are built from its Newton inverses a block at a time and composed in
+        # step order, on both sides of a block's end
+        make, U0, P0, spans, settings_, fate = OFF_LOOP[name]
+        system = make()
+        U0, P0 = np.array(U0, dtype=float), np.array(P0, dtype=float)
+        for t1, step in spans:
+            cfg = IntegratorConfig(step=step, **settings_)
+            _, path, _, _, ok, jac, report = flow_batch(system, U0, P0, cfg, t1=t1,
+                                                        store_path=True, want_jacobian=True,
+                                                        tangent_exact=False)
+            assert ok[1:].all() and isinstance(report[0][0], fate)
+            want, redone = stepwise_jacobians(OFF_LOOP_MEMBER.get(name, lambda b: system), cfg,
+                                              path, report, 0.0, t1 / (len(path) - 1),
+                                              frozen=True)
+            assert (redone > 0) == (name in ("quartic-escaping", "quartic-halved"))
+            assert np.array_equal(jac, want)
 
     def test_path_jacobian_is_the_flows(self):
         # built from a stored path alone, as branches are from their evaluation paths
@@ -973,17 +985,18 @@ class TestOffLoopTangents:
             got = integrators._path_jacobian(make_pendulum().system, path, cfg, t1=0.125)
             assert np.array_equal(got, jac)
 
-    def test_memory_stays_one_block(self):
+    @pytest.mark.parametrize("tangent_exact", [True, False], ids=["exact", "frozen"])
+    def test_memory_stays_one_block(self, tangent_exact):
         # 80 members over 2500 steps with the tangent and no stored path: the
-        # states and tangents of one block are kept, not the flow's (its path
-        # would take 3.2 MB, its step tangents 6.4 MB); the peak is mostly the
-        # block's temporaries and the returned grid
+        # states, Newton inverses and tangents of one block are kept, not the
+        # flow's (its path would take 3.2 MB, its step tangents or inverses
+        # 6.4 MB); the peak is mostly the block's temporaries and the returned grid
         free, n, bsz = make_free_particle().system, 2500, 80
         U0, P0 = np.linspace(-1.0, 1.0, bsz)[:, None], np.ones((bsz, 1))
         tracemalloc.start()
         try:
             ok, jac = flow_batch(free, U0, P0, IntegratorConfig(step=1.0 / n),
-                                 want_jacobian=True)[4:6]
+                                 want_jacobian=True, tangent_exact=tangent_exact)[4:6]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

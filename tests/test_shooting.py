@@ -980,18 +980,66 @@ class TestBranchesFromEvaluationPaths:
             assert np.array_equal(a.jacobian, b.jacobian)
             assert (a.residual, a.cond) == (b.residual, b.cond)
 
-    def test_each_rows_latest_converged_path_is_kept(self):
+    @staticmethod
+    def stubbed_solve(monkeypatch, evaluations, converged, system=None, full_interval=False):
+        """Run _solve on 4 seed rows with stubs for the evaluation, the driver and
+        _branches: the driver evaluates ``evaluations``, (rows, (n + 1, B, M, 2r)
+        path, residual norms) in turn, each handing its path and norms to the
+        evaluation's ``keep``, and returns the seed rows ``converged``.  Returns
+        each evaluation's ``keep``, the rows with a kept path after each
+        evaluation, the kept paths as _branches gets them, and the paths _solve
+        still holds when it calls _branches."""
+        system = system or make_pendulum().system
+        keeps, flown, held, rows_kept = [], iter(evaluations), {}, []
+
+        def evaluate(sys, u0, P, boundary, icfg, want_jacobian, keep=None):
+            _, path, rnorm = next(flown)
+            keeps.append(keep)
+            if keep is not None:
+                keep(path, np.array(rnorm))
+
+        def newton(evaluate, seeds, cfg):
+            held.update(kept=dict(zip(evaluate.__code__.co_freevars,
+                                      (c.cell_contents for c in evaluate.__closure__)))["kept"])
+            for rows, *_ in evaluations:
+                evaluate(np.array(rows), seeds[rows])
+                rows_kept.append(sorted(held["kept"]))
+            return seeds[converged], np.zeros(len(converged)), np.array(converged, dtype=int)
+
+        def branches(sys, u0, P, boundary, icfg, path):
+            held.update(path=path, left=dict(held["kept"]))
+            return []
+
+        monkeypatch.setattr(shooting, "_batch_eval", evaluate)
+        monkeypatch.setattr(shooting, "_multistart_newton", newton)
+        monkeypatch.setattr(shooting, "_branches", branches)
+        monkeypatch.setattr(shooting, "_shooting_unknowns", lambda sys, u0, lead, icfg: lead)
+        lead = np.arange(4 * system.dim, dtype=float).reshape(4, system.dim)
+        shooting._solve(lambda rows: system, np.zeros_like(lead), lead, lambda rows: None,
+                        ShootingConfig(newton_tol=1e-10), full_interval)
+        return keeps, rows_kept, held["path"], held["left"]
+
+    def test_each_rows_latest_converged_path_is_kept(self, monkeypatch):
         # a row's path is kept when its residual reaches the tolerance, replacing
-        # the row's earlier one; of() stacks the rows' paths in _branches' layout
-        kept = shooting._ConvergedPaths(1e-10)
+        # the row's earlier one; the converged rows' paths reach _branches in its
+        # layout, and _solve drops its copies of them
         path = np.arange(3 * 2 * 2 * 2, dtype=float).reshape(3, 2, 2, 2)  # (n + 1, B, M, 2r)
-        kept.keep(np.array([4, 7]))(path, np.array([1e-11, 1e-9]))
-        assert sorted(kept.paths) == [4]
-        kept.keep(np.array([9, 4]))(path + 100.0, np.array([np.inf, 1e-10]))
-        assert np.array_equal(kept.of(np.array([4])), (path[:, 1] + 100.0).reshape(3, 2, 2))
-        assert kept.paths == {} and kept.of(np.array([], dtype=int)) is None
-        off = shooting._ConvergedPaths(None)
-        assert off.keep(np.array([0])) is None and off.of(np.array([0])) is None
+        keeps, rows_kept, kept, left = self.stubbed_solve(monkeypatch, [
+            ([1, 2], path, [1e-11, 1e-9]), ([3, 1], path + 100.0, [np.inf, 1e-10])], [1])
+        assert len(keeps) == 2 and None not in keeps
+        assert rows_kept == [[1], [1]]
+        assert np.array_equal(kept, (path[:, 1] + 100.0).reshape(3, 2, 2)) and left == {}
+        # with no row converged, _branches gets no path
+        assert self.stubbed_solve(monkeypatch, [([1, 2], path, [1e-9, np.inf])], [])[2] is None
+
+    @pytest.mark.parametrize("case", ["full-interval", "closed-form"])
+    def test_full_interval_and_closed_form_solves_keep_nothing(self, monkeypatch, case):
+        path = np.zeros((3, 2, 1, 2))
+        keeps, rows_kept, kept, _ = self.stubbed_solve(
+            monkeypatch, [([0, 1], path, [1e-11, 1e-11])], [0, 1],
+            system=make_sphere_geodesics().system if case == "closed-form" else None,
+            full_interval=case == "full-interval")
+        assert keeps == [None] and rows_kept == [[]] and kept is None
 
     @pytest.mark.parametrize("solve, flights", [
         (lambda: solve_dirichlet(make_pendulum().system, [0.0], [np.pi / 2],
