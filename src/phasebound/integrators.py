@@ -14,11 +14,15 @@ exact tangent, each discrete step's derivative, from their states (for the
 midpoint rule the Cayley transform at the converged midpoint, VI.4; for
 Stormer-Verlet the kick-drift-kick product).  So the computed monodromy
 matrices are symplectic to solver tolerance, and a stored path is enough
-to build the exact ones again (_path_jacobian).  Every flow enters through
-``flow_batch`` or its step loop ``_march``: single flows
-(``flow_with_jacobian``, ``integrate_flow``, ``flow_jacobian``) are
-batches of one, closed-form flows are evaluated in ``flow_batch``, and the
-constrained integrator runs its own step on the same step loop.
+to build the exact ones again (_path_jacobian).  Shooting's flows enter
+through ``flow_batch`` and its step loop ``_march``, closed-form flows are
+evaluated in ``flow_batch``, and the constrained integrator runs its own
+step on the same step loop.  Single flows (``flow_with_jacobian``,
+``integrate_flow``, ``flow_jacobian``) and the flow route of isotropy enter
+through ``_flow_whole``, which solves the midpoint equations of all the
+steps of a window at once (Newton over the sequence, its linear recurrence
+by a prefix scan) for every member it can certify to take the steps that
+``_march`` would take, and hands every other member to ``flow_batch``.
 
 Finite-time escape is a legitimate outcome, reported as a BlowUp status
 with the threshold-crossing time rather than raised as an error.  The
@@ -134,13 +138,15 @@ def flow_with_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig,
                        t0=0.0, t1=1.0, want_jacobian=True):
     """Integrate from (u0, p0) over [t0, t1], optionally with the tangent flow.
 
-    A batch of one of ``flow_batch``: the trajectory ends at the member's
-    stop, and an escape at the state that crossed the blow-up threshold.
+    A batch of one of ``_flow_whole``: solved all at once, to roundoff of
+    the stepped flow, when the route certifies it, and otherwise stepped by
+    ``flow_batch`` bit for bit.  The trajectory ends at the member's stop,
+    and an escape at the state that crossed the blow-up threshold.
     Returns (FlowResult, jacobian or None).  The jacobian is None whenever
     the flow does not complete; if its first step fails, FlowIncompleteError.
     """
     r = sys.dim
-    grid, path, _, _, _, jac, (stopped,) = flow_batch(
+    grid, path, _, _, _, jac, (stopped,) = _flow_whole(
         sys, as_point(u0, r), as_point(p0, r), cfg, t0, t1, want_jacobian, store_path=True)
     times, states = _stopped_path(grid, path, stopped)
     result = FlowResult(Trajectory(TimeGrid(times), states[:, :r], states[:, r:]), stopped[0])
@@ -156,9 +162,10 @@ def integrate_flow(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig, t0=0.0
 def flow_jacobian(sys: HamiltonianSystem, u0, p0, cfg: IntegratorConfig, t0=0.0, t1=1.0):
     """Derivative of the time-t1 flow with respect to the initial state.
 
-    Integrates the tangent flow alongside the trajectory using the exact
-    derivative of each discrete step.  A collapsed span returns the
-    identity.  Raises FlowIncompleteError if the flow does not reach t1.
+    Composes the exact derivative of each discrete step along the flow of
+    ``flow_with_jacobian``, solved all at once or stepped.  A collapsed
+    span returns the identity.  Raises FlowIncompleteError if the flow does
+    not reach t1.
     """
     if t1 == t0:
         return np.eye(2 * sys.dim)
@@ -643,4 +650,174 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
         step, tangents = _scheme(sys, cfg, tangent_exact)
         path, Z, ok, jac, report = _march(step, Z0, r, cfg, t0, h, n_steps, store_path,
                                           tangents if want_jacobian else None)
+    return grid, path, Z[:, :r], Z[:, r:], ok, jac, report
+
+
+# The all-at-once route of single flows (_flow_whole): Newton over all the midpoint
+# equations of a window of steps at once, its linear recurrence solved by a prefix scan.
+WHOLE_WINDOW = 256  # steps solved together
+WHOLE_MAX_WIDTH = 32  # widest batch routed: there stepping a 3-d flow is as fast (CHANGES.md)
+WHOLE_MAX_SWEEPS = 8  # Newton sweeps per window; a window takes 2-5
+# The contraction certificate (h/2) ||A||_inf <= WHOLE_KAPPA at every converged midpoint,
+# with A the field's jacobian, the fewest Newton iterations the stepped flow may be
+# allowed and the tightest tolerance.  Together they show that _march's frozen Newton
+# takes the same step without failing, so without halving.  Its step from z solves
+# y = z + h f((z + y)/2), a map with Lipschitz constant kappa = (h/2) ||A|| <= 1/8, so the
+# fixed point both solvers find is unique.  Its iteration matrix N0^-1 (h/2)(A - A0),
+# N0 = I - (h/2) A0 frozen at the predictor's midpoint, has norm q <= 2 kappa / (1 - kappa)
+# = 2/7; its Euler predictor misses y by at most kappa ||y - z||, and a residual is at most
+# (1 + kappa) times the error, so the residual test passes once 2 kappa (1 + kappa) q^i
+# <= newton_tol: after i = 27 updates for newton_tol >= 1e-15, and the loop makes i + 1
+# iterations (a tighter tolerance nears the residual's roundoff, about 2.2e-16 (1 + |z|)).
+# A is read at the converged midpoints; the predictor's midpoint lies within kappa/2 of a
+# step from them, and the margin between 1/8 and the 1/3 that q < 1 needs absorbs how
+# much ||A|| changes over that sliver.
+WHOLE_KAPPA = 0.125
+WHOLE_MIN_NEWTON_ITER = 28
+WHOLE_MIN_NEWTON_TOL = 1e-15
+
+
+def _prefix_scan(maps, dz):
+    """Solve dz_{k+1} = maps[k] dz_k + dz[k] from dz_0 = 0 in place, for (n, batch, w)
+    ``dz``, by a work-efficient scan (Blelloch, Prefix sums and their applications, 1990,
+    in Brent and Kung's inclusive form) of the affine maps (maps[k], dz[k]): an up-sweep
+    composes aligned blocks of 2, 4, ... steps and a down-sweep finishes each prefix, each
+    in about log2 n levels and n matrix products in all; ``maps`` is overwritten."""
+    n, s = len(dz), 1
+    while 2 * s <= n:
+        hi, lo = slice(2 * s - 1, n, 2 * s), slice(s - 1, n - s, 2 * s)
+        dz[hi] += (maps[hi] @ dz[lo, ..., None])[..., 0]
+        if 4 * s <= n:  # the last level's blocks are prefixes, whose maps no later level reads
+            maps[hi] = maps[hi] @ maps[lo]
+        s *= 2
+    while s > 1:  # element 2s - 1 holds a prefix: carry it to the block that follows
+        s //= 2
+        hi, lo = slice(3 * s - 1, n, 2 * s), slice(2 * s - 1, n - s, 2 * s)
+        dz[hi] += (maps[hi] @ dz[lo, ..., None])[..., 0]
+
+
+def _whole_window(sys, z0, n_steps, h, cfg):
+    """The implicit-midpoint flow of the states z0 (one per row) over n_steps steps of h,
+    all steps solved at once: (nodes, ok), nodes the (n_steps + 1, batch, 2r) states and
+    ``ok`` the members certified, whose nodes are within roundoff of _march's.
+
+    Newton's method for the equations g_k = z_{k+1} - z_k - h f(m_k) = 0, m_k the
+    midpoints, from the guess z_k = z0: each sweep evaluates f and its jacobian A_k at
+    every midpoint in one call each, inverts N_k = I - (h/2) A_k in one _batch_solve and
+    solves dz_{k+1} = C_k dz_k + d_k, C_k = 2 N_k^-1 - I and d_k = -N_k^-1 g_k, from
+    dz_0 = 0 by a prefix scan (_prefix_scan).
+    A member converges once every step passes _midpoint_step_batch's residual test, and
+    that sweep's update is still applied; it is then masked, so its bits do not depend on
+    the batch.  It is certified if then every (h/2) ||A_k||_inf <= WHOLE_KAPPA.  A member
+    gives up at the first sweep after the second whose residual does not fall, or whose
+    nodes are not finite or cross a tenth of the blow-up threshold, and after
+    WHOLE_MAX_SWEEPS sweeps.
+    Call under ``np.errstate(all="ignore")``.
+    """
+    width = z0.shape[1]
+    r, eye = width // 2, np.eye(width)
+
+    def state_max(a):  # a.max(axis=-1) over states, by _row_max
+        return _row_max(a.reshape(-1, width)).reshape(a.shape[:-1])
+
+    nodes = np.repeat(z0[None], n_steps + 1, axis=0)
+    ok = np.zeros(len(z0), dtype=bool)
+    active, last = np.arange(len(z0)), np.full(len(z0), np.inf)
+    for sweep in range(WHOLE_MAX_SWEEPS):
+        z = nodes[:, active]
+        mid = 0.5 * (z[:-1] + z[1:])
+        rows = mid.reshape(-1, width)
+        g = z[1:] - z[:-1] - h * _field_batch(sys, 0.0, rows).reshape(mid.shape)
+        a_mat = _linearized_batch(sys, 0.0, rows).reshape(mid.shape + (width,))
+        size = state_max(np.abs(z))
+        scale = 1.0 + np.maximum(size[:-1], size[1:])
+        gn = state_max(np.abs(g))
+        passed = (gn <= cfg.newton_tol * scale).all(axis=0)
+        n_inv = _batch_solve((eye - 0.5 * h * _finite_or_zero(a_mat)).reshape(
+            -1, width, width)).reshape(a_mat.shape)
+        dz = -(n_inv @ g[..., None])[..., 0]
+        _prefix_scan(2.0 * n_inv - eye, dz)
+        z[1:] += dz
+        nodes[:, active] = z
+        bounded = (_sup_norms(z.reshape(-1, width), r).reshape(z.shape[:2])
+                   <= cfg.blowup_threshold / 10.0).all(axis=0)
+        done = passed & bounded
+        if done.any():
+            ok[active[done]] = 0.5 * h * state_max(np.abs(a_mat[:, done]).sum(axis=-1)).max(
+                axis=0) <= WHOLE_KAPPA
+        residual = (gn / scale).max(axis=0)
+        # the first update, from the constant guess, may raise the residual
+        going = ~passed & bounded & ((residual < last[active]) | (sweep == 1))
+        last[active] = residual
+        active = active[going]
+        if not active.size:
+            break
+    return nodes, ok
+
+
+def _flow_whole(sys, U0, P0, cfg, t0=0.0, t1=1.0, want_jacobian=False, store_path=False):
+    """flow_batch's 7-tuple for a batch of initial states, with every member that can be
+    solved all at once so solved, window by window (_whole_window), and the rest flown
+    by flow_batch from t0, bit for bit as there.
+
+    A member is solved all at once when the scheme is the implicit midpoint rule, the
+    system is vectorized and autonomous and not closed-form, the batch holds at most
+    WHOLE_MAX_WIDTH members, ``cfg.newton_max_iter`` is at least WHOLE_MIN_NEWTON_ITER
+    and ``cfg.newton_tol`` at least WHOLE_MIN_NEWTON_TOL, its start is finite and
+    within a tenth of the blow-up threshold, and each of its windows is certified; it
+    then completes, and its states and jacobian are within roundoff of flow_batch's.  Its exact jacobian composes, in step order, the Cayley
+    maps at the converged midpoints, built per window by one _midpoint_tangents call.
+    Callbacks see the midpoints of a window of WHOLE_WINDOW steps as one batch.
+    """
+    Z0 = np.concatenate([np.atleast_2d(np.asarray(x, dtype=float)) for x in (U0, P0)], axis=1)
+    bsz, width = Z0.shape
+    r = width // 2
+    routed = _sup_norms(Z0, r) <= cfg.blowup_threshold / 10.0
+    if not (cfg.scheme == "implicit-midpoint" and sys.vectorized and sys.autonomous
+            and not sys.analytic_only and bsz <= WHOLE_MAX_WIDTH
+            and cfg.newton_max_iter >= WHOLE_MIN_NEWTON_ITER
+            and cfg.newton_tol >= WHOLE_MIN_NEWTON_TOL and routed.any()):
+        return flow_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
+    n_steps = step_count(t1 - t0, cfg.step)
+    grid, h = TimeGrid.uniform(n_steps, t0, t1), (t1 - t0) / n_steps
+    Z = Z0.copy()
+    path = np.empty((n_steps + 1, bsz, width)) if store_path else None
+    eye = np.eye(width)
+    jac = np.tile(eye, (bsz, 1, 1)) if want_jacobian else None
+    with np.errstate(all="ignore"):
+        for start in range(0, n_steps, WHOLE_WINDOW):
+            live = np.flatnonzero(routed)
+            if not live.size:
+                break
+            n = min(WHOLE_WINDOW, n_steps - start)
+            nodes, ok = _whole_window(sys, Z[live], n, h, cfg)
+            routed[live[~ok]] = False
+            live, nodes = live[ok], nodes[:, ok]
+            Z[live] = nodes[-1]
+            if store_path:
+                path[start:start + n + 1, live] = nodes
+            if want_jacobian and live.size:
+                flat = (1, -1, width)
+                tangents = _midpoint_tangents(sys, [t0], nodes[:-1].reshape(flat),
+                                              nodes[1:].reshape(flat), h,
+                                              np.ones((1, n * live.size), dtype=bool), eye)
+                block = jac[live]
+                for tangent in tangents.reshape(n, live.size, width, width):
+                    block = tangent @ block
+                jac[live] = block
+    if not routed.any():
+        return flow_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
+    ok = routed.copy()
+    report = [(Completed(), n_steps, None)] * bsz
+    stepped = np.flatnonzero(~routed)
+    if stepped.size:
+        _, s_path, U1, P1, ok[stepped], s_jac, s_report = flow_batch(
+            sys, Z0[stepped, :r], Z0[stepped, r:], cfg, t0, t1, want_jacobian, store_path)
+        Z[stepped] = np.concatenate([U1, P1], axis=1)
+        if store_path:
+            path[:, stepped] = s_path
+        if want_jacobian:
+            jac[stepped] = s_jac
+        for b, stopped in zip(stepped, s_report):
+            report[b] = stopped
     return grid, path, Z[:, :r], Z[:, r:], ok, jac, report

@@ -25,7 +25,7 @@ from .core import (
     boundary_omega_matrix,
 )
 from .errors import BranchLostError, NoSuchBranchError
-from .integrators import Completed, IntegratorConfig, flow_batch
+from .integrators import Completed, IntegratorConfig, _flow_whole
 from .shooting import (ShootingConfig, _continue_branch, _continued, _frame_from_branches,
                        solve_dirichlet_many)
 # flow_with_jacobian and solve_dirichlet stay bound here: perfbench/tracer.py hooks them
@@ -67,7 +67,9 @@ def isotropy_defect_flow(sys: HamiltonianSystem, initial_points, cfg: Integrator
                          seed=None):
     """Isotropy and rank of flow-graph tangent frames at sampled initial states.
 
-    All points are flown as one batch.  Points at which the flow does not
+    All points are flown as one batch of ``_flow_whole``: each is solved all
+    at once when the route certifies it, and otherwise stepped by
+    ``flow_batch`` bit for bit.  Points at which the flow does not
     complete are reported as inapplicable (the global-flow hypothesis fails
     there) rather than as failures.
     """
@@ -75,7 +77,7 @@ def isotropy_defect_flow(sys: HamiltonianSystem, initial_points, cfg: Integrator
     points = list(initial_points)
     U0 = np.array([as_point(u0, r) for u0, _ in points]).reshape(-1, r)
     P0 = np.array([as_point(p0, r) for _, p0 in points]).reshape(-1, r)
-    *_, jacs, statuses = flow_batch(sys, U0, P0, cfg, want_jacobian=True)
+    *_, jacs, statuses = _flow_whole(sys, U0, P0, cfg, want_jacobian=True)
     frames, inapplicable = [], []
     for (u0, p0), jac, (status, _, _) in zip(points, jacs, statuses):
         if isinstance(status, Completed):

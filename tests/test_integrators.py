@@ -45,6 +45,20 @@ from phasebound.systems import (
 )
 
 
+# Two solvers of one flow's midpoint equations, stepped and all at once, agree to the
+# roundoff they accumulate: at most 22 ulps of the largest entry over 4000 quartic steps.
+ROUNDOFF_ULPS = 64
+
+
+def assert_roundoff_close(got, want, ulps=ROUNDOFF_ULPS):
+    """|got - want| <= ulps float spacings of 1 + the largest |want|, entry by entry: the
+    scale of the midpoint step's residual test."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    bound = ulps * np.finfo(float).eps * (1.0 + np.abs(want).max())
+    assert np.abs(got - want).max() <= bound, (np.abs(got - want).max(), bound)
+
+
 def one_step(sys, scheme, t, u, p, h, cfg=None):
     """(u', p') after one step of ``scheme`` from (u, p) at t, by the step map that _march calls."""
     z = np.concatenate([np.asarray(u, dtype=float), np.asarray(p, dtype=float)])
@@ -662,16 +676,27 @@ class TestMaskedMembers:
             assert ok.tolist() == [fate is Completed, True, True]
             assert isinstance(report[0][0], fate)
             for b, (status, stop, crossing) in enumerate(report):
-                res, solo_jac = flow_with_jacobian(quartic, U0[b], P0[b], cfg, t1=t1)
+                _, solo_path, _, _, _, solo_jac, ((solo_status, solo_stop, solo_crossing),) = (
+                    flow_batch(quartic, U0[b:b + 1], P0[b:b + 1], cfg, t1=t1,
+                               want_jacobian=True, store_path=True))
+                assert (solo_status, solo_stop) == (status, stop)
+                assert np.array_equal(solo_path[:stop + 1, 0], path[:stop + 1, b])
+                if crossing is not None:
+                    assert np.array_equal(solo_crossing, crossing)
+                if ok[b]:
+                    assert np.array_equal(solo_jac[0], jac[b])
+                # a single flow: the escaping member is stepped as in the batch, and the
+                # others are solved all at once, to roundoff of their stepped flows
+                res, whole_jac = flow_with_jacobian(quartic, U0[b], P0[b], cfg, t1=t1)
                 traj = res.trajectory
                 assert status == res.status
                 assert len(traj.grid) == stop + 1 + (crossing is not None)
-                assert np.array_equal(traj.positions[:stop + 1], path_u[:stop + 1, b])
-                assert np.array_equal(traj.momenta[:stop + 1], path_p[:stop + 1, b])
+                assert_roundoff_close(np.hstack([traj.positions, traj.momenta])[:stop + 1],
+                                      path[:stop + 1, b])
                 if crossing is not None:
                     assert np.array_equal(np.concatenate(traj.state(-1)), crossing)
                 if res.completed:
-                    assert np.array_equal(jac[b], solo_jac)
+                    assert_roundoff_close(whole_jac, jac[b])
             if fate is Completed:
                 # an account of the halved step apart from flow_batch's own:
                 # two half steps of the step map from node 3331, and the tangent of a
@@ -1136,3 +1161,138 @@ class TestRowByRowSystems:
             assert np.array_equal(a.trajectory.positions, b.trajectory.positions)
             assert np.array_equal(a.trajectory.momenta, b.trajectory.momenta)
             assert (a.residual, a.cond) == (b.residual, b.cond)
+
+
+def stepped_single_flow(sys, u0, p0, cfg, t1):
+    """(FlowResult, jacobian or None) of a single flow stepped by flow_batch as a batch of
+    one, or the status of the FlowIncompleteError it raises."""
+    r = sys.dim
+    grid, path, *_, jac, (stopped,) = flow_batch(sys, np.atleast_2d(u0), np.atleast_2d(p0),
+                                                 cfg, t1=t1, want_jacobian=True,
+                                                 store_path=True)
+    try:
+        times, states = integrators._stopped_path(grid, path, stopped)
+    except FlowIncompleteError as exc:
+        return exc.status
+    return states, times, stopped[0], (jac[0] if isinstance(stopped[0], Completed) else None)
+
+
+# (system, U0, P0, integrator settings, t1) of members that are not solved all at once
+WHOLE_DECLINED = {
+    "row-by-row": (lambda: dataclasses.replace(make_pendulum().system, vectorized=False),
+                   [[0.3], [-1.0]], [[1.2], [0.5]], {"step": 1e-2}, 1.0),
+    "forced-pendulum": (forced_pendulum, [[0.3], [-1.0]], [[1.2], [0.5]], {"step": 1e-2}, 1.0),
+    "stormer-verlet": (lambda: make_pendulum().system, [[0.3], [-1.0]], [[1.2], [0.5]],
+                       {"scheme": "stormer-verlet", "step": 1e-2}, 1.0),
+    "sphere": (lambda: make_sphere_geodesics().system, [[0.0, 0.0, 1.0]], [[1.2, 0.3, 0.0]],
+               {}, 1.0),
+    "nan-start": (lambda: make_pendulum().system, [[0.3]], [[np.nan]], {"step": 1e-2}, 1.0),
+    # (4, 8) escapes at t = 1/2
+    "quartic-escape": (lambda: make_quartic().system, [[4.0]], [[8.0]], {}, 1.0),
+    # (6, 18) completes on halved steps from t = 0.3331 (TestMaskedMembers)
+    "quartic-halved": (lambda: make_quartic().system, [[6.0]], [[18.0]],
+                       {"step": 1e-4, "blowup_threshold": 1e10}, 0.3332),
+    # completes, but (h/2) ||A||_inf reaches 0.31 > WHOLE_KAPPA near t = 1
+    "certificate": (lambda: make_quartic().system, [[1.5]], [[2.5]], {}, 1.0),
+    # starts at max|u| + max|p| = 0.5 and swings to 0.7, over a tenth of the threshold 6
+    "threshold": (lambda: make_pendulum().system, [[0.0]], [[0.5]],
+                  {"blowup_threshold": 6.0, "step": 1e-2}, 1.0),
+    "newton-max-iter": (lambda: make_pendulum().system, [[0.3]], [[1.2]],
+                        {"newton_max_iter": integrators.WHOLE_MIN_NEWTON_ITER - 1,
+                         "step": 1e-2}, 1.0),
+    "newton-tol": (lambda: make_pendulum().system, [[0.3]], [[1.2]],
+                   {"newton_tol": integrators.WHOLE_MIN_NEWTON_TOL / 2, "step": 1e-2}, 1.0),
+    "over-width-cap": (lambda: make_pendulum().system,
+                       np.linspace(-1.0, 1.0, integrators.WHOLE_MAX_WIDTH + 1)[:, None],
+                       np.full((integrators.WHOLE_MAX_WIDTH + 1, 1), 0.5), {"step": 1e-2}, 1.0),
+}
+
+
+def assert_same_outcome(want, got):
+    """flow_batch's 7-tuples ``want`` and ``got`` agree bit for bit."""
+    assert np.array_equal(want[0].nodes, got[0].nodes)
+    for a, b in zip(want[1:6], got[1:6]):
+        assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+    for (status, stop, crossing), (status1, stop1, crossing1) in zip(want[6], got[6]):
+        assert (status, stop) == (status1, stop1)
+        assert (crossing is None and crossing1 is None) or np.array_equal(crossing, crossing1)
+
+
+class TestWholeFlowFallback:
+    """A member the all-at-once route declines is flown by flow_batch from t0: its
+    status, report, path and jacobian are flow_batch's bit for bit, through
+    _flow_whole, flow_with_jacobian and isotropy_defect_flow alike."""
+
+    @pytest.mark.parametrize("name", WHOLE_DECLINED)
+    def test_declined_members_are_flow_batchs(self, name, monkeypatch):
+        from phasebound import verify
+        make, U0, P0, settings_, t1 = WHOLE_DECLINED[name]
+        system, cfg = make(), IntegratorConfig(**settings_)
+        U0, P0 = np.array(U0, dtype=float), np.array(P0, dtype=float)
+        assert_same_outcome(
+            flow_batch(system, U0, P0, cfg, t1=t1, want_jacobian=True, store_path=True),
+            integrators._flow_whole(system, U0, P0, cfg, t1=t1, want_jacobian=True,
+                                    store_path=True))
+        if len(U0) == 1:
+            want = stepped_single_flow(system, U0[0], P0[0], cfg, t1)
+            try:
+                res, jac = flow_with_jacobian(system, U0[0], P0[0], cfg, t1=t1)
+            except FlowIncompleteError as exc:
+                assert exc.status == want
+            else:
+                states, times, status, want_jac = want
+                traj = res.trajectory
+                assert res.status == status and np.array_equal(traj.grid.nodes, times)
+                assert np.array_equal(np.hstack([traj.positions, traj.momenta]), states)
+                assert (jac is None and want_jac is None) or np.array_equal(jac, want_jac)
+        if t1 == 1.0:
+            points = list(zip(U0, P0))
+            got = verify.isotropy_defect_flow(system, points, cfg, seed=5)
+            monkeypatch.setattr(verify, "_flow_whole", flow_batch)
+            # by repr, exact for floats, so that a NaN start compares equal to itself
+            assert repr(verify.isotropy_defect_flow(system, points, cfg, seed=5)) == repr(got)
+
+    def test_declined_member_leaves_the_others_solved_at_once(self):
+        # in one batch: a NaN start and an escape are stepped, the others solved at once
+        quartic, cfg = make_quartic().system, IntegratorConfig()
+        U0, P0 = np.array([[0.3], [np.nan], [4.0], [-0.6]]), np.array([[0.2], [1.0], [8.0], [1.1]])
+        got = integrators._flow_whole(quartic, U0, P0, cfg, want_jacobian=True, store_path=True)
+        stepped = flow_batch(quartic, U0[1:3], P0[1:3], cfg, want_jacobian=True,
+                             store_path=True)
+        assert got[4].tolist() == [True, False, False, True]
+        assert_same_outcome(stepped, (got[0], got[1][:, 1:3], got[2][1:3], got[3][1:3],
+                                      got[4][1:3], got[5][1:3], got[6][1:3]))
+        for b in (0, 3):
+            assert got[6][b] == (Completed(), 1000, None)
+            alone = integrators._flow_whole(quartic, U0[b:b + 1], P0[b:b + 1], cfg,
+                                            want_jacobian=True, store_path=True)
+            assert np.array_equal(alone[1][:, 0], got[1][:, b])
+            assert np.array_equal(alone[5][0], got[5][b])
+
+    def test_members_are_masked_once_converged(self):
+        # a slow and a fast pendulum need different numbers of sweeps per window; each
+        # is the same alone as beside the other
+        pendulum, cfg = make_pendulum().system, IntegratorConfig()
+        U0, P0 = np.array([[0.05], [2.8]]), np.array([[0.02], [1.0]])
+        both = integrators._flow_whole(pendulum, U0, P0, cfg, want_jacobian=True,
+                                       store_path=True)
+        assert both[4].all()
+        for b in (0, 1):
+            alone = integrators._flow_whole(pendulum, U0[b:b + 1], P0[b:b + 1], cfg,
+                                            want_jacobian=True, store_path=True)
+            assert np.array_equal(alone[1][:, 0], both[1][:, b])
+            assert np.array_equal(alone[5][0], both[5][b])
+
+    def test_single_flows_are_solved_at_once_to_roundoff(self):
+        # the pendulum and the cotangent lift complete without a step of flow_batch,
+        # within roundoff of its stepped flows
+        for system, u0, p0 in ((make_pendulum().system, 0.3, 1.2),
+                               (make_cotangent_lift().system, 0.8, -1.0)):
+            want = stepped_single_flow(system, [u0], [p0], IntegratorConfig(), 1.0)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(integrators, "flow_batch", None)  # a fallback would raise
+                res, jac = flow_with_jacobian(system, [u0], [p0], IntegratorConfig())
+            assert res.completed and np.array_equal(res.trajectory.grid.nodes, want[1])
+            assert_roundoff_close(np.hstack([res.trajectory.positions, res.trajectory.momenta]),
+                                  want[0])
+            assert_roundoff_close(jac, want[3])

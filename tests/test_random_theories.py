@@ -2,12 +2,16 @@
 random quartic potential V = a u^2/2 + b u^3/3 + c u^4/4, c > 0 so that every
 flow is complete."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasebound import integrators
 from phasebound.core import ConfigSpace
-from phasebound.integrators import IntegratorConfig, flow_jacobian
+from phasebound.integrators import (IntegratorConfig, flow_batch, flow_jacobian,
+                                    symplecticity_defect)
 from phasebound.shooting import ShootingConfig, solve_dirichlet, solve_dirichlet_many
 from phasebound.systems import _kinetic_system
 from phasebound.verify import frame_defect_and_rank, frame_subspace_angles, tangent_frame_bvp
@@ -61,3 +65,49 @@ def test_flow_and_bvp_frames_span_one_lagrangian_plane(sys, pair):
     for frame in (flow_frame, bvp_frame):
         defect, rank = frame_defect_and_rank(frame)
         assert defect <= 1e-5 and rank == 2
+
+
+# 400 steps: one full window of the all-at-once route and part of a second
+WHOLE = IntegratorConfig(step=2.5e-3)
+FEW = settings(max_examples=4, deadline=None, derandomize=True)
+starts = st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=3, max_size=3)
+
+
+def solved_at_once(sys, Z0):
+    """_flow_whole's 7-tuple for the (B, 2) start states Z0, with the path and exact
+    jacobian; AssertionError if a member fell back to flow_batch."""
+    with mock.patch.object(integrators, "flow_batch", side_effect=AssertionError("stepped")):
+        return integrators._flow_whole(sys, Z0[:, :1], Z0[:, 1:], WHOLE, want_jacobian=True,
+                                       store_path=True)
+
+
+@FEW
+@given(theories, starts)
+def test_flows_solved_at_once_are_the_stepped_flows_to_roundoff(sys, points):
+    Z0 = np.array(points)
+    _, path, _, _, ok, jac, report = solved_at_once(sys, Z0)
+    _, stepped_path, _, _, stepped_ok, stepped_jac, _ = flow_batch(
+        sys, Z0[:, :1], Z0[:, 1:], WHOLE, want_jacobian=True, store_path=True)
+    assert ok.all() and stepped_ok.all() and all(status == (integrators.Completed(), 400, None)
+                                                 for status in report)
+    for b in range(len(Z0)):
+        for got, want in ((path[:, b], stepped_path[:, b]), (jac[b], stepped_jac[b])):
+            # ulps of the residual test's scale 1 + |z|: near 0 both solvers stop at an
+            # absolute, not a relative, distance from the fixed point
+            assert np.abs(got - want).max() <= 64 * np.finfo(float).eps * (
+                1.0 + np.abs(want).max())
+        assert symplecticity_defect(jac[b]) <= 1e-12
+
+
+@FEW
+@given(theories, starts, st.permutations(range(3)))
+def test_a_flow_solved_at_once_is_the_same_alone_in_a_batch_or_reordered(sys, points, order):
+    def member(result, b):  # member b's path and jacobian
+        return result[1][:, b], result[5][b]
+
+    Z0 = np.array(points)
+    together, reordered = solved_at_once(sys, Z0), solved_at_once(sys, Z0[order])
+    for b in range(len(Z0)):
+        alone = member(solved_at_once(sys, Z0[b:b + 1]), 0)
+        for got in (member(together, b), member(reordered, order.index(b))):
+            assert all(np.array_equal(x, y) for x, y in zip(got, alone))

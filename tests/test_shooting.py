@@ -909,12 +909,14 @@ class TestStitchedBranches:
         rows = shooting._continue_branch(pen.system, [([0.0], [np.pi / 2], center.p0)], cfg,
                                          1e-5)[0]
         for b in rows:
-            full, jac = flow_with_jacobian(pen.system, b.trajectory.positions[0], b.p0,
-                                           cfg.integrator)
-            assert np.array_equal(b.trajectory.grid.nodes, full.trajectory.grid.nodes)
-            assert np.array_equal(b.trajectory.positions, full.trajectory.positions)
-            assert np.array_equal(b.trajectory.momenta, full.trajectory.momenta)
-            assert np.array_equal(b.jacobian, jac[:1, 1:])
+            grid, path, _, _, ok, jac, _ = flow_batch(
+                pen.system, b.trajectory.positions[:1], b.p0[None], cfg.integrator,
+                want_jacobian=True, store_path=True)
+            assert ok[0]
+            assert np.array_equal(b.trajectory.grid.nodes, grid.nodes)
+            assert np.array_equal(b.trajectory.positions, path[:, 0, :1])
+            assert np.array_equal(b.trajectory.momenta, path[:, 0, 1:])
+            assert np.array_equal(b.jacobian, jac[0, :1, 1:])
 
     def test_verlet_segment_branches_land(self):
         pen = make_pendulum()
