@@ -144,16 +144,21 @@ def atomic_write(path, text):
     os.replace(tmp, path)
 
 
+def _csv_rows(table):
+    """The rows of a 2-d float array as CSV lines, every value as _fmt_float writes it:
+    a row of finite values by one %-format of the whole row ("%.17g" is the f-string's
+    ".17g"), and a row that the mask of non-finite values marks value by value."""
+    row_format = ",".join(["%.17g"] * table.shape[1])
+    finite = np.isfinite(table).all(axis=1).tolist()
+    return [row_format % tuple(row) if ok else ",".join(map(_fmt_float, row))
+            for row, ok in zip(table.tolist(), finite)]
+
+
 def write_trajectory_csv(path, traj):
     r = traj.dim
     header = ["t"] + [f"u_{a}" for a in range(r)] + [f"p_{a}" for a in range(r)]
-    lines = [",".join(header)]
-    for k, t in enumerate(traj.grid.nodes):
-        row = [_fmt_float(t)]
-        row += [_fmt_float(v) for v in traj.positions[k]]
-        row += [_fmt_float(v) for v in traj.momenta[k]]
-        lines.append(",".join(row))
-    atomic_write(path, "\n".join(lines) + "\n")
+    table = np.column_stack([traj.grid.nodes, traj.positions, traj.momenta])
+    atomic_write(path, "\n".join([",".join(header)] + _csv_rows(table)) + "\n")
 
 
 # ---------------------------------------------------------------------------

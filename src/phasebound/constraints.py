@@ -23,6 +23,7 @@ numerically instead of constructing the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +34,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     _eval_along,
+    _eval_rows,
     as_point,
     canonical_skew,
     central_difference,
@@ -46,8 +48,9 @@ from .errors import (
     OffConstraintError,
     UnstableConstraintError,
 )
-from .integrators import (FlowResult, IntegratorConfig, _march, _midpoint_step_batch,
-                          _stopped_path, energy_drift, step_count)
+from .integrators import (Completed, FlowResult, IntegratorConfig, _finite_or_zero, _march,
+                          _midpoint_step_batch, _stopped_path, _whole_routed, _windows,
+                          energy_drift, step_count)
 
 ON_CONSTRAINT_TOL = 1e-8
 RANK_TOL = 1e-10  # singular-value cutoff of the two-form's kernel; scale of tangency
@@ -68,12 +71,18 @@ class ConstraintSpec:
 
     ``sigma``: K-point e (k-vector) -> covector (r-vector).
     ``dsigma``: e -> (r, k) matrix of partial derivatives.
+    ``vectorized`` declares, as HamiltonianSystem.vectorized does, that both also take
+    an (n, k) batch of points and return one result per row, (n, r) covectors and
+    (n, r, k) matrices, each row's as for its point alone.  The lambda-zero flow of a
+    vectorized spec may then be solved all at once (integrate_constrained), and its
+    momenta and polar residuals are evaluated over the whole path in one call.
     """
 
     k_dim: int
     sigma: Callable
     dsigma: Callable
     name: str = "custom"
+    vectorized: bool = False
 
     def sigma_at(self, e):
         return np.atleast_1d(np.asarray(self.sigma(np.asarray(e, dtype=float)), dtype=float))
@@ -181,9 +190,37 @@ def _tangency_solve(sys, spec, t, u, e):
 
 def _tangency_verdict(residual, grad_u):
     """(sup norm of a tangency residual, tangent): tangent iff the norm is at most
-    100 RANK_TOL (1 + max|dH/du|), so a NaN residual or gradient is not tangent."""
-    norm = float(np.abs(residual).max())
-    return norm, norm <= RANK_TOL * (1.0 + float(np.abs(grad_u).max())) * 1e2
+    100 RANK_TOL (1 + max|dH/du|), so a NaN residual or gradient is not tangent.  For
+    one residual a float and a bool; for rows of residuals and gradients, arrays of them."""
+    norm = np.abs(residual).max(axis=-1)
+    tangent = norm <= RANK_TOL * (1.0 + np.abs(grad_u).max(axis=-1)) * 1e2
+    return (float(norm), bool(tangent)) if norm.ndim == 0 else (norm, tangent)
+
+
+def _tangency_field(sys, spec, Y, memo=None):
+    """The lambda-zero constrained field at the rows Y = (u, e) of a batch of a vectorized
+    system and spec, with each row's tangency residual and dH/du: du = dH/dp at
+    p = sigma(e), and D the minimal-norm solution of dsigma(e) D = -dH/du, from one
+    batched pseudo-inverse with lstsq's cutoff, eps max(r, k) times the largest singular
+    value.  A non-finite dsigma(e) gives a non-finite residual, which is not tangent.
+    ``memo``, a list, keeps the points e of the latest call with sigma, dsigma and the
+    pseudo-inverse there, for a call at the same points to reuse: differences along u
+    leave e as it is."""
+    r, k = sys.dim, spec.k_dim
+    U, E = Y[:, :r], Y[:, r:]
+    if memo and np.array_equal(memo[0], E):
+        P, dsig, pinv = memo[1:]
+    else:
+        P = np.asarray(spec.sigma(E), dtype=float)
+        dsig = np.asarray(spec.dsigma(E), dtype=float)
+        pinv = np.linalg.pinv(_finite_or_zero(dsig), np.finfo(float).eps * max(r, k))
+        if memo is not None:
+            memo[:] = E.copy(), P, dsig, pinv
+    grad_u = _eval_rows(sys, sys.grad_u, 0.0, U, P)
+    d_vec = (pinv @ -grad_u[..., None])[..., 0]
+    residual = (dsig @ d_vec[..., None])[..., 0] + grad_u
+    field = np.concatenate([_eval_rows(sys, sys.grad_p, 0.0, U, P), d_vec], axis=1)
+    return field, residual, grad_u
 
 
 @dataclass(frozen=True)
@@ -301,7 +338,9 @@ class ConstrainedFlowResult(FlowResult):
     The momentum path is sigma(e(t)) by construction, so the momentum
     constraint has exactly zero drift; the reported diagnostics are the
     energy drift, the polar residual of the supplied multiplier path, and
-    the worst tangency residual of the per-step velocity solves.
+    the worst tangency residual of the velocity solves: at the states the
+    stepped flow evaluates, or at the converged midpoints of a flow solved
+    all at once.
     """
 
     e_path: np.ndarray
@@ -316,27 +355,49 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     """Integrate the constrained dynamics with p = sigma(e) held exactly.
 
     The state is (u, e); the momentum is evaluated from the constraint, the
-    constraint velocity D comes from the per-step minimal-norm tangency
-    solve, and the multiplier path is the chosen gauge (zero by default, or
-    a callable t -> Lambda).  It is marched by the implicit midpoint rule
-    (another scheme is a ValueError) on flow_batch's step loop, without step
-    halving, and escapes when max|u| + max|e| crosses the blow-up threshold.
+    constraint velocity D comes from the minimal-norm tangency solve, and the
+    multiplier path is the chosen gauge (zero by default, or a callable
+    t -> Lambda).  It is marched by the implicit midpoint rule (another
+    scheme is a ValueError) and escapes when max|u| + max|e| crosses the
+    blow-up threshold.
+
+    The flow is solved all at once (_solve_whole), to within roundoff of the
+    stepped flow, when the system is vectorized, autonomous and not
+    closed-form, the spec is vectorized, the gauge is "lambda-zero",
+    ``cfg.newton_max_iter`` and ``cfg.newton_tol`` are at least
+    WHOLE_MIN_NEWTON_ITER and WHOLE_MIN_NEWTON_TOL, the start is within a
+    tenth of the blow-up threshold, every window is certified as a single
+    flow's is (integrators._whole_window) and the midpoints of the converged
+    path all pass the tangency verdict.  There the verdict covers those
+    converged midpoints, not the Newton iterates, and the reported worst
+    tangency residual is theirs.  Any other flow is stepped from t0
+    (_march_constrained), bit for bit as if the route did not exist, so every
+    error and stop below is the stepped flow's.
+
+    The stepped flow runs on flow_batch's step loop, without step halving.
     Newton steers by a central-difference jacobian of the field that later
     steps reuse until one takes more than two iterations; a step that fails
     on a reused jacobian, or one of whose iterates fails the tangency verdict
-    there, is rerun once on a fresh one.  Raises
-    DimensionMismatchError unless u0 and sigma(e0) have length sys.dim and
-    e0 length spec.k_dim, UnstableConstraintError as soon as a state fails the
-    tangency verdict (the dynamics then requires a secondary constraint and
-    leaves the primary set), and FlowIncompleteError if the first step fails.
+    there, is rerun once on a fresh one.  Raises DimensionMismatchError unless
+    u0 and sigma(e0) have length sys.dim and e0 length spec.k_dim,
+    UnstableConstraintError as soon as a state the stepped flow evaluates (a
+    predictor or Newton iterate) fails the tangency verdict (the dynamics then
+    requires a secondary constraint and leaves the primary set), and
+    FlowIncompleteError if the first step fails.
     """
+    return _integrate_constrained(sys, spec, u0, e0, cfg, gauge, whole=True)
+
+
+def _integrate_constrained(sys, spec, u0, e0, cfg, gauge="lambda-zero", whole=False):
+    """integrate_constrained, on the stepped engine alone unless ``whole``."""
     if cfg.scheme != "implicit-midpoint":
         raise ValueError(f"the constrained integrator steps with the implicit midpoint rule, "
                          f"not {cfg.scheme!r}")
     r = sys.dim
     u0 = as_point(u0, r)
     e0 = np.atleast_1d(np.asarray(e0, dtype=float))
-    if gauge == "lambda-zero":
+    zero_gauge = isinstance(gauge, str) and gauge == "lambda-zero"
+    if zero_gauge:
         lam_of_t = lambda t: np.zeros(r)
     elif callable(gauge):
         lam_of_t = lambda t: as_point(gauge(t), r)
@@ -345,6 +406,79 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     _check_dimensions(sys, spec, e0)  # u0 and the gauge are checked by as_point
     ExtendedState(u0, spec.sigma_at(e0), lam_of_t(0.0), e0)  # raises on non-finite start data
 
+    n_steps = step_count(1.0, cfg.step)
+    grid, h = TimeGrid.uniform(n_steps), 1.0 / n_steps
+    y0, batched = np.concatenate([u0, e0]), spec.vectorized and zero_gauge
+    solved = _solve_whole(sys, spec, y0, cfg, n_steps, h) if whole and batched else None
+    if solved is None:
+        path, stopped, tangency_worst = _march_constrained(sys, spec, y0, lam_of_t, cfg,
+                                                           n_steps, h)
+    else:
+        (path, tangency_worst), stopped = solved, (Completed(), n_steps, None)
+    nodes, states = _stopped_path(grid, path, stopped)
+    u_path, e_path = states[:, :r], states[:, r:]
+    lam_path = np.zeros((len(nodes), r)) if batched else np.stack([lam_of_t(t) for t in nodes])
+    momenta, polar = _path_constraints(spec, e_path, lam_path, batched)
+    traj = Trajectory(TimeGrid(nodes), u_path, momenta)
+    return ConstrainedFlowResult(
+        trajectory=traj,
+        status=stopped[0],
+        e_path=e_path,
+        lambda_path=lam_path,
+        energy_drift=energy_drift(sys, traj),
+        max_polar_residual=float(np.abs(polar).max()),
+        max_tangency_residual=tangency_worst,
+    )
+
+
+def _path_constraints(spec, e_path, lam_path, batched):
+    """(sigma(e), Lambda^T dsigma(e)) at every node of a path, one row per node: node by
+    node, or with ``batched`` (a vectorized spec) by one call of sigma and of dsigma."""
+    if not batched:
+        return (np.stack([spec.sigma_at(e) for e in e_path]),
+                np.stack([polar_constraint_residual(spec, e, lam)
+                          for e, lam in zip(e_path, lam_path)]))
+    dsig = np.asarray(spec.dsigma(e_path), dtype=float)
+    return np.asarray(spec.sigma(e_path), dtype=float), (lam_path[:, None] @ dsig)[:, 0]
+
+
+def _solve_whole(sys, spec, y0, cfg, n_steps, h):
+    """(path, worst tangency residual) of the lambda-zero flow from y0 = (u0, e0) over
+    n_steps steps of h solved all at once, the (n_steps + 1, 1, r + k) path completing;
+    or None where the route declines the flow (see integrate_constrained).
+
+    The windows are integrators._windows's, on the field of _tangency_field and its
+    central differences of step 1e-7, as the stepped flow linearizes.  The tangency
+    verdict is then read at every midpoint of the converged path, in one call."""
+    r = sys.dim
+    routed = _whole_routed(sys, cfg, y0[None], r)
+    if not routed[0]:
+        return None
+
+    memo = []
+
+    def field(t, Y):
+        return _tangency_field(sys, spec, Y, memo)[0]
+
+    def linearize(t, Y):
+        return central_difference(partial(field, t), Y, 1e-7)
+
+    path, Z = np.empty((n_steps + 1, 1, len(y0))), y0[None].copy()
+    with np.errstate(all="ignore"):
+        for _ in _windows(field, linearize, Z, routed, n_steps, h, cfg, r, path):
+            pass
+        if not routed[0]:
+            return None
+        _, residual, grad_u = _tangency_field(sys, spec, 0.5 * (path[:-1, 0] + path[1:, 0]))
+    norm, tangent = _tangency_verdict(residual, grad_u)
+    return (path, float(norm.max())) if tangent.all() else None
+
+
+def _march_constrained(sys, spec, y0, lam_of_t, cfg, n_steps, h):
+    """The stepped constrained flow from y0 = (u0, e0) over n_steps steps of h on _march:
+    ((n_steps + 1, 1, r + k) path, (status, stop, crossing), worst tangency residual of
+    the states its field was evaluated at).  See integrate_constrained."""
+    r = sys.dim
     tangency_worst, lagged, calls = 0.0, [], 0  # lagged: the jacobian the steps share
 
     def rhs(t, y):
@@ -373,7 +507,7 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
             lagged.append(central_difference(lambda y: rhs(t, y)[0], Y[0], 1e-7)[None])
         return lagged[0]
 
-    march_cfg, eye = replace(cfg, max_step_halvings=0), np.eye(r + spec.k_dim)
+    march_cfg, eye = replace(cfg, max_step_halvings=0), np.eye(len(y0))
 
     def step(t, Y, h, live=None):
         nonlocal calls, tangency_worst
@@ -392,24 +526,9 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
             return step(t, Y, h, live)
         return out
 
-    n_steps = step_count(1.0, march_cfg.step)
-    grid, h = TimeGrid.uniform(n_steps), 1.0 / n_steps
-    path, *_, (stopped,) = _march(step, np.concatenate([u0, e0])[None], r, march_cfg,
-                                  0.0, h, n_steps, store_path=True)
-    nodes, states = _stopped_path(grid, path, stopped)
-    u_path, e_path = states[:, :r], states[:, r:]
-    lam_path = np.stack([lam_of_t(t) for t in nodes])
-    traj = Trajectory(TimeGrid(nodes), u_path, np.stack([spec.sigma_at(e) for e in e_path]))
-    polar = np.abs([polar_constraint_residual(spec, e, lam) for e, lam in zip(e_path, lam_path)])
-    return ConstrainedFlowResult(
-        trajectory=traj,
-        status=stopped[0],
-        e_path=e_path,
-        lambda_path=lam_path,
-        energy_drift=energy_drift(sys, traj),
-        max_polar_residual=float(polar.max()),
-        max_tangency_residual=tangency_worst,
-    )
+    path, *_, (stopped,) = _march(step, y0[None], r, march_cfg, 0.0, h, n_steps,
+                                  store_path=True)
+    return path, stopped, tangency_worst
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +542,9 @@ def make_identity_constraint(dim=1):
     return ConstraintSpec(
         k_dim=dim,
         sigma=lambda e: np.asarray(e, dtype=float),
-        dsigma=lambda e: eye,
+        dsigma=lambda e: np.broadcast_to(eye, np.shape(e)[:-1] + eye.shape),
         name="identity",
+        vectorized=True,
     )
 
 
@@ -432,9 +552,10 @@ def make_circle_constraint():
     """Momenta pinned to the unit circle: sigma(e) = (cos e, sin e), K = R."""
     return ConstraintSpec(
         k_dim=1,
-        sigma=lambda e: np.array([np.cos(e[0]), np.sin(e[0])]),
-        dsigma=lambda e: np.array([[-np.sin(e[0])], [np.cos(e[0])]]),
+        sigma=lambda e: np.stack([np.cos(e[..., 0]), np.sin(e[..., 0])], axis=-1),
+        dsigma=lambda e: np.stack([-np.sin(e[..., 0]), np.cos(e[..., 0])], axis=-1)[..., None],
         name="circle",
+        vectorized=True,
     )
 
 

@@ -15,14 +15,16 @@ midpoint rule the Cayley transform at the converged midpoint, VI.4; for
 Stormer-Verlet the kick-drift-kick product).  So the computed monodromy
 matrices are symplectic to solver tolerance, and a stored path is enough
 to build the exact ones again (_path_jacobian).  Shooting's flows enter
-through ``flow_batch`` and its step loop ``_march``, closed-form flows are
-evaluated in ``flow_batch``, and the constrained integrator runs its own
-step on the same step loop.  Single flows (``flow_with_jacobian``,
+through ``flow_batch`` and its step loop ``_march``, and closed-form flows
+are evaluated in ``flow_batch``.  Single flows (``flow_with_jacobian``,
 ``integrate_flow``, ``flow_jacobian``) and the flow route of isotropy enter
 through ``_flow_whole``, which solves the midpoint equations of all the
 steps of a window at once (Newton over the sequence, its linear recurrence
-by a prefix scan) for every member it can certify to take the steps that
-``_march`` would take, and hands every other member to ``flow_batch``.
+by a prefix scan: _windows, _whole_window) for every member it can certify
+to take the steps that ``_march`` would take, and hands every other member
+to ``flow_batch``.  The constrained integrator solves its own (u, e) field
+by the same window solver where it can be certified, and otherwise runs
+its own step on ``_march``.
 
 Finite-time escape is a legitimate outcome, reported as a BlowUp status
 with the threshold-crossing time rather than raised as an error.  The
@@ -653,8 +655,9 @@ def flow_batch(sys: HamiltonianSystem, U0, P0, cfg: IntegratorConfig,
     return grid, path, Z[:, :r], Z[:, r:], ok, jac, report
 
 
-# The all-at-once route of single flows (_flow_whole): Newton over all the midpoint
-# equations of a window of steps at once, its linear recurrence solved by a prefix scan.
+# The all-at-once route (_flow_whole, and constraints.integrate_constrained): Newton over
+# all the midpoint equations of a window of steps at once, its linear recurrence solved by
+# a prefix scan.
 WHOLE_WINDOW = 256  # steps solved together
 WHOLE_MAX_WIDTH = 32  # widest batch routed: there stepping a 3-d flow is as fast (CHANGES.md)
 WHOLE_MAX_SWEEPS = 8  # Newton sweeps per window; a window takes 2-5
@@ -664,17 +667,32 @@ WHOLE_MAX_SWEEPS = 8  # Newton sweeps per window; a window takes 2-5
 # takes the same step without failing, so without halving.  Its step from z solves
 # y = z + h f((z + y)/2), a map with Lipschitz constant kappa = (h/2) ||A|| <= 1/8, so the
 # fixed point both solvers find is unique.  Its iteration matrix N0^-1 (h/2)(A - A0),
-# N0 = I - (h/2) A0 frozen at the predictor's midpoint, has norm q <= 2 kappa / (1 - kappa)
-# = 2/7; its Euler predictor misses y by at most kappa ||y - z||, and a residual is at most
-# (1 + kappa) times the error, so the residual test passes once 2 kappa (1 + kappa) q^i
-# <= newton_tol: after i = 27 updates for newton_tol >= 1e-15, and the loop makes i + 1
-# iterations (a tighter tolerance nears the residual's roundoff, about 2.2e-16 (1 + |z|)).
-# A is read at the converged midpoints; the predictor's midpoint lies within kappa/2 of a
-# step from them, and the margin between 1/8 and the 1/3 that q < 1 needs absorbs how
-# much ||A|| changes over that sliver.
+# N0 = I - (h/2) A0 frozen at one midpoint, has norm q <= 2 kappa / (1 - kappa) = 2/7
+# wherever A0 was read, so long as the midpoint is near the path: the predictor's midpoint
+# of the step itself, or of an earlier step whose jacobian the constrained flow reuses
+# (its lagged jacobian).  Its Euler predictor misses y by at most kappa ||y - z||, and a
+# residual is at most (1 + kappa) times the error, so the residual test passes once
+# 2 kappa (1 + kappa) q^i <= newton_tol: after i = 27 updates for newton_tol >= 1e-15,
+# and the loop makes i + 1 iterations (a tighter tolerance nears the residual's roundoff,
+# about 2.2e-16 (1 + |z|)).  A is read at the converged midpoints; a predictor's midpoint
+# lies within kappa/2 of a step from them, and the margin between 1/8 and the 1/3 that
+# q < 1 needs absorbs how much ||A|| changes between the midpoints that A and A0 are read at.
 WHOLE_KAPPA = 0.125
 WHOLE_MIN_NEWTON_ITER = 28
 WHOLE_MIN_NEWTON_TOL = 1e-15
+
+
+def _whole_routed(sys, cfg, Z0, r):
+    """The members of the states Z0 (one per row) whose implicit-midpoint flow under ``cfg``
+    the all-at-once route may take: all those whose start is within a tenth of the blow-up
+    threshold on max|z[:r]| + max|z[r:]| (so finite), if the system is vectorized,
+    autonomous and not closed-form, ``cfg.newton_max_iter`` is at least
+    WHOLE_MIN_NEWTON_ITER and ``cfg.newton_tol`` at least WHOLE_MIN_NEWTON_TOL; none
+    otherwise."""
+    eligible = (sys.vectorized and sys.autonomous and not sys.analytic_only
+                and cfg.newton_max_iter >= WHOLE_MIN_NEWTON_ITER
+                and cfg.newton_tol >= WHOLE_MIN_NEWTON_TOL)
+    return eligible & (_sup_norms(Z0, r) <= cfg.blowup_threshold / 10.0)
 
 
 def _prefix_scan(maps, dz):
@@ -696,11 +714,16 @@ def _prefix_scan(maps, dz):
         dz[hi] += (maps[hi] @ dz[lo, ..., None])[..., 0]
 
 
-def _whole_window(sys, z0, n_steps, h, cfg):
-    """The implicit-midpoint flow of the states z0 (one per row) over n_steps steps of h,
-    all steps solved at once: (nodes, ok), nodes the (n_steps + 1, batch, 2r) states and
-    ``ok`` the members certified, whose nodes are within roundoff of _march's.
+def _whole_window(field, linearize, z0, n_steps, h, cfg, r):
+    """The implicit-midpoint flow of dz/dt = field(z) from the states z0 (one per row) over
+    n_steps steps of h, all steps solved at once: (nodes, ok), nodes the (n_steps + 1,
+    batch, width) states and ``ok`` the members certified, whose nodes are within roundoff
+    of _march's.
 
+    ``field(t, Z)`` returns one row of the (autonomous) field per row of Z and
+    ``linearize(t, Z)`` one jacobian of it per row, as for _midpoint_step_batch; each is
+    called with t = 0 on all the window's midpoints at once.  ``r`` splits a state z for
+    the blow-up test max|z[:r]| + max|z[r:]|.
     Newton's method for the equations g_k = z_{k+1} - z_k - h f(m_k) = 0, m_k the
     midpoints, from the guess z_k = z0: each sweep evaluates f and its jacobian A_k at
     every midpoint in one call each, inverts N_k = I - (h/2) A_k in one _batch_solve and
@@ -711,11 +734,13 @@ def _whole_window(sys, z0, n_steps, h, cfg):
     the batch.  It is certified if then every (h/2) ||A_k||_inf <= WHOLE_KAPPA.  A member
     gives up at the first sweep after the second whose residual does not fall, or whose
     nodes are not finite or cross a tenth of the blow-up threshold, and after
-    WHOLE_MAX_SWEEPS sweeps.
+    WHOLE_MAX_SWEEPS sweeps.  Only the residual, the bound and the certificate are checked
+    here; a caller that must check more checks the converged nodes itself, as the
+    constrained flow reads its tangency verdict at their midpoints, not at Newton iterates.
     Call under ``np.errstate(all="ignore")``.
     """
     width = z0.shape[1]
-    r, eye = width // 2, np.eye(width)
+    eye = np.eye(width)
 
     def state_max(a):  # a.max(axis=-1) over states, by _row_max
         return _row_max(a.reshape(-1, width)).reshape(a.shape[:-1])
@@ -727,8 +752,8 @@ def _whole_window(sys, z0, n_steps, h, cfg):
         z = nodes[:, active]
         mid = 0.5 * (z[:-1] + z[1:])
         rows = mid.reshape(-1, width)
-        g = z[1:] - z[:-1] - h * _field_batch(sys, 0.0, rows).reshape(mid.shape)
-        a_mat = _linearized_batch(sys, 0.0, rows).reshape(mid.shape + (width,))
+        g = z[1:] - z[:-1] - h * field(0.0, rows).reshape(mid.shape)
+        a_mat = linearize(0.0, rows).reshape(mid.shape + (width,))
         size = state_max(np.abs(z))
         scale = 1.0 + np.maximum(size[:-1], size[1:])
         gn = state_max(np.abs(g))
@@ -755,28 +780,50 @@ def _whole_window(sys, z0, n_steps, h, cfg):
     return nodes, ok
 
 
+def _windows(field, linearize, Z, routed, n_steps, h, cfg, r, path=None):
+    """The window loop of the all-at-once route: solves the flow of every ``routed`` member
+    of the states Z (one per row) over n_steps steps of h, window by window
+    (_whole_window, whose arguments ``field``, ``linearize``, ``cfg`` and ``r`` are), and
+    yields each window's (certified members, their (n + 1, members, width) nodes).
+
+    It works in place: a member that a window does not certify leaves ``routed`` and is
+    not solved further; Z holds each certified member's latest node, and the optional
+    (n_steps + 1, batch, width) ``path`` its nodes.  Call under ``np.errstate(all="ignore")``.
+    """
+    for start in range(0, n_steps, WHOLE_WINDOW):
+        live = np.flatnonzero(routed)
+        if not live.size:
+            return
+        n = min(WHOLE_WINDOW, n_steps - start)
+        nodes, ok = _whole_window(field, linearize, Z[live], n, h, cfg, r)
+        routed[live[~ok]] = False
+        live, nodes = live[ok], nodes[:, ok]
+        Z[live] = nodes[-1]
+        if path is not None:
+            path[start:start + n + 1, live] = nodes
+        yield live, nodes
+
+
 def _flow_whole(sys, U0, P0, cfg, t0=0.0, t1=1.0, want_jacobian=False, store_path=False):
     """flow_batch's 7-tuple for a batch of initial states, with every member that can be
-    solved all at once so solved, window by window (_whole_window), and the rest flown
-    by flow_batch from t0, bit for bit as there.
+    solved all at once so solved, window by window (_windows), and the rest flown by
+    flow_batch from t0, bit for bit as there.
 
     A member is solved all at once when the scheme is the implicit midpoint rule, the
-    system is vectorized and autonomous and not closed-form, the batch holds at most
-    WHOLE_MAX_WIDTH members, ``cfg.newton_max_iter`` is at least WHOLE_MIN_NEWTON_ITER
-    and ``cfg.newton_tol`` at least WHOLE_MIN_NEWTON_TOL, its start is finite and
-    within a tenth of the blow-up threshold, and each of its windows is certified; it
-    then completes, and its states and jacobian are within roundoff of flow_batch's.  Its exact jacobian composes, in step order, the Cayley
-    maps at the converged midpoints, built per window by one _midpoint_tangents call.
-    Callbacks see the midpoints of a window of WHOLE_WINDOW steps as one batch.
+    batch holds at most WHOLE_MAX_WIDTH members, _whole_routed admits it (a vectorized,
+    autonomous, not closed-form system, ``cfg.newton_max_iter`` at least
+    WHOLE_MIN_NEWTON_ITER and ``cfg.newton_tol`` at least WHOLE_MIN_NEWTON_TOL, a start
+    within a tenth of the blow-up threshold), and each of its windows is certified; it
+    then completes, and its states and jacobian are within roundoff of flow_batch's.  Its
+    exact jacobian composes, in step order, the Cayley maps at the converged midpoints,
+    built per window by one _midpoint_tangents call.  Callbacks see the midpoints of a
+    window of WHOLE_WINDOW steps as one batch.
     """
     Z0 = np.concatenate([np.atleast_2d(np.asarray(x, dtype=float)) for x in (U0, P0)], axis=1)
     bsz, width = Z0.shape
     r = width // 2
-    routed = _sup_norms(Z0, r) <= cfg.blowup_threshold / 10.0
-    if not (cfg.scheme == "implicit-midpoint" and sys.vectorized and sys.autonomous
-            and not sys.analytic_only and bsz <= WHOLE_MAX_WIDTH
-            and cfg.newton_max_iter >= WHOLE_MIN_NEWTON_ITER
-            and cfg.newton_tol >= WHOLE_MIN_NEWTON_TOL and routed.any()):
+    routed = _whole_routed(sys, cfg, Z0, r)
+    if not (cfg.scheme == "implicit-midpoint" and bsz <= WHOLE_MAX_WIDTH and routed.any()):
         return flow_batch(sys, U0, P0, cfg, t0, t1, want_jacobian, store_path)
     n_steps = step_count(t1 - t0, cfg.step)
     grid, h = TimeGrid.uniform(n_steps, t0, t1), (t1 - t0) / n_steps
@@ -784,20 +831,11 @@ def _flow_whole(sys, U0, P0, cfg, t0=0.0, t1=1.0, want_jacobian=False, store_pat
     path = np.empty((n_steps + 1, bsz, width)) if store_path else None
     eye = np.eye(width)
     jac = np.tile(eye, (bsz, 1, 1)) if want_jacobian else None
+    field, linearize = partial(_field_batch, sys), partial(_linearized_batch, sys)
     with np.errstate(all="ignore"):
-        for start in range(0, n_steps, WHOLE_WINDOW):
-            live = np.flatnonzero(routed)
-            if not live.size:
-                break
-            n = min(WHOLE_WINDOW, n_steps - start)
-            nodes, ok = _whole_window(sys, Z[live], n, h, cfg)
-            routed[live[~ok]] = False
-            live, nodes = live[ok], nodes[:, ok]
-            Z[live] = nodes[-1]
-            if store_path:
-                path[start:start + n + 1, live] = nodes
+        for live, nodes in _windows(field, linearize, Z, routed, n_steps, h, cfg, r, path):
             if want_jacobian and live.size:
-                flat = (1, -1, width)
+                n, flat = len(nodes) - 1, (1, -1, width)
                 tangents = _midpoint_tangents(sys, [t0], nodes[:-1].reshape(flat),
                                               nodes[1:].reshape(flat), h,
                                               np.ones((1, n * live.size), dtype=bool), eye)

@@ -11,12 +11,16 @@ import pytest
 
 import phasebound
 from phasebound.cli import (
+    _csv_rows,
+    _fmt_float,
     dump_full_precision,
     load_scenario,
     main,
     run_scenario,
     ScenarioError,
+    write_trajectory_csv,
 )
+from phasebound.core import TimeGrid, Trajectory
 from phasebound.errors import NotSeparableError
 from phasebound.selftest import run_checks
 from phasebound.systems import SelfCheck
@@ -639,6 +643,40 @@ class TestDeterminism:
         text = dump_full_precision({"x": val})
         assert "0.30000000000000004" in text
         assert float(json.loads(text)["x"]) == val
+
+
+def per_value_csv(table):
+    """CSV lines of a 2-d array, every value formatted alone by _fmt_float."""
+    return [",".join(_fmt_float(v) for v in row) for row in table]
+
+
+class TestTrajectoryCsv:
+    """Rows are formatted in bulk; the bytes are those of formatting value by value."""
+
+    SPECIAL = [NAN, INF, -INF, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1e-310, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, np.nextafter(1.0, 2.0),
+               1.7976931348623157e308, -1e16, 123456789012345678.0, 1e-5, 1.5, 1e22]
+
+    def test_rows_are_the_per_value_format(self):
+        rng = np.random.default_rng(33)
+        random = rng.integers(0, 2 ** 63, size=400, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([self.SPECIAL, random, rng.normal(size=200)])
+        for width in (3, 5, 7):
+            table = rng.permutation(np.resize(values, (len(values) // width + 1) * width))
+            table = table.reshape(-1, width)
+            assert not np.isfinite(table).all() and np.isfinite(table).all(axis=1).any()
+            assert _csv_rows(table) == per_value_csv(table)
+
+    def test_file_bytes_are_the_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(7)
+        nodes = np.linspace(0.0, 1.0, 11)
+        positions = rng.normal(size=(11, 2)) * 10.0 ** rng.integers(-320, 300, size=(11, 2))
+        positions[3, 0], positions[4, 1] = -0.0, 5e-324
+        momenta = rng.normal(size=(11, 2))
+        traj = Trajectory(TimeGrid(nodes), positions, momenta)
+        write_trajectory_csv(tmp_path / "t.csv", traj)
+        want = ["t,u_0,u_1,p_0,p_1"] + per_value_csv(np.column_stack([nodes, positions, momenta]))
+        assert (tmp_path / "t.csv").read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 class TestSelftestCommand:

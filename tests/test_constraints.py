@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from phasebound.errors import (
     OffConstraintError,
     UnstableConstraintError,
 )
-from phasebound.integrators import IntegratorConfig, NewtonFailure, integrate_flow
+from phasebound.integrators import Completed, IntegratorConfig, NewtonFailure, integrate_flow
 from phasebound.systems import make_free_particle, make_pendulum, make_quartic
 
 
@@ -433,6 +434,12 @@ class TestDimensionChecks:
             call()
 
 
+def stepped_constrained(*args, **kwargs):
+    """integrate_constrained on its stepped engine alone, which the tests that count or
+    patch its solves, or pin its bits, are about."""
+    return constraints._integrate_constrained(*args, **kwargs)
+
+
 def kink_system(w=0.01):
     """H = p^2/2 + u^2/2 + w log cosh((u - 0.5)/w): dH/du = u + tanh((u - 0.5)/w) turns
     by 2 within a few w of u = 0.5, where a jacobian from before the kink is stale."""
@@ -461,7 +468,7 @@ class TestLaggedJacobian:
         solve = constraints._tangency_solve
         monkeypatch.setattr(constraints, "_tangency_solve",
                             lambda *args: solves.append(None) or solve(*args))
-        res = integrate_constrained(*case(), IntegratorConfig(step=1e-3))
+        res = stepped_constrained(*case(), IntegratorConfig(step=1e-3))
         assert res.completed
         assert len(solves) <= bound
 
@@ -483,8 +490,8 @@ class TestLaggedJacobian:
         # reused from step 1; that step is rerun once on a fresh jacobian, as a
         # failed step is, and the flow completes as it does unpatched
         def flow():
-            return integrate_constrained(make_pendulum().system, make_identity_constraint(1),
-                                         [0.4], [1.2], IntegratorConfig(step=1e-2))
+            return stepped_constrained(make_pendulum().system, make_identity_constraint(1),
+                                       [0.4], [1.2], IntegratorConfig(step=1e-2))
 
         jacobians, times, checked = [], [], []
         difference, solve = constraints.central_difference, constraints._tangency_solve
@@ -533,30 +540,32 @@ class TestLaggedJacobian:
 # Written by the constrained integrator's own finite-difference Newton loop,
 # which the shared scalar midpoint step replaced. The identity-pendulum entry
 # was rewritten when the difference jacobian came to be reused across steps:
-# its positions and energy drift moved by one ulp. Otherwise results must not
-# move by a bit.
+# its positions and energy drift moved by one ulp. Otherwise the stepped engine's
+# results must not move by a bit; the public flow, solved all at once where it can
+# be, stays within REFERENCE_TOL of them.
 CONSTRAINED_REF = json.loads(
     (Path(__file__).parent / "data" / "constrained_reference.json").read_text())
 
-CONSTRAINED_CASES = {
-    "identity-pendulum": lambda: integrate_constrained(
+CONSTRAINED_CASES = {  # each flows its case with the integrator given
+    "identity-pendulum": lambda flow: flow(
         make_pendulum().system, make_identity_constraint(1), [0.4], [1.2],
         IntegratorConfig(step=4e-3)),
-    "circle-free-particle": lambda: integrate_constrained(
+    "circle-free-particle": lambda flow: flow(
         make_free_particle(dim=2).system, make_circle_constraint(), [0.2, -0.1], [0.3],
         IntegratorConfig(step=5e-3)),
-    "callable-gauge": lambda: integrate_constrained(
+    "callable-gauge": lambda flow: flow(
         make_free_particle(dim=2).system, make_circle_constraint(), [0.0, 0.5], [-0.7],
         IntegratorConfig(step=5e-3),
         gauge=lambda t: np.array([0.2 * np.sin(3.0 * t), 0.3 - t])),
 }
+REFERENCE_TOL = 1e-12  # the constrained-vs-plain bound of criterion 9's neighbours
 
 
 class TestConstrainedReference:
     @pytest.mark.parametrize("name", sorted(CONSTRAINED_CASES))
     def test_bit_identical_to_reference(self, name):
         ref = CONSTRAINED_REF[name]
-        res = CONSTRAINED_CASES[name]()
+        res = CONSTRAINED_CASES[name](stepped_constrained)
         traj = res.trajectory
         for got, key in ((traj.grid.nodes, "nodes"), (traj.positions, "positions"),
                          (traj.momenta, "momenta"), (res.e_path, "e_path"),
@@ -565,6 +574,170 @@ class TestConstrainedReference:
         for key in ("energy_drift", "max_polar_residual", "max_tangency_residual"):
             assert getattr(res, key) == ref[key], key
         assert repr(res.status) == ref["status"]
+
+    @pytest.mark.parametrize("name", sorted(CONSTRAINED_CASES))
+    def test_public_flow_is_near_the_reference(self, name):
+        ref = CONSTRAINED_REF[name]
+        res = CONSTRAINED_CASES[name](integrate_constrained)
+        traj = res.trajectory
+        assert repr(res.status) == ref["status"]
+        assert np.array_equal(traj.grid.nodes, np.array(ref["nodes"]))
+        for got, key in ((traj.positions, "positions"), (traj.momenta, "momenta"),
+                         (res.e_path, "e_path"), (res.lambda_path, "lambda_path")):
+            assert np.abs(got - np.array(ref[key])).max() <= REFERENCE_TOL, key
+        for key in ("energy_drift", "max_polar_residual", "max_tangency_residual"):
+            assert abs(getattr(res, key) - ref[key]) <= REFERENCE_TOL, key
+
+
+def autonomous(system):
+    return dataclasses.replace(system, autonomous=True)
+
+
+def flow_outcome(flow, *args, **kwargs):
+    """Everything a constrained flow gives, by repr, exact for floats: the result's
+    fields, or the error it raises with the error's fields."""
+    try:
+        res = flow(*args, **kwargs)
+    except UnstableConstraintError as exc:
+        return repr(("unstable", exc.t, exc.residual))
+    except FlowIncompleteError as exc:
+        return repr(("incomplete", exc.status))
+    traj = res.trajectory
+    return repr((res.status, traj.grid.nodes.tolist(), traj.positions.tolist(),
+                 traj.momenta.tolist(), res.e_path.tolist(), res.lambda_path.tolist(),
+                 res.energy_drift, res.max_polar_residual, res.max_tangency_residual))
+
+
+def late_height():
+    """H = |p|^2/2 + V(u) with dV/du = (max(u_1 - 1/2, 0)^2, 0): on the circle from e = 0
+    and u_1 = 0 the path u_1 = t is tangent until u_1 passes 1/2, and not after."""
+    return HamiltonianSystem(
+        config=ConfigSpace(2),
+        hamiltonian=lambda t, u, p: 0.5 * np.sum(p * p, axis=-1)
+        + np.maximum(np.asarray(u, dtype=float)[..., 0] - 0.5, 0.0) ** 3 / 3.0,
+        grad_u=lambda t, u, p: np.stack(
+            [np.maximum(np.asarray(u, dtype=float)[..., 0] - 0.5, 0.0) ** 2,
+             np.zeros(np.shape(u)[:-1])], axis=-1),
+        grad_p=lambda t, u, p: np.asarray(p, dtype=float),
+        vectorized=True, autonomous=True, name="late-height")
+
+
+# (system, spec, u0, e0, integrator settings, gauge) of flows the route declines
+COARSE = {"step": 1e-2}
+WHOLE_DECLINED = {
+    "callable-gauge": (lambda: make_free_particle(dim=2).system, make_circle_constraint,
+                       [0.0, 0.5], [-0.7], COARSE, lambda t: np.array([0.0, 0.3])),
+    "not-vectorized-system": (
+        lambda: dataclasses.replace(make_pendulum().system, vectorized=False),
+        lambda: make_identity_constraint(1), [0.4], [1.2], COARSE, "lambda-zero"),
+    "spec-not-vectorized": (
+        lambda: make_free_particle(dim=2).system,
+        lambda: dataclasses.replace(make_circle_constraint(), vectorized=False),
+        [0.1, -0.2], [0.3], COARSE, "lambda-zero"),
+    "newton-max-iter-27": (lambda: make_pendulum().system, lambda: make_identity_constraint(1),
+                           [0.4], [1.2], {**COARSE, "newton_max_iter": 27}, "lambda-zero"),
+    "newton-tol-5e-16": (lambda: make_pendulum().system, lambda: make_identity_constraint(1),
+                         [0.4], [1.2], {**COARSE, "newton_tol": 5e-16}, "lambda-zero"),
+    # (4, 8) escapes at t = 1/2
+    "escaping-quartic": (lambda: make_quartic().system, lambda: make_identity_constraint(1),
+                         [4.0], [8.0], {}, "lambda-zero"),
+    # completes, but (h/2) ||A||_inf passes WHOLE_KAPPA near t = 1
+    "certificate": (lambda: make_quartic().system, lambda: make_identity_constraint(1),
+                    [1.5], [2.5], {}, "lambda-zero"),
+    # starts at max|u| + max|e| = 0.5 and swings to 0.7, over a tenth of the threshold 6
+    "threshold": (lambda: make_pendulum().system, lambda: make_identity_constraint(1),
+                  [0.0], [0.5], {**COARSE, "blowup_threshold": 6.0}, "lambda-zero"),
+    "midpoint-off-tangency": (late_height, make_circle_constraint, [0.0, 0.0], [0.0], COARSE,
+                              "lambda-zero"),
+    "height-unstable-at-start": (lambda: autonomous(planar_height()), make_circle_constraint,
+                                 [0.0, 0.0], [0.0], COARSE, "lambda-zero"),
+}
+
+
+class TestConstrainedSolvedAtOnce:
+    """integrate_constrained solves a lambda-zero flow of vectorized callbacks all at once
+    where integrators' certificate and the tangency verdict at the converged midpoints
+    allow, within roundoff of the stepped engine; any other flow is the stepped one."""
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(["identity-pendulum", "circle-free-particle"]),
+           u0=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           e0=st.floats(-3.0, 3.0))
+    def test_solved_at_once_is_the_stepped_flow_to_roundoff(self, case, u0, e0):
+        args = ((make_pendulum().system, make_identity_constraint(1), u0[:1], [e0 / 2])
+                if case == "identity-pendulum" else
+                (make_free_particle(dim=2).system, make_circle_constraint(), u0, [e0]))
+        cfg = IntegratorConfig(step=2.5e-3)  # one full window and part of a second
+        with mock.patch.object(constraints, "_march_constrained",
+                               side_effect=AssertionError("stepped")):
+            got = integrate_constrained(*args, cfg)
+        want = stepped_constrained(*args, cfg)
+        assert got.status == want.status == Completed()
+        assert np.array_equal(got.trajectory.grid.nodes, want.trajectory.grid.nodes)
+        for a, b in ((got.trajectory.positions, want.trajectory.positions),
+                     (got.trajectory.momenta, want.trajectory.momenta),
+                     (got.e_path, want.e_path)):
+            assert np.abs(a - b).max() <= REFERENCE_TOL
+        assert np.array_equal(got.lambda_path, want.lambda_path)
+        assert got.max_polar_residual == want.max_polar_residual == 0.0
+        for key in ("energy_drift", "max_tangency_residual"):
+            assert abs(getattr(got, key) - getattr(want, key)) <= REFERENCE_TOL, key
+
+    @pytest.mark.parametrize("name", sorted(WHOLE_DECLINED))
+    def test_declined_flows_are_the_stepped_flows(self, name, monkeypatch):
+        make_sys, make_spec, u0, e0, settings_, gauge = WHOLE_DECLINED[name]
+        args = (make_sys(), make_spec(), u0, e0, IntegratorConfig(**settings_))
+        verdicts = []
+        verdict = constraints._tangency_verdict
+        monkeypatch.setattr(constraints, "_tangency_verdict",
+                            lambda *a: verdicts.append(verdict(*a)) or verdicts[-1])
+        got = flow_outcome(integrate_constrained, *args, gauge=gauge)
+        assert got == flow_outcome(stepped_constrained, *args, gauge=gauge)
+        read_at_once = [tangent for _, tangent in verdicts if np.ndim(tangent)]
+        if name in ("midpoint-off-tangency", "height-unstable-at-start"):
+            # the windows converged and were certified; the verdict turned the route down
+            (tangent,) = read_at_once
+            assert not tangent.all()
+            assert tangent[0] == (name == "midpoint-off-tangency")
+        else:
+            assert not read_at_once
+
+    def test_late_tangency_failure_is_the_stepped_flows(self):
+        with pytest.raises(UnstableConstraintError) as err:
+            integrate_constrained(late_height(), make_circle_constraint(), [0.0, 0.0], [0.0],
+                                  IntegratorConfig())
+        assert 0.5 < err.value.t < 0.52
+
+    def test_height_hamiltonian_unstable_at_start_with_the_stepped_residual(self):
+        args = (autonomous(planar_height()), make_circle_constraint(), [0.0, 0.0], [0.0],
+                IntegratorConfig())
+        with pytest.raises(UnstableConstraintError) as err:
+            integrate_constrained(*args)
+        with pytest.raises(UnstableConstraintError) as stepped:
+            stepped_constrained(*args)
+        assert err.value.t == 0.0
+        assert err.value.residual == stepped.value.residual == 1.0
+
+    @pytest.mark.parametrize("spec, scale", [(make_circle_constraint(), 40.0),
+                                             (make_identity_constraint(3), 1e3)],
+                             ids=["circle", "identity-3"])
+    def test_batched_path_constraints_are_the_node_by_node_ones(self, spec, scale):
+        # sigma and dsigma over the whole path in one call: momenta and polar residuals
+        # equal to the bit those of a call per node, for zero and other multipliers
+        rng = np.random.default_rng(9)
+        e_path = rng.uniform(-scale, scale, size=(2001, spec.k_dim))
+        e_path[:3] = [[0.0] * spec.k_dim, [-0.0] * spec.k_dim, [np.pi / 2] * spec.k_dim]
+        r = len(spec.sigma_at(e_path[0]))
+        for lam_path in (np.zeros((len(e_path), r)), rng.normal(size=(len(e_path), r))):
+            batched = constraints._path_constraints(spec, e_path, lam_path, True)
+            per_node = constraints._path_constraints(spec, e_path, lam_path, False)
+            for got, want in zip(batched, per_node):
+                assert got.shape == want.shape and np.array_equal(got, want)
+        circle = make_circle_constraint()
+        res = integrate_constrained(make_free_particle(dim=2).system, circle, [0.1, 0.2], [2.9],
+                                    IntegratorConfig())
+        assert np.array_equal(res.trajectory.momenta,
+                              np.stack([circle.sigma_at(e) for e in res.e_path]))
 
 
 class TestReductionCertificate:
