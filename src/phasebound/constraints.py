@@ -49,8 +49,8 @@ from .errors import (
     UnstableConstraintError,
 )
 from .integrators import (Completed, FlowResult, IntegratorConfig, _finite_or_zero, _march,
-                          _midpoint_step_batch, _stopped_path, _whole_routed, _windows,
-                          energy_drift, step_count)
+                          _midpoint_step_batch, _stopped_path, _sup_norms, _whole_routed,
+                          _windows, energy_drift, step_count)
 
 ON_CONSTRAINT_TOL = 1e-8
 RANK_TOL = 1e-10  # singular-value cutoff of the two-form's kernel; scale of tangency
@@ -73,9 +73,9 @@ class ConstraintSpec:
     ``dsigma``: e -> (r, k) matrix of partial derivatives.
     ``vectorized`` declares, as HamiltonianSystem.vectorized does, that both also take
     an (n, k) batch of points and return one result per row, (n, r) covectors and
-    (n, r, k) matrices, each row's as for its point alone.  The lambda-zero flow of a
-    vectorized spec may then be solved all at once (integrate_constrained), and its
-    momenta and polar residuals are evaluated over the whole path in one call.
+    (n, r, k) matrices, each row's as for its point alone.  A vectorized spec is then
+    called once per batch of points, and its lambda-zero flow may be solved all at once
+    (integrate_constrained); any other is called one point at a time (_spec_rows).
     """
 
     k_dim: int
@@ -177,17 +177,6 @@ def _check_dimensions(sys, spec, e, *vectors):
                                      f"and sigma(e), u, p and Lambda of length {sys.dim}")
 
 
-def _tangency_solve(sys, spec, t, u, e):
-    """Minimal-norm D with dsigma(e) D = -dH/du at p = sigma(e), the unmatched residual,
-    dH/du, dsigma(e) and p."""
-    p = spec.sigma_at(e)
-    grad_u = np.asarray(sys.grad_u(t, u, p), dtype=float)
-    dsig = spec.dsigma_at(e)
-    d_vec, *_ = np.linalg.lstsq(dsig, -grad_u, rcond=None)
-    residual = dsig @ d_vec + grad_u
-    return d_vec, residual, grad_u, dsig, p
-
-
 def _tangency_verdict(residual, grad_u):
     """(sup norm of a tangency residual, tangent): tangent iff the norm is at most
     100 RANK_TOL (1 + max|dH/du|), so a NaN residual or gradient is not tangent.  For
@@ -197,30 +186,39 @@ def _tangency_verdict(residual, grad_u):
     return (float(norm), bool(tangent)) if norm.ndim == 0 else (norm, tangent)
 
 
-def _tangency_field(sys, spec, Y, memo=None):
-    """The lambda-zero constrained field at the rows Y = (u, e) of a batch of a vectorized
-    system and spec, with each row's tangency residual and dH/du: du = dH/dp at
-    p = sigma(e), and D the minimal-norm solution of dsigma(e) D = -dH/du, from one
-    batched pseudo-inverse with lstsq's cutoff, eps max(r, k) times the largest singular
-    value.  A non-finite dsigma(e) gives a non-finite residual, which is not tangent.
+def _spec_rows(spec, E):
+    """(sigma, dsigma) at the rows of the points E: one call each when the spec is
+    vectorized, one call per row otherwise, with the same results."""
+    if spec.vectorized:
+        return np.asarray(spec.sigma(E), dtype=float), np.asarray(spec.dsigma(E), dtype=float)
+    return np.array([spec.sigma_at(e) for e in E]), np.array([spec.dsigma_at(e) for e in E])
+
+
+def _tangency_field(sys, spec, t, Y, lam, memo=None):
+    """The constrained field at the time t and the rows Y = (u, e) of a batch, with each
+    row's tangency residual, dH/du and dsigma(e): du = dH/dp - lam at p = sigma(e), and D
+    the minimal-norm solution of dsigma(e) D = -dH/du, from one batched pseudo-inverse with
+    lstsq's cutoff, eps max(r, k) times the largest singular value.  The callbacks run row
+    by row where the system or spec is not vectorized.  This is the one tangency solve: of
+    the flow solved all at once, the stepped flow (a batch of one) and gotay_step (one
+    row).  A non-finite dsigma(e) gives a non-finite residual, which is not tangent.
     ``memo``, a list, keeps the points e of the latest call with sigma, dsigma and the
     pseudo-inverse there, for a call at the same points to reuse: differences along u
     leave e as it is."""
-    r, k = sys.dim, spec.k_dim
+    r = sys.dim
     U, E = Y[:, :r], Y[:, r:]
     if memo and np.array_equal(memo[0], E):
         P, dsig, pinv = memo[1:]
     else:
-        P = np.asarray(spec.sigma(E), dtype=float)
-        dsig = np.asarray(spec.dsigma(E), dtype=float)
-        pinv = np.linalg.pinv(_finite_or_zero(dsig), np.finfo(float).eps * max(r, k))
+        P, dsig = _spec_rows(spec, E)
+        pinv = np.linalg.pinv(_finite_or_zero(dsig), np.finfo(float).eps * max(r, spec.k_dim))
         if memo is not None:
             memo[:] = E.copy(), P, dsig, pinv
-    grad_u = _eval_rows(sys, sys.grad_u, 0.0, U, P)
+    grad_u = _eval_rows(sys, sys.grad_u, t, U, P)
     d_vec = (pinv @ -grad_u[..., None])[..., 0]
     residual = (dsig @ d_vec[..., None])[..., 0] + grad_u
-    field = np.concatenate([_eval_rows(sys, sys.grad_p, 0.0, U, P), d_vec], axis=1)
-    return field, residual, grad_u
+    field = np.concatenate([_eval_rows(sys, sys.grad_p, t, U, P) - lam, d_vec], axis=1)
+    return field, residual, grad_u, dsig
 
 
 @dataclass(frozen=True)
@@ -257,7 +255,9 @@ def gotay_step(sys: HamiltonianSystem, spec: ConstraintSpec, state: ExtendedStat
     phi = momentum_constraint_residual(spec, state.p, state.e)
     psi = polar_constraint_residual(spec, state.e, state.lam)
 
-    d_vec, tan_res, grad_u, dsig, _ = _tangency_solve(sys, spec, t, state.u, state.e)
+    y = np.concatenate([state.u, state.e])[None]
+    field, tan_res, grad_u, dsig = (a[0] for a in _tangency_field(sys, spec, t, y, 0.0))
+    d_vec = field[sys.dim:]
     tan_norm, stable = _tangency_verdict(tan_res, grad_u)
 
     secondary = c_vec = c_res = None
@@ -355,11 +355,11 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     """Integrate the constrained dynamics with p = sigma(e) held exactly.
 
     The state is (u, e); the momentum is evaluated from the constraint, the
-    constraint velocity D comes from the minimal-norm tangency solve, and the
-    multiplier path is the chosen gauge (zero by default, or a callable
-    t -> Lambda).  It is marched by the implicit midpoint rule (another
-    scheme is a ValueError) and escapes when max|u| + max|e| crosses the
-    blow-up threshold.
+    constraint velocity D comes from the minimal-norm tangency solve
+    (_tangency_field), and the multiplier path is the chosen gauge (zero by
+    default, or a callable t -> Lambda).  It is marched by the implicit
+    midpoint rule (another scheme is a ValueError) and escapes when
+    max|u| + max|e| crosses the blow-up threshold.
 
     The flow is solved all at once (_solve_whole), to within roundoff of the
     stepped flow, when the system is vectorized, autonomous and not
@@ -374,22 +374,18 @@ def integrate_constrained(sys: HamiltonianSystem, spec: ConstraintSpec, u0, e0,
     (_march_constrained), bit for bit as if the route did not exist, so every
     error and stop below is the stepped flow's.
 
-    The stepped flow runs on flow_batch's step loop, without step halving.
-    Newton steers by a central-difference jacobian of the field that later
-    steps reuse until one takes more than two iterations; a step that fails
-    on a reused jacobian, or one of whose iterates fails the tangency verdict
-    there, is rerun once on a fresh one.  Raises DimensionMismatchError unless
-    u0 and sigma(e0) have length sys.dim and e0 length spec.k_dim,
-    UnstableConstraintError as soon as a state the stepped flow evaluates (a
-    predictor or Newton iterate) fails the tangency verdict (the dynamics then
-    requires a secondary constraint and leaves the primary set), and
-    FlowIncompleteError if the first step fails.
+    The stepped flow runs on flow_batch's step loop with the midpoint step of
+    every flow, without step halving: each step linearizes the field at its
+    own predictor midpoint by central differences of step 1e-7.  Raises
+    DimensionMismatchError unless u0 and sigma(e0) have length sys.dim and e0
+    length spec.k_dim, UnstableConstraintError as soon as a state the stepped
+    flow evaluates (a predictor or Newton iterate) fails the tangency verdict
+    (the dynamics then requires a secondary constraint and leaves the primary
+    set), and FlowIncompleteError if the first step fails.  An iterate past
+    the blow-up threshold that fails the verdict is escaping, not leaving the
+    primary set: its step fails, and the flow stops as a flow_batch flow
+    without step halving does.
     """
-    return _integrate_constrained(sys, spec, u0, e0, cfg, gauge, whole=True)
-
-
-def _integrate_constrained(sys, spec, u0, e0, cfg, gauge="lambda-zero", whole=False):
-    """integrate_constrained, on the stepped engine alone unless ``whole``."""
     if cfg.scheme != "implicit-midpoint":
         raise ValueError(f"the constrained integrator steps with the implicit midpoint rule, "
                          f"not {cfg.scheme!r}")
@@ -409,7 +405,7 @@ def _integrate_constrained(sys, spec, u0, e0, cfg, gauge="lambda-zero", whole=Fa
     n_steps = step_count(1.0, cfg.step)
     grid, h = TimeGrid.uniform(n_steps), 1.0 / n_steps
     y0, batched = np.concatenate([u0, e0]), spec.vectorized and zero_gauge
-    solved = _solve_whole(sys, spec, y0, cfg, n_steps, h) if whole and batched else None
+    solved = _solve_whole(sys, spec, y0, cfg, n_steps, h) if batched else None
     if solved is None:
         path, stopped, tangency_worst = _march_constrained(sys, spec, y0, lam_of_t, cfg,
                                                            n_steps, h)
@@ -417,8 +413,8 @@ def _integrate_constrained(sys, spec, u0, e0, cfg, gauge="lambda-zero", whole=Fa
         (path, tangency_worst), stopped = solved, (Completed(), n_steps, None)
     nodes, states = _stopped_path(grid, path, stopped)
     u_path, e_path = states[:, :r], states[:, r:]
-    lam_path = np.zeros((len(nodes), r)) if batched else np.stack([lam_of_t(t) for t in nodes])
-    momenta, polar = _path_constraints(spec, e_path, lam_path, batched)
+    lam_path = np.stack([lam_of_t(t) for t in nodes])
+    momenta, dsig = _spec_rows(spec, e_path)
     traj = Trajectory(TimeGrid(nodes), u_path, momenta)
     return ConstrainedFlowResult(
         trajectory=traj,
@@ -426,20 +422,9 @@ def _integrate_constrained(sys, spec, u0, e0, cfg, gauge="lambda-zero", whole=Fa
         e_path=e_path,
         lambda_path=lam_path,
         energy_drift=energy_drift(sys, traj),
-        max_polar_residual=float(np.abs(polar).max()),
+        max_polar_residual=float(np.abs((lam_path[:, None] @ dsig)[:, 0]).max()),
         max_tangency_residual=tangency_worst,
     )
-
-
-def _path_constraints(spec, e_path, lam_path, batched):
-    """(sigma(e), Lambda^T dsigma(e)) at every node of a path, one row per node: node by
-    node, or with ``batched`` (a vectorized spec) by one call of sigma and of dsigma."""
-    if not batched:
-        return (np.stack([spec.sigma_at(e) for e in e_path]),
-                np.stack([polar_constraint_residual(spec, e, lam)
-                          for e, lam in zip(e_path, lam_path)]))
-    dsig = np.asarray(spec.dsigma(e_path), dtype=float)
-    return np.asarray(spec.sigma(e_path), dtype=float), (lam_path[:, None] @ dsig)[:, 0]
 
 
 def _solve_whole(sys, spec, y0, cfg, n_steps, h):
@@ -458,7 +443,7 @@ def _solve_whole(sys, spec, y0, cfg, n_steps, h):
     memo = []
 
     def field(t, Y):
-        return _tangency_field(sys, spec, Y, memo)[0]
+        return _tangency_field(sys, spec, t, Y, 0.0, memo)[0]
 
     def linearize(t, Y):
         return central_difference(partial(field, t), Y, 1e-7)
@@ -469,7 +454,8 @@ def _solve_whole(sys, spec, y0, cfg, n_steps, h):
             pass
         if not routed[0]:
             return None
-        _, residual, grad_u = _tangency_field(sys, spec, 0.5 * (path[:-1, 0] + path[1:, 0]))
+        _, residual, grad_u, _ = _tangency_field(sys, spec, 0.0,
+                                                 0.5 * (path[:-1, 0] + path[1:, 0]), 0.0)
     norm, tangent = _tangency_verdict(residual, grad_u)
     return (path, float(norm.max())) if tangent.all() else None
 
@@ -479,52 +465,31 @@ def _march_constrained(sys, spec, y0, lam_of_t, cfg, n_steps, h):
     ((n_steps + 1, 1, r + k) path, (status, stop, crossing), worst tangency residual of
     the states its field was evaluated at).  See integrate_constrained."""
     r = sys.dim
-    tangency_worst, lagged, calls = 0.0, [], 0  # lagged: the jacobian the steps share
+    tangency_worst, memo = 0.0, []
 
-    def rhs(t, y):
-        """The field at y = (u, e), with the tangency residual and dH/du there."""
-        u = y[:r]
-        d_vec, tan_res, grad_u, _, p = _tangency_solve(sys, spec, t, u, y[r:])
-        du = np.asarray(sys.grad_p(t, u, p), dtype=float) - lam_of_t(t)
-        return np.concatenate([du, d_vec]), tan_res, grad_u
-
-    # field and linearize act on a batch of one state, as the midpoint step asks
     def field(t, Y):
-        # checked: the step's predictor and Newton iterates must keep tangency
-        nonlocal tangency_worst, calls
-        calls += 1
-        value, tan_res, grad_u = rhs(t, Y[0])
-        tan_norm, tangent = _tangency_verdict(tan_res, grad_u)
+        # checked: the step's predictor and Newton iterates must keep tangency, unless an
+        # iterate is past the blow-up threshold, whose NaN field fails the step
+        nonlocal tangency_worst
+        value, residual, grad_u, _ = _tangency_field(sys, spec, t, Y, lam_of_t(t), memo)
+        norm, tangent = _tangency_verdict(residual[0], grad_u[0])
         if not tangent:
-            raise UnstableConstraintError(t, tan_norm)
-        tangency_worst = max(tangency_worst, tan_norm)
-        return value[None]
+            if _sup_norms(Y, r)[0] > cfg.blowup_threshold:
+                return np.full_like(value, np.nan)
+            raise UnstableConstraintError(t, norm)
+        tangency_worst = max(tangency_worst, norm)
+        return value
 
     def linearize(t, Y):
-        # central differences of the field with step 1e-7, unless a step left one;
         # unchecked, since the displaced states are off the path
-        if not lagged:
-            lagged.append(central_difference(lambda y: rhs(t, y)[0], Y[0], 1e-7)[None])
-        return lagged[0]
+        lam = lam_of_t(t)
+        return central_difference(lambda X: _tangency_field(sys, spec, t, X, lam, memo)[0],
+                                  Y, 1e-7)
 
     march_cfg, eye = replace(cfg, max_step_halvings=0), np.eye(len(y0))
 
     def step(t, Y, h, live=None):
-        nonlocal calls, tangency_worst
-        reused, worst, calls = bool(lagged), tangency_worst, 0
-        try:
-            out = _midpoint_step_batch(field, linearize, t, Y, h, march_cfg, eye, live)
-        except UnstableConstraintError:  # an iterate the lagged jacobian steered off tangency
-            if not reused:
-                raise
-            out = None
-        failed = out is None or not out[1][0]
-        if calls > 3 or failed:  # the predictor and over two Newton iterations
-            lagged.clear()
-        if reused and failed:
-            tangency_worst = worst
-            return step(t, Y, h, live)
-        return out
+        return _midpoint_step_batch(field, linearize, t, Y, h, march_cfg, eye, live)
 
     path, *_, (stopped,) = _march(step, y0[None], r, march_cfg, 0.0, h, n_steps,
                                   store_path=True)

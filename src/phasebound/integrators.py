@@ -668,9 +668,8 @@ WHOLE_MAX_SWEEPS = 8  # Newton sweeps per window; a window takes 2-5
 # y = z + h f((z + y)/2), a map with Lipschitz constant kappa = (h/2) ||A|| <= 1/8, so the
 # fixed point both solvers find is unique.  Its iteration matrix N0^-1 (h/2)(A - A0),
 # N0 = I - (h/2) A0 frozen at one midpoint, has norm q <= 2 kappa / (1 - kappa) = 2/7
-# wherever A0 was read, so long as the midpoint is near the path: the predictor's midpoint
-# of the step itself, or of an earlier step whose jacobian the constrained flow reuses
-# (its lagged jacobian).  Its Euler predictor misses y by at most kappa ||y - z||, and a
+# wherever A0 was read, so long as the midpoint is near the path, as the predictor's
+# midpoint of the step is.  Its Euler predictor misses y by at most kappa ||y - z||, and a
 # residual is at most (1 + kappa) times the error, so the residual test passes once
 # 2 kappa (1 + kappa) q^i <= newton_tol: after i = 27 updates for newton_tol >= 1e-15,
 # and the loop makes i + 1 iterations (a tighter tolerance nears the residual's roundoff,

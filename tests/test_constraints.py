@@ -339,6 +339,22 @@ class TestConstrainedIntegration:
         assert np.abs(con.trajectory.positions - unc.trajectory.positions).max() <= 1e-10
         assert np.abs(con.trajectory.momenta - unc.trajectory.momenta).max() <= 1e-10
 
+    def test_escaping_iterate_fails_its_step(self):
+        # from (4, 8) a Newton iterate of the step from t = 0.498 reaches |u| = 1.4e272,
+        # where dH/du overflows and the tangency residual is NaN: the state escapes, it
+        # does not leave the primary set, so the step fails and the flow stops as a flow
+        # without step halving does
+        quartic, cfg = make_quartic().system, IntegratorConfig()
+        con = integrate_constrained(quartic, make_identity_constraint(dim=1), [4.0], [8.0], cfg)
+        unc = integrate_flow(quartic, [4.0], [8.0], dataclasses.replace(cfg, max_step_halvings=0))
+        assert con.status == unc.status == NewtonFailure(t=0.498)
+        assert np.array_equal(con.trajectory.grid.nodes, unc.trajectory.grid.nodes)
+        assert len(con.trajectory.grid.nodes) == 499
+        scale = 1.0 + np.abs(unc.trajectory.positions).max() + np.abs(unc.trajectory.momenta).max()
+        assert np.abs(con.trajectory.positions - unc.trajectory.positions).max() <= 1e-12 * scale
+        assert np.abs(con.trajectory.momenta - unc.trajectory.momenta).max() <= 1e-12 * scale
+        assert con.max_tangency_residual == 0.0
+
     def test_nan_tangency_residual_is_unstable(self):
         # dH/du = sqrt(u): from u = 0.2 at speed 1 a Newton iterate reaches
         # u < 0 near t = 0.19, where the residual is NaN, which is not tangent
@@ -435,9 +451,10 @@ class TestDimensionChecks:
 
 
 def stepped_constrained(*args, **kwargs):
-    """integrate_constrained on its stepped engine alone, which the tests that count or
-    patch its solves, or pin its bits, are about."""
-    return constraints._integrate_constrained(*args, **kwargs)
+    """integrate_constrained on its stepped engine alone, the route declining every flow:
+    the engine that the tests that count its jacobians, or pin its bits, are about."""
+    with mock.patch.object(constraints, "_solve_whole", return_value=None):
+        return integrate_constrained(*args, **kwargs)
 
 
 def kink_system(w=0.01):
@@ -455,26 +472,33 @@ def kink_system(w=0.01):
 
 
 class TestLaggedJacobian:
-    """The difference jacobian is built once and reused across steps (simplified Newton)."""
+    """The stepped engine's Newton jacobian is never lagged: every step builds its own,
+    by central differences of the field at its predictor midpoint."""
 
-    @pytest.mark.parametrize("case, bound", [
-        (lambda: (make_pendulum().system, make_identity_constraint(1), [0.4], [1.2]), 3500),
-        (lambda: (make_free_particle(dim=2).system, make_circle_constraint(), [0.1, -0.2],
-                  [0.3]), 2500),
+    @pytest.mark.parametrize("case", [
+        lambda: (make_pendulum().system, make_identity_constraint(1), [0.4], [1.2]),
+        lambda: (make_free_particle(dim=2).system, make_circle_constraint(), [0.1, -0.2],
+                 [0.3]),
     ], ids=["identity-pendulum", "circle-free-particle"])
-    def test_tangency_solves_per_flow(self, monkeypatch, case, bound):
-        # a jacobian rebuilt on every step makes 7000 and 8000 solves over 1000 steps
-        solves = []
-        solve = constraints._tangency_solve
-        monkeypatch.setattr(constraints, "_tangency_solve",
-                            lambda *args: solves.append(None) or solve(*args))
-        res = stepped_constrained(*case(), IntegratorConfig(step=1e-3))
+    def test_one_difference_jacobian_per_step(self, monkeypatch, case):
+        # each step linearizes at its own predictor midpoint: 100 jacobians on 100 steps
+        built = []
+        difference = constraints.central_difference
+        monkeypatch.setattr(constraints, "central_difference",
+                            lambda *args: built.append(args[1].copy()) or difference(*args))
+        sys_, spec, u0, e0 = case()
+        res = stepped_constrained(sys_, spec, u0, e0, IntegratorConfig(step=1e-2))
         assert res.completed
-        assert len(solves) <= bound
+        assert len(built) == 100
+        # at the predictor midpoint of the step from each node: its Euler step's half way
+        nodes = np.concatenate([res.trajectory.positions, res.e_path], axis=1)
+        for y, point in zip(nodes, built):
+            value = constraints._tangency_field(sys_, spec, 0.0, y[None], 0.0)[0]
+            assert np.array_equal(point, 0.5 * (y[None] + (y[None] + 1e-2 * value)))
 
     def test_failed_step_is_rerun_on_a_fresh_jacobian(self):
-        # the jacobian reused from before the kink lets Newton run past its
-        # budget of 4 at t = 0.2; the rerun on a fresh jacobian converges
+        # a jacobian from before the kink would let Newton run past its budget
+        # of 4 at t = 0.2; each step's own jacobian converges
         sys_ = kink_system()
         cfg = IntegratorConfig(step=0.05, newton_max_iter=4)
         con = integrate_constrained(sys_, make_identity_constraint(1), [0.0], [2.0], cfg)
@@ -483,46 +507,6 @@ class TestLaggedJacobian:
         assert np.abs(con.trajectory.positions - unc.trajectory.positions).max() <= 1e-12
         assert np.abs(con.trajectory.momenta - unc.trajectory.momenta).max() <= 1e-12
         assert con.trajectory.positions[-1, 0] == 1.6055978165552036
-
-    def test_iterate_off_tangency_is_rerun_on_a_fresh_jacobian(self, monkeypatch):
-        # the verdict rejects the sixth state it checks: the second Newton iterate
-        # of the step from t = 0.01, the first made by an update on the jacobian
-        # reused from step 1; that step is rerun once on a fresh jacobian, as a
-        # failed step is, and the flow completes as it does unpatched
-        def flow():
-            return stepped_constrained(make_pendulum().system, make_identity_constraint(1),
-                                       [0.4], [1.2], IntegratorConfig(step=1e-2))
-
-        jacobians, times, checked = [], [], []
-        difference, solve = constraints.central_difference, constraints._tangency_solve
-        verdict = constraints._tangency_verdict
-        monkeypatch.setattr(constraints, "central_difference",
-                            lambda *args: jacobians.append(None) or difference(*args))
-
-        def timed_solve(sys_, spec, t, u, e):
-            times.append(t)
-            return solve(sys_, spec, t, u, e)
-
-        monkeypatch.setattr(constraints, "_tangency_solve", timed_solve)
-        unpatched, built = flow(), len(jacobians)
-        jacobians.clear()
-
-        def rejecting(residual, grad_u):
-            checked.append((times[-1], len(jacobians)))  # the field's time, jacobians so far
-            norm, tangent = verdict(residual, grad_u)
-            return norm, tangent and len(checked) != 6
-
-        monkeypatch.setattr(constraints, "_tangency_verdict", rejecting)
-        con = flow()
-        (t_pred, n_pred), (t_mid, _), (t_rejected, n_rejected) = checked[3:6]
-        assert (t_pred, t_mid) == (pytest.approx(0.01), pytest.approx(0.015))
-        assert t_rejected == t_mid
-        assert n_pred == n_rejected == 1  # step 1's jacobian, reused
-        assert con.completed and len(jacobians) == built + 1
-        for got, want in ((con.trajectory.positions, unpatched.trajectory.positions),
-                          (con.trajectory.momenta, unpatched.trajectory.momenta),
-                          (con.e_path, unpatched.e_path)):
-            assert np.abs(got - want).max() <= 1e-12
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(u0=st.floats(-3.0, 3.0), e0=st.floats(-3.0, 3.0),
@@ -539,10 +523,11 @@ class TestLaggedJacobian:
 
 # Written by the constrained integrator's own finite-difference Newton loop,
 # which the shared scalar midpoint step replaced. The identity-pendulum entry
-# was rewritten when the difference jacobian came to be reused across steps:
-# its positions and energy drift moved by one ulp. Otherwise the stepped engine's
-# results must not move by a bit; the public flow, solved all at once where it can
-# be, stays within REFERENCE_TOL of them.
+# was rewritten for a difference jacobian reused across steps (its positions and
+# energy drift moved by one ulp) and restored to these bytes when every step
+# came to build its own again. The stepped engine's results must not move by a
+# bit; the public flow, solved all at once where it can be, stays within
+# REFERENCE_TOL of them.
 CONSTRAINED_REF = json.loads(
     (Path(__file__).parent / "data" / "constrained_reference.json").read_text())
 
@@ -718,26 +703,51 @@ class TestConstrainedSolvedAtOnce:
         assert err.value.t == 0.0
         assert err.value.residual == stepped.value.residual == 1.0
 
-    @pytest.mark.parametrize("spec, scale", [(make_circle_constraint(), 40.0),
-                                             (make_identity_constraint(3), 1e3)],
-                             ids=["circle", "identity-3"])
-    def test_batched_path_constraints_are_the_node_by_node_ones(self, spec, scale):
-        # sigma and dsigma over the whole path in one call: momenta and polar residuals
-        # equal to the bit those of a call per node, for zero and other multipliers
+
+def gotay_outcome(report):
+    """Every field of a GotayReport, by repr, exact for floats."""
+    return repr([np.asarray(v).tolist() if v is not None else None
+                 for v in dataclasses.astuple(report)])
+
+
+# (system flowed, system probed, registered spec, scale of e) for each registered family;
+# the probes of the circle are tangent only where cos e = 0
+REGISTERED = {
+    "identity-1": (make_pendulum().system, make_pendulum().system, make_identity_constraint(1),
+                   1e3),
+    "identity-3": (make_free_particle(dim=3).system, make_free_particle(dim=3).system,
+                   make_identity_constraint(3), 1e3),
+    "circle": (planar_free(), planar_free_plus_height(), make_circle_constraint(), 40.0),
+}
+
+
+class TestSpecRows:
+    """A spec evaluated one row at a time gives what its vectorized callbacks give."""
+
+    @pytest.mark.parametrize("name", sorted(REGISTERED))
+    def test_rows_flows_and_reports_are_the_vectorized_ones(self, name):
+        sys_, probed, spec, scale = REGISTERED[name]
+        rows = dataclasses.replace(spec, vectorized=False)
         rng = np.random.default_rng(9)
-        e_path = rng.uniform(-scale, scale, size=(2001, spec.k_dim))
-        e_path[:3] = [[0.0] * spec.k_dim, [-0.0] * spec.k_dim, [np.pi / 2] * spec.k_dim]
-        r = len(spec.sigma_at(e_path[0]))
-        for lam_path in (np.zeros((len(e_path), r)), rng.normal(size=(len(e_path), r))):
-            batched = constraints._path_constraints(spec, e_path, lam_path, True)
-            per_node = constraints._path_constraints(spec, e_path, lam_path, False)
-            for got, want in zip(batched, per_node):
-                assert got.shape == want.shape and np.array_equal(got, want)
-        circle = make_circle_constraint()
-        res = integrate_constrained(make_free_particle(dim=2).system, circle, [0.1, 0.2], [2.9],
-                                    IntegratorConfig())
-        assert np.array_equal(res.trajectory.momenta,
-                              np.stack([circle.sigma_at(e) for e in res.e_path]))
+        r, k = sys_.dim, spec.k_dim
+        Y = np.concatenate([rng.normal(size=(2001, r)), rng.uniform(-scale, scale, (2001, k))],
+                           axis=1)
+        Y[:3, r:] = [[0.0] * k, [-0.0] * k, [np.pi / 2] * k]
+        lam = rng.normal(size=r)
+        for got, want in zip(constraints._tangency_field(probed, rows, 0.3, Y, lam),
+                             constraints._tangency_field(probed, spec, 0.3, Y, lam)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        u0, e0 = Y[3, :r], Y[3, r:] / scale
+        cfg = IntegratorConfig(step=1e-2)
+        for gauge in ("lambda-zero", lambda t: lam * np.cos(t)):
+            want = flow_outcome(stepped_constrained, sys_, spec, u0, e0, cfg, gauge=gauge)
+            assert want.startswith("(Completed()")
+            assert flow_outcome(stepped_constrained, sys_, rows, u0, e0, cfg,
+                                gauge=gauge) == want
+        for y in Y[:20]:
+            state = ExtendedState(y[:r], spec.sigma_at(y[r:]), lam, y[r:])
+            assert gotay_outcome(gotay_step(probed, rows, state)) == gotay_outcome(
+                gotay_step(probed, spec, state))
 
 
 class TestReductionCertificate:
